@@ -99,6 +99,7 @@
 //! the log, so divergence is detected at the exact record — and resumes
 //! with a byte-identical [`ExchangeReport`].
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 use std::io;
@@ -114,14 +115,10 @@ use swap_market::{
 };
 use swap_sim::{Delta, SimDuration, SimRng, SimTime};
 use swap_store::{
-    load_latest_snapshot, read_wal, write_snapshot, ExchangeSnapshot, IdentityRecord,
-    MaterialRecord, SeedRecord, Wal, WalRecord, WAL_FILE,
+    load_latest_snapshot, read_wal, write_snapshot, SeedRecord, Wal, WalRecord, WAL_FILE,
 };
 
-use crate::durability::{
-    book_from_record, book_record, config_digest, fail_tag, report_from_record, report_record,
-    stage_tag,
-};
+use crate::durability::{config_digest, fail_tag, from_bytes, stage_tag, to_bytes, Snapshot};
 use crate::identity::IdentityStore;
 use crate::instance::{ProvisionedSwap, SwapRunOutput};
 use crate::pool::{Completed, WorkerPool};
@@ -2039,8 +2036,7 @@ impl Exchange {
             return Ok(());
         };
         assert!(self.in_flight.is_empty(), "snapshots are only taken at pipeline-empty points");
-        let snap = self.build_snapshot(last_seq);
-        write_snapshot(&dir, &snap)?;
+        write_snapshot(&dir, last_seq, &to_bytes(&self.snapshot(last_seq)))?;
         let journal = self.journal.as_mut().expect("checked above");
         journal.settled_since_snapshot = 0;
         let JournalSink::Wal(wal) = &mut journal.sink else { unreachable!("checked above") };
@@ -2050,42 +2046,20 @@ impl Exchange {
         wal.reset()
     }
 
-    /// Serializes the pipeline-empty state (see [`ExchangeSnapshot`]).
-    fn build_snapshot(&self, last_seq: u64) -> ExchangeSnapshot {
-        ExchangeSnapshot {
+    /// The pipeline-empty state as it is persisted, borrowed in place.
+    fn snapshot(&self, last_seq: u64) -> Snapshot<'_> {
+        Snapshot {
             last_seq,
             config_digest: config_digest(&self.config),
-            now: self.now.ticks(),
-            vacated: [
-                self.vacated[0].ticks(),
-                self.vacated[1].ticks(),
-                self.vacated[2].ticks(),
-                self.vacated[3].ticks(),
-            ],
-            dirty_since: self.dirty_since.map(|t| t.ticks()),
+            now: self.now,
+            vacated: self.vacated,
+            dirty_since: self.dirty_since,
             mint_ticket: self.mint_ticket,
             leaves_leased: self.identities.leaves_leased(),
-            report: report_record(&self.report),
-            book: book_record(&self.service.snapshot()),
-            material: self
-                .material
-                .iter()
-                .map(|(id, (address, secret))| MaterialRecord {
-                    offer: id.raw(),
-                    address: *address.digest().as_bytes(),
-                    secret: *secret.reveal(),
-                })
-                .collect(),
-            identities: self
-                .identities
-                .iter()
-                .map(|(_, kp)| IdentityRecord {
-                    seed: *kp.seed(),
-                    height: kp.height() as u8,
-                    next_leaf: kp.next_leaf(),
-                    leaves: kp.leaf_digests().iter().map(|d| *d.as_bytes()).collect(),
-                })
-                .collect(),
+            report: Cow::Borrowed(&self.report),
+            book: self.service.snapshot(),
+            material: Cow::Borrowed(&self.material),
+            identities: self.identities.iter().map(|(_, kp)| Cow::Borrowed(kp)).collect(),
         }
     }
 
@@ -2115,15 +2089,26 @@ impl Exchange {
         config: ExchangeConfig,
         journal: JournalConfig,
     ) -> Result<Recovered, RecoverError> {
-        let digest = config_digest(&config);
-        let snapshot = load_latest_snapshot(&journal.dir)?;
-        if let Some(snap) = &snapshot {
-            if snap.config_digest != digest {
-                return Err(RecoverError::ConfigMismatch);
+        let invalid =
+            |why: String| RecoverError::Io(io::Error::new(io::ErrorKind::InvalidData, why));
+        let snapshot = match load_latest_snapshot(&journal.dir)? {
+            Some((frame_seq, payload)) => {
+                let snap: Snapshot<'_> =
+                    from_bytes(&payload).map_err(|e| invalid(e.to_string()))?;
+                // The sequence number is stored twice — in the checksummed
+                // frame header and in the payload — and replay starts from it.
+                if snap.last_seq != frame_seq {
+                    return Err(invalid("snapshot frame seq disagrees with payload".into()));
+                }
+                if snap.config_digest != config_digest(&config) {
+                    return Err(RecoverError::ConfigMismatch);
+                }
+                Some(snap)
             }
-        }
+            None => None,
+        };
         let snapshot_seq = snapshot.as_ref().map(|s| s.last_seq);
-        let mut exchange = match &snapshot {
+        let mut exchange = match snapshot {
             Some(snap) => Exchange::from_snapshot(config, snap),
             None => Exchange::new(config),
         };
@@ -2260,35 +2245,15 @@ impl Exchange {
         }
     }
 
-    /// Rebuilds the pipeline-empty state a snapshot serialized.
-    fn from_snapshot(config: ExchangeConfig, snap: &ExchangeSnapshot) -> Exchange {
-        let service = ClearingService::restore(
-            book_from_record(&snap.book),
-            config.leader_strategy,
-            config.clearing_mode,
-        );
+    /// Rebuilds the pipeline-empty state a snapshot holds.
+    fn from_snapshot(config: ExchangeConfig, snap: Snapshot<'_>) -> Exchange {
+        let service =
+            ClearingService::restore(snap.book, config.leader_strategy, config.clearing_mode);
         let identities = IdentityStore::restore(
-            snap.identities.iter().map(|id| {
-                MssKeypair::from_parts(
-                    id.seed,
-                    u32::from(id.height),
-                    id.leaves.iter().map(|&l| Digest32(l)).collect(),
-                    id.next_leaf,
-                )
-            }),
+            snap.identities.into_iter().map(Cow::into_owned),
             snap.leaves_leased,
         );
-        let material = snap
-            .material
-            .iter()
-            .map(|m| {
-                (
-                    OfferId::from_raw(m.offer),
-                    (Address::from_digest(Digest32(m.address)), Secret::from_bytes(m.secret)),
-                )
-            })
-            .collect();
-        let report = report_from_record(&snap.report);
+        let report = snap.report.into_owned();
         // The ledger restarts from fresh chains: settled epochs influence
         // later ones only through the report's storage totals, which the
         // archived baseline carries forward.
@@ -2296,17 +2261,12 @@ impl Exchange {
         let pool = WorkerPool::new(config.threads);
         Exchange {
             service,
-            material,
+            material: snap.material.into_owned(),
             identities,
-            now: SimTime::from_ticks(snap.now),
+            now: snap.now,
             in_flight: VecDeque::new(),
-            vacated: [
-                SimTime::from_ticks(snap.vacated[0]),
-                SimTime::from_ticks(snap.vacated[1]),
-                SimTime::from_ticks(snap.vacated[2]),
-                SimTime::from_ticks(snap.vacated[3]),
-            ],
-            dirty_since: snap.dirty_since.map(SimTime::from_ticks),
+            vacated: snap.vacated,
+            dirty_since: snap.dirty_since,
             pool,
             minted: BTreeMap::new(),
             mint_ticket: snap.mint_ticket,
@@ -2686,14 +2646,14 @@ mod tests {
         // Every epoch snapshots, so the settled epoch truncated the log.
         let scan = read_wal(&dir).unwrap();
         assert_eq!(scan.frames.len(), 0, "snapshot must truncate the WAL");
-        let snap = load_latest_snapshot(&dir).unwrap().expect("snapshot written");
-        assert!(snap.last_seq > 0);
+        let (snapshot_seq, _) = load_latest_snapshot(&dir).unwrap().expect("snapshot written");
+        assert!(snapshot_seq > 0);
         let recovered = Exchange::recover(
             config,
             JournalConfig { snapshot_every: 1, ..JournalConfig::new(&dir) },
         )
         .unwrap();
-        assert_eq!(recovered.stats.snapshot_seq, Some(snap.last_seq));
+        assert_eq!(recovered.stats.snapshot_seq, Some(snapshot_seq));
         assert_eq!(recovered.stats.commands_replayed, 0);
         assert_eq!(recovered.exchange.report(), &live_report);
         std::fs::remove_dir_all(&dir).unwrap();

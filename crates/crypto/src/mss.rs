@@ -106,8 +106,8 @@ impl MssKeypair {
     ///
     /// Panics if `leaves` is empty, its length is not `2^height`, or
     /// `next_leaf` exceeds the leaf count — all of which mean the caller's
-    /// stored state is corrupt, which the store's checksums should have
-    /// caught before this point.
+    /// stored state is corrupt, which the caller must rule out first (a
+    /// checksum cannot: `swap-core`'s snapshot decoder checks all three).
     pub fn from_parts(seed: [u8; 32], height: u32, leaves: Vec<Digest32>, next_leaf: u64) -> Self {
         assert!(height <= 16, "MSS height {height} too large");
         let leaf_count = 1u64 << height;

@@ -1265,7 +1265,8 @@ impl ClearingService {
     /// # Panics
     ///
     /// Panics if the snapshot references offer ids outside its own entry
-    /// table — corruption the store's checksums should have caught.
+    /// table — `swap-core`'s snapshot decoder refuses such a book before it
+    /// gets here.
     pub fn restore(
         snapshot: BookSnapshot,
         leader_strategy: LeaderStrategy,

@@ -29,6 +29,9 @@ pub enum DecodeError {
     BadLength(u64),
     /// Decoding finished with unconsumed bytes left over.
     TrailingBytes,
+    /// Every field decoded, but together they break a condition the
+    /// decoded type must hold (named by the message).
+    Invalid(&'static str),
 }
 
 impl fmt::Display for DecodeError {
@@ -43,6 +46,7 @@ impl fmt::Display for DecodeError {
             DecodeError::BadUtf8 => write!(f, "string is not valid UTF-8"),
             DecodeError::BadLength(n) => write!(f, "length prefix {n} exceeds remaining input"),
             DecodeError::TrailingBytes => write!(f, "trailing bytes after value"),
+            DecodeError::Invalid(why) => write!(f, "inconsistent value: {why}"),
         }
     }
 }

@@ -18,15 +18,19 @@
 //!   [`record::WalRecord`] frame, appended through a group-commit buffer
 //!   ([`wal::Wal`]) and read back tolerating a torn final record
 //!   ([`wal::read_wal`]).
-//! * [`snapshot`] — periodic whole-state snapshots
-//!   ([`snapshot::ExchangeSnapshot`]) that truncate the log: written
-//!   temp-then-rename (atomic on POSIX), loaded newest-first.
+//! * [`snapshot`] — snapshot *files* that truncate the log: one
+//!   checksummed frame of opaque payload bytes, written temp-then-rename
+//!   (atomic on POSIX), loaded newest-first.
 //!
-//! The store deliberately depends on **nothing**: record and snapshot
-//! types mirror the domain types (offers, identities, reports) as raw
-//! 32-byte arrays, strings, and `u8` tags. The conversions live where the
-//! domain types do — `swap-core`'s `exchange.rs` — so the durability
+//! The store deliberately depends on **nothing**, so the durability
 //! format cannot create dependency cycles and is testable in isolation.
+//! A snapshot payload is opaque bytes here: the one module that knows its
+//! layout is `swap-core`'s `durability`, which writes the exchange's live
+//! state with this crate's [`Encoder`] and reads it back into validated
+//! domain values with [`Decoder`]. The only typed records are the WAL's —
+//! [`record::WalRecord`] with [`SeedRecord`], [`FailTag`], [`StageTag`],
+//! holding raw 32-byte arrays, strings and `u8` tags — because a logged
+//! command has no domain type to reuse.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,9 +45,5 @@ pub use codec::{crc32, DecodeError, Decoder, Encoder};
 pub use record::{
     decode_frames, encode_frame, FailTag, FrameScan, Framed, SeedRecord, StageTag, WalRecord,
 };
-pub use snapshot::{
-    load_latest_snapshot, write_snapshot, BookEntryRecord, BookRecord, ExchangeSnapshot,
-    IdentityRecord, MaterialRecord, MetricsRecord, OfferStatusRecord, ReportRecord,
-    StageTicksRecord, StorageRecord, SwapLineRecord,
-};
+pub use snapshot::{load_latest_snapshot, write_snapshot};
 pub use wal::{read_wal, Wal, WAL_FILE};

@@ -1,13 +1,11 @@
 //! Property tests pinning the codec: encode → decode → encode is
-//! byte-identical over all record types, frame streams survive arbitrary
-//! truncation, and snapshots round-trip.
+//! byte-identical over all record types, and frame streams survive
+//! arbitrary truncation. (Snapshot payloads are opaque to this crate; their
+//! round-trip properties live with their layout, in `swap-core`'s
+//! `durability` module.)
 
 use proptest::prelude::*;
-use swap_store::{
-    decode_frames, encode_frame, BookEntryRecord, BookRecord, ExchangeSnapshot, FailTag, Framed,
-    IdentityRecord, MaterialRecord, MetricsRecord, OfferStatusRecord, ReportRecord, SeedRecord,
-    StageTag, StorageRecord, SwapLineRecord, WalRecord,
-};
+use swap_store::{decode_frames, encode_frame, FailTag, Framed, SeedRecord, StageTag, WalRecord};
 
 fn asset() -> impl Strategy<Value = String> {
     prop::collection::vec(any::<u8>(), 0..12).prop_map(|v| {
@@ -89,153 +87,6 @@ fn wal_record() -> impl Strategy<Value = WalRecord> {
     ]
 }
 
-fn offer_status() -> impl Strategy<Value = OfferStatusRecord> {
-    prop_oneof![
-        Just(OfferStatusRecord::Open),
-        Just(OfferStatusRecord::Cancelled),
-        (any::<u64>(), any::<u64>())
-            .prop_map(|(epoch, swap)| OfferStatusRecord::Matched { epoch, swap }),
-        Just(OfferStatusRecord::Settled),
-        Just(OfferStatusRecord::Refunded),
-    ]
-}
-
-fn book_entry() -> impl Strategy<Value = BookEntryRecord> {
-    (any::<[u8; 32]>(), any::<u8>(), any::<[u8; 32]>(), asset(), asset(), offer_status()).prop_map(
-        |(root, key_height, hashlock, gives, wants, status)| BookEntryRecord {
-            root,
-            key_height,
-            hashlock,
-            gives,
-            wants,
-            status,
-        },
-    )
-}
-
-fn metrics() -> impl Strategy<Value = MetricsRecord> {
-    prop::collection::vec(any::<u64>(), 9..10).prop_map(|v| MetricsRecord {
-        rounds: v[0],
-        contracts_published: v[1],
-        unlock_calls: v[2],
-        unlock_bytes: v[3],
-        claim_calls: v[4],
-        refund_calls: v[5],
-        direct_transfers: v[6],
-        rejected_calls: v[7],
-        announce_bytes: v[8],
-    })
-}
-
-fn swap_line() -> impl Strategy<Value = SwapLineRecord> {
-    (
-        (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
-        (any::<u8>(), any::<bool>(), any::<bool>(), any::<u64>()),
-        metrics(),
-    )
-        .prop_map(
-            |((swap, epoch, parties, leaders), (protocol, settled, all_deal, rounds), m)| {
-                SwapLineRecord {
-                    swap,
-                    epoch,
-                    parties,
-                    leaders,
-                    protocol,
-                    settled,
-                    all_deal,
-                    rounds,
-                    metrics: m,
-                }
-            },
-        )
-}
-
-fn snapshot() -> impl Strategy<Value = ExchangeSnapshot> {
-    (
-        (any::<u64>(), any::<[u8; 32]>(), any::<u64>(), any::<[u64; 4]>()),
-        (prop_oneof![Just(None), any::<u64>().prop_map(Some)], any::<u64>(), any::<u64>()),
-        (prop::collection::vec(any::<u64>(), 12..13), metrics(), swap_line()),
-        (
-            prop::collection::vec(book_entry(), 0..4),
-            prop::collection::vec(any::<u64>(), 0..4),
-            prop::collection::vec((any::<u64>(), prop::collection::vec(any::<u64>(), 0..4)), 0..3),
-        ),
-        (
-            prop::collection::vec(
-                (any::<u64>(), any::<[u8; 32]>(), any::<[u8; 32]>())
-                    .prop_map(|(offer, address, secret)| MaterialRecord { offer, address, secret }),
-                0..4,
-            ),
-            prop::collection::vec(
-                (
-                    any::<[u8; 32]>(),
-                    any::<u8>(),
-                    any::<u64>(),
-                    prop::collection::vec(any::<[u8; 32]>(), 0..5),
-                )
-                    .prop_map(|(seed, height, next_leaf, leaves)| IdentityRecord {
-                        seed,
-                        height,
-                        next_leaf,
-                        leaves,
-                    }),
-                0..3,
-            ),
-        ),
-    )
-        .prop_map(
-            |(
-                (last_seq, config_digest, now, vacated),
-                (dirty_since, mint_ticket, leaves_leased),
-                (counters, storage_like, line),
-                (entries, deferred, in_flight),
-                (material, identities),
-            )| {
-                ExchangeSnapshot {
-                    last_seq,
-                    config_digest,
-                    now,
-                    vacated,
-                    dirty_since,
-                    mint_ticket,
-                    leaves_leased,
-                    report: ReportRecord {
-                        epochs: counters[0],
-                        offers_submitted: counters[1],
-                        offers_cancelled: counters[2],
-                        swaps_cleared: counters[3],
-                        swaps_settled: counters[4],
-                        swaps_refunded: counters[5],
-                        swaps_exhausted: counters[6],
-                        identities_registered: counters[7],
-                        identities_minted: counters[8],
-                        mints_overlapping_execution: counters[9],
-                        leaves_leased: counters[10],
-                        wall_ticks: counters[11],
-                        storage: StorageRecord {
-                            blocks: storage_like.rounds,
-                            block_bytes: storage_like.unlock_bytes,
-                            contract_bytes: storage_like.claim_calls,
-                            asset_bytes: storage_like.refund_calls,
-                            tx_bytes: storage_like.announce_bytes,
-                        },
-                        swaps: vec![line],
-                        ..Default::default()
-                    },
-                    book: BookRecord {
-                        first_id: mint_ticket,
-                        entries,
-                        deferred,
-                        in_flight,
-                        ..Default::default()
-                    },
-                    material,
-                    identities,
-                }
-            },
-        )
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -285,15 +136,5 @@ proptest! {
         for (i, f) in scan.frames.iter().enumerate() {
             prop_assert_eq!(&f.record, &records[i]);
         }
-    }
-
-    #[test]
-    fn snapshot_encode_decode_encode_is_byte_identical(snap in snapshot()) {
-        let payload = snap.encode_payload();
-        let back = ExchangeSnapshot::decode_payload(&payload);
-        prop_assert!(back.is_ok(), "decode failed: {:?}", back);
-        let back = back.unwrap();
-        prop_assert_eq!(&back, &snap);
-        prop_assert_eq!(back.encode_payload(), payload);
     }
 }

@@ -1,0 +1,88 @@
+#!/usr/bin/env python3
+"""The ruler for ROADMAP aim 2: how much non-test Rust each member crate
+carries, and how wide its public surface is.
+
+Per crate under `crates/`, prints
+
+* `lines` — non-blank lines of `src/**/*.rs` outside `#[cfg(test)]`
+  modules (`tests/` and `benches/` are not under `src/`, so they never
+  count). Comments and docs count: deleting them is not a reduction.
+* `pub` — `pub` items declared in those lines (fn, struct, enum, union,
+  trait, type, const, static, mod), with every name of a `pub use`
+  counted on its own. `pub(crate)`, fields and variants do not count.
+
+Relies on the tree being rustfmt-formatted: a `#[cfg(test)]` module ends at
+the first `}` indented like its attribute.
+
+Usage: python3 scripts/count_lines.py [repo-root]
+"""
+
+import re
+import sys
+from pathlib import Path
+
+PUB_ITEM = re.compile(
+    r"^\s*pub\s+(?:(?:const|async|unsafe|extern\s+\"[^\"]*\")\s+)*"
+    r"(?:fn|struct|enum|trait|type|const|static|mod|union)\b"
+)
+PUB_USE = re.compile(r"^\s*pub\s+use\b")
+
+
+def non_test_lines(text):
+    """Non-blank lines of `text` outside `#[cfg(test)]` modules."""
+    kept, lines, i = [], text.splitlines(), 0
+    while i < len(lines):
+        line = lines[i]
+        if line.strip() == "#[cfg(test)]" and i + 1 < len(lines):
+            opener = lines[i + 1].strip()
+            if opener.startswith("mod ") and opener.endswith("{"):
+                close = line[: len(line) - len(line.lstrip())] + "}"
+                i += 2
+                while i < len(lines) and lines[i] != close:
+                    i += 1
+                i += 1
+                continue
+        if line.strip():
+            kept.append(line)
+        i += 1
+    return kept
+
+
+def pub_items(lines):
+    """`pub` items among `lines`; each name of a `pub use` counts once."""
+    count, i = 0, 0
+    while i < len(lines):
+        line = lines[i]
+        if PUB_USE.match(line):
+            statement = line
+            while ";" not in statement and i + 1 < len(lines):
+                i += 1
+                statement += lines[i]
+            names = statement.split("use", 1)[1].replace("{", ",").replace("}", ",")
+            names = (name.strip(" ;\n") for name in names.split(","))
+            count += sum(1 for name in names if name and not name.endswith("::"))
+        elif PUB_ITEM.match(line):
+            count += 1
+        i += 1
+    return count
+
+
+def main():
+    root = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).resolve().parent.parent)
+    rows = []
+    for crate in sorted((root / "crates").iterdir()):
+        src = crate / "src"
+        if not src.is_dir():
+            continue
+        kept = []
+        for path in sorted(src.rglob("*.rs")):
+            kept += non_test_lines(path.read_text())
+        rows.append((crate.name, len(kept), pub_items(kept)))
+    rows.append(("total", sum(r[1] for r in rows), sum(r[2] for r in rows)))
+    print(f"{'crate':<10} {'lines':>7} {'pub':>5}")
+    for name, lines, pubs in rows:
+        print(f"{name:<10} {lines:>7} {pubs:>5}")
+
+
+if __name__ == "__main__":
+    main()
