@@ -1,178 +1,62 @@
 //! Criterion benches for the transaction hot path: publish / call /
-//! rollback micro-ops on one `Blockchain`, under both rollback modes and
-//! two registry sizes.
+//! rollback micro-ops on one `Blockchain`, at two registry sizes.
 //!
 //! The chain carries a pre-minted registry of 10² or 10⁴ assets. A
 //! *call* is a succeeding toggle (one escrow move + one sealed block); a
-//! *rollback* is a call the contract rejects after validation fails — in
-//! `Snapshot` mode that clones the whole registry first, in `Journal`
-//! mode it costs one undo-log check. The timing delta between the two
-//! modes at 10⁴ assets *is* the journal's win; the rigorous sweep
-//! (10²–10⁵ with ≥5× and flatness gates) lives in experiment E22.
+//! *rollback* is a call the contract rejects after validation fails,
+//! which costs one undo-log check. The undo journal makes all three
+//! O(ops in the transaction), so the two sizes should time alike; the
+//! rigorous sweep (10²–10⁵ with the flatness gate) lives in experiment
+//! E22.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use swap_chain::{
-    AssetDescriptor, AssetId, Blockchain, ContractLogic, ExecCtx, Owner, RollbackMode,
-};
+use swap_bench::churn::{rigged_chain, Churn, ChurnCall};
+use swap_chain::AssetDescriptor;
 use swap_crypto::{Address, Digest32};
 use swap_sim::SimTime;
-
-fn addr(b: u8) -> Address {
-    Address::from_digest(Digest32([b; 32]))
-}
-
-/// A non-terminating escrow contract: `Toggle` moves its asset between
-/// the home party and escrow (always succeeds), `Fail` rejects before
-/// touching anything (the pure rollback path).
-#[derive(Debug, Clone)]
-struct Churn {
-    asset: AssetId,
-    home: Address,
-    held: bool,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum ChurnCall {
-    Toggle,
-    Fail,
-}
-
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct ChurnError;
-impl std::fmt::Display for ChurnError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "churn rejected")
-    }
-}
-impl std::error::Error for ChurnError {}
-
-impl ContractLogic for Churn {
-    type Call = ChurnCall;
-    type Event = ();
-    type Error = ChurnError;
-
-    fn on_publish(&mut self, ctx: &mut ExecCtx<'_>) -> Result<Vec<()>, ChurnError> {
-        ctx.assets
-            .transfer_from(self.asset, Owner::Party(ctx.caller), Owner::Escrow(ctx.this))
-            .map_err(|_| ChurnError)?;
-        self.held = true;
-        Ok(vec![])
-    }
-
-    fn apply(&mut self, call: ChurnCall, ctx: &mut ExecCtx<'_>) -> Result<Vec<()>, ChurnError> {
-        match call {
-            ChurnCall::Toggle => {
-                let (from, to) = if self.held {
-                    (Owner::Escrow(ctx.this), Owner::Party(self.home))
-                } else {
-                    (Owner::Party(self.home), Owner::Escrow(ctx.this))
-                };
-                ctx.assets.transfer_from(self.asset, from, to).map_err(|_| ChurnError)?;
-                self.held = !self.held;
-                Ok(vec![])
-            }
-            ChurnCall::Fail => Err(ChurnError),
-        }
-    }
-
-    fn storage_bytes(&self) -> usize {
-        8 + 32 + 1
-    }
-
-    fn is_terminated(&self) -> bool {
-        false
-    }
-}
-
-/// A chain whose registry holds `assets` pre-minted assets, with one
-/// churn contract already published on asset 0.
-fn rigged_chain(mode: RollbackMode, assets: usize) -> (Blockchain<Churn>, swap_chain::ContractId) {
-    let mut chain = Blockchain::new("bench", SimTime::ZERO);
-    chain.set_rollback_mode(mode);
-    let home = addr(1);
-    let mut first = None;
-    for _ in 0..assets {
-        let id = chain.mint_asset(AssetDescriptor::unique("t"), home, SimTime::ZERO);
-        first.get_or_insert(id);
-    }
-    let asset = first.expect("at least one asset");
-    let contract = Churn { asset, home, held: false };
-    let id = chain.publish_contract(contract, home, SimTime::from_ticks(1)).expect("publishes");
-    (chain, id)
-}
 
 fn bench_chain_tx(c: &mut Criterion) {
     let mut group = c.benchmark_group("chain");
     group.sample_size(10);
+    let home = Address::from_digest(Digest32([1; 32]));
     for assets in [100usize, 10_000] {
-        for mode in [RollbackMode::Journal, RollbackMode::Snapshot] {
-            let tag = format!("{mode:?}");
+        // publish: escrow a fresh asset + seal, on a fresh contract each
+        // iteration (ids grow; per-iter cost stays flat).
+        let (mut chain, _) = rigged_chain(home, assets);
+        let mut tick = 10u64;
+        group.bench_with_input(BenchmarkId::new("publish", assets), &assets, |b, _| {
+            b.iter(|| {
+                tick += 1;
+                let now = SimTime::from_ticks(tick);
+                let asset = chain.mint_asset(AssetDescriptor::unique("p"), home, now);
+                chain
+                    .publish_contract(Churn { asset, home, held: false }, home, now)
+                    .expect("publishes")
+            })
+        });
 
-            // publish: escrow a fresh asset + seal, on a fresh contract
-            // each iteration (ids grow; per-iter cost stays flat).
-            let (mut chain, _) = rigged_chain(mode, assets);
-            let home = addr(1);
-            let mut tick = 10u64;
-            group.bench_with_input(
-                BenchmarkId::new(format!("publish/{assets}"), &tag),
-                &mode,
-                |b, _| {
-                    b.iter(|| {
-                        tick += 1;
-                        let asset = chain.mint_asset(
-                            AssetDescriptor::unique("p"),
-                            home,
-                            SimTime::from_ticks(tick),
-                        );
-                        chain
-                            .publish_contract(
-                                Churn { asset, home, held: false },
-                                home,
-                                SimTime::from_ticks(tick),
-                            )
-                            .expect("publishes")
-                    })
-                },
-            );
+        // call: one succeeding escrow toggle + seal.
+        let (mut chain, id) = rigged_chain(home, assets);
+        let mut tick = 10u64;
+        group.bench_with_input(BenchmarkId::new("call", assets), &assets, |b, _| {
+            b.iter(|| {
+                tick += 1;
+                chain
+                    .call_contract(id, home, ChurnCall::Toggle, SimTime::from_ticks(tick), 16)
+                    .map(<[_]>::len)
+                    .expect("toggles")
+            })
+        });
 
-            // call: one succeeding escrow toggle + seal.
-            let (mut chain, id) = rigged_chain(mode, assets);
-            let mut tick = 10u64;
-            group.bench_with_input(
-                BenchmarkId::new(format!("call/{assets}"), &tag),
-                &mode,
-                |b, _| {
-                    b.iter(|| {
-                        tick += 1;
-                        chain
-                            .call_contract(
-                                id,
-                                home,
-                                ChurnCall::Toggle,
-                                SimTime::from_ticks(tick),
-                                16,
-                            )
-                            .map(<[_]>::len)
-                            .expect("toggles")
-                    })
-                },
-            );
-
-            // rollback: a failing call — Snapshot pays the registry clone,
-            // Journal pays one undo-log check.
-            let (mut chain, id) = rigged_chain(mode, assets);
-            group.bench_with_input(
-                BenchmarkId::new(format!("rollback/{assets}"), &tag),
-                &mode,
-                |b, _| {
-                    b.iter(|| {
-                        chain
-                            .call_contract(id, home, ChurnCall::Fail, SimTime::from_ticks(5), 16)
-                            .expect_err("rejects")
-                    })
-                },
-            );
-        }
+        // rollback: a failing call — one undo-log check, nothing sealed.
+        let (mut chain, id) = rigged_chain(home, assets);
+        group.bench_with_input(BenchmarkId::new("rollback", assets), &assets, |b, _| {
+            b.iter(|| {
+                chain
+                    .call_contract(id, home, ChurnCall::Fail, SimTime::from_ticks(5), 16)
+                    .expect_err("rejects")
+            })
+        });
     }
     group.finish();
 }

@@ -1,13 +1,15 @@
 //! Criterion benches for the clearing tier: one steady-state churn round
 //! (submit a hot set, clear, settle) against prebuilt books of 1k and 10k
-//! open offers, under both clearing modes.
+//! open offers, published from the production planner (`plan`, the
+//! incremental index) and from its specification (`plan_full_rescan`).
 //!
 //! The book is a hot/cold split: the churn set forms mutual pairs and one
 //! three-cycle each round, while an inert tail — offers whose kinds have
-//! no counterparties — only sits in the open set. `FullRescan` re-examines
-//! the whole tail every round, so its round time grows with the book;
-//! `Indexed` walks only the active kinds, so its round time is flat. The
-//! timing delta between the two rows of a size *is* the index's win; the
+//! no counterparties — only sits in the open set. The full rescan
+//! re-examines the whole tail every round, so its round time grows with
+//! the book; the index walks only the active kinds, so its round time is
+//! flat. The timing delta between the two rows of a size *is* the index's
+//! win; the
 //! rigorous sweep (through 10⁵, with a 10⁶ smoke and a ≥10× gate) lives
 //! in experiment E20.
 //!
@@ -17,8 +19,11 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use swap_crypto::{Digest32, MssPublicKey, Secret};
-use swap_market::{AssetKind, ClearingMode, ClearingService, Offer};
+use swap_market::{AssetKind, ClearPlan, ClearingService, Offer};
 use swap_sim::{Delta, SimTime};
+
+/// Draws one epoch's plan from the open book.
+type Planner = fn(&ClearingService) -> ClearPlan;
 
 /// Mutual two-cycle pairs per churn round (plus one 3-cycle).
 const PAIRS: usize = 8;
@@ -42,8 +47,8 @@ fn synth(tag: u64, gives: AssetKind, wants: AssetKind) -> Offer {
 
 /// A service holding `tail` open offers that can never clear: their kinds
 /// are given but never wanted, so every churn round leaves them behind.
-fn tailed_service(mode: ClearingMode, tail: usize) -> (ClearingService, u64) {
-    let mut svc = ClearingService::new().with_mode(mode);
+fn tailed_service(tail: usize) -> (ClearingService, u64) {
+    let mut svc = ClearingService::new();
     for i in 0..tail {
         let shared = 1_000_000_000 + (i % 1_000) as u64;
         svc.submit(synth(shared, AssetKind::new("tail-gives"), AssetKind::new("tail-wants")));
@@ -51,9 +56,9 @@ fn tailed_service(mode: ClearingMode, tail: usize) -> (ClearingService, u64) {
     (svc, 0)
 }
 
-/// One steady-state round: submit the hot set, clear it, settle every
-/// emitted swap. The book returns to exactly the tail.
-fn churn_round(svc: &mut ClearingService, tag: &mut u64) {
+/// One steady-state round: submit the hot set, publish `planner`'s plan,
+/// settle every emitted swap. The book returns to exactly the tail.
+fn churn_round(svc: &mut ClearingService, planner: Planner, tag: &mut u64) {
     let mut fresh = |gives: AssetKind, wants: AssetKind| {
         *tag += 1;
         synth(*tag, gives, wants)
@@ -69,7 +74,8 @@ fn churn_round(svc: &mut ClearingService, tag: &mut u64) {
             AssetKind::new(format!("tri{}", (t + 1) % 3)),
         ));
     }
-    let swaps = svc.clear(Delta::from_ticks(10), SimTime::ZERO).expect("churn clears");
+    let plan = planner(svc);
+    let swaps = svc.commit(plan, Delta::from_ticks(10), SimTime::ZERO).expect("churn clears");
     assert_eq!(swaps.len(), PAIRS + 1, "every pair and the tri-cycle match");
     for swap in &swaps {
         svc.settle_swap(swap.id).expect("fresh swap settles");
@@ -80,12 +86,16 @@ fn bench_clearing_churn(c: &mut Criterion) {
     let mut group = c.benchmark_group("clearing");
     group.sample_size(10);
     for tail in [1_000usize, 10_000] {
-        for mode in [ClearingMode::Indexed, ClearingMode::FullRescan] {
-            let (mut svc, mut tag) = tailed_service(mode, tail);
+        let planners: [(&str, Planner); 2] = [
+            ("indexed", ClearingService::plan),
+            ("full-rescan", ClearingService::plan_full_rescan),
+        ];
+        for (label, planner) in planners {
+            let (mut svc, mut tag) = tailed_service(tail);
             group.bench_with_input(
-                BenchmarkId::new(format!("churn/{tail}"), mode),
-                &mode,
-                |b, _| b.iter(|| churn_round(&mut svc, &mut tag)),
+                BenchmarkId::new(format!("churn/{tail}"), label),
+                &planner,
+                |b, &planner| b.iter(|| churn_round(&mut svc, planner, &mut tag)),
             );
         }
     }

@@ -1,23 +1,14 @@
 //! Criterion benches for the event-driven runner.
 //!
-//! Two questions, benched separately:
-//!
-//! 1. `runner/*` — end-to-end cost of one conforming swap across the
-//!    `cycle`/`complete`/`flower` families at n ∈ {8, 32, 128}. Setup
-//!    (key generation) is provisioned once per case and cloned per
-//!    iteration so the engine dominates the measurement.
-//! 2. `runner_snapshot/*` — the snapshot-delta hot path against the
-//!    classic per-boundary full rebuild, on `complete(32)` under a
-//!    withholding leader with a long refund horizon: the run spends
-//!    dozens of boundaries with every contract carrying ~|L| unlock
-//!    records, which is exactly where re-cloning O(|A|) snapshots per
-//!    round hurts and dirty-arc tracking pays.
+//! `runner/*` — end-to-end cost of one conforming swap across the
+//! `cycle`/`complete`/`flower` families at n ∈ {8, 32, 128}. Setup (key
+//! generation) is provisioned once per case and cloned per iteration so
+//! the engine dominates the measurement.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use swap_bench::bench_setup_config;
-use swap_core::runner::{RunConfig, SnapshotMode, SwapRunner};
+use swap_core::runner::{RunConfig, SwapRunner};
 use swap_core::setup::SwapSetup;
-use swap_core::Behavior;
 use swap_digraph::{generators, Digraph};
 use swap_sim::SimRng;
 
@@ -59,29 +50,5 @@ fn bench_families(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_snapshot_modes(c: &mut Criterion) {
-    let mut group = c.benchmark_group("runner_snapshot");
-    group.sample_size(2);
-    let setup = provision(generators::complete(32));
-    let leader = setup.spec.leaders[0];
-    for (name, mode) in
-        [("delta", SnapshotMode::Delta), ("full-rebuild", SnapshotMode::FullRebuild)]
-    {
-        // One withholding leader: lock 0 never opens, so no contract
-        // settles before the refund deadline at 2·diam·Δ — the run idles
-        // through ~50 boundaries with fully populated snapshots.
-        let mut config =
-            RunConfig { snapshot_mode: mode, max_rounds: Some(60), ..RunConfig::default() };
-        config.behaviors.insert(leader, Behavior::WithholdSecret);
-        group.bench_with_input(BenchmarkId::new("complete/32", name), &setup, |b, s| {
-            b.iter(|| {
-                let report = SwapRunner::new(s.clone(), config.clone()).run();
-                assert_eq!(report.metrics.rounds, 60);
-            })
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_families, bench_snapshot_modes);
+criterion_group!(benches, bench_families);
 criterion_main!(benches);

@@ -1521,23 +1521,29 @@ fn e19_rolling_book_worker_pool() -> bool {
 /// set — mutual pairs for the two-cycle fast path plus one three-cycle
 /// for the general matcher — inside an inert tail of offers whose kinds
 /// have no counterparties, then times `clear()` alone over repeated
-/// submit/clear/settle rounds. `FullRescan` re-examines the whole open
-/// book every epoch, so its throughput collapses linearly in the tail;
-/// `Indexed` touches only the active kinds, so its per-epoch work is flat
-/// and measured `offers_examined` stays at the churn size. Both modes
-/// must emit byte-identical cycle sequences, and at 10⁵ the index must
-/// clear ≥ 10× the offers/sec of the rescan. A second part threads the
-/// measured work into the exchange pipeline: under per-examined stage
-/// costs the same book is *priced* differently by mode (fewer simulated
-/// clearing ticks for the index), while zero-cost reports stay
-/// byte-identical across modes × host threads. Results land in
-/// `target/BENCH_E20.json`.
+/// submit/clear/settle rounds. Each book is run twice: once publishing
+/// the production planner's plan (`plan`, the incremental index, row
+/// label `indexed`) and once publishing its specification's
+/// (`plan_full_rescan`, row label `full-rescan`). The rescan re-examines
+/// the whole open book every epoch, so its throughput collapses linearly
+/// in the tail; the index touches only the active kinds, so its per-epoch
+/// work is flat and measured `offers_examined` stays at the churn size.
+/// Both planners must emit byte-identical cycle sequences, and at 10⁵
+/// the index must clear ≥ 10× the offers/sec of the rescan. A second
+/// part threads the measured work into the exchange pipeline: under
+/// per-examined stage costs the dusted book is priced by its matchable
+/// region, not its size, and zero-cost reports stay byte-identical across
+/// host threads. Results land in `target/BENCH_E20.json`.
 fn e20_incremental_clearing_index() -> bool {
     use std::time::Instant;
     use swap_bench::json;
     use swap_core::exchange::{Exchange, ExchangeConfig, ExchangeParty, StageCosts};
     use swap_crypto::{Digest32, MssPublicKey, Secret};
-    use swap_market::{AssetKind, ClearingMode, ClearingService, Offer};
+    use swap_market::{AssetKind, ClearPlan, ClearingService, Offer};
+
+    type Planner = fn(&ClearingService) -> ClearPlan;
+    const INDEXED: (&str, Planner) = ("indexed", ClearingService::plan);
+    const FULL_RESCAN: (&str, Planner) = ("full-rescan", ClearingService::plan_full_rescan);
 
     const PAIRS: usize = 8;
     const TRI: usize = 3;
@@ -1584,7 +1590,7 @@ fn e20_incremental_clearing_index() -> bool {
 
     struct Row {
         book: usize,
-        mode: ClearingMode,
+        mode: &'static str,
         clears: u64,
         presented: u64,
         examined: u64,
@@ -1596,17 +1602,18 @@ fn e20_incremental_clearing_index() -> bool {
     let mut rows: Vec<Row> = Vec::new();
     let mut ok = true;
     let speedup_at = |rows: &[Row], book: usize| -> f64 {
-        let rate = |mode: ClearingMode| {
+        let rate = |mode: &str| {
             rows.iter().find(|r| r.book == book && r.mode == mode).map_or(0.0, |r| r.offers_per_sec)
         };
-        rate(ClearingMode::Indexed) / rate(ClearingMode::FullRescan).max(1e-12)
+        rate(INDEXED.0) / rate(FULL_RESCAN.0).max(1e-12)
     };
 
     // One measured run: an inert tail of `book - CHURN` offers, then
-    // `rounds` of submit-churn / clear / settle. Only `clear()` is timed.
-    // Returns the cycle-sequence fingerprint for the cross-mode pin.
-    let run = |book: usize, rounds: u64, mode: ClearingMode| -> (Row, Vec<String>) {
-        let mut svc = ClearingService::new().with_mode(mode);
+    // `rounds` of submit-churn / clear / settle. Only plan + commit is
+    // timed. Returns the cycle-sequence fingerprint for the
+    // cross-planner pin.
+    let run = |book: usize, rounds: u64, (mode, planner): (&'static str, Planner)| {
+        let mut svc = ClearingService::new();
         let mut tag = 0u64;
         let mut fresh = |gives: AssetKind, wants: AssetKind| {
             tag += 1;
@@ -1635,7 +1642,8 @@ fn e20_incremental_clearing_index() -> bool {
             }
             presented += svc.open_count() as u64;
             let clock = Instant::now();
-            let swaps = svc.clear(Delta::from_ticks(10), SimTime::ZERO).expect("clears");
+            let plan = planner(&svc);
+            let swaps = svc.commit(plan, Delta::from_ticks(10), SimTime::ZERO).expect("clears");
             elapsed += clock.elapsed();
             let stats = svc.last_clear_stats().expect("cleared once");
             examined += stats.offers_examined;
@@ -1681,14 +1689,14 @@ fn e20_incremental_clearing_index() -> bool {
         );
     };
 
-    let mut modes_agree = true;
+    let mut planners_agree = true;
     for (book, rounds) in
         [(100usize, 12u64), (1_000, 12), (10_000, 12), (100_000, 12), (1_000_000, 2)]
     {
-        let (indexed, fp_indexed) = run(book, rounds, ClearingMode::Indexed);
-        let (full, fp_full) = run(book, rounds, ClearingMode::FullRescan);
+        let (indexed, fp_indexed): (Row, Vec<String>) = run(book, rounds, INDEXED);
+        let (full, fp_full) = run(book, rounds, FULL_RESCAN);
         let agree = fp_indexed == fp_full;
-        modes_agree &= agree;
+        planners_agree &= agree;
         // The index's measured work is the churn set, independent of the
         // tail; the rescan's grows with the book.
         let flat = indexed.examined < full.examined || book <= CHURN;
@@ -1706,13 +1714,13 @@ fn e20_incremental_clearing_index() -> bool {
         "    indexed vs full-rescan offers/s at 10^5: {speedup:.0}x (target >= 10x): {}",
         if gate { "✓" } else { "✗" }
     );
-    println!("    cycle sequences byte-identical across modes at every size: {modes_agree}");
+    println!("    cycle sequences byte-identical across planners at every size: {planners_agree}");
 
-    // Part two: the measured work priced into the pipeline. The same
-    // dusted book costs the exchange `clearing_base + examined + cycles`
-    // simulated ticks, so the mode choice is visible in the stage
-    // attribution — while zero costs keep reports byte-identical across
-    // modes and host pool widths.
+    // Part two: the measured work priced into the pipeline. The dusted
+    // book costs the exchange `clearing_base + examined + cycles`
+    // simulated ticks — the matchable pair, not the 60 dust offers a
+    // rescan would have walked — while zero costs keep reports
+    // byte-identical across host pool widths.
     let dusted = |rng: &mut SimRng| -> Vec<ExchangeParty> {
         let mut parties = vec![
             ExchangeParty::generate(rng, 4, AssetKind::new("btc"), AssetKind::new("eth")),
@@ -1728,19 +1736,17 @@ fn e20_incremental_clearing_index() -> bool {
         }
         parties
     };
-    let drive = |mode: ClearingMode, threads: usize, costs: StageCosts| {
-        let mut exchange = Exchange::new(ExchangeConfig {
-            threads,
-            clearing_mode: mode,
-            stage_costs: costs,
-            ..Default::default()
-        });
+    let drive = |threads: usize, costs: StageCosts| {
+        let mut exchange =
+            Exchange::new(ExchangeConfig { threads, stage_costs: costs, ..Default::default() });
         let mut rng = SimRng::from_seed(0xE20);
-        for p in dusted(&mut rng) {
+        let parties = dusted(&mut rng);
+        let book = parties.len() as u64;
+        for p in parties {
             exchange.submit(p);
         }
         exchange.drive_until_quiescent().expect("the pair settles");
-        exchange.into_report()
+        (exchange.into_report(), book)
     };
     let measured = StageCosts {
         clearing_base: 1,
@@ -1748,33 +1754,30 @@ fn e20_incremental_clearing_index() -> bool {
         clearing_per_cycle: 1,
         ..Default::default()
     };
-    let indexed_ticks = drive(ClearingMode::Indexed, 2, measured).stage_ticks.clearing;
-    let full_ticks = drive(ClearingMode::FullRescan, 2, measured).stage_ticks.clearing;
-    let priced = indexed_ticks < full_ticks;
+    let (priced_report, book) = drive(2, measured);
+    let indexed_ticks = priced_report.stage_ticks.clearing;
+    let priced = indexed_ticks < book;
     ok &= priced;
     println!(
-        "    measured clearing ticks on the dusted book: indexed {indexed_ticks} < full-rescan {full_ticks}: {}",
+        "    measured clearing ticks on the dusted book: {indexed_ticks} < {book} open offers: {}",
         if priced { "✓" } else { "✗" }
     );
     let mut invariant = true;
     let mut baseline: Option<String> = None;
-    for mode in [ClearingMode::Indexed, ClearingMode::FullRescan] {
-        for threads in [1usize, 2, 8] {
-            let fp = format!("{:?}", drive(mode, threads, StageCosts::default()));
-            invariant &= baseline.get_or_insert_with(|| fp.clone()) == &fp;
-        }
+    for threads in [1usize, 2, 8] {
+        let fp = format!("{:?}", drive(threads, StageCosts::default()).0);
+        invariant &= baseline.get_or_insert_with(|| fp.clone()) == &fp;
     }
     ok &= invariant;
-    println!("    zero-cost reports byte-identical across modes x 1/2/8 threads: {invariant}");
+    println!("    zero-cost reports byte-identical across 1/2/8 threads: {invariant}");
 
     let doc = json::object(|o| {
         o.field_str("experiment", "e20")
             .field_str("name", "incremental clearing index: churn throughput vs book size")
             .field_usize("churn_offers_per_round", CHURN)
             .field_f64("speedup_at_1e5", speedup)
-            .field_bool("modes_agree", modes_agree)
+            .field_bool("modes_agree", planners_agree)
             .field_u64("indexed_clearing_ticks", indexed_ticks)
-            .field_u64("full_rescan_clearing_ticks", full_ticks)
             .field_bool("zero_cost_reports_invariant", invariant)
             .field_usize(
                 "host_parallelism",
@@ -1784,7 +1787,7 @@ fn e20_incremental_clearing_index() -> bool {
                 for row in &rows {
                     arr.push_object(|o| {
                         o.field_usize("book", row.book)
-                            .field_str("mode", &row.mode.to_string())
+                            .field_str("mode", row.mode)
                             .field_u64("clears", row.clears)
                             .field_u64("offers_presented", row.presented)
                             .field_u64("offers_examined", row.examined)
@@ -1803,7 +1806,7 @@ fn e20_incremental_clearing_index() -> bool {
             ok = false;
         }
     }
-    println!("    index flat in book size, modes byte-identical, >=10x at 10^5: {ok}");
+    println!("    index flat in book size, planners byte-identical, >=10x at 10^5: {ok}");
     ok
 }
 
@@ -2120,87 +2123,20 @@ fn e21_identity_registry_throughput() -> bool {
 /// E22 (journaled transaction hot path): host tx/sec on one chain as the
 /// asset registry scales 10² → 10⁵, under a fixed churn workload of
 /// succeeding escrow toggles, failing calls (the rollback path), and
-/// fresh contract publishes. `Snapshot` mode clones the whole registry
-/// before every contract transaction, so its throughput collapses
-/// linearly in registry size; `Journal` records an undo log of the ops a
+/// fresh contract publishes. The chain records an undo log of the ops a
 /// transaction actually performs, so its per-tx cost is O(delta) and its
-/// tx/sec stays flat across four decades. Gates: both modes replay the
-/// same 240-op workload to byte-identical chain fingerprints (head block
-/// hash, counters, storage) at every size; `Journal` tx/sec spreads ≤
-/// 1.5× across sizes; and at 10⁴ assets `Journal` sustains ≥ 5× the
-/// `Snapshot` rate. Rates are host-dependent; the fingerprint pin and
-/// both gates are not. Results land in `target/BENCH_E22.json`.
+/// tx/sec stays flat across four decades. Gates: every size executes and
+/// rolls back exactly the counts the workload prescribes, and tx/sec
+/// spreads ≤ 1.5× across sizes. (That a rolled-back transaction leaves
+/// no trace is the chain proptest's job, not this experiment's.) Rates
+/// are host-dependent; the counters and the gate are not. Results land
+/// in `target/BENCH_E22.json`.
 fn e22_journaled_tx_hot_path() -> bool {
     use std::time::Instant;
+    use swap_bench::churn::{rigged_chain, Churn, ChurnCall};
     use swap_bench::json;
-    use swap_chain::{
-        AssetDescriptor, AssetId, Blockchain, ContractId, ContractLogic, ExecCtx, Owner,
-        RollbackMode,
-    };
+    use swap_chain::{AssetDescriptor, Blockchain, ContractId};
     use swap_crypto::{Address, Digest32};
-
-    /// A non-terminating escrow contract: `Toggle` moves its asset
-    /// between the home party and escrow (always succeeds), `Fail`
-    /// rejects before touching anything (the pure rollback path).
-    #[derive(Debug, Clone)]
-    struct Churn {
-        asset: AssetId,
-        home: Address,
-        held: bool,
-    }
-
-    #[derive(Debug, Clone, Copy)]
-    enum ChurnCall {
-        Toggle,
-        Fail,
-    }
-
-    #[derive(Debug, Clone, PartialEq, Eq)]
-    struct ChurnError;
-    impl std::fmt::Display for ChurnError {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            write!(f, "churn rejected")
-        }
-    }
-    impl std::error::Error for ChurnError {}
-
-    impl ContractLogic for Churn {
-        type Call = ChurnCall;
-        type Event = ();
-        type Error = ChurnError;
-
-        fn on_publish(&mut self, ctx: &mut ExecCtx<'_>) -> Result<Vec<()>, ChurnError> {
-            ctx.assets
-                .transfer_from(self.asset, Owner::Party(ctx.caller), Owner::Escrow(ctx.this))
-                .map_err(|_| ChurnError)?;
-            self.held = true;
-            Ok(vec![])
-        }
-
-        fn apply(&mut self, call: ChurnCall, ctx: &mut ExecCtx<'_>) -> Result<Vec<()>, ChurnError> {
-            match call {
-                ChurnCall::Toggle => {
-                    let (from, to) = if self.held {
-                        (Owner::Escrow(ctx.this), Owner::Party(self.home))
-                    } else {
-                        (Owner::Party(self.home), Owner::Escrow(ctx.this))
-                    };
-                    ctx.assets.transfer_from(self.asset, from, to).map_err(|_| ChurnError)?;
-                    self.held = !self.held;
-                    Ok(vec![])
-                }
-                ChurnCall::Fail => Err(ChurnError),
-            }
-        }
-
-        fn storage_bytes(&self) -> usize {
-            8 + 32 + 1
-        }
-
-        fn is_terminated(&self) -> bool {
-            false
-        }
-    }
 
     println!("E22 Journaled tx hot path: tx/sec vs registry size\n");
     let widths = [9, 10, 7, 10, 9, 9, 10, 4];
@@ -2215,23 +2151,6 @@ fn e22_journaled_tx_hot_path() -> bool {
     );
 
     let home = Address::from_digest(Digest32([0xE2; 32]));
-
-    // A chain whose registry holds `assets` pre-minted assets, with one
-    // churn contract already published on the first of them.
-    let rigged = |mode: RollbackMode, assets: usize| -> (Blockchain<Churn>, ContractId) {
-        let mut chain = Blockchain::new("e22", SimTime::ZERO);
-        chain.set_rollback_mode(mode);
-        let mut first = None;
-        for _ in 0..assets {
-            let id = chain.mint_asset(AssetDescriptor::unique("t"), home, SimTime::ZERO);
-            first.get_or_insert(id);
-        }
-        let asset = first.expect("at least one asset");
-        let id = chain
-            .publish_contract(Churn { asset, home, held: false }, home, SimTime::from_ticks(1))
-            .expect("publishes");
-        (chain, id)
-    };
 
     // The fixed churn workload: per 8 ops, six succeeding toggles, one
     // failing call (a rollback), one fresh publish (mint + escrow).
@@ -2262,24 +2181,8 @@ fn e22_journaled_tx_hot_path() -> bool {
         }
     };
 
-    // Everything a mode choice must NOT change: the sealed head, every
-    // counter, the event count, and the storage attribution.
-    let fingerprint = |chain: &Blockchain<Churn>| -> String {
-        format!(
-            "{:?}|h{}|x{}|r{}|e{}|{:?}",
-            chain.blocks().last().expect("chain is sealed").hash(),
-            chain.height(),
-            chain.txs_executed(),
-            chain.txs_rolled_back(),
-            chain.all_events().len(),
-            chain.storage_report(),
-        )
-    };
-
     struct Row {
         assets: usize,
-        mode: RollbackMode,
-        ops: u64,
         elapsed_ms: f64,
         tx_per_sec: f64,
         executed: u64,
@@ -2287,102 +2190,60 @@ fn e22_journaled_tx_hot_path() -> bool {
     }
     let mut rows: Vec<Row> = Vec::new();
     let mut ok = true;
-    let mut modes_agree = true;
 
-    // `Journal` runs a fixed large op count everywhere (its cost is flat,
-    // so this stays fast); `Snapshot` ops shrink with registry size to
-    // keep the per-tx registry clone from dominating the wall clock.
-    // Rates are per-tx, so the speedup gate is op-count-fair.
-    const PIN_OPS: u64 = 240;
-    const JOURNAL_OPS: u64 = 20_000;
-    for (assets, snapshot_ops) in
-        [(100usize, 5_000u64), (1_000, 2_000), (10_000, 500), (100_000, 80)]
-    {
-        // Cross-mode pin first: the identical 240-op workload must leave
-        // byte-identical chains.
-        let pins: Vec<String> = [RollbackMode::Journal, RollbackMode::Snapshot]
-            .into_iter()
-            .map(|mode| {
-                let (mut chain, id) = rigged(mode, assets);
-                churn(&mut chain, id, PIN_OPS);
-                fingerprint(&chain)
-            })
-            .collect();
-        let agree = pins[0] == pins[1];
-        modes_agree &= agree;
-
-        for (mode, ops) in
-            [(RollbackMode::Journal, JOURNAL_OPS), (RollbackMode::Snapshot, snapshot_ops)]
-        {
-            let (mut chain, id) = rigged(mode, assets);
-            churn(&mut chain, id, 256); // warm caches outside the window
-            let (executed0, rolled0) = (chain.txs_executed(), chain.txs_rolled_back());
-            let clock = Instant::now();
-            churn(&mut chain, id, ops);
-            let secs = clock.elapsed().as_secs_f64().max(1e-9);
-            let row = Row {
-                assets,
-                mode,
-                ops,
-                elapsed_ms: secs * 1e3,
-                tx_per_sec: ops as f64 / secs,
-                executed: chain.txs_executed() - executed0,
-                rolled_back: chain.txs_rolled_back() - rolled0,
-            };
-            ok &= agree;
-            println!(
-                "    {}",
-                fmt_row(
-                    &[
-                        row.assets.to_string(),
-                        format!("{:?}", row.mode),
-                        row.ops.to_string(),
-                        format!("{:.0}", row.tx_per_sec),
-                        row.executed.to_string(),
-                        row.rolled_back.to_string(),
-                        format!("{:.2}", row.elapsed_ms),
-                        if agree { "✓".into() } else { "✗".into() },
-                    ],
-                    &widths
-                )
-            );
-            rows.push(row);
-        }
+    // A publish op seals two transactions (mint + publish), a failing
+    // call seals none.
+    const OPS: u64 = 20_000;
+    for assets in [100usize, 1_000, 10_000, 100_000] {
+        let (mut chain, id) = rigged_chain(home, assets);
+        churn(&mut chain, id, 256); // warm caches outside the window
+        let (executed0, rolled0) = (chain.txs_executed(), chain.txs_rolled_back());
+        let clock = Instant::now();
+        churn(&mut chain, id, OPS);
+        let secs = clock.elapsed().as_secs_f64().max(1e-9);
+        let row = Row {
+            assets,
+            elapsed_ms: secs * 1e3,
+            tx_per_sec: OPS as f64 / secs,
+            executed: chain.txs_executed() - executed0,
+            rolled_back: chain.txs_rolled_back() - rolled0,
+        };
+        let counted = row.executed == OPS && row.rolled_back == OPS / 8;
+        ok &= counted;
+        println!(
+            "    {}",
+            fmt_row(
+                &[
+                    row.assets.to_string(),
+                    "Journal".into(),
+                    OPS.to_string(),
+                    format!("{:.0}", row.tx_per_sec),
+                    row.executed.to_string(),
+                    row.rolled_back.to_string(),
+                    format!("{:.2}", row.elapsed_ms),
+                    if counted { "✓".into() } else { "✗".into() },
+                ],
+                &widths
+            )
+        );
+        rows.push(row);
     }
 
-    let rate = |mode: RollbackMode, assets: usize| {
-        rows.iter().find(|r| r.mode == mode && r.assets == assets).map_or(0.0, |r| r.tx_per_sec)
-    };
-    let speedup =
-        rate(RollbackMode::Journal, 10_000) / rate(RollbackMode::Snapshot, 10_000).max(1e-12);
-    let speedup_gate = speedup >= 5.0;
-    ok &= speedup_gate;
-    println!(
-        "\n    journal vs snapshot tx/s at 10^4 assets: {speedup:.0}x (target >= 5x): {}",
-        if speedup_gate { "✓" } else { "✗" }
-    );
-
-    let journal_rates: Vec<f64> =
-        rows.iter().filter(|r| r.mode == RollbackMode::Journal).map(|r| r.tx_per_sec).collect();
-    let (min, max) =
-        journal_rates.iter().fold((f64::INFINITY, 0.0f64), |(lo, hi), &r| (lo.min(r), hi.max(r)));
+    let (min, max) = rows
+        .iter()
+        .fold((f64::INFINITY, 0.0f64), |(lo, hi), r| (lo.min(r.tx_per_sec), hi.max(r.tx_per_sec)));
     let spread = max / min.max(1e-12);
     let flat_gate = spread <= 1.5;
     ok &= flat_gate;
     println!(
-        "    journal tx/s spread across 10^2..10^5: {spread:.2}x (target <= 1.5x): {}",
+        "\n    journal tx/s spread across 10^2..10^5: {spread:.2}x (target <= 1.5x): {}",
         if flat_gate { "✓" } else { "✗" }
     );
-    println!("    chain fingerprints byte-identical across modes at every size: {modes_agree}");
-    ok &= modes_agree;
 
     let doc = json::object(|o| {
         o.field_str("experiment", "e22")
             .field_str("name", "journaled tx hot path: tx/sec vs registry size")
-            .field_u64("pin_ops", PIN_OPS)
-            .field_f64("speedup_at_1e4", speedup)
             .field_f64("journal_spread", spread)
-            .field_bool("modes_agree", modes_agree)
             .field_usize(
                 "host_parallelism",
                 std::thread::available_parallelism().map_or(1, |n| n.get()),
@@ -2391,8 +2252,8 @@ fn e22_journaled_tx_hot_path() -> bool {
                 for row in &rows {
                     arr.push_object(|o| {
                         o.field_usize("assets", row.assets)
-                            .field_str("mode", &format!("{:?}", row.mode))
-                            .field_u64("ops", row.ops)
+                            .field_str("mode", "Journal")
+                            .field_u64("ops", OPS)
                             .field_f64("elapsed_ms", row.elapsed_ms)
                             .field_f64("tx_per_sec", row.tx_per_sec)
                             .field_u64("executed", row.executed)
@@ -2408,7 +2269,7 @@ fn e22_journaled_tx_hot_path() -> bool {
             ok = false;
         }
     }
-    println!("    journal flat in registry size, modes byte-identical, >=5x at 10^4: {ok}");
+    println!("    journal flat in registry size, counters as prescribed: {ok}");
     ok
 }
 

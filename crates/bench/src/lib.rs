@@ -11,6 +11,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod churn;
 pub mod json;
 
 use swap_core::runner::{RunConfig, RunReport, SwapRunner};

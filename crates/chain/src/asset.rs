@@ -147,7 +147,7 @@ impl JournalOp {
 /// every ownership change made between [`AssetRegistry::begin_journal`] and
 /// the matching commit/rollback.
 ///
-/// This is the allocation-free half of `RollbackMode::Journal` (see
+/// This is the allocation-free half of transaction rollback (see
 /// `swap_chain::Blockchain`): a transaction that succeeds pays one
 /// `Vec::push` per transfer into a buffer whose capacity is reused across
 /// transactions, and a transaction that fails pays one pop-and-restore per

@@ -12,31 +12,6 @@ use crate::asset::{AssetDescriptor, AssetError, AssetId, AssetRegistry, Owner};
 use crate::block::Block;
 use crate::contract::{ContractId, ContractLogic, ExecCtx};
 
-/// How a chain restores state when a transaction's contract hook fails.
-///
-/// Both modes are externally indistinguishable — same ledgers, same events,
-/// same reports, pinned byte-identical by proptests — they differ only in
-/// what a transaction *costs*:
-///
-/// * [`Journal`](RollbackMode::Journal) (default): the hot path. The
-///   [`AssetRegistry`] records each ownership change into a reusable undo
-///   log ([`crate::asset::UndoJournal`]) and a failing hook pops-and-reverts
-///   it — O(ops in the transaction), independent of registry size. Contract
-///   state needs no restore because [`ContractLogic`] hooks are
-///   validate-then-commit (reject before mutating `self`).
-/// * [`Snapshot`](RollbackMode::Snapshot): the executable reference. Clones
-///   the contract state and the whole asset registry up front and swaps the
-///   clones back on failure — O(registry) per transaction, kept as the
-///   obviously-correct baseline the journal is checked against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum RollbackMode {
-    /// Undo-journal rollback: record reversible ops, revert on failure.
-    #[default]
-    Journal,
-    /// Clone-the-world rollback: snapshot up front, restore on failure.
-    Snapshot,
-}
-
 /// Typed seal payload for one transaction — what [`Blockchain`] digests
 /// into the sealed block in place of the old per-transaction `format!`
 /// string. Encoding goes through a per-chain scratch buffer, so sealing a
@@ -188,11 +163,18 @@ struct ContractEntry<C> {
 
 /// A single simulated blockchain hosting contracts of logic type `C`.
 ///
-/// Every mutation is a transaction: it executes atomically (a failing hook
-/// rolls state back — see [`RollbackMode`] for how), lands in its own
+/// Every mutation is a transaction: it executes atomically, lands in its own
 /// sealed block, and is publicly readable afterwards. Contracts are
 /// irrevocable once published — there is deliberately no remove/replace
 /// API, matching §2.2.
+///
+/// A failing hook is rolled back through the registry's undo log
+/// ([`crate::asset::UndoJournal`]): every ownership change of the
+/// transaction is recorded and popped-and-reverted on `Err` — O(ops in the
+/// transaction), independent of registry size. Contract state needs no
+/// restore because [`ContractLogic`] hooks are validate-then-commit (reject
+/// before mutating `self`). `tests/properties.rs` holds this to a
+/// clone-and-compare oracle on every failing transaction.
 ///
 /// # Example
 ///
@@ -209,14 +191,12 @@ pub struct Blockchain<C: ContractLogic> {
     tx_bytes: usize,
     version: u64,
     last_mutation_at: SimTime,
-    rollback: RollbackMode,
     txs_rolled_back: u64,
     scratch: Vec<u8>,
 }
 
 impl<C: ContractLogic> Blockchain<C> {
-    /// Creates a chain with a genesis block at `genesis_time`, rolling back
-    /// failed transactions in the default [`RollbackMode::Journal`].
+    /// Creates a chain with a genesis block at `genesis_time`.
     pub fn new(name: impl Into<String>, genesis_time: SimTime) -> Self {
         Blockchain {
             name: name.into(),
@@ -228,22 +208,9 @@ impl<C: ContractLogic> Blockchain<C> {
             tx_bytes: 0,
             version: 0,
             last_mutation_at: genesis_time,
-            rollback: RollbackMode::default(),
             txs_rolled_back: 0,
             scratch: Vec::new(),
         }
-    }
-
-    /// Switches how failed transactions roll back. Safe at any point — the
-    /// modes are externally indistinguishable — but typically set once
-    /// right after creation.
-    pub fn set_rollback_mode(&mut self, mode: RollbackMode) {
-        self.rollback = mode;
-    }
-
-    /// The active [`RollbackMode`].
-    pub fn rollback_mode(&self) -> RollbackMode {
-        self.rollback
     }
 
     /// Number of sealed (successful) transactions — an alias of
@@ -337,33 +304,11 @@ impl<C: ContractLogic> Blockchain<C> {
         now: SimTime,
     ) -> Result<ContractId, TxError<C::Error>> {
         let id = ContractId::new(self.next_contract);
-        let result = match self.rollback {
-            RollbackMode::Journal => {
-                self.assets.begin_journal();
-                let mut ctx =
-                    ExecCtx { caller: publisher, now, this: id, assets: &mut self.assets };
-                let result = contract.on_publish(&mut ctx);
-                match &result {
-                    Ok(_) => self.assets.commit_journal(),
-                    // The not-yet-inserted contract value is simply dropped;
-                    // only its asset ops need reverting.
-                    Err(_) => self.assets.rollback_journal(),
-                };
-                result
-            }
-            RollbackMode::Snapshot => {
-                let assets_snapshot = self.assets.clone();
-                let mut ctx =
-                    ExecCtx { caller: publisher, now, this: id, assets: &mut self.assets };
-                let result = contract.on_publish(&mut ctx);
-                if result.is_err() {
-                    self.assets = assets_snapshot;
-                }
-                result
-            }
-        };
-        match result {
+        self.assets.begin_journal();
+        let mut ctx = ExecCtx { caller: publisher, now, this: id, assets: &mut self.assets };
+        match contract.on_publish(&mut ctx) {
             Ok(events) => {
+                self.assets.commit_journal();
                 self.next_contract += 1;
                 let storage = contract.storage_bytes();
                 self.contracts
@@ -375,6 +320,9 @@ impl<C: ContractLogic> Blockchain<C> {
                 Ok(id)
             }
             Err(e) => {
+                // The not-yet-inserted contract value is simply dropped;
+                // only its asset ops need reverting.
+                self.assets.rollback_journal();
                 self.txs_rolled_back += 1;
                 Err(TxError::Contract(e))
             }
@@ -403,40 +351,18 @@ impl<C: ContractLogic> Blockchain<C> {
         now: SimTime,
         wire_bytes: usize,
     ) -> Result<&[ChainEvent<C::Event>], TxError<C::Error>> {
-        let rollback = self.rollback;
         let entry = self.contracts.get_mut(&id).ok_or(TxError::UnknownContract(id))?;
         if entry.state.is_terminated() {
             return Err(TxError::ContractTerminated(id));
         }
-        let result = match rollback {
-            RollbackMode::Journal => {
-                // Contract state needs no snapshot: `ContractLogic::apply`
-                // is validate-then-commit (rejects before mutating), and
-                // any asset op a failing hook did make is undone by the
-                // journal.
-                self.assets.begin_journal();
-                let mut ctx = ExecCtx { caller, now, this: id, assets: &mut self.assets };
-                let result = entry.state.apply(call, &mut ctx);
-                match &result {
-                    Ok(_) => self.assets.commit_journal(),
-                    Err(_) => self.assets.rollback_journal(),
-                };
-                result
-            }
-            RollbackMode::Snapshot => {
-                let state_snapshot = entry.state.clone();
-                let assets_snapshot = self.assets.clone();
-                let mut ctx = ExecCtx { caller, now, this: id, assets: &mut self.assets };
-                let result = entry.state.apply(call, &mut ctx);
-                if result.is_err() {
-                    entry.state = state_snapshot;
-                    self.assets = assets_snapshot;
-                }
-                result
-            }
-        };
-        match result {
+        // Contract state needs no snapshot: `ContractLogic::apply` is
+        // validate-then-commit (rejects before mutating), and any asset op
+        // a failing hook did make is undone by the journal.
+        self.assets.begin_journal();
+        let mut ctx = ExecCtx { caller, now, this: id, assets: &mut self.assets };
+        match entry.state.apply(call, &mut ctx) {
             Ok(events) => {
+                self.assets.commit_journal();
                 let logged_from = self.events.len();
                 for event in events {
                     self.events.push(ChainEvent { time: now, contract: id, event });
@@ -445,6 +371,7 @@ impl<C: ContractLogic> Blockchain<C> {
                 Ok(&self.events[logged_from..])
             }
             Err(e) => {
+                self.assets.rollback_journal();
                 self.txs_rolled_back += 1;
                 Err(TxError::Contract(e))
             }
@@ -667,55 +594,22 @@ mod tests {
     fn failed_publish_bumps_no_id_seals_no_tx_leaves_no_events() {
         // Regression: a failing `on_publish` must not consume a contract
         // id, seal a block, bump the version, count as executed, or leave
-        // any event in the log — in either rollback mode.
-        for mode in [RollbackMode::Journal, RollbackMode::Snapshot] {
-            let (mut chain, asset) = setup();
-            chain.set_rollback_mode(mode);
-            assert_eq!(chain.rollback_mode(), mode);
-            let height = chain.height();
-            let version = chain.version();
-            let bad = PinLock { asset, beneficiary: addr(2), pin: 1, done: false };
-            chain.publish_contract(bad, addr(9), SimTime::from_ticks(1)).unwrap_err();
-            assert_eq!(chain.height(), height, "{mode:?}: no block sealed");
-            assert_eq!(chain.version(), version, "{mode:?}: no version bump");
-            assert_eq!(chain.txs_executed(), version, "{mode:?}: not executed");
-            assert_eq!(chain.txs_rolled_back(), 1, "{mode:?}: rollback counted");
-            assert!(chain.all_events().is_empty(), "{mode:?}: zero event trace");
-            // The failed publish consumed no id: the next publish gets the
-            // id the failed one would have had.
-            let good = PinLock { asset, beneficiary: addr(2), pin: 1, done: false };
-            let id = chain.publish_contract(good, addr(1), SimTime::from_ticks(2)).unwrap();
-            assert_eq!(id, ContractId::new(0), "{mode:?}: id not bumped by failure");
-        }
-    }
-
-    #[test]
-    fn rollback_modes_agree_on_mixed_stream() {
-        // The same succeed/fail publish+call stream must leave byte-equal
-        // chains in both modes.
-        let drive = |mode: RollbackMode| {
-            let (mut chain, asset) = setup();
-            chain.set_rollback_mode(mode);
-            let bad = PinLock { asset, beneficiary: addr(2), pin: 7, done: false };
-            chain.publish_contract(bad, addr(9), SimTime::from_ticks(1)).unwrap_err();
-            let lock = PinLock { asset, beneficiary: addr(2), pin: 7, done: false };
-            let id = chain.publish_contract(lock, addr(1), SimTime::from_ticks(2)).unwrap();
-            chain
-                .call_contract(id, addr(2), PinCall::Open { pin: 0 }, SimTime::from_ticks(3), 16)
-                .unwrap_err();
-            chain
-                .call_contract(id, addr(2), PinCall::Open { pin: 7 }, SimTime::from_ticks(4), 16)
-                .unwrap();
-            (
-                format!("{:?}", chain.assets()),
-                format!("{:?}", chain.all_events()),
-                format!("{:?}", chain.storage_report()),
-                chain.txs_executed(),
-                chain.txs_rolled_back(),
-                chain.blocks().last().unwrap().hash(),
-            )
-        };
-        assert_eq!(drive(RollbackMode::Journal), drive(RollbackMode::Snapshot));
+        // any event in the log.
+        let (mut chain, asset) = setup();
+        let height = chain.height();
+        let version = chain.version();
+        let bad = PinLock { asset, beneficiary: addr(2), pin: 1, done: false };
+        chain.publish_contract(bad, addr(9), SimTime::from_ticks(1)).unwrap_err();
+        assert_eq!(chain.height(), height, "no block sealed");
+        assert_eq!(chain.version(), version, "no version bump");
+        assert_eq!(chain.txs_executed(), version, "not executed");
+        assert_eq!(chain.txs_rolled_back(), 1, "rollback counted");
+        assert!(chain.all_events().is_empty(), "zero event trace");
+        // The failed publish consumed no id: the next publish gets the
+        // id the failed one would have had.
+        let good = PinLock { asset, beneficiary: addr(2), pin: 1, done: false };
+        let id = chain.publish_contract(good, addr(1), SimTime::from_ticks(2)).unwrap();
+        assert_eq!(id, ContractId::new(0), "id not bumped by failure");
     }
 
     #[test]

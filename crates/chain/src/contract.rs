@@ -41,12 +41,11 @@ impl fmt::Display for ContractId {
 /// Everything a contract may touch while executing: who called it, when,
 /// its own identity, and the chain's asset registry (for escrow moves).
 ///
-/// Execution is atomic either way the ledger is configured (see
-/// [`crate::RollbackMode`]): a failed call leaves no trace. Asset moves
-/// made before the failure are undone by the registry's undo journal (or
-/// a registry snapshot, in the reference mode), so contract authors can
-/// bail with an error at any point — but must follow the
-/// validate-then-commit rule on their *own* state (see [`ContractLogic`]).
+/// Execution is atomic: a failed call leaves no trace. Asset moves made
+/// before the failure are undone by the registry's undo journal, so
+/// contract authors can bail with an error at any point — but must follow
+/// the validate-then-commit rule on their *own* state (see
+/// [`ContractLogic`]).
 #[derive(Debug)]
 pub struct ExecCtx<'a> {
     /// The transaction sender.
@@ -72,11 +71,11 @@ pub struct ExecCtx<'a> {
 /// Hooks must perform **all** validation (and return any error) *before*
 /// mutating `self`: first check every precondition, then perform asset
 /// moves and state writes that can no longer fail. This is what lets the
-/// default [`crate::RollbackMode::Journal`] skip cloning contract state —
-/// a hook that errors is guaranteed not to have touched `self`, and any
-/// asset moves it did make are reverted by the registry's undo journal.
-/// [`crate::RollbackMode::Snapshot`] does not rely on the rule and serves
-/// as the executable reference the journal path is pinned against.
+/// ledger skip cloning contract state — a hook that errors is guaranteed
+/// not to have touched `self`, and any asset moves it did make are
+/// reverted by the registry's undo journal. The ledger does not enforce
+/// the rule; each implementation's tests do, by comparing the whole chain
+/// before and after every rejected transaction.
 ///
 /// [`Blockchain`]: crate::Blockchain
 pub trait ContractLogic: Clone + fmt::Debug {

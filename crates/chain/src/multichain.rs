@@ -9,7 +9,7 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 use swap_sim::SimTime;
 
-use crate::chain::{Blockchain, RollbackMode, StorageReport};
+use crate::chain::{Blockchain, StorageReport};
 use crate::contract::ContractLogic;
 
 /// Identifies one blockchain in a [`ChainSet`].
@@ -48,36 +48,18 @@ impl fmt::Display for ChainId {
 #[derive(Debug, Clone, Default)]
 pub struct ChainSet<C: ContractLogic> {
     chains: Vec<Blockchain<C>>,
-    rollback: RollbackMode,
 }
 
 impl<C: ContractLogic> ChainSet<C> {
-    /// Creates an empty set rolling back in the default
-    /// [`RollbackMode::Journal`].
+    /// Creates an empty set.
     pub fn new() -> Self {
-        ChainSet { chains: Vec::new(), rollback: RollbackMode::default() }
-    }
-
-    /// Sets the [`RollbackMode`] for every existing chain and every chain
-    /// created in this set afterwards.
-    pub fn set_rollback_mode(&mut self, mode: RollbackMode) {
-        self.rollback = mode;
-        for chain in &mut self.chains {
-            chain.set_rollback_mode(mode);
-        }
-    }
-
-    /// The mode stamped onto newly created chains.
-    pub fn rollback_mode(&self) -> RollbackMode {
-        self.rollback
+        ChainSet { chains: Vec::new() }
     }
 
     /// Creates a new chain, returning its id.
     pub fn create_chain(&mut self, name: impl Into<String>, genesis_time: SimTime) -> ChainId {
         let id = ChainId::new(self.chains.len() as u32);
-        let mut chain = Blockchain::new(name, genesis_time);
-        chain.set_rollback_mode(self.rollback);
-        self.chains.push(chain);
+        self.chains.push(Blockchain::new(name, genesis_time));
         id
     }
 
@@ -262,18 +244,6 @@ mod tests {
         assert_eq!(left.len(), 4);
         assert_ne!(d, a);
         assert!(mapping.iter().all(|&(_, new)| new != d));
-    }
-
-    #[test]
-    fn rollback_mode_broadcasts_to_existing_and_future_chains() {
-        let mut set: ChainSet<Nop> = ChainSet::new();
-        let a = set.create_chain("a", SimTime::ZERO);
-        assert_eq!(set.get(a).unwrap().rollback_mode(), RollbackMode::Journal);
-        set.set_rollback_mode(RollbackMode::Snapshot);
-        assert_eq!(set.rollback_mode(), RollbackMode::Snapshot);
-        assert_eq!(set.get(a).unwrap().rollback_mode(), RollbackMode::Snapshot);
-        let b = set.create_chain("b", SimTime::ZERO);
-        assert_eq!(set.get(b).unwrap().rollback_mode(), RollbackMode::Snapshot);
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! always detected.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use swap_chain::{
-    AssetDescriptor, AssetId, AssetRegistry, Blockchain, ContractLogic, ExecCtx, Owner,
-    RollbackMode,
+    AssetDescriptor, AssetId, AssetRegistry, Blockchain, ContractLogic, ExecCtx, Owner, TxError,
 };
 use swap_crypto::{Address, Digest32};
 use swap_sim::SimTime;
@@ -62,7 +62,7 @@ enum VaultCall {
     /// Reject before touching anything (validate-then-commit reject path).
     FailClean,
     /// Move the escrowed asset, then error anyway (mid-apply failure; the
-    /// ledger must revert the move in either rollback mode).
+    /// ledger must revert the move).
     FailAfterMove,
 }
 
@@ -132,7 +132,7 @@ enum Op {
     Publish { publisher: u8 },
 }
 
-/// One randomized operation for the rollback-equivalence stream, mixing
+/// One randomized operation for the rollback-oracle stream, mixing
 /// succeeding and failing publishes, calls, and transfers.
 #[derive(Debug, Clone)]
 enum MixedOp {
@@ -161,65 +161,37 @@ fn arb_mixed_op() -> impl Strategy<Value = MixedOp> {
     ]
 }
 
-/// Drives one op stream against a chain in `mode`, returning a full
-/// fingerprint of everything observable: assets, contracts, events,
-/// storage, counters, and the head block hash.
-fn drive_mixed(ops: &[MixedOp], mode: RollbackMode) -> String {
-    let mut chain: Blockchain<Vault> = Blockchain::new("equiv", SimTime::ZERO);
-    chain.set_rollback_mode(mode);
-    let mut minted: Vec<AssetId> = Vec::new();
-    let mut published: Vec<swap_chain::ContractId> = Vec::new();
-    for (step, op) in ops.iter().enumerate() {
-        let now = SimTime::from_ticks(step as u64 + 1);
-        match *op {
-            MixedOp::Mint { owner } => {
-                minted.push(chain.mint_asset(AssetDescriptor::unique("t"), addr(owner), now));
-            }
-            MixedOp::Transfer { asset, from, to } => {
-                if minted.is_empty() {
-                    continue;
-                }
-                let id = minted[asset % minted.len()];
-                let _ = chain.transfer_asset(id, addr(from), addr(to), now);
-            }
-            MixedOp::Publish { asset, publisher, beneficiary } => {
-                if minted.is_empty() {
-                    continue;
-                }
-                let vault = Vault {
-                    asset: minted[asset % minted.len()],
-                    beneficiary: addr(beneficiary),
-                    done: false,
-                };
-                if let Ok(id) = chain.publish_contract(vault, addr(publisher), now) {
-                    published.push(id);
-                }
-            }
-            MixedOp::Call { contract, caller, kind } => {
-                if published.is_empty() {
-                    continue;
-                }
-                let id = published[contract % published.len()];
-                let call = match kind {
-                    0 => VaultCall::Release,
-                    1 => VaultCall::FailClean,
-                    _ => VaultCall::FailAfterMove,
-                };
-                let _ = chain.call_contract(id, addr(caller), call, now, 16);
-            }
-        }
-    }
+/// Everything observable on `chain` except the rolled-back counter:
+/// assets, contracts, events, storage, version, and the head block hash.
+fn fingerprint(chain: &Blockchain<Vault>) -> String {
     let contracts: Vec<_> = chain.contracts().collect();
     format!(
-        "{:?}|{:?}|{:?}|{:?}|{}|{}|{:?}",
+        "{:?}|{:?}|{:?}|{:?}|{}|{:?}",
         chain.assets(),
         contracts,
         chain.all_events(),
         chain.storage_report(),
         chain.txs_executed(),
-        chain.txs_rolled_back(),
         chain.blocks().last().unwrap().hash(),
     )
+}
+
+/// The clone-the-world reference for one transaction: given the chain's
+/// fingerprint and rolled-back count taken *before* it, a transaction that
+/// returned `Err` must have left everything as it was — except that a
+/// failing contract hook (as opposed to a mempool-style rejection) counts
+/// one rollback.
+fn assert_no_trace<T>(
+    chain: &Blockchain<Vault>,
+    before: &(String, u64),
+    result: &Result<T, TxError<NopError>>,
+) -> Result<(), TestCaseError> {
+    if let Err(e) = result {
+        prop_assert_eq!(&fingerprint(chain), &before.0, "failed tx left a trace: {:?}", e);
+        let hook_failed = matches!(e, TxError::Contract(_));
+        prop_assert_eq!(chain.txs_rolled_back(), before.1 + u64::from(hook_failed));
+    }
+    Ok(())
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -321,16 +293,53 @@ proptest! {
         prop_assert!(!consistent, "tampering with field {field} went undetected");
     }
 
-    /// `RollbackMode::Journal` and `RollbackMode::Snapshot` are
-    /// byte-identical over random interleavings of succeeding and failing
-    /// publish/call/transfer streams — including calls that move an asset
-    /// and *then* fail, the case only the undo journal (or a full clone)
-    /// can revert.
+    /// The undo journal against its clone-and-compare oracle, per step:
+    /// over random interleavings of succeeding and failing
+    /// publish/call/transfer streams, every transaction that returns `Err`
+    /// — including calls that move an asset and *then* fail, the case only
+    /// the journal can revert — leaves the whole chain exactly as it was
+    /// and advances nothing but `txs_rolled_back`.
     #[test]
-    fn rollback_modes_byte_identical(ops in prop::collection::vec(arb_mixed_op(), 0..80)) {
-        let journal = drive_mixed(&ops, RollbackMode::Journal);
-        let snapshot = drive_mixed(&ops, RollbackMode::Snapshot);
-        prop_assert_eq!(journal, snapshot);
+    fn failed_transactions_leave_no_trace(ops in prop::collection::vec(arb_mixed_op(), 0..80)) {
+        let mut chain: Blockchain<Vault> = Blockchain::new("oracle", SimTime::ZERO);
+        let mut minted: Vec<AssetId> = Vec::new();
+        let mut published: Vec<swap_chain::ContractId> = Vec::new();
+        for (step, op) in ops.into_iter().enumerate() {
+            let now = SimTime::from_ticks(step as u64 + 1);
+            let before = (fingerprint(&chain), chain.txs_rolled_back());
+            match op {
+                MixedOp::Mint { owner } => {
+                    minted.push(chain.mint_asset(AssetDescriptor::unique("t"), addr(owner), now));
+                }
+                MixedOp::Transfer { asset, from, to } if !minted.is_empty() => {
+                    let id = minted[asset % minted.len()];
+                    let result = chain.transfer_asset(id, addr(from), addr(to), now);
+                    assert_no_trace(&chain, &before, &result)?;
+                }
+                MixedOp::Publish { asset, publisher, beneficiary } if !minted.is_empty() => {
+                    let vault = Vault {
+                        asset: minted[asset % minted.len()],
+                        beneficiary: addr(beneficiary),
+                        done: false,
+                    };
+                    let result = chain.publish_contract(vault, addr(publisher), now);
+                    assert_no_trace(&chain, &before, &result)?;
+                    published.extend(result);
+                }
+                MixedOp::Call { contract, caller, kind } if !published.is_empty() => {
+                    let id = published[contract % published.len()];
+                    let call = match kind {
+                        0 => VaultCall::Release,
+                        1 => VaultCall::FailClean,
+                        _ => VaultCall::FailAfterMove,
+                    };
+                    let result = chain.call_contract(id, addr(caller), call, now, 16).map(drop);
+                    assert_no_trace(&chain, &before, &result)?;
+                }
+                _ => {}
+            }
+        }
+        prop_assert!(chain.verify_integrity());
     }
 
     /// The registry's compare-and-swap refuses stale expected owners.

@@ -51,13 +51,12 @@ use crate::runner::RunMetrics;
 pub(crate) fn config_digest(config: &ExchangeConfig) -> [u8; 32] {
     let semantic = format!(
         "delta={:?};executing_slots={};run={:?};leader_strategy={:?};protocol={:?};\
-         clearing_mode={:?};stage_costs={:?}",
+         stage_costs={:?}",
         config.delta,
         config.executing_slots.max(1),
         config.run,
         config.leader_strategy,
         config.protocol,
-        config.clearing_mode,
         config.stage_costs,
     );
     *sha256(semantic.as_bytes()).as_bytes()

@@ -3,19 +3,17 @@
 //! Protocol activity is a stream of scheduled events popped from
 //! [`swap_sim::Simulation`] in deterministic `(time, seq)` order:
 //!
-//! * `Ev::Boundary` — a round boundary opens: stale snapshots are
-//!   refreshed (full-rebuild mode) or already fresh (delta mode), newly
-//!   confirmed bulletin entries are promoted, and one wake-up per party is
-//!   scheduled.
+//! * `Ev::Boundary` — a round boundary opens: snapshots are already fresh
+//!   (visibility events keep them so), newly confirmed bulletin entries are
+//!   promoted, and one wake-up per party is scheduled.
 //! * `Ev::Wake` — one party observes its [`View`] and emits actions; each
 //!   action is scheduled to execute at the instant the [`TimingModel`]
 //!   assigns to its target chain.
 //! * `Ev::Exec` — an action executes as a transaction; successful
 //!   mutations schedule a visibility event for the touched arc.
 //! * `Ev::Visible` — a chain change reaches observers: the arc's cached
-//!   snapshot is re-built *only if* the chain's state-version moved — the
-//!   snapshot-delta hot path that replaces the classic per-round O(|A|)
-//!   full rebuild.
+//!   snapshot is re-built *only if* the chain's state-version moved, so
+//!   a round costs O(changed arcs) where the seed runner rebuilt all |A|.
 //! * `Ev::Close` — the round's bookkeeping: scan arcs whose chain
 //!   version moved for new triggers, check settlement, and either finish or
 //!   open the next round.
@@ -46,7 +44,7 @@ use crate::instance::SwapInstance;
 use crate::outcome::Outcome;
 use crate::party::{Action, ArcSnapshot, Behavior, BulletinEntry, View};
 use crate::protocol::{build_protocol, SwapProtocol};
-use crate::runner::{RunConfig, RunMetrics, RunReport, SnapshotMode};
+use crate::runner::{RunConfig, RunMetrics, RunReport};
 use crate::setup::SwapSetup;
 use crate::timing::TimingModel;
 
@@ -137,8 +135,7 @@ impl<T: TimingModel> Engine<T> {
     ///
     /// Same conditions as [`Engine::new`].
     pub fn from_instance(instance: SwapInstance, timing: T) -> Self {
-        let SwapInstance { id: _, mut setup, config, protocol } = instance;
-        setup.chains.set_rollback_mode(config.rollback_mode);
+        let SwapInstance { id: _, setup, config, protocol } = instance;
         let spec = &setup.spec;
         assert!(spec.delta.ticks() >= 2, "delta must be at least 2 ticks");
         assert!(
@@ -204,21 +201,17 @@ impl<T: TimingModel> Engine<T> {
                 Ev::Boundary(round) => self.on_boundary(round),
                 Ev::Wake { round, vertex } => self.on_wake(now, round, vertex),
                 Ev::Exec { round, vertex, action } => self.on_exec(now, round, vertex, action),
-                Ev::Visible { arc } => self.refresh_arc(arc.index(), false),
+                Ev::Visible { arc } => self.refresh_arc(arc.index()),
                 Ev::Close(round) => self.on_close(round),
             }
         }
         self.finish()
     }
 
-    /// A round boundary: refresh what observers see, then wake everyone.
+    /// A round boundary: promote what observers may now read, then wake
+    /// everyone.
     fn on_boundary(&mut self, round: u64) {
         self.metrics.rounds = round;
-        if self.config.snapshot_mode == SnapshotMode::FullRebuild {
-            for arc in 0..self.visible.len() {
-                self.refresh_arc(arc, true);
-            }
-        }
         // Promote bulletin entries announced before this boundary. Rounds
         // are tagged in nondecreasing order, so a cursor suffices.
         while self.bulletin_cursor < self.bulletin.len()
@@ -277,24 +270,20 @@ impl<T: TimingModel> Engine<T> {
     }
 
     /// Schedules the visibility event for a successful mutation of `arc`'s
-    /// chain at `exec`. Full-rebuild mode skips it: boundaries rebuild
-    /// everything anyway.
+    /// chain at `exec`.
     fn schedule_visibility(&mut self, exec: SimTime, arc: ArcId) {
-        if self.config.snapshot_mode == SnapshotMode::FullRebuild {
-            return;
-        }
         let chain = self.setup.chain_of_arc[arc.index()];
         let at = self.timing.visible_time(exec, chain);
         self.sim.schedule(at, Ev::Visible { arc });
     }
 
-    /// Re-builds one arc's cached snapshot if (or unless `force`d, only if)
-    /// the hosting chain's state-version moved since the cache was built.
-    fn refresh_arc(&mut self, arc: usize, force: bool) {
+    /// Re-builds one arc's cached snapshot if the hosting chain's
+    /// state-version moved since the cache was built.
+    fn refresh_arc(&mut self, arc: usize) {
         let chain_id = self.setup.chain_of_arc[arc];
         let chain = self.setup.chains.get(chain_id).expect("chain exists");
         let version = chain.version();
-        if !force && self.visible_version[arc] == Some(version) {
+        if self.visible_version[arc] == Some(version) {
             return;
         }
         self.visible_version[arc] = Some(version);
@@ -586,20 +575,6 @@ mod tests {
             &mut SimRng::from_seed(seed),
         )
         .unwrap()
-    }
-
-    #[test]
-    fn delta_and_full_rebuild_snapshots_agree() {
-        let run = |mode: SnapshotMode| {
-            let config = RunConfig { snapshot_mode: mode, ..RunConfig::default() };
-            let s = setup(44);
-            let delta = s.spec.delta;
-            Engine::new(s, config, Lockstep::new(delta)).run()
-        };
-        let delta_report = run(SnapshotMode::Delta);
-        let rebuild_report = run(SnapshotMode::FullRebuild);
-        assert_eq!(format!("{delta_report:?}"), format!("{rebuild_report:?}"));
-        assert!(delta_report.all_deal());
     }
 
     #[test]

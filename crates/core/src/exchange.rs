@@ -110,8 +110,8 @@ use swap_contract::AnyContract;
 use swap_crypto::{Address, Digest32, MssKeypair, Secret};
 use swap_digraph::VertexId;
 use swap_market::{
-    verify_cleared_swap, AssetKind, CancelError, ClearError, ClearedSwap, ClearingMode,
-    ClearingService, LeaderStrategy, Offer, OfferId, SwapId, VerifyError,
+    verify_cleared_swap, AssetKind, CancelError, ClearError, ClearedSwap, ClearingService,
+    LeaderStrategy, Offer, OfferId, SwapId, VerifyError,
 };
 use swap_sim::{Delta, SimDuration, SimRng, SimTime};
 use swap_store::{
@@ -152,13 +152,6 @@ pub struct ExchangeConfig {
     pub leader_strategy: LeaderStrategy,
     /// How the exchange picks the protocol executing each cleared cycle.
     pub protocol: ProtocolPolicy,
-    /// How the clearing service matches the book
-    /// ([`ClearingMode::Indexed`] by default — the incremental index;
-    /// `FullRescan` is the reference matcher). Both modes publish
-    /// byte-identical swaps; under *measured* stage costs
-    /// ([`StageCosts::clearing_per_examined`]) they attribute different
-    /// clearing ticks, because they do different amounts of work.
-    pub clearing_mode: ClearingMode,
     /// Simulated cost of the non-execution pipeline stages. Zero by
     /// default: stage latencies are negligible next to protocol rounds at
     /// small book sizes, and zero costs keep single-epoch workloads
@@ -193,7 +186,6 @@ impl Default for ExchangeConfig {
             run: RunConfig::default(),
             leader_strategy: LeaderStrategy::MinimumExact,
             protocol: ProtocolPolicy::Auto,
-            clearing_mode: ClearingMode::default(),
             stage_costs: StageCosts::default(),
         }
     }
@@ -274,10 +266,8 @@ impl fmt::Display for EpochStage {
 /// * clearing: per offer the matcher *actually examined* and per cycle it
 ///   emitted — **measured** from the clearing service's
 ///   [`swap_market::ClearStats`] for the epoch, not from a synthetic book
-///   size. Under [`ClearingMode::FullRescan`] every open offer is
-///   examined; under [`ClearingMode::Indexed`] only the matchable region
-///   is, so the same coefficients price the two modes differently —
-///   exactly the reality the attribution is meant to reflect,
+///   size: the indexed planner examines only the matchable region, so an
+///   inert resting book costs nothing,
 /// * provisioning: per *party* across the epoch's cleared cycles,
 /// * settling: per *swap* the epoch resolves.
 ///
@@ -804,8 +794,8 @@ pub struct ExchangeReport {
     /// observable form of multi-epoch execution overlap.
     pub executing_resident_ticks: u64,
     /// Transactions sealed across every chain of every executed swap —
-    /// deterministic, so rollback traffic is pinnable across
-    /// [`swap_chain::RollbackMode`]s and worker counts.
+    /// deterministic, so rollback traffic is pinnable across worker
+    /// counts.
     pub tx_executed: u64,
     /// Transactions whose contract hook failed after starting to execute,
     /// forcing a rollback (mempool-style rejections excluded) — the
@@ -949,9 +939,7 @@ impl Exchange {
     /// worker pool ([`ExchangeConfig::threads`] threads) is spawned here
     /// and lives as long as the exchange.
     pub fn new(config: ExchangeConfig) -> Exchange {
-        let service = ClearingService::new()
-            .with_leader_strategy(config.leader_strategy)
-            .with_mode(config.clearing_mode);
+        let service = ClearingService::new().with_leader_strategy(config.leader_strategy);
         let pool = WorkerPool::new(config.threads);
         Exchange {
             config,
@@ -2247,8 +2235,7 @@ impl Exchange {
 
     /// Rebuilds the pipeline-empty state a snapshot holds.
     fn from_snapshot(config: ExchangeConfig, snap: Snapshot<'_>) -> Exchange {
-        let service =
-            ClearingService::restore(snap.book, config.leader_strategy, config.clearing_mode);
+        let service = ClearingService::restore(snap.book, config.leader_strategy);
         let identities = IdentityStore::restore(
             snap.identities.into_iter().map(Cow::into_owned),
             snap.leaves_leased,
@@ -2465,54 +2452,6 @@ mod tests {
         assert!(report.stage_ticks.executing > 0);
         assert_eq!(report.stage_ticks.total(), report.wall_ticks);
         assert_eq!(report.wall_ticks, exchange.now().ticks());
-    }
-
-    #[test]
-    fn measured_clearing_cost_separates_the_modes() {
-        // A mutual pair plus a large inert tail: the indexed matcher
-        // examines only the two active-kind zip steps, the full rescan
-        // pays for every open offer — with per-examined pricing the same
-        // book attributes different clearing ticks per mode, while the
-        // published swaps (and everything downstream) stay identical.
-        let run = |mode: ClearingMode| {
-            let mut rng = SimRng::from_seed(801);
-            let mut exchange = Exchange::new(ExchangeConfig {
-                clearing_mode: mode,
-                stage_costs: StageCosts { clearing_per_examined: 1, ..Default::default() },
-                ..Default::default()
-            });
-            exchange.submit(ExchangeParty::generate(
-                &mut rng,
-                4,
-                AssetKind::new("btc"),
-                AssetKind::new("eth"),
-            ));
-            exchange.submit(ExchangeParty::generate(
-                &mut rng,
-                4,
-                AssetKind::new("eth"),
-                AssetKind::new("btc"),
-            ));
-            for i in 0..10 {
-                exchange.submit(ExchangeParty::generate(
-                    &mut rng,
-                    4,
-                    AssetKind::new(format!("dust{i}a")),
-                    AssetKind::new(format!("dust{i}b")),
-                ));
-            }
-            let executed = exchange.drive_until_quiescent().unwrap();
-            assert_eq!(executed.len(), 1, "{mode}");
-            exchange.report().stage_ticks.clearing
-        };
-        let indexed = run(ClearingMode::Indexed);
-        let full = run(ClearingMode::FullRescan);
-        // Indexed: one pass over the btc/eth zips per clear; FullRescan:
-        // the whole 12-offer book on the first clear alone.
-        assert!(
-            indexed < full,
-            "indexed clearing ticks {indexed} must undercut full rescan {full}"
-        );
     }
 
     /// Fresh scratch store directory for one journaling test.

@@ -107,7 +107,7 @@ pub use outcome::Outcome;
 pub use party::{Action, ArcSnapshot, Behavior};
 pub use pool::{Completed, JobPanic, WorkerPool};
 pub use protocol::{HashkeyProtocol, HtlcProtocol, ProtocolKind, SwapProtocol};
-pub use runner::{RunConfig, RunMetrics, RunReport, SnapshotMode, SwapRunner};
+pub use runner::{RunConfig, RunMetrics, RunReport, SwapRunner};
 pub use setup::{SetupConfig, SwapSetup};
 pub use single_leader::{
     assign_timeouts, single_leader_of, timeout_assignment_feasible, TimeoutError,

@@ -701,44 +701,6 @@ mod tests {
     }
 
     #[test]
-    fn htlc_snapshot_modes_agree() {
-        use crate::runner::SnapshotMode;
-        let run = |mode: SnapshotMode| {
-            let config = RunConfig { snapshot_mode: mode, ..RunConfig::default() };
-            run_htlc(generators::flower(3, 3), 9, config)
-        };
-        let delta = run(SnapshotMode::Delta);
-        let rebuild = run(SnapshotMode::FullRebuild);
-        assert_eq!(format!("{delta:?}"), format!("{rebuild:?}"));
-        assert!(delta.all_deal());
-    }
-
-    #[test]
-    fn rollback_modes_agree_under_both_protocols() {
-        use swap_chain::RollbackMode;
-        // A withholding leader forces failing calls and refunds, so the
-        // rollback path actually executes; both modes must report
-        // byte-identically under each protocol.
-        for protocol in [ProtocolKind::Hashkey, ProtocolKind::Htlc] {
-            let run = |mode: RollbackMode| {
-                let mut config = RunConfig { rollback_mode: mode, ..RunConfig::default() };
-                config.behaviors.insert(VertexId::new(0), Behavior::WithholdSecret);
-                let setup = SwapSetup::generate(
-                    generators::herlihy_three_party(),
-                    &fast_config(),
-                    &mut SimRng::from_seed(12),
-                )
-                .expect("valid");
-                SwapInstance::new(0, setup, config).with_protocol(protocol).run_lockstep()
-            };
-            let journal = run(RollbackMode::Journal);
-            let snapshot = run(RollbackMode::Snapshot);
-            assert_eq!(format!("{journal:?}"), format!("{snapshot:?}"), "{protocol:?}");
-            assert!(journal.no_conforming_underwater());
-        }
-    }
-
-    #[test]
     fn htlc_corrupt_contract_never_triggers_the_arc() {
         // A corrupted HTLC carries a hashlock nobody can open: the swap
         // dies with refunds, and no conforming party ends underwater.

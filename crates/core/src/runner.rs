@@ -29,12 +29,13 @@
 //! Observers never rebuild the world from scratch: each arc's contract
 //! snapshot is cached and re-built only when the hosting chain's
 //! state-version moves (a *visibility* event), so a round costs O(changed
-//! arcs) instead of O(|A|). [`RunConfig::snapshot_mode`] can force the
-//! classic per-round full rebuild for benchmarking.
+//! arcs) instead of O(|A|). The reference for that cache is the recorded
+//! seed-runner fingerprints under `tests/golden/` (the seed runner rebuilt
+//! every arc every round), which `tests/engine_equivalence.rs` replays.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use swap_chain::{RollbackMode, StorageReport};
+use swap_chain::StorageReport;
 use swap_digraph::{ArcId, VertexId};
 use swap_sim::{SimTime, TraceLog};
 
@@ -43,18 +44,6 @@ use crate::outcome::Outcome;
 use crate::party::Behavior;
 use crate::setup::SwapSetup;
 use crate::timing::Lockstep;
-
-/// How the engine maintains the per-arc contract snapshots observers read.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum SnapshotMode {
-    /// Re-snapshot an arc only when its chain's state-version moved since
-    /// the cached snapshot was built (the default hot path).
-    #[default]
-    Delta,
-    /// Rebuild every arc's snapshot at every round boundary — the classic
-    /// O(|A|)-per-round behavior, kept for benchmarking the delta path.
-    FullRebuild,
-}
 
 /// Per-run configuration: who deviates and for how long the runner waits.
 #[derive(Debug, Clone, Default)]
@@ -67,13 +56,6 @@ pub struct RunConfig {
     /// Arcs whose published contract is *corrupted* (wrong hashlocks),
     /// modeling a malicious publisher; observers detect and abandon.
     pub corrupt_arcs: BTreeSet<ArcId>,
-    /// Snapshot maintenance strategy (see [`SnapshotMode`]).
-    pub snapshot_mode: SnapshotMode,
-    /// How the chains roll back failed transactions (see
-    /// [`RollbackMode`]): the default undo journal, or the
-    /// clone-the-world snapshot reference. Externally indistinguishable;
-    /// stamped onto every chain of the setup at engine construction.
-    pub rollback_mode: RollbackMode,
 }
 
 /// Counters accumulated over a run.

@@ -29,8 +29,7 @@
 //!
 //! # The incremental clearing index
 //!
-//! Under the default [`ClearingMode::Indexed`], the service maintains
-//! price-time FIFO buckets — per-`(gives, wants)` trade buckets plus
+//! The service maintains price-time FIFO buckets — per-`(gives, wants)` trade buckets plus
 //! per-kind giver/wanter sets, all ordered by offer id (= submission
 //! order) — on every `submit`/`cancel`/match/`settle_swap`/`refund_swap`
 //! delta. A clearing epoch then touches only the *matchable* region of the
@@ -42,10 +41,13 @@
 //! incremental too. An epoch over a million-offer book with a small
 //! matchable churn region costs O(churn), not O(book).
 //!
-//! [`ClearingMode::FullRescan`] keeps the original rescan-everything
-//! matcher as an executable reference: both modes produce byte-identical
-//! [`ClearedSwap`] sequences for the same offer stream (pinned by property
-//! tests), they differ only in how much work
+//! [`ClearingService::plan`] is the one planner production runs. The
+//! original rescan-everything matcher stays beside it as the executable
+//! specification, [`ClearingService::plan_full_rescan`]: a second planner
+//! over the same book that ignores the index and re-derives the answer from
+//! the open offers alone. The property tests commit both plans on copies of
+//! the book before every clear and require the same [`ClearedSwap`]s and the
+//! same resulting book; the two differ only in how much work
 //! ([`ClearStats::offers_examined`]) reaching that answer costs.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -213,12 +215,17 @@ pub enum ClearError {
     /// Spec assembly failed for a matched cycle (should not happen for
     /// well-formed offers; surfaced rather than hidden).
     Build(BuildError),
+    /// The book changed (a submit, cancel, clearing, settlement or refund)
+    /// between drawing the plan and committing it; the plan's cycles may
+    /// name offers that are no longer open. Draw a fresh plan.
+    StalePlan,
 }
 
 impl fmt::Display for ClearError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ClearError::Build(e) => write!(f, "failed to assemble cleared swap: {e}"),
+            ClearError::StalePlan => write!(f, "the book changed since the plan was drawn"),
         }
     }
 }
@@ -280,58 +287,26 @@ impl fmt::Display for LifecycleError {
 
 impl std::error::Error for LifecycleError {}
 
-/// How [`ClearingService`] finds trade cycles in the open book.
-///
-/// Both modes produce **byte-identical** [`ClearedSwap`] sequences for the
-/// same offer/cancel/resolve stream (pinned by property tests); they
-/// differ only in the work spent getting there, reported through
-/// [`ClearStats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub enum ClearingMode {
-    /// Match from the incrementally-maintained price-time index: only the
-    /// kinds with both supply and demand are examined, mutual two-cycles
-    /// drain from opposing bucket heads first, and reserved parties' offers
-    /// are parked out of the index rather than re-filtered per epoch. An
-    /// epoch costs O(matchable region), not O(open book).
-    #[default]
-    Indexed,
-    /// The reference matcher: rescan the entire open book every epoch.
-    /// O(open book) per clear; kept as the executable specification the
-    /// indexed mode is equivalence-tested against.
-    FullRescan,
-}
-
-impl fmt::Display for ClearingMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ClearingMode::Indexed => write!(f, "indexed"),
-            ClearingMode::FullRescan => write!(f, "full-rescan"),
-        }
-    }
-}
-
 /// Measured work of one clearing epoch, attached to the [`ClearPlan`] and
 /// retained as [`ClearingService::last_clear_stats`]. An execution layer
 /// can derive *measured* stage costs from these instead of a synthetic
 /// per-open-offer model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ClearStats {
-    /// The mode that produced the plan.
-    pub mode: ClearingMode,
     /// Open offers in the book when the plan was drawn (parked included).
     pub open_offers: u64,
-    /// Offers the matcher actually examined: every open offer under
-    /// [`ClearingMode::FullRescan`]; only the zip/pair steps over active
-    /// kinds under [`ClearingMode::Indexed`]. This is the work proxy that
-    /// separates the modes on large, mostly-unmatchable books.
+    /// Offers the planner actually examined: only the zip/pair steps over
+    /// active kinds for [`ClearingService::plan`]; every open offer for the
+    /// [`ClearingService::plan_full_rescan`] reference. This is the work
+    /// proxy that separates the two on large, mostly-unmatchable books.
     pub offers_examined: u64,
     /// Cycles selected for publication (after party-disjointness).
     pub cycles_emitted: u64,
     /// Offers matched into those cycles.
     pub offers_matched: u64,
     /// Offers the mutual-two-cycle fast path matched before general cycle
-    /// search (counted pre-disjointness; nonzero only under
-    /// [`ClearingMode::Indexed`] with [`LeaderStrategy::PreferSingleLeader`]
+    /// search (counted pre-disjointness; nonzero only for
+    /// [`ClearingService::plan`] with [`LeaderStrategy::PreferSingleLeader`]
     /// when the biased decomposition wins the tie rule).
     pub pair_matched: u64,
 }
@@ -341,8 +316,8 @@ pub struct ClearStats {
 ///
 /// The split exists so an execution layer can price the epoch (from the
 /// stats) *before* publishing it — the publication instant feeds into every
-/// spec's start time. Apply with [`ClearingService::commit`]; the book must
-/// not change in between.
+/// spec's start time. Apply with [`ClearingService::commit`], which refuses
+/// the plan ([`ClearError::StalePlan`]) if the book changed in between.
 #[derive(Debug, Clone)]
 pub struct ClearPlan {
     /// Party-disjoint cycles to publish, in emission order.
@@ -352,9 +327,8 @@ pub struct ClearPlan {
     /// new deferred set on commit.
     skipped: Vec<OfferId>,
     stats: ClearStats,
-    /// Staleness stamps: the epoch and offer count the plan was drawn at.
-    epoch: u64,
-    offers_seen: usize,
+    /// Staleness stamp: the book generation the plan was drawn at.
+    generation: u64,
 }
 
 impl ClearPlan {
@@ -445,7 +419,10 @@ struct OfferEntry {
 pub struct ClearingService {
     entries: Vec<OfferEntry>,
     leader_strategy: LeaderStrategy,
-    mode: ClearingMode,
+    /// Bumped by every lifecycle mutation (submit, cancel, commit, settle,
+    /// refund); a [`ClearPlan`] is only committable at the generation it
+    /// was drawn at.
+    generation: u64,
     /// Raw id of the first offer this service issues; entry `i` holds
     /// offer `first_id + i`.
     first_id: u64,
@@ -504,13 +481,6 @@ impl ClearingService {
         self
     }
 
-    /// Selects how clearing epochs find trade cycles (default
-    /// [`ClearingMode::Indexed`]).
-    pub fn with_mode(mut self, mode: ClearingMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
     /// Offsets the id space: the first submitted offer gets raw id `base`
     /// instead of `0`. Lets several services (shards) issue disjoint offer
     /// ids, and decouples offer ids from entry positions.
@@ -524,16 +494,12 @@ impl ClearingService {
         self
     }
 
-    /// The mode clearing epochs run under.
-    pub fn mode(&self) -> ClearingMode {
-        self.mode
-    }
-
     /// Accepts an offer, returning its id. The offer starts `Open`.
     pub fn submit(&mut self, offer: Offer) -> OfferId {
         let id = OfferId(self.first_id + self.entries.len() as u64);
         let address = offer.key.address();
         self.entries.push(OfferEntry { offer, status: OfferStatus::Open, id, address });
+        self.generation += 1;
         self.open.insert(id);
         self.by_address.entry(address).or_default().insert(id);
         if self.reserved.contains(&address) {
@@ -575,6 +541,7 @@ impl ClearingService {
         match self.entries[i].status {
             OfferStatus::Open => {
                 self.entries[i].status = OfferStatus::Cancelled;
+                self.generation += 1;
                 self.open.remove(&id);
                 self.deferred.remove(&id);
                 let address = self.entries[i].address;
@@ -644,6 +611,7 @@ impl ClearingService {
             offers.iter().map(|&id| self.entry_index(id)).collect();
         let indices = indices?;
         self.in_flight.remove(&swap);
+        self.generation += 1;
         for i in indices {
             self.entries[i].status = terminal;
             // Release the party's reservation and wake its parked offers
@@ -789,17 +757,29 @@ impl ClearingService {
     // ---- planning ----
 
     /// Draws (without committing) one clearing epoch's plan: the
-    /// party-disjoint cycles the current mode's matcher selects from the
-    /// open book, plus the measured [`ClearStats`] of finding them. Apply
-    /// with [`commit`](Self::commit); the book must not change in between.
+    /// party-disjoint cycles the indexed matcher selects from the open
+    /// book, plus the measured [`ClearStats`] of finding them. Apply with
+    /// [`commit`](Self::commit), which refuses the plan if the book changed
+    /// in between.
     pub fn plan(&self) -> ClearPlan {
-        match self.mode {
-            ClearingMode::FullRescan => self.plan_full_rescan(),
-            ClearingMode::Indexed => self.plan_indexed(),
-        }
+        let mut examined = 0u64;
+        let (cycles, pair_matched) = match self.leader_strategy {
+            LeaderStrategy::PreferSingleLeader => self.indexed_biased(&mut examined),
+            _ => (self.indexed_fifo(None, &mut examined), 0),
+        };
+        // Everything a full rescan would have skipped for reservation is,
+        // by the park invariant, exactly the parked set.
+        let mut skipped: Vec<OfferId> = self.parked.iter().copied().collect();
+        let selected = self.select_disjoint(cycles, &mut skipped);
+        self.finish_plan(examined, selected, skipped, pair_matched)
     }
 
-    fn plan_full_rescan(&self) -> ClearPlan {
+    /// The executable specification of [`plan`](Self::plan): rescans the
+    /// entire open book — O(open book), reading neither the matching index
+    /// nor the parked set — and must select the same cycles and skip the
+    /// same offers. Tests hold `plan` to it before every clear; committing
+    /// its plan is as valid as committing `plan`'s.
+    pub fn plan_full_rescan(&self) -> ClearPlan {
         // Dense view of the open book in submission order, minus the
         // reservation set.
         let mut open_idx: Vec<usize> = Vec::with_capacity(self.open.len());
@@ -823,39 +803,24 @@ impl ClearingService {
             .map(|cycle| cycle.into_iter().map(|i| self.entries[i].id).collect())
             .collect();
         let selected = self.select_disjoint(cycles, &mut skipped);
-        self.finish_plan(ClearingMode::FullRescan, self.open.len() as u64, selected, skipped, 0)
-    }
-
-    fn plan_indexed(&self) -> ClearPlan {
-        let mut examined = 0u64;
-        let (cycles, pair_matched) = match self.leader_strategy {
-            LeaderStrategy::PreferSingleLeader => self.indexed_biased(&mut examined),
-            _ => (self.indexed_fifo(None, &mut examined), 0),
-        };
-        // Everything a full rescan would have skipped for reservation is,
-        // by the park invariant, exactly the parked set.
-        let mut skipped: Vec<OfferId> = self.parked.iter().copied().collect();
-        let selected = self.select_disjoint(cycles, &mut skipped);
-        self.finish_plan(ClearingMode::Indexed, examined, selected, skipped, pair_matched)
+        self.finish_plan(self.open.len() as u64, selected, skipped, 0)
     }
 
     fn finish_plan(
         &self,
-        mode: ClearingMode,
         offers_examined: u64,
         selected: Vec<Vec<OfferId>>,
         skipped: Vec<OfferId>,
         pair_matched: u64,
     ) -> ClearPlan {
         let stats = ClearStats {
-            mode,
             open_offers: self.open.len() as u64,
             offers_examined,
             cycles_emitted: selected.len() as u64,
             offers_matched: selected.iter().map(|c| c.len() as u64).sum(),
             pair_matched,
         };
-        ClearPlan { selected, skipped, stats, epoch: self.epoch, offers_seen: self.entries.len() }
+        ClearPlan { selected, skipped, stats, generation: self.generation }
     }
 
     /// One party, one concurrent swap: accept cycles in order, rejecting
@@ -894,7 +859,8 @@ impl ClearingService {
 
     // ---- committing ----
 
-    /// Publishes a plan drawn by [`plan`](Self::plan): assembles one
+    /// Publishes a plan drawn by [`plan`](Self::plan) (or the
+    /// [`plan_full_rescan`](Self::plan_full_rescan) reference): assembles one
     /// [`ClearedSwap`] per selected cycle, consumes the matched offers,
     /// reserves their parties (parking any further open offers they have),
     /// replaces the deferred set with the plan's skips, and advances the
@@ -905,23 +871,21 @@ impl ClearingService {
     ///
     /// # Errors
     ///
-    /// Propagates spec-assembly failures (which indicate malformed offers,
-    /// e.g. duplicate keys). On error no offer changes status and the epoch
+    /// [`ClearError::StalePlan`] if any submit, cancel, commit, settlement
+    /// or refund reached the book after the plan was drawn — its cycles may
+    /// name offers that are no longer open. Otherwise propagates
+    /// spec-assembly failures (which indicate malformed offers, e.g.
+    /// duplicate keys). On error no offer changes status and the epoch
     /// number does not advance.
-    ///
-    /// # Panics
-    ///
-    /// Debug builds assert the book did not change between `plan` and
-    /// `commit` (same epoch, same offer count); committing a stale plan in
-    /// release builds is unspecified behavior at the bookkeeping level.
     pub fn commit(
         &mut self,
         plan: ClearPlan,
         delta: Delta,
         now: SimTime,
     ) -> Result<Vec<ClearedSwap>, ClearError> {
-        debug_assert_eq!(plan.epoch, self.epoch, "plan committed against a different epoch");
-        debug_assert_eq!(plan.offers_seen, self.entries.len(), "book changed since plan was drawn");
+        if plan.generation != self.generation {
+            return Err(ClearError::StalePlan);
+        }
         // Assemble every spec before mutating any lifecycle state, so a
         // build failure leaves the book untouched.
         let epoch = self.epoch;
@@ -952,6 +916,7 @@ impl ClearingService {
         }
         self.next_swap += swaps.len() as u64;
         self.epoch += 1;
+        self.generation += 1;
         self.last_stats = Some(plan.stats);
         Ok(swaps)
     }
@@ -985,9 +950,9 @@ impl ClearingService {
     /// whenever it matches at least as many offers as plain FIFO: shorter
     /// cycles carry strictly smaller §4.6 timeout ladders, so ties between
     /// decompositions resolve toward the cheapest single-leader cycles.
-    /// Under [`ClearingMode::Indexed`] (the default) the same answer is
-    /// computed from the incremental index — see the module docs — with
-    /// the mutual pairing served by the bucket-head fast path.
+    /// [`plan`](Self::plan) computes this answer from the incremental
+    /// index — see the module docs — with the mutual pairing served by the
+    /// bucket-head fast path.
     ///
     /// # Errors
     ///
@@ -1257,24 +1222,19 @@ impl ClearingService {
 
     /// Rebuilds a service from a [`BookSnapshot`], rederiving the matching
     /// index, the reservation set, and the park/index split. The strategy
-    /// and mode are configuration, not state, so the caller supplies them;
-    /// the restored service plans and commits exactly as the snapshotted
-    /// one would ([`last_clear_stats`](Self::last_clear_stats) alone resets
-    /// to `None` — it is a measurement, not book state).
+    /// is configuration, not state, so the caller supplies it; the restored
+    /// service plans and commits exactly as the snapshotted one would
+    /// ([`last_clear_stats`](Self::last_clear_stats) alone resets to `None`
+    /// — it is a measurement, not book state).
     ///
     /// # Panics
     ///
     /// Panics if the snapshot references offer ids outside its own entry
     /// table — `swap-core`'s snapshot decoder refuses such a book before it
     /// gets here.
-    pub fn restore(
-        snapshot: BookSnapshot,
-        leader_strategy: LeaderStrategy,
-        mode: ClearingMode,
-    ) -> Self {
+    pub fn restore(snapshot: BookSnapshot, leader_strategy: LeaderStrategy) -> Self {
         let mut svc = ClearingService {
             leader_strategy,
-            mode,
             first_id: snapshot.first_id,
             epoch: snapshot.epoch,
             next_swap: snapshot.next_swap,
@@ -1332,8 +1292,13 @@ mod tests {
         }
     }
 
+    /// One epoch through the production planner — after holding it to the
+    /// full-rescan specification on this very book.
     fn clear(svc: &mut ClearingService) -> Vec<ClearedSwap> {
-        svc.clear(Delta::from_ticks(10), SimTime::ZERO).unwrap()
+        let (plan, reference) = (svc.plan(), svc.plan_full_rescan());
+        assert_eq!(plan.selected, reference.selected, "planners select different cycles");
+        assert_eq!(plan.skipped, reference.skipped, "planners skip different offers");
+        svc.commit(plan, Delta::from_ticks(10), SimTime::ZERO).unwrap()
     }
 
     #[test]
@@ -1362,8 +1327,7 @@ mod tests {
         svc.submit(offer(8, "y", "x"));
 
         let snap = svc.snapshot();
-        let restored =
-            ClearingService::restore(snap.clone(), LeaderStrategy::default(), svc.mode());
+        let restored = ClearingService::restore(snap.clone(), LeaderStrategy::default());
 
         // Same durable state...
         assert_eq!(restored.snapshot(), snap);
@@ -1485,67 +1449,88 @@ mod tests {
         // base, every id the service reports must be a real issued id —
         // the historical `OfferId(entry_index as u64)` in the clear path
         // would fabricate unissued low ids for skipped/deferred cycles.
-        for mode in [ClearingMode::Indexed, ClearingMode::FullRescan] {
-            let mut svc = ClearingService::new().with_first_offer_id(1_000).with_mode(mode);
-            let a1 = svc.submit(offer(1, "x", "y"));
-            assert_eq!(a1.raw(), 1_000);
-            let a2 = svc.submit(offer(1, "p", "q")); // same party as a1
-            let b = svc.submit(offer(2, "y", "x"));
-            let c = svc.submit(offer(3, "q", "p"));
-            let swaps = clear(&mut svc);
-            assert_eq!(swaps.len(), 1, "{mode}: one concurrent swap per party");
-            assert!(swaps[0].offer_of_vertex.contains(&a1), "{mode}");
-            assert!(swaps[0].offer_of_vertex.contains(&b), "{mode}");
-            assert!(swaps[0].offer_of_vertex.iter().all(|id| id.raw() >= 1_000), "{mode}");
-            // The rejected (a2, c) cycle deferred under its *real* ids: the
-            // in-flight party's resolution must wake exactly those offers.
-            assert!(svc.any_deferred_from(svc.reserved_addresses()), "{mode}");
-            svc.settle_swap(swaps[0].id).unwrap();
-            let next = clear(&mut svc);
-            assert_eq!(next.len(), 1, "{mode}");
-            assert!(next[0].offer_of_vertex.contains(&a2), "{mode}");
-            assert!(next[0].offer_of_vertex.contains(&c), "{mode}");
-            // Sub-base ids (the old entry indices) are foreign here.
-            assert_eq!(svc.status(OfferId(0)), None, "{mode}");
-            assert_eq!(svc.cancel(OfferId(3)), Err(CancelError::UnknownOffer(OfferId(3))));
-        }
+        let mut svc = ClearingService::new().with_first_offer_id(1_000);
+        let a1 = svc.submit(offer(1, "x", "y"));
+        assert_eq!(a1.raw(), 1_000);
+        let a2 = svc.submit(offer(1, "p", "q")); // same party as a1
+        let b = svc.submit(offer(2, "y", "x"));
+        let c = svc.submit(offer(3, "q", "p"));
+        let swaps = clear(&mut svc);
+        assert_eq!(swaps.len(), 1, "one concurrent swap per party");
+        assert!(swaps[0].offer_of_vertex.contains(&a1));
+        assert!(swaps[0].offer_of_vertex.contains(&b));
+        assert!(swaps[0].offer_of_vertex.iter().all(|id| id.raw() >= 1_000));
+        // The rejected (a2, c) cycle deferred under its *real* ids: the
+        // in-flight party's resolution must wake exactly those offers.
+        assert!(svc.any_deferred_from(svc.reserved_addresses()));
+        svc.settle_swap(swaps[0].id).unwrap();
+        let next = clear(&mut svc);
+        assert_eq!(next.len(), 1);
+        assert!(next[0].offer_of_vertex.contains(&a2));
+        assert!(next[0].offer_of_vertex.contains(&c));
+        // Sub-base ids (the old entry indices) are foreign here.
+        assert_eq!(svc.status(OfferId(0)), None);
+        assert_eq!(svc.cancel(OfferId(3)), Err(CancelError::UnknownOffer(OfferId(3))));
     }
 
     #[test]
-    fn modes_agree_on_a_mixed_book() {
-        // A deterministic end-to-end agreement check (the property tests
-        // cover random streams): multi-epoch, reservations, cancels,
-        // same-party re-entry — both modes must produce byte-identical
-        // swap sequences and final lifecycle states.
-        let drive = |mode: ClearingMode| {
-            let mut log: Vec<String> = Vec::new();
-            let mut svc = ClearingService::new().with_mode(mode);
-            svc.submit(offer(1, "a", "b"));
-            svc.submit(offer(2, "b", "c"));
-            svc.submit(offer(3, "c", "a"));
-            svc.submit(offer(4, "p", "q"));
-            let cancelled = svc.submit(offer(5, "q", "p"));
-            svc.cancel(cancelled).unwrap();
-            svc.submit(offer(6, "q", "p"));
-            let first = clear(&mut svc);
-            // Same parties return mid-flight plus fresh counterparties.
-            svc.submit(offer(1, "m", "n"));
-            svc.submit(offer(7, "n", "m"));
-            let second = clear(&mut svc);
-            for swap in first.iter().chain(&second) {
-                svc.settle_swap(swap.id).unwrap();
-            }
-            let third = clear(&mut svc);
-            for swaps in [first, second, third] {
-                log.extend(swaps.iter().map(|s| format!("{s:?}")));
-            }
-            for raw in 0..svc.offer_count() as u64 {
-                log.push(format!("{:?}", svc.status(OfferId(raw))));
-            }
-            log.push(format!("open={} epoch={}", svc.open_count(), svc.epoch()));
-            log
-        };
-        assert_eq!(drive(ClearingMode::Indexed), drive(ClearingMode::FullRescan));
+    fn planners_agree_on_a_mixed_book() {
+        // A deterministic agreement check (the property tests cover random
+        // streams): multi-epoch, reservations, cancels, same-party re-entry
+        // — `clear` holds the indexed plan to the full-rescan one before
+        // every commit.
+        let mut svc = ClearingService::new();
+        svc.submit(offer(1, "a", "b"));
+        svc.submit(offer(2, "b", "c"));
+        svc.submit(offer(3, "c", "a"));
+        svc.submit(offer(4, "p", "q"));
+        let cancelled = svc.submit(offer(5, "q", "p"));
+        svc.cancel(cancelled).unwrap();
+        svc.submit(offer(6, "q", "p"));
+        let first = clear(&mut svc);
+        assert_eq!(first.len(), 2);
+        // Same parties return mid-flight plus fresh counterparties.
+        let parked = svc.submit(offer(1, "m", "n"));
+        svc.submit(offer(7, "n", "m"));
+        assert!(clear(&mut svc).is_empty(), "party 1 is reserved");
+        for swap in &first {
+            svc.settle_swap(swap.id).unwrap();
+        }
+        let third = clear(&mut svc);
+        assert_eq!(third.len(), 1);
+        assert!(third[0].offer_of_vertex.contains(&parked));
+    }
+
+    #[test]
+    fn commit_refuses_a_plan_the_book_moved_under() {
+        // plan → cancel a selected offer → commit: publishing the plan would
+        // flip the cancelled offer to `Matched` and hand out a swap for it.
+        let mut svc = ClearingService::new();
+        let a = svc.submit(offer(1, "x", "y"));
+        let b = svc.submit(offer(2, "y", "x"));
+        let plan = svc.plan();
+        assert!(!plan.is_empty());
+        svc.cancel(a).unwrap();
+        let err = svc.commit(plan, Delta::from_ticks(10), SimTime::ZERO).unwrap_err();
+        assert_eq!(err, ClearError::StalePlan);
+        // The book is untouched by the refused commit.
+        assert_eq!(svc.status(a), Some(OfferStatus::Cancelled));
+        assert_eq!(svc.status(b), Some(OfferStatus::Open));
+        assert_eq!(svc.open_count(), 1);
+        assert_eq!(svc.epoch(), 0);
+        assert!(svc.reserved_addresses().is_empty());
+        // Settlement between plan and commit is just as stale.
+        let c = svc.submit(offer(3, "x", "y"));
+        let in_flight = clear(&mut svc);
+        assert_eq!(in_flight.len(), 1);
+        svc.submit(offer(3, "p", "q"));
+        svc.submit(offer(4, "q", "p"));
+        let parked_plan = svc.plan();
+        svc.settle_swap(in_flight[0].id).unwrap();
+        let err = svc.commit(parked_plan, Delta::from_ticks(10), SimTime::ZERO).unwrap_err();
+        assert_eq!(err, ClearError::StalePlan);
+        assert_eq!(svc.status(c), Some(OfferStatus::Settled));
+        assert_eq!(clear(&mut svc).len(), 1, "a fresh plan commits");
     }
 
     #[test]
@@ -1560,7 +1545,6 @@ mod tests {
         let swaps = clear(&mut svc);
         assert_eq!(swaps.len(), 2);
         let stats = svc.last_clear_stats().unwrap();
-        assert_eq!(stats.mode, ClearingMode::Indexed);
         assert_eq!(stats.pair_matched, 4, "both two-cycles came off the bucket heads");
         assert_eq!(stats.cycles_emitted, 2);
         assert_eq!(stats.offers_matched, 4);
@@ -1573,30 +1557,21 @@ mod tests {
 
     #[test]
     fn indexed_examines_only_active_kinds() {
-        let build = |mode: ClearingMode| {
-            let mut svc = ClearingService::new().with_mode(mode);
-            svc.submit(offer(1, "btc", "eth"));
-            svc.submit(offer(2, "eth", "btc"));
-            for seed in 3..13 {
-                // An inert tail: kinds nobody else gives or wants.
-                svc.submit(offer(seed, &format!("dead{seed}a"), &format!("dead{seed}b")));
-            }
-            svc
-        };
-        let mut svc = build(ClearingMode::Indexed);
+        let mut svc = ClearingService::new();
+        svc.submit(offer(1, "btc", "eth"));
+        svc.submit(offer(2, "eth", "btc"));
+        for seed in 3..13 {
+            // An inert tail: kinds nobody else gives or wants.
+            svc.submit(offer(seed, &format!("dead{seed}a"), &format!("dead{seed}b")));
+        }
+        // The reference planner pays for the whole book to reach the same
+        // answer.
+        assert_eq!(svc.plan_full_rescan().stats().offers_examined, 12);
         let swaps = clear(&mut svc);
         assert_eq!(swaps.len(), 1);
         let stats = svc.last_clear_stats().unwrap();
         assert_eq!(stats.open_offers, 12);
         assert_eq!(stats.offers_examined, 2, "two zip steps: kinds btc and eth");
-
-        // The reference mode pays for the whole book to reach the same
-        // answer.
-        let mut full = build(ClearingMode::FullRescan);
-        let full_swaps = clear(&mut full);
-        assert_eq!(full_swaps.len(), 1);
-        assert_eq!(full.last_clear_stats().unwrap().offers_examined, 12);
-        assert_eq!(format!("{:?}", swaps), format!("{:?}", full_swaps));
     }
 
     #[test]
@@ -1794,15 +1769,13 @@ mod tests {
         // 2. The decompositions do NOT tie, so the bias must fall back.
         let book = [("a", "b"), ("b", "c"), ("c", "a"), ("b", "a")];
         for strategy in [LeaderStrategy::MinimumExact, LeaderStrategy::PreferSingleLeader] {
-            for mode in [ClearingMode::Indexed, ClearingMode::FullRescan] {
-                let mut svc = ClearingService::new().with_leader_strategy(strategy).with_mode(mode);
-                for (i, (g, w)) in book.iter().enumerate() {
-                    svc.submit(offer(i as u8 + 1, g, w));
-                }
-                let swaps = clear(&mut svc);
-                assert_eq!(swaps.len(), 1, "{strategy:?}/{mode}");
-                assert_eq!(swaps[0].spec.digraph.vertex_count(), 3, "{strategy:?}/{mode}");
+            let mut svc = ClearingService::new().with_leader_strategy(strategy);
+            for (i, (g, w)) in book.iter().enumerate() {
+                svc.submit(offer(i as u8 + 1, g, w));
             }
+            let swaps = clear(&mut svc);
+            assert_eq!(swaps.len(), 1, "{strategy:?}");
+            assert_eq!(swaps[0].spec.digraph.vertex_count(), 3, "{strategy:?}");
         }
     }
 

@@ -35,14 +35,14 @@
 //! `swap-core`'s `Exchange`) drives the cleared swaps and reports back via
 //! [`ClearingService::settle_swap`] / [`ClearingService::refund_swap`].
 //!
-//! Matching runs from an **incremental clearing index** by default
-//! ([`ClearingMode::Indexed`]): per-`(gives, wants)` price-time buckets
-//! maintained on every lifecycle delta, a mutual-two-cycle fast path, and
-//! a parked set for reserved parties, so an epoch costs O(matchable
-//! region) instead of O(open book). [`ClearingMode::FullRescan`] keeps the
-//! original whole-book matcher as the executable reference; property
-//! tests pin the two modes byte-identical. [`ClearStats`] reports the
-//! measured work (offers examined, cycles emitted) of each epoch, and the
+//! Matching runs from an **incremental clearing index**: per-`(gives,
+//! wants)` price-time buckets maintained on every lifecycle delta, a
+//! mutual-two-cycle fast path, and a parked set for reserved parties, so an
+//! epoch costs O(matchable region) instead of O(open book). The original
+//! whole-book matcher stays as the executable specification,
+//! [`ClearingService::plan_full_rescan`]; property tests hold the indexed
+//! planner to it before every clear. [`ClearStats`] reports the measured
+//! work (offers examined, cycles emitted) of each epoch, and the
 //! [`ClearingService::plan`] / [`ClearingService::commit`] split lets an
 //! execution layer price an epoch before publishing it.
 //!
@@ -61,6 +61,6 @@ pub mod verify;
 pub use builder::{BuildError, LeaderStrategy, SpecBuilder};
 pub use clearing::{
     AssetKind, BookSnapshot, CancelError, ClearError, ClearPlan, ClearStats, ClearedSwap,
-    ClearingMode, ClearingService, LifecycleError, Offer, OfferId, OfferStatus, SwapId,
+    ClearingService, LifecycleError, Offer, OfferId, OfferStatus, SwapId,
 };
 pub use verify::{verify_cleared_swap, VerifyError};

@@ -8,7 +8,7 @@ use std::collections::BTreeSet;
 use proptest::prelude::*;
 use swap_crypto::{MssKeypair, Secret};
 use swap_market::{
-    AssetKind, ClearingMode, ClearingService, LeaderStrategy, Offer, OfferId, OfferStatus,
+    AssetKind, ClearedSwap, ClearingService, LeaderStrategy, Offer, OfferId, OfferStatus,
 };
 use swap_sim::{Delta, SimTime};
 
@@ -121,20 +121,34 @@ proptest! {
     }
 }
 
+/// One clearing epoch, checked against the specification first: the indexed
+/// plan and the full-rescan plan are each committed on a copy of the book
+/// and must publish the same swaps (specs, ids, vertex maps — compared via
+/// `Debug`) and leave the same book (statuses, deferred set, in-flight
+/// membership). Only then does the real book commit the indexed plan.
+fn checked_clear(svc: &mut ClearingService, now: SimTime) -> Vec<ClearedSwap> {
+    let delta = Delta::from_ticks(10);
+    let (mut indexed, mut rescan) = (svc.clone(), svc.clone());
+    let published = indexed.commit(svc.plan(), delta, now).unwrap();
+    let specified = rescan.commit(svc.plan_full_rescan(), delta, now).unwrap();
+    assert_eq!(format!("{published:?}"), format!("{specified:?}"), "planners publish differently");
+    assert_eq!(indexed.snapshot(), rescan.snapshot(), "planners leave different books");
+    svc.clear(delta, now).unwrap()
+}
+
 proptest! {
-    // Each case drives two full services (one per mode) through three
+    // Each case drives a service (plus two copies per clear) through four
     // epochs of real keygen-backed offers; fewer cases keep the suite's
     // wall time in budget.
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// `ClearingMode::Indexed` is byte-equivalent to the `FullRescan`
-    /// reference: the same offer/cancel/clear/resolve stream produces
-    /// identical `ClearedSwap` sequences (specs, ids, vertex maps — pinned
-    /// via `Debug`), identical lifecycle states, and identical
-    /// reservation/deferral behavior, under both leader strategies and
-    /// across epochs with same-party re-entry.
+    /// `ClearingService::plan` agrees with the `plan_full_rescan`
+    /// specification at every clear of an offer/cancel/clear/resolve
+    /// stream, under both leader strategies and across epochs with
+    /// same-party re-entry, live reservations, parked offers and their wake
+    /// after settlement.
     #[test]
-    fn indexed_clearing_equals_full_rescan(
+    fn indexed_plan_equals_full_rescan_at_every_clear(
         (book, cancel_mask) in arb_book(),
         resolve_mask in any::<u32>(),
         biased in any::<bool>(),
@@ -144,57 +158,45 @@ proptest! {
         } else {
             LeaderStrategy::MinimumExact
         };
-        let run = |mode: ClearingMode| -> Vec<String> {
-            let mut svc =
-                ClearingService::new().with_mode(mode).with_leader_strategy(strategy);
-            let mut log: Vec<String> = Vec::new();
-            let ids: Vec<OfferId> =
-                book.iter().enumerate().map(|(i, &(g, w))| svc.submit(offer(i, g, w))).collect();
-            for (i, &id) in ids.iter().enumerate() {
-                if cancel_mask & (1 << (i % 32)) != 0 {
-                    svc.cancel(id).unwrap();
+        let mut svc = ClearingService::new().with_leader_strategy(strategy);
+        let ids: Vec<OfferId> =
+            book.iter().enumerate().map(|(i, &(g, w))| svc.submit(offer(i, g, w))).collect();
+        for (i, &id) in ids.iter().enumerate() {
+            if cancel_mask & (1 << (i % 32)) != 0 {
+                svc.cancel(id).unwrap();
+            }
+        }
+        let first = checked_clear(&mut svc, SimTime::ZERO);
+        // Resolve only some swaps: the rest stay in flight, so the second
+        // epoch clears under live reservations.
+        for (k, swap) in first.iter().enumerate() {
+            if resolve_mask & (1 << (k % 32)) != 0 {
+                if k % 2 == 0 {
+                    svc.settle_swap(swap.id).unwrap();
+                } else {
+                    svc.refund_swap(swap.id).unwrap();
                 }
             }
-            let first = svc.clear(Delta::from_ticks(10), SimTime::ZERO).unwrap();
-            // Resolve only some swaps: the rest stay in flight, so the
-            // second epoch clears under live reservations.
-            for (k, swap) in first.iter().enumerate() {
-                if resolve_mask & (1 << (k % 32)) != 0 {
-                    if k % 2 == 0 {
-                        svc.settle_swap(swap.id).unwrap();
-                    } else {
-                        svc.refund_swap(swap.id).unwrap();
-                    }
-                }
-            }
-            // Second wave: every party returns with the mirrored trade —
-            // reserved parties' offers must park and defer identically.
-            let mut all_ids = ids;
-            for (i, &(g, w)) in book.iter().enumerate() {
-                all_ids.push(svc.submit(offer(i, w, g)));
-            }
-            let second = svc.clear(Delta::from_ticks(10), SimTime::from_ticks(50)).unwrap();
-            // Release everything and clear once more: the deferred offers
-            // wake the same way in both modes.
-            for swap in first.iter().chain(&second) {
-                let _ = svc.settle_swap(swap.id);
-            }
-            let third = svc.clear(Delta::from_ticks(10), SimTime::from_ticks(90)).unwrap();
-            for swaps in [&first, &second, &third] {
-                log.extend(swaps.iter().map(|s| format!("{s:?}")));
-            }
-            for &id in &all_ids {
-                log.push(format!("{:?}", svc.status(id)));
-            }
-            log.push(format!("{:?}", svc.reserved_addresses()));
-            log.push(format!(
-                "open={} epoch={} deferred_from_reserved={}",
-                svc.open_count(),
-                svc.epoch(),
-                svc.any_deferred_from(svc.reserved_addresses())
-            ));
-            log
-        };
-        prop_assert_eq!(run(ClearingMode::Indexed), run(ClearingMode::FullRescan));
+        }
+        // Second wave: every party returns with the mirrored trade —
+        // reserved parties' offers must park and defer as the rescan says.
+        for (i, &(g, w)) in book.iter().enumerate() {
+            svc.submit(offer(i, w, g));
+        }
+        let second = checked_clear(&mut svc, SimTime::from_ticks(50));
+        // Third wave, with the second epoch's swaps still in flight: a
+        // party unmatched so far held two open offers, and if the second
+        // epoch took one, its *commit* had to park the other — which fresh
+        // counterparties now make worth matching, were it still indexed.
+        for (i, &(g, w)) in book.iter().enumerate() {
+            svc.submit(offer(100 + i, g, w));
+        }
+        let third = checked_clear(&mut svc, SimTime::from_ticks(70));
+        // Release everything and clear once more: the deferred offers wake.
+        for swap in first.iter().chain(&second).chain(&third) {
+            let _ = svc.settle_swap(swap.id);
+        }
+        checked_clear(&mut svc, SimTime::from_ticks(90));
+        prop_assert_eq!(svc.epoch(), 4);
     }
 }

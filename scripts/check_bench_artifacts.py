@@ -12,9 +12,9 @@ must be refreshed with
 `cp target/BENCH_E{16,17,18,19,20,21,22,23}.json .` and committed.
 Host-dependent timings (elapsed_ms, swaps_per_sec, offers_per_sec,
 cycles_per_sec, tx_per_sec, speedup_at_1e5, speedup_vs_fresh,
-speedup_at_1e4, journal_spread, wal_off_ms, wal_on_ms, wal_overhead,
-recover_ms, recovery_speedup, host_parallelism) are ignored, so the
-check is reproducible across machines.
+journal_spread, wal_off_ms, wal_on_ms, wal_overhead, recover_ms,
+recovery_speedup, host_parallelism) are ignored, so the check is
+reproducible across machines.
 """
 
 import json
@@ -39,7 +39,6 @@ HOST_DEPENDENT = {
     "tx_per_sec",
     "speedup_at_1e5",
     "speedup_vs_fresh",
-    "speedup_at_1e4",
     "journal_spread",
     "wal_off_ms",
     "wal_on_ms",

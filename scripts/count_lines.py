@@ -11,8 +11,13 @@ Per crate under `crates/`, prints
   trait, type, const, static, mod), with every name of a `pub use`
   counted on its own. `pub(crate)`, fields and variants do not count.
 
+Then, for each config struct in `CONFIG_STRUCTS`, prints its number of
+`pub` fields: every one is an independently settable value, the count a
+simplicity change has to quote before and after.
+
 Relies on the tree being rustfmt-formatted: a `#[cfg(test)]` module ends at
-the first `}` indented like its attribute.
+the first `}` indented like its attribute, and a struct at the first `}` in
+column 0.
 
 Usage: python3 scripts/count_lines.py [repo-root]
 """
@@ -26,6 +31,8 @@ PUB_ITEM = re.compile(
     r"(?:fn|struct|enum|trait|type|const|static|mod|union)\b"
 )
 PUB_USE = re.compile(r"^\s*pub\s+use\b")
+PUB_FIELD = re.compile(r"^    pub\s+\w+\s*:")
+CONFIG_STRUCTS = ("ExchangeConfig", "RunConfig", "StageCosts", "JournalConfig", "SetupConfig")
 
 
 def non_test_lines(text):
@@ -67,9 +74,18 @@ def pub_items(lines):
     return count
 
 
+def pub_fields(lines, struct):
+    """`pub` fields of `pub struct <struct> {` among `lines`, or None if absent."""
+    opener = f"pub struct {struct} {{"
+    if opener not in lines:
+        return None
+    body = lines[lines.index(opener) + 1 :]
+    return sum(1 for line in body[: body.index("}")] if PUB_FIELD.match(line))
+
+
 def main():
     root = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).resolve().parent.parent)
-    rows = []
+    rows, everything = [], []
     for crate in sorted((root / "crates").iterdir()):
         src = crate / "src"
         if not src.is_dir():
@@ -78,10 +94,15 @@ def main():
         for path in sorted(src.rglob("*.rs")):
             kept += non_test_lines(path.read_text())
         rows.append((crate.name, len(kept), pub_items(kept)))
+        everything += kept
     rows.append(("total", sum(r[1] for r in rows), sum(r[2] for r in rows)))
     print(f"{'crate':<10} {'lines':>7} {'pub':>5}")
     for name, lines, pubs in rows:
         print(f"{name:<10} {lines:>7} {pubs:>5}")
+    print(f"\n{'config struct':<16} {'pub fields':>10}")
+    for struct in CONFIG_STRUCTS:
+        fields = pub_fields(everything, struct)
+        print(f"{struct:<16} {'absent' if fields is None else fields:>10}")
 
 
 if __name__ == "__main__":

@@ -14,9 +14,9 @@
 //! part of the fingerprint; it is asserted to be zero separately — no
 //! combo here uses coalition behavior.)
 
-use atomic_swaps::core::runner::{RunConfig, RunReport, SnapshotMode, SwapRunner};
+use atomic_swaps::core::runner::{RunConfig, RunReport, SwapRunner};
 use atomic_swaps::core::setup::{SetupConfig, SwapSetup};
-use atomic_swaps::core::Behavior;
+use atomic_swaps::core::{Behavior, ProtocolKind, SwapInstance};
 use atomic_swaps::digraph::{generators, Digraph, VertexId};
 use atomic_swaps::market::LeaderStrategy;
 use atomic_swaps::sim::SimRng;
@@ -144,18 +144,45 @@ fn lockstep_engine_reproduces_seed_runner_byte_for_byte() {
     }
 }
 
+/// Three scenarios that, until the reference modes were retired, only a
+/// mode-vs-mode comparison pinned. Their fingerprints were recorded by the
+/// last commit that still had the modes (where both modes of each pair
+/// produced them), so the surviving path answers to the deleted one too.
 #[test]
-fn full_rebuild_snapshot_mode_matches_goldens_too() {
-    // The classic per-boundary full rebuild and the snapshot-delta hot path
-    // must be observationally identical — both against each other and
-    // against the recorded seed behavior.
-    for (name, digraph, seed, mut config, golden) in combos() {
-        config.snapshot_mode = SnapshotMode::FullRebuild;
-        let report = run_combo(digraph, seed, config);
-        assert_eq!(
-            fingerprint(&report),
-            golden,
-            "combo `{name}` (full rebuild) diverged from the recorded seed-runner report"
-        );
+fn scenarios_once_pinned_by_mode_comparisons_match_their_goldens() {
+    let mut withholding_leader = RunConfig::default();
+    withholding_leader.behaviors.insert(VertexId::new(0), Behavior::WithholdSecret);
+    let cases = [
+        (
+            "flower_3_3_htlc",
+            generators::flower(3, 3),
+            9,
+            RunConfig::default(),
+            ProtocolKind::Htlc,
+            include_str!("golden/flower_3_3_htlc.txt"),
+        ),
+        (
+            "herlihy_three_party_withholding_leader_hashkey",
+            generators::herlihy_three_party(),
+            12,
+            withholding_leader.clone(),
+            ProtocolKind::Hashkey,
+            include_str!("golden/herlihy_three_party_withholding_leader_hashkey.txt"),
+        ),
+        (
+            "herlihy_three_party_withholding_leader_htlc",
+            generators::herlihy_three_party(),
+            12,
+            withholding_leader,
+            ProtocolKind::Htlc,
+            include_str!("golden/herlihy_three_party_withholding_leader_htlc.txt"),
+        ),
+    ];
+    for (name, digraph, seed, config, protocol, golden) in cases {
+        let setup = SwapSetup::generate(digraph, &fast_config(), &mut SimRng::from_seed(seed))
+            .expect("strongly connected digraphs are valid swaps");
+        let report = SwapInstance::new(0, setup, config).with_protocol(protocol).run_lockstep();
+        assert_eq!(fingerprint(&report), golden, "scenario `{name}` diverged from its golden");
+        assert!(report.no_conforming_underwater(), "scenario `{name}`");
     }
 }

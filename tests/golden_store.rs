@@ -2,10 +2,14 @@
 //!
 //! `tests/golden/store-v1/` holds the store directory — one `snap-*.snap`
 //! and an `exchange.wal` with a tail of records after the snapshot — that
-//! [`scripted_run`] left behind when it was executed by the commit *before*
-//! snapshot payloads were encoded straight from the domain types, plus the
-//! `{:#?}` rendering of that run's report. A store is a promise to a later
-//! build, so this build must
+//! [`scripted_run`] left behind, plus the `{:#?}` rendering of that run's
+//! report. The log and the report are still the bytes recorded by the
+//! commit *before* snapshot payloads were encoded straight from the domain
+//! types; the snapshot has been rewritten once since, when the exchange's
+//! config lost its reference-mode fields and the config digest stored in
+//! the snapshot changed with it (its 32 digest bytes and the frame CRC
+//! moved, nothing else). A store is a promise to a later build, so this
+//! build must
 //!
 //! * write the same bytes when it repeats the run,
 //! * recover the recorded report from the recorded bytes, and
