@@ -14,9 +14,9 @@ fn bench_sha256(c: &mut Criterion) {
             b.iter(|| sha256(std::hint::black_box(data)))
         });
     }
-    // The Merkle inner-node fast path: hashing two digests in a single
-    // compression (padding block precomputed) vs the streaming path over
-    // the concatenation.
+    // The Merkle inner-node fast path: hashing two digests in two
+    // compressions (the data block, then the fixed padding block) with no
+    // buffering, vs the streaming path over the concatenation.
     let (left, right) = (sha256(b"left"), sha256(b"right"));
     group.throughput(Throughput::Bytes(64));
     group.bench_function("pair", |b| {

@@ -1,7 +1,7 @@
 //! HMAC-SHA256 (RFC 2104), used for deterministic key derivation in the
 //! Lamport/Merkle signature machinery and for seeding per-party randomness.
 
-use crate::sha256::{Digest32, Sha256};
+use crate::sha256::{finish_block, Digest32, Sha256, MAX_FINAL_TAIL};
 
 const BLOCK: usize = 64;
 const IPAD: u8 = 0x36;
@@ -33,7 +33,8 @@ pub fn hmac_sha256(key: &[u8], message: &[u8]) -> Digest32 {
 /// captures both midstates once at construction and each subsequent MAC
 /// costs only the message-side compressions: two total for the
 /// `label || be64(index)` derivations, down from four, with no per-call
-/// allocation.
+/// allocation — and [`derive`](Self::derive) builds those two blocks in
+/// place instead of going through the streaming hasher.
 #[derive(Debug, Clone)]
 pub struct HmacEngine {
     inner: [u32; 8],
@@ -71,16 +72,33 @@ impl HmacEngine {
         for p in parts {
             inner.update(p);
         }
-        let inner_digest = inner.finalize();
-        let mut outer = Sha256::from_midstate(self.outer, BLOCK as u64);
-        outer.update(inner_digest.as_bytes());
-        outer.finalize()
+        self.outer_hash(&inner.finalize())
     }
 
     /// The labeled, indexed subkey `HMAC(key, label || be64(index))` —
-    /// [`derive_key`] without re-absorbing the key pads.
+    /// [`derive_key`] without re-absorbing the key pads. A label of up to
+    /// 47 bytes (every label in the workspace) leaves the inner message in
+    /// one block with its padding, so the MAC is exactly two compressions
+    /// with no hasher state in between; longer labels take
+    /// [`mac_parts`](Self::mac_parts).
     pub fn derive(&self, label: &str, index: u64) -> Digest32 {
-        self.mac_parts(&[label.as_bytes(), &index.to_be_bytes()])
+        let label = label.as_bytes();
+        let len = label.len() + 8;
+        if len > MAX_FINAL_TAIL {
+            return self.mac_parts(&[label, &index.to_be_bytes()]);
+        }
+        let mut block = [0u8; BLOCK];
+        block[..label.len()].copy_from_slice(label);
+        block[label.len()..len].copy_from_slice(&index.to_be_bytes());
+        self.outer_hash(&finish_block(self.inner, block, len, (BLOCK + len) as u64))
+    }
+
+    /// The outer hash `H((key ⊕ opad) || inner_digest)`: always one block
+    /// past the captured midstate.
+    fn outer_hash(&self, inner_digest: &Digest32) -> Digest32 {
+        let mut block = [0u8; BLOCK];
+        block[..32].copy_from_slice(inner_digest.as_bytes());
+        finish_block(self.outer, block, 32, (BLOCK + 32) as u64)
     }
 }
 
@@ -171,6 +189,22 @@ mod tests {
             HmacEngine::new(b"Jefe").mac_parts(&[&msg[..7], &msg[7..]]),
             hmac_sha256(b"Jefe", msg)
         );
+    }
+
+    #[test]
+    fn derive_equals_mac_parts_across_the_single_block_boundary() {
+        // Labels of 0..=47 bytes take the in-place single-block path,
+        // 48..=60 fall back to the streaming one (which the RFC 4231
+        // vectors above pin).
+        let engine = HmacEngine::new(&[0x5au8; 32]);
+        let long = "abcdefghijklmnopqrstuvwxyz0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ";
+        for len in 0..=60 {
+            let label = &long[..len];
+            for index in [0u64, 1, 0x0123_4567_89ab_cdef, u64::MAX] {
+                let expected = engine.mac_parts(&[label.as_bytes(), &index.to_be_bytes()]);
+                assert_eq!(engine.derive(label, index), expected, "label len {len}");
+            }
+        }
     }
 
     #[test]

@@ -104,15 +104,12 @@ impl LamportSignature {
         }
         let mut h = Sha256::new();
         for i in 0..BITS {
-            let bit = bit_of(message, i);
             let revealed_hash = sha256_32(self.revealed[i].as_bytes());
-            let (h0, h1) = if bit == 0 {
-                (revealed_hash, self.complement[i])
+            if bit_of(message, i) == 0 {
+                fold_pair(&mut h, &revealed_hash, &self.complement[i]);
             } else {
-                (self.complement[i], revealed_hash)
-            };
-            h.update(h0.as_bytes());
-            h.update(h1.as_bytes());
+                fold_pair(&mut h, &self.complement[i], &revealed_hash);
+            }
         }
         Some(h.finalize())
     }
@@ -150,10 +147,19 @@ pub fn public_key_with(engine: &HmacEngine, index: u64) -> LamportPublicKey {
     for i in 0..BITS as u64 {
         let v0 = engine.derive("lamport/v0", base + i);
         let v1 = engine.derive("lamport/v1", base + i);
-        h.update(sha256_32(v0.as_bytes()).as_bytes());
-        h.update(sha256_32(v1.as_bytes()).as_bytes());
+        fold_pair(&mut h, &sha256_32(v0.as_bytes()), &sha256_32(v1.as_bytes()));
     }
     LamportPublicKey { digest: h.finalize() }
+}
+
+/// Feeds one message bit's `h0 ‖ h1` into the public-key fold
+/// `SHA-256(h0[0] ‖ h1[0] ‖ h0[1] ‖ …)` as a whole 64-byte block, so the
+/// hasher compresses it where it stands and never buffers.
+fn fold_pair(fold: &mut Sha256, h0: &Digest32, h1: &Digest32) {
+    let mut block = [0u8; 64];
+    block[..32].copy_from_slice(h0.as_bytes());
+    block[32..].copy_from_slice(h1.as_bytes());
+    fold.update(&block);
 }
 
 /// Signs a 256-bit message digest, consuming the one-time key.

@@ -32,7 +32,10 @@
 //! assert!(!h.matches(&Secret::from_bytes([8u8; 32])));
 //! ```
 
-#![forbid(unsafe_code)]
+// `deny`, not `forbid` like every other crate: exactly one private module,
+// `sha256::x86` (the SHA-NI compression kernel), carries an `#[allow]`,
+// because the instructions are reachable only through `unsafe` intrinsics.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod hmac;

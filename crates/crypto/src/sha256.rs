@@ -2,13 +2,21 @@
 //!
 //! The sanctioned dependency list has no hashing crate, and the whole swap
 //! protocol rests on hashlocks, so the primitive lives here with the NIST
-//! example vectors as tests. The compression function is unrolled with
-//! rotating register roles, and the two fixed input shapes that dominate
-//! MSS key generation get dedicated single- and double-compression entry
-//! points ([`sha256_32`], [`sha256_pair`]) that skip buffering and — for
-//! the pair case — reuse a compile-time-expanded padding-block schedule.
+//! example vectors as tests. Every hash in the workspace goes through one
+//! function, `compress_block`, which has two kernels: the x86-64 SHA
+//! extensions where the running CPU reports them (asked at run time — no
+//! Cargo feature, environment variable or config field chooses), and
+//! everywhere else the scalar rounds, unrolled with rotating register
+//! roles, which are also the reference the tests compare the first against.
+//! The two fixed input shapes that dominate MSS key generation get
+//! dedicated single- and double-compression entry points ([`sha256_32`],
+//! [`sha256_pair`]) that skip buffering.
 
 use std::fmt;
+
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod x86;
 
 use serde::{Deserialize, Serialize};
 
@@ -41,21 +49,33 @@ impl Digest32 {
 
     /// Lowercase hex rendering.
     pub fn to_hex(&self) -> String {
+        const NIBBLES: &[u8; 16] = b"0123456789abcdef";
         let mut s = String::with_capacity(64);
         for b in self.0 {
-            s.push_str(&format!("{b:02x}"));
+            s.push(NIBBLES[usize::from(b >> 4)] as char);
+            s.push(NIBBLES[usize::from(b & 0x0f)] as char);
         }
         s
     }
 
-    /// Parses a 64-character lowercase/uppercase hex string.
+    /// Parses exactly 64 hex digits (`[0-9a-fA-F]`, nothing else — no
+    /// sign, no whitespace, no non-ASCII).
     pub fn from_hex(hex: &str) -> Option<Digest32> {
+        fn nibble(c: u8) -> Option<u8> {
+            match c {
+                b'0'..=b'9' => Some(c - b'0'),
+                b'a'..=b'f' => Some(c - b'a' + 10),
+                b'A'..=b'F' => Some(c - b'A' + 10),
+                _ => None,
+            }
+        }
+        let hex = hex.as_bytes();
         if hex.len() != 64 {
             return None;
         }
         let mut out = [0u8; 32];
-        for i in 0..32 {
-            out[i] = u8::from_str_radix(&hex[2 * i..2 * i + 2], 16).ok()?;
+        for (byte, pair) in out.iter_mut().zip(hex.chunks_exact(2)) {
+            *byte = nibble(pair[0])? << 4 | nibble(pair[1])?;
         }
         Some(Digest32(out))
     }
@@ -122,11 +142,21 @@ macro_rules! round {
     }};
 }
 
-/// Expands the first 16 schedule words into the full 64. `const` so fixed
-/// blocks (like the padding block of every 64-byte message) can have their
-/// schedule computed at compile time.
-const fn expand_schedule(mut w: [u32; 64]) -> [u32; 64] {
-    let mut i = 16;
+/// `block`'s message schedule: its sixteen big-endian words expanded into
+/// the full 64. `const` so a fixed block (the padding block of every
+/// 64-byte message) has its schedule computed at compile time.
+const fn schedule_of(block: &[u8; 64]) -> [u32; 64] {
+    let mut w = [0u32; 64];
+    let mut i = 0;
+    while i < 16 {
+        w[i] = u32::from_be_bytes([
+            block[4 * i],
+            block[4 * i + 1],
+            block[4 * i + 2],
+            block[4 * i + 3],
+        ]);
+        i += 1;
+    }
     while i < 64 {
         let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
         let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
@@ -136,15 +166,18 @@ const fn expand_schedule(mut w: [u32; 64]) -> [u32; 64] {
     w
 }
 
-/// The fully expanded schedule of the padding block every exactly-64-byte
-/// message ends with (`0x80`, zeros, bit length 512) — [`sha256_pair`]
-/// skips the expansion entirely for its second compression.
-const PAD64_SCHEDULE: [u32; 64] = expand_schedule({
-    let mut w = [0u32; 64];
-    w[0] = 0x8000_0000;
-    w[15] = 512;
-    w
-});
+/// The padding block every exactly-64-byte message ends with: `0x80`,
+/// zeros, bit length 512.
+const PAD64_BLOCK: [u8; 64] = {
+    let mut block = [0u8; 64];
+    block[0] = 0x80;
+    block[62] = 0x02;
+    block
+};
+
+/// [`PAD64_BLOCK`]'s schedule — the scalar kernel skips the expansion
+/// entirely for [`sha256_pair`]'s second compression.
+const PAD64_SCHEDULE: [u32; 64] = schedule_of(&PAD64_BLOCK);
 
 /// The 64 rounds over an already expanded schedule, unrolled 8-at-a-time
 /// with rotating register roles.
@@ -172,21 +205,32 @@ fn compress_words(state: &mut [u32; 8], w: &[u32; 64]) {
     state[7] = state[7].wrapping_add(h);
 }
 
-/// Expands `block`'s message schedule and runs the 64 rounds.
+/// The scalar kernel: expands `block`'s message schedule and runs the 64
+/// rounds. The only kernel on a CPU without SHA extensions, and the
+/// reference the hardware one is tested against.
+pub(crate) fn compress_block_scalar(state: &mut [u32; 8], block: &[u8; 64]) {
+    compress_words(state, &schedule_of(block));
+}
+
+/// One compression of `block` into `state`, on whichever kernel this CPU
+/// has. Every hash in the workspace bottoms out here.
+#[inline]
 pub(crate) fn compress_block(state: &mut [u32; 8], block: &[u8; 64]) {
-    let mut w = [0u32; 64];
-    let mut i = 0;
-    while i < 16 {
-        w[i] = u32::from_be_bytes([
-            block[4 * i],
-            block[4 * i + 1],
-            block[4 * i + 2],
-            block[4 * i + 3],
-        ]);
-        i += 1;
+    #[cfg(target_arch = "x86_64")]
+    if x86::compress_block(state, block) {
+        return;
     }
-    let w = expand_schedule(w);
-    compress_words(state, &w);
+    compress_block_scalar(state, block);
+}
+
+/// [`compress_block`] of [`PAD64_BLOCK`].
+#[inline]
+fn compress_pad64(state: &mut [u32; 8]) {
+    #[cfg(target_arch = "x86_64")]
+    if x86::compress_block(state, &PAD64_BLOCK) {
+        return;
+    }
+    compress_words(state, &PAD64_SCHEDULE);
 }
 
 #[inline]
@@ -198,18 +242,40 @@ fn state_to_digest(state: &[u32; 8]) -> Digest32 {
     Digest32(out)
 }
 
+/// The longest message tail that still shares a block with its padding:
+/// 64 bytes less the `0x80` marker and the 8-byte bit length.
+pub(crate) const MAX_FINAL_TAIL: usize = 55;
+
+/// Finishes a message of `total_len` bytes of which all but the last
+/// `tail_len ≤ MAX_FINAL_TAIL` are already compressed into `state`, the
+/// tail sitting at the front of the otherwise zero `block`: pads in place
+/// and compresses once, with no hasher state.
+#[inline]
+pub(crate) fn finish_block(
+    mut state: [u32; 8],
+    mut block: [u8; 64],
+    tail_len: usize,
+    total_len: u64,
+) -> Digest32 {
+    debug_assert!(tail_len <= MAX_FINAL_TAIL && block[tail_len..].iter().all(|&b| b == 0));
+    block[tail_len] = 0x80;
+    block[56..].copy_from_slice(&(8 * total_len).to_be_bytes());
+    compress_block(&mut state, &block);
+    state_to_digest(&state)
+}
+
 /// `SHA-256(left || right)` for two 32-byte digests in exactly two
-/// compressions: one over the data block, one over the compile-time
-/// `PAD64_SCHEDULE` padding block. This is the shape of the Lamport
-/// public-key fold and of binary-tree node combination, the two inner
-/// loops of MSS key generation.
+/// compressions: one over the data block, one over the fixed padding
+/// block (whose schedule the scalar kernel has precomputed). This is the
+/// shape of the Lamport public-key fold and of binary-tree node
+/// combination, the two inner loops of MSS key generation.
 pub fn sha256_pair(left: &Digest32, right: &Digest32) -> Digest32 {
     let mut state = H0;
     let mut block = [0u8; 64];
     block[..32].copy_from_slice(left.as_bytes());
     block[32..].copy_from_slice(right.as_bytes());
     compress_block(&mut state, &block);
-    compress_words(&mut state, &PAD64_SCHEDULE);
+    compress_pad64(&mut state);
     state_to_digest(&state)
 }
 
@@ -217,13 +283,9 @@ pub fn sha256_pair(left: &Digest32, right: &Digest32) -> Digest32 {
 /// `0x80`, and the 256-bit length all fit one block). This is the per-value
 /// hash of Lamport public-key derivation.
 pub fn sha256_32(data: &[u8; 32]) -> Digest32 {
-    let mut state = H0;
     let mut block = [0u8; 64];
     block[..32].copy_from_slice(data);
-    block[32] = 0x80;
-    block[62] = 0x01; // bit length 256, big-endian
-    compress_block(&mut state, &block);
-    state_to_digest(&state)
+    finish_block(H0, block, 32, 32)
 }
 
 /// Incremental SHA-256 hasher.
@@ -289,16 +351,14 @@ impl Sha256 {
                 self.buffered = 0;
             }
         }
-        while input.len() >= 64 {
-            let (block, rest) = input.split_at(64);
-            let mut b = [0u8; 64];
-            b.copy_from_slice(block);
-            compress_block(&mut self.state, &b);
-            input = rest;
+        let mut blocks = input.chunks_exact(64);
+        for block in &mut blocks {
+            compress_block(&mut self.state, block.try_into().expect("chunks_exact(64)"));
         }
-        if !input.is_empty() {
-            self.buffer[..input.len()].copy_from_slice(input);
-            self.buffered = input.len();
+        let tail = blocks.remainder();
+        if !tail.is_empty() {
+            self.buffer[..tail.len()].copy_from_slice(tail);
+            self.buffered = tail.len();
         }
     }
 
@@ -365,25 +425,99 @@ mod tests {
          "d7a8fbb307d7809469ca9abcb0082e4f8d5651e46d3cdb762d02d0bf37c9e592"),
     ];
 
+    type Kernel = fn(&mut [u32; 8], &[u8; 64]);
+
+    /// The scalar kernel, and the dispatched one if it is a different
+    /// kernel on this CPU. When it is not, says so where the test runner
+    /// shows it (`--nocapture`): a differential run that only compared the
+    /// scalar kernel with itself must not look like a pass of both.
+    fn kernels(test: &str) -> Vec<(&'static str, Kernel)> {
+        #[cfg(target_arch = "x86_64")]
+        if x86::compress_block(&mut [0; 8], &[0; 64]) {
+            return vec![("scalar", compress_block_scalar), ("sha-ni", compress_block)];
+        }
+        eprintln!(
+            "{test}: hardware arm SKIPPED — no SHA extensions on this CPU, scalar kernel only"
+        );
+        vec![("scalar", compress_block_scalar)]
+    }
+
+    /// FIPS 180-4 padding written out independently of [`Sha256`], over a
+    /// chosen kernel.
+    fn hash_with(kernel: Kernel, msg: &[u8]) -> Digest32 {
+        let mut padded = msg.to_vec();
+        padded.push(0x80);
+        while padded.len() % 64 != 56 {
+            padded.push(0);
+        }
+        padded.extend_from_slice(&(8 * msg.len() as u64).to_be_bytes());
+        let mut state = H0;
+        for block in padded.chunks_exact(64) {
+            kernel(&mut state, block.try_into().unwrap());
+        }
+        state_to_digest(&state)
+    }
+
     #[test]
     fn nist_vectors() {
+        let kernels = kernels("nist_vectors");
         for (input, expected) in VECTORS {
             assert_eq!(sha256(input).to_hex(), *expected, "input {input:?}");
+            for (name, kernel) in &kernels {
+                assert_eq!(
+                    hash_with(*kernel, input).to_hex(),
+                    *expected,
+                    "{name}, input {input:?}"
+                );
+            }
         }
     }
 
     #[test]
     fn million_a() {
         // FIPS 180-4: one million repetitions of 'a'.
+        const EXPECTED: &str = "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0";
         let mut h = Sha256::new();
         let chunk = [b'a'; 1000];
         for _ in 0..1000 {
             h.update(&chunk);
         }
-        assert_eq!(
-            h.finalize().to_hex(),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-        );
+        assert_eq!(h.finalize().to_hex(), EXPECTED);
+        let message = vec![b'a'; 1_000_000];
+        for (name, kernel) in kernels("million_a") {
+            assert_eq!(hash_with(kernel, &message).to_hex(), EXPECTED, "{name}");
+        }
+    }
+
+    #[test]
+    fn kernels_agree_on_every_message_length_to_257() {
+        let kernels = kernels("kernels_agree_on_every_message_length_to_257");
+        let msg: Vec<u8> = (0..257u32).map(|i| (i * 7 + 3) as u8).collect();
+        for len in 0..=msg.len() {
+            let expected = hash_with(compress_block_scalar, &msg[..len]);
+            assert_eq!(sha256(&msg[..len]), expected, "streaming hasher, len {len}");
+            for (name, kernel) in &kernels {
+                assert_eq!(hash_with(*kernel, &msg[..len]), expected, "{name}, len {len}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// One compression from an arbitrary chaining state (not just
+        /// `H0`) over an arbitrary block: the dispatched kernel equals the
+        /// scalar reference word for word.
+        #[test]
+        fn dispatched_compression_equals_scalar(
+            state in proptest::prelude::any::<[u32; 8]>(),
+            block in proptest::prelude::any::<[u8; 64]>(),
+        ) {
+            static REPORT_SKIP: std::sync::Once = std::sync::Once::new();
+            REPORT_SKIP.call_once(|| drop(kernels("dispatched_compression_equals_scalar")));
+            let (mut dispatched, mut scalar) = (state, state);
+            compress_block(&mut dispatched, &block);
+            compress_block_scalar(&mut scalar, &block);
+            proptest::prop_assert_eq!(dispatched, scalar);
+        }
     }
 
     #[test]
@@ -433,6 +567,25 @@ mod tests {
         assert_eq!(Digest32::from_hex(&d.to_hex()), Some(d));
         assert_eq!(Digest32::from_hex("xy"), None);
         assert_eq!(Digest32::from_hex(&"g".repeat(64)), None);
+        assert_eq!(Digest32::from_hex(&d.to_hex().to_uppercase()), Some(d));
+        assert_eq!(Digest32([0x0f; 32]).to_hex(), "0f".repeat(32));
+    }
+
+    #[test]
+    fn from_hex_rejects_non_ascii_without_panicking() {
+        // 64 bytes, but byte 1..3 is one two-byte char: slicing the str at
+        // [2 * i..2 * i + 2] used to panic on the char boundary.
+        let hex = format!("a\u{e9}{}", "a".repeat(61));
+        assert_eq!(hex.len(), 64);
+        assert_eq!(Digest32::from_hex(&hex), None);
+    }
+
+    #[test]
+    fn from_hex_rejects_signs() {
+        // `u8::from_str_radix("+1", 16)` is `Ok(1)`.
+        assert_eq!(Digest32::from_hex(&"+1".repeat(32)), None);
+        assert_eq!(Digest32::from_hex(&"-0".repeat(32)), None);
+        assert_eq!(Digest32::from_hex(&" 1".repeat(32)), None);
     }
 
     #[test]

@@ -10,6 +10,9 @@ Per crate under `crates/`, prints
 * `pub` — `pub` items declared in those lines (fn, struct, enum, union,
   trait, type, const, static, mod), with every name of a `pub use`
   counted on its own. `pub(crate)`, fields and variants do not count.
+* `unsafe` — `unsafe` keywords in those lines, comments aside. The whole
+  workspace keeps them in one file, `UNSAFE_HOME` (the SHA-NI compression
+  kernel); one anywhere else is listed and fails the run.
 
 Then, for each config struct in `CONFIG_STRUCTS`, prints its number of
 `pub` fields: every one is an independently settable value, the count a
@@ -32,6 +35,8 @@ PUB_ITEM = re.compile(
 )
 PUB_USE = re.compile(r"^\s*pub\s+use\b")
 PUB_FIELD = re.compile(r"^    pub\s+\w+\s*:")
+UNSAFE = re.compile(r"\bunsafe\b")
+UNSAFE_HOME = "crates/crypto/src/sha256/x86.rs"
 CONFIG_STRUCTS = ("ExchangeConfig", "RunConfig", "StageCosts", "JournalConfig", "SetupConfig")
 
 
@@ -74,6 +79,11 @@ def pub_items(lines):
     return count
 
 
+def unsafe_tokens(lines):
+    """`unsafe` keywords among `lines`, ignoring `//` comments and docs."""
+    return sum(len(UNSAFE.findall(line.split("//", 1)[0])) for line in lines)
+
+
 def pub_fields(lines, struct):
     """`pub` fields of `pub struct <struct> {` among `lines`, or None if absent."""
     opener = f"pub struct {struct} {{"
@@ -85,24 +95,34 @@ def pub_fields(lines, struct):
 
 def main():
     root = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).resolve().parent.parent)
-    rows, everything = [], []
+    rows, everything, stray = [], [], []
     for crate in sorted((root / "crates").iterdir()):
         src = crate / "src"
         if not src.is_dir():
             continue
-        kept = []
+        kept, unsafes = [], 0
         for path in sorted(src.rglob("*.rs")):
-            kept += non_test_lines(path.read_text())
-        rows.append((crate.name, len(kept), pub_items(kept)))
+            lines = non_test_lines(path.read_text())
+            found = unsafe_tokens(lines)
+            where = path.relative_to(root).as_posix()
+            if found and where != UNSAFE_HOME:
+                stray.append((where, found))
+            kept += lines
+            unsafes += found
+        rows.append((crate.name, len(kept), pub_items(kept), unsafes))
         everything += kept
-    rows.append(("total", sum(r[1] for r in rows), sum(r[2] for r in rows)))
-    print(f"{'crate':<10} {'lines':>7} {'pub':>5}")
-    for name, lines, pubs in rows:
-        print(f"{name:<10} {lines:>7} {pubs:>5}")
+    rows.append(("total", *(sum(r[i] for r in rows) for i in (1, 2, 3))))
+    print(f"{'crate':<10} {'lines':>7} {'pub':>5} {'unsafe':>7}")
+    for name, lines, pubs, unsafes in rows:
+        print(f"{name:<10} {lines:>7} {pubs:>5} {unsafes:>7}")
     print(f"\n{'config struct':<16} {'pub fields':>10}")
     for struct in CONFIG_STRUCTS:
         fields = pub_fields(everything, struct)
         print(f"{struct:<16} {'absent' if fields is None else fields:>10}")
+    for path, found in stray:
+        print(f"error: {found} `unsafe` in {path}; only {UNSAFE_HOME} may hold any", file=sys.stderr)
+    if stray:
+        sys.exit(1)
 
 
 if __name__ == "__main__":
