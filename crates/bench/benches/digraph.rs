@@ -21,6 +21,11 @@ fn bench_diameter(c: &mut Criterion) {
 fn bench_fvs(c: &mut Criterion) {
     let mut group = c.benchmark_group("fvs");
     group.sample_size(10);
+    // The shape the exchange elects a leader for once per cleared swap.
+    let ring = generators::cycle(4);
+    group.bench_with_input(BenchmarkId::new("exact_ring", 4), &ring, |b, d| {
+        b.iter(|| FeedbackVertexSet::minimum(std::hint::black_box(d)))
+    });
     for n in [6usize, 9, 12] {
         let d = generators::random_strongly_connected(n, 0.3, &mut SimRng::from_seed(2));
         group.bench_with_input(BenchmarkId::new("exact", n), &d, |b, d| {

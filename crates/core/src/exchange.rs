@@ -46,21 +46,32 @@
 //!    otherwise). Identities can also be minted *by* the exchange, on the
 //!    worker pool, overlapping execution
 //!    ([`Exchange::submit_seeded`]).
-//! 3. **Executing.** The moment an execution slot frees up, each of the
-//!    epoch's provisioned swaps is stamped onto the timeline
-//!    ([`ProvisionedSwap::admit`] rebases its start to `now + Δ`) and
+//! 3. **Executing.** The moment an execution slot frees up, the entry
+//!    instant is fixed and each of the epoch's provisioned swaps is
 //!    **queued onto the long-lived [`WorkerPool`]** shared by every epoch
-//!    in flight. Workers return per-swap results over a channel; the merge
-//!    is swap-id-ordered, so the [`ExchangeReport`] is byte-identical for
-//!    1, 2, or N pool workers ([`ExchangeConfig::threads`] is a host
-//!    wall-clock knob, never a semantic one). A swap engine that panics is
-//!    caught at the worker boundary: only that swap fails
+//!    in flight. Everything that belongs to one swap happens in its job,
+//!    on whichever worker runs it: the swap is stamped onto the timeline
+//!    ([`ProvisionedSwap::admit`] creates its chains and rebases its start
+//!    to `entry + Δ`), the engine runs, and the run is torn down — its
+//!    [`SwapSummary`] and transaction counters folded, its spec and leased
+//!    keys dropped — so only what the driver keeps comes back over the
+//!    channel. The merge is swap-id-ordered, so the [`ExchangeReport`] is
+//!    byte-identical for 1, 2, or N pool workers
+//!    ([`ExchangeConfig::threads`] is a host wall-clock knob, never a
+//!    semantic one). A job that panics — in admission or in the engine —
+//!    is caught at the worker boundary: only that swap fails
 //!    ([`ExchangeError::WorkerPanicked`], its offers refunded) and every
 //!    sibling's finished result still settles.
 //! 4. **Settling.** Offers resolve (settle on all-`Deal`, refund
-//!    otherwise), every swap's chains are absorbed into the global ledger
-//!    ([`ChainSet::absorb`]), and the epoch retires. Epochs retire in
-//!    admission order even when their executions overlapped.
+//!    otherwise), every swap's chains move into the global ledger
+//!    ([`ChainSet::absorb`]) and its storage is added to the report's
+//!    running total, and the epoch retires. Epochs retire in admission
+//!    order even when their executions overlapped.
+//!
+//! The thread driving [`step`](Exchange::step) does only the work that is
+//! serial by nature — the book, the identity registry, the lifecycle, the
+//! merge — and a step costs what its own epoch costs: nothing in it scans
+//! the ledger or the swaps of earlier epochs.
 //!
 //! # Simulated time and per-stage attribution
 //!
@@ -124,6 +135,7 @@ use crate::instance::{ProvisionedSwap, SwapRunOutput};
 use crate::pool::{Completed, WorkerPool};
 use crate::protocol::ProtocolKind;
 use crate::runner::{RunConfig, RunMetrics, RunReport};
+use crate::setup::SwapSetup;
 
 /// Configuration for an [`Exchange`].
 #[derive(Debug, Clone)]
@@ -210,11 +222,12 @@ pub enum EpochStage {
     /// Cleared slots verified party-side; key material and protocol choice
     /// captured per cycle ([`ProvisionedSwap`]).
     Provisioning,
-    /// All of the epoch's swaps are queued on the shared worker pool,
-    /// running concurrently — with each other and with every other
-    /// executing epoch's swaps.
+    /// All of the epoch's swaps are queued on the shared worker pool —
+    /// admitted, run and torn down there, concurrently with each other and
+    /// with every other executing epoch's swaps.
     Executing,
-    /// Offers resolving and shard chains merging into the global ledger.
+    /// Offers resolving and the swaps' chains merging into the global
+    /// ledger.
     Settling,
 }
 
@@ -822,9 +835,55 @@ enum JobTag {
 #[derive(Debug)]
 enum JobOutput {
     /// A finished swap run.
-    Swap(Box<SwapRunOutput>),
+    Swap(Box<SwapResult>),
     /// A minted identity keypair.
     Mint(MssKeypair),
+}
+
+/// What a swap's pool job hands back to the driver: only what the driver
+/// keeps. Everything else of the run — the spec, the leased keypairs, the
+/// secrets — was dropped on the worker that ran it.
+#[derive(Debug)]
+struct SwapResult {
+    /// The swap's line of the [`ExchangeReport`].
+    summary: SwapSummary,
+    /// Transactions sealed across the swap's chains.
+    tx_executed: u64,
+    /// Of those, transactions rolled back after starting to execute.
+    tx_rolled_back: u64,
+    /// The swap's chains, for the global ledger.
+    chains: ChainSet<AnyContract>,
+    /// The full run report, handed on in [`StepEvent::EpochSettled`].
+    report: RunReport,
+}
+
+impl SwapResult {
+    /// A swap's whole life on its worker, from the time-agnostic
+    /// [`ProvisionedSwap`] to the slim result: admission at `entry`
+    /// (chains and assets created, start rebased to `entry + Δ`), the
+    /// engine run, and the tear-down — the summary folded, the per-chain
+    /// transaction counters summed, and the spec and key material dropped
+    /// here rather than on the driver.
+    fn run(provisioned: ProvisionedSwap, entry: SimTime) -> SwapResult {
+        let SwapRunOutput { swap, epoch, protocol, report, setup } =
+            provisioned.admit_for_queue(entry).execute();
+        let SwapSetup { spec, chains, .. } = setup;
+        let summary = SwapSummary {
+            swap,
+            epoch,
+            parties: spec.digraph.vertex_count(),
+            leaders: spec.leaders.len(),
+            protocol,
+            settled: report.settled,
+            all_deal: report.all_deal(),
+            rounds: report.metrics.rounds,
+            metrics: report.metrics,
+        };
+        let (tx_executed, tx_rolled_back) = chains.iter().fold((0, 0), |(done, undone), (_, c)| {
+            (done + c.txs_executed(), undone + c.txs_rolled_back())
+        });
+        SwapResult { summary, tx_executed, tx_rolled_back, chains, report }
+    }
 }
 
 /// Stage-to-stage payload of one in-flight epoch.
@@ -844,12 +903,12 @@ enum EpochWork {
         /// Results not yet received from the pool.
         pending: usize,
         /// Results received so far (arrival order; sorted at resolution).
-        outcomes: Vec<SwapRunOutput>,
+        outcomes: Vec<SwapResult>,
         /// Swaps whose job panicked on its worker.
         panicked: Vec<SwapId>,
     },
     /// Execution results resolved and merged, awaiting settlement.
-    Executed(Vec<SwapRunOutput>),
+    Executed(Vec<SwapResult>),
     /// Placeholder while a transition consumes the payload.
     Taken,
 }
@@ -926,7 +985,9 @@ pub struct Exchange {
     /// Storage totals of ledgers retired *before* this process — loaded
     /// from a snapshot. The live report's storage is always
     /// `archived_storage + ledger.storage_report()`, so recovery does not
-    /// need to serialize (or replay into) the ledger itself.
+    /// need to serialize (or replay into) the ledger itself. `retire`
+    /// keeps that sum as a running total and only asserts it against the
+    /// scan in debug builds.
     archived_storage: StorageReport,
     /// The journal, when this exchange is durable (see
     /// [`Exchange::with_journal`]).
@@ -1180,6 +1241,13 @@ impl Exchange {
     /// every transition already known — so the host-side execution of one
     /// epoch overlaps both the bookkeeping and the execution of the next,
     /// while the simulated trace stays deterministic.
+    ///
+    /// On the calling thread a step costs O(the swaps of the epoch it
+    /// moves), however long the exchange has run: entering
+    /// [`EpochStage::Executing`] only queues the epoch's jobs (each swap's
+    /// chains are created, run and torn down on its worker), and
+    /// retirement merges what the workers folded — chains moved into the
+    /// ledger unread, storage added to a running total.
     ///
     /// # Example
     ///
@@ -1557,18 +1625,19 @@ impl Exchange {
                 Ok(StepEvent::StageEntered { epoch, stage: EpochStage::Provisioning, at: entry })
             }
             (EpochStage::Provisioning, EpochWork::Provisioned(provisioned)) => {
-                // Execution admission: each provisioned swap is stamped
-                // onto the timeline here — chains created, start rebased to
-                // `entry + Δ` — and queued onto the shared worker pool
-                // immediately. The epoch's completion is provisionally its
-                // Δ lower bound (the shortest possible run); the true wall
-                // — the slowest swap's — is installed once the results
-                // resolve.
+                // Execution admission: the entry instant is fixed here and
+                // each provisioned swap is queued onto the shared worker
+                // pool with it. The stamping itself — chains created, start
+                // rebased to `entry + Δ` — is per-swap work and happens in
+                // the job, on the swap's worker ([`SwapResult::run`]). The
+                // epoch's completion is provisionally its Δ lower bound
+                // (the shortest possible run); the true wall — the slowest
+                // swap's — is installed once the results resolve.
                 let pending = provisioned.len();
                 for p in provisioned {
-                    let admitted = p.admit_for_queue(entry);
-                    let tag = JobTag::Swap(admitted.epoch, admitted.swap);
-                    self.pool.submit(tag, move || JobOutput::Swap(Box::new(admitted.execute())));
+                    let tag = JobTag::Swap(p.cleared.epoch, p.cleared.id);
+                    self.pool
+                        .submit(tag, move || JobOutput::Swap(Box::new(SwapResult::run(p, entry))));
                 }
                 let resident =
                     1 + self.in_flight.iter().filter(|e| e.stage == EpochStage::Executing).count()
@@ -1637,7 +1706,7 @@ impl Exchange {
         };
         // Arrival order is a host-scheduling artifact; everything
         // observable is re-ordered by swap id.
-        outcomes.sort_by_key(|o| o.swap);
+        outcomes.sort_by_key(|o| o.summary.swap);
         panicked.sort();
         let delta = self.config.delta;
         let mut wall = delta.ticks();
@@ -1645,7 +1714,7 @@ impl Exchange {
             // The swap occupies rounds 0..=rounds, each Δ long. (A
             // panicked swap contributes nothing: its run never finished,
             // and its epoch does not wait on it.)
-            wall = wall.max(delta.ticks() * (o.report.metrics.rounds + 1));
+            wall = wall.max(delta.ticks() * (o.summary.rounds + 1));
         }
         self.in_flight[i].completes_at = entered + SimDuration::from_ticks(wall);
         self.in_flight[i].work = EpochWork::Executed(outcomes);
@@ -1710,14 +1779,19 @@ impl Exchange {
     /// Resolves a fully executed epoch: offer lifecycle, aggregate report,
     /// ledger absorption. Results arrive (and are reported) in swap-id
     /// order whatever worker ran them.
-    fn retire(&mut self, results: Vec<SwapRunOutput>) -> Vec<ExecutedSwap> {
+    ///
+    /// The cost is the epoch's alone, whatever the exchange has lived
+    /// through: each swap's worker already folded its summary and counters
+    /// ([`SwapResult::run`]), the chains move into the ledger without being
+    /// read, and the report's storage is a *running* total — each run's own
+    /// [`RunReport::storage`] added on — never a re-scan of the ledger.
+    fn retire(&mut self, results: Vec<SwapResult>) -> Vec<ExecutedSwap> {
         let mut out = Vec::with_capacity(results.len());
         // Resolution releases these parties' clearing reservations.
         let mut released: BTreeSet<Address> = BTreeSet::new();
-        for SwapRunOutput { swap: id, epoch, protocol, report, setup } in results {
-            let spec = &setup.spec;
-            let all_deal = report.all_deal();
-            let transition = if all_deal {
+        for SwapResult { summary, tx_executed, tx_rolled_back, chains, report } in results {
+            let (id, epoch) = (summary.swap, summary.epoch);
+            let transition = if summary.all_deal {
                 Transition::Settle(id)
             } else {
                 Transition::Refund { swap: id, exhausted: false }
@@ -1726,26 +1800,19 @@ impl Exchange {
                 unreachable!("settlements and refunds are infallible")
             };
             released.extend(freed);
-            self.report.swaps.push(SwapSummary {
-                swap: id,
-                epoch,
-                parties: spec.digraph.vertex_count(),
-                leaders: spec.leaders.len(),
-                protocol,
-                settled: report.settled,
-                all_deal,
-                rounds: report.metrics.rounds,
-                metrics: report.metrics,
-            });
-            for (_, chain) in setup.chains.iter() {
-                self.report.tx_executed += chain.txs_executed();
-                self.report.tx_rolled_back += chain.txs_rolled_back();
-            }
-            self.ledger.absorb(setup.chains);
+            self.report.swaps.push(summary);
+            self.report.tx_executed += tx_executed;
+            self.report.tx_rolled_back += tx_rolled_back;
+            self.report.storage = self.report.storage.merge(&report.storage);
+            self.ledger.absorb(chains);
             out.push(ExecutedSwap { id, epoch, report });
         }
         self.report.swaps_cleared += out.len() as u64;
-        self.report.storage = self.archived_storage.merge(&self.ledger.storage_report());
+        debug_assert_eq!(
+            self.report.storage,
+            self.archived_storage.merge(&self.ledger.storage_report()),
+            "the running storage total left the ledger's"
+        );
         // If a released party still has an offer sitting `Open` that a
         // clearing *skipped while the party was reserved*, wake the
         // pipeline so the next clearing picks it up. Without this, the
@@ -2287,6 +2354,31 @@ mod tests {
         parties
     }
 
+    /// The report's storage is a running total; a full scan of the live
+    /// ledger on top of the archived baseline must give the same figure.
+    fn assert_storage_is_the_scan(exchange: &Exchange) {
+        assert_eq!(
+            exchange.report.storage,
+            exchange.archived_storage.merge(&exchange.ledger.storage_report())
+        );
+    }
+
+    /// [`Exchange::drive_until_quiescent`], holding the running storage
+    /// total to the scan after every settled epoch.
+    fn drive_checking_storage(exchange: &mut Exchange) -> Vec<ExecutedSwap> {
+        let mut executed = Vec::new();
+        loop {
+            match exchange.step().unwrap() {
+                StepEvent::Quiescent => return executed,
+                StepEvent::EpochSettled { executed: mut swaps, .. } => {
+                    executed.append(&mut swaps);
+                    assert_storage_is_the_scan(exchange);
+                }
+                StepEvent::StageEntered { .. } => {}
+            }
+        }
+    }
+
     fn run_book(cycles: usize, threads: usize, seed: u64) -> ExchangeReport {
         let mut rng = SimRng::from_seed(seed);
         let mut exchange = Exchange::new(ExchangeConfig { threads, ..Default::default() });
@@ -2454,6 +2546,47 @@ mod tests {
         assert_eq!(report.wall_ticks, exchange.now().ticks());
     }
 
+    /// Admission runs in the swap's pool job, so a panic there is caught at
+    /// the worker boundary like an engine panic: only that swap fails. No
+    /// public knob reaches admission — a cleared spec that got this far is
+    /// validated — so the test breaks a provisioned swap in place.
+    #[test]
+    fn a_panic_inside_admission_fails_only_its_swap() {
+        let mut rng = SimRng::from_seed(900);
+        let mut exchange = Exchange::new(ExchangeConfig { threads: 2, ..Default::default() });
+        let ids: Vec<OfferId> = book(2, &mut rng).into_iter().map(|p| exchange.submit(p)).collect();
+        while exchange.stage_of(0) != Some(EpochStage::Provisioning) {
+            exchange.step().unwrap();
+        }
+        let EpochWork::Provisioned(swaps) = &mut exchange.in_flight[0].work else {
+            panic!("a provisioning epoch holds provisioned swaps")
+        };
+        // Chain creation looks up every arc head's address: with the table
+        // gone, `admit` panics before an engine exists.
+        let poisoned = swaps[0].cleared.id;
+        swaps[0].cleared.spec.addresses.clear();
+
+        let err = exchange.drive_until_quiescent().unwrap_err();
+        assert_eq!(err.error, ExchangeError::WorkerPanicked(poisoned));
+        assert!(err.executed.is_empty());
+        let executed = exchange.drive_until_quiescent().unwrap();
+        assert_eq!(executed.len(), 1);
+        assert_ne!(executed[0].id, poisoned);
+        assert!(executed[0].report.all_deal());
+
+        let report = exchange.report();
+        assert_eq!((report.swaps_cleared, report.swaps_settled, report.swaps_refunded), (2, 1, 1));
+        assert_eq!(report.swaps.len(), 1);
+        for (i, id) in ids.iter().enumerate() {
+            let expected = if i < 3 { OfferStatus::Refunded } else { OfferStatus::Settled };
+            assert_eq!(exchange.service().status(*id), Some(expected), "offer {i}");
+        }
+        // The poisoned swap reached neither the ledger nor the totals.
+        assert_eq!(exchange.ledger().len(), 3);
+        assert_eq!(report.storage, executed[0].report.storage);
+        assert_storage_is_the_scan(&exchange);
+    }
+
     /// Fresh scratch store directory for one journaling test.
     fn store_dir(name: &str) -> PathBuf {
         let dir =
@@ -2486,7 +2619,7 @@ mod tests {
             durable.submit(party);
         }
         plain.drive_until_quiescent().unwrap();
-        durable.drive_until_quiescent().unwrap();
+        drive_checking_storage(&mut durable);
         assert_eq!(plain.report(), durable.report());
         // The log holds whole groups: one command head per public op.
         durable.sync_journal().unwrap();
@@ -2533,7 +2666,7 @@ mod tests {
             for p in &first {
                 crashed.submit(clone_party(p));
             }
-            crashed.drive_until_quiescent().unwrap();
+            drive_checking_storage(&mut crashed);
             crashed.sync_journal().unwrap();
             // Dropped without any shutdown handshake: the crash.
         }
@@ -2546,12 +2679,16 @@ mod tests {
         assert!(recovered.stats.commands_replayed > 0);
         assert_eq!(recovered.stats.snapshot_seq, None);
         assert_eq!(exchange.report(), &mid_report, "recovered report must be byte-identical");
+        // Replay re-ran the swaps, so the ledger is back and nothing is
+        // archived: the running total is the scan again.
+        assert_eq!(exchange.archived_storage, StorageReport::default());
+        assert_storage_is_the_scan(&exchange);
         // The recovered exchange keeps working — and lands exactly where
         // the uninterrupted run did.
         for p in &second {
             exchange.submit(clone_party(p));
         }
-        exchange.drive_until_quiescent().unwrap();
+        drive_checking_storage(&mut exchange);
         assert_eq!(exchange.report(), oracle.report());
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -2595,6 +2732,16 @@ mod tests {
         assert_eq!(recovered.stats.snapshot_seq, Some(snapshot_seq));
         assert_eq!(recovered.stats.commands_replayed, 0);
         assert_eq!(recovered.exchange.report(), &live_report);
+        // The snapshot carried no ledger: everything settled so far is the
+        // archived baseline, and later epochs accumulate on top of it.
+        let mut exchange = recovered.exchange;
+        assert_eq!(exchange.archived_storage, live_report.storage);
+        assert!(exchange.ledger.is_empty());
+        for p in book(2, &mut rng) {
+            exchange.submit(p);
+        }
+        assert_eq!(drive_checking_storage(&mut exchange).len(), 2);
+        assert!(exchange.report.storage.total_bytes() > live_report.storage.total_bytes());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -5,19 +5,21 @@
 //! spec, every party's key material, the per-arc chains and assets
 //! ([`SwapSetup`]), the run configuration, and the *protocol choice*
 //! ([`ProtocolKind`]) — but none of the engine's in-flight event
-//! bookkeeping. That makes it the natural currency of the exchange
-//! pipeline: the orchestrator provisions instances on the main thread,
-//! ships them to worker shards (each instance exclusively owns its chains,
-//! so shards share nothing), and turns each into an [`Engine`] only at
-//! execution time.
+//! bookkeeping. Each instance exclusively owns its chains, so instances
+//! share nothing and can be built, run and dropped on any thread; an
+//! orchestrator turns one into an [`Engine`] only at execution time.
 //!
 //! Provisioning itself is split once more for the pipelined exchange:
 //! [`ProvisionedSwap`] is the *time-agnostic* half (cleared spec, key
-//! material, run config, protocol choice) that can be prepared while a
-//! previous epoch is still executing, and
-//! [`ProvisionedSwap::admit`] is the *execution admission* that stamps the
-//! swap onto a concrete timeline (chains created, protocol start rebased
-//! to `now + Δ`) once the execution slot is actually free.
+//! material, run config, protocol choice) — the only half the exchange
+//! prepares on the thread that drives it, while a previous epoch is still
+//! executing — and [`ProvisionedSwap::admit`] is the *execution admission*
+//! that stamps the swap onto a concrete timeline (chains created, protocol
+//! start rebased to `now + Δ`). Admission needs nothing but the
+//! provisioned swap and the instant its execution slot freed up, so the
+//! exchange ships exactly those two to its worker pool and the swap's own
+//! job admits it ([`ProvisionedSwap::admit_for_queue`]), runs it
+//! ([`AdmittedSwap::execute`]) and tears it down where it ran.
 
 use swap_crypto::{MssKeypair, Secret};
 use swap_market::{ClearedSwap, SwapId};
@@ -32,8 +34,9 @@ use crate::timing::{Lockstep, TimingModel};
 /// The time-agnostic half of provisioning a cleared swap: spec and key
 /// material captured, run configuration attached, protocol chosen — but no
 /// chains created and no timeline committed yet. A pipelined orchestrator
-/// prepares these while the previous epoch still executes, then calls
-/// [`ProvisionedSwap::admit`] the instant the execution slot frees up.
+/// prepares these while the previous epoch still executes and, once the
+/// execution slot frees up, hands each one — with that instant — to the
+/// worker that will [`admit`](ProvisionedSwap::admit) and run it.
 #[derive(Debug, Clone)]
 pub struct ProvisionedSwap {
     /// The cleared swap being provisioned.
@@ -88,8 +91,9 @@ impl ProvisionedSwap {
     }
 
     /// [`admit`](ProvisionedSwap::admit)s the swap at `now` and tags the
-    /// instance with its market identity, yielding the unit an exchange
-    /// queues onto a worker pool ([`AdmittedSwap`]).
+    /// instance with its market identity ([`AdmittedSwap`]). The exchange
+    /// calls this inside the swap's pool job, with the instant the epoch
+    /// entered execution.
     pub fn admit_for_queue(self, now: SimTime) -> AdmittedSwap {
         let swap = self.cleared.id;
         let epoch = self.cleared.epoch;
@@ -97,11 +101,10 @@ impl ProvisionedSwap {
     }
 }
 
-/// One admitted swap, tagged and queueable: the unit of work the exchange
-/// ships to a [`crate::pool::WorkerPool`] the moment
-/// [`ProvisionedSwap::admit`] stamps it onto the timeline. The instance
-/// exclusively owns its chains and key material, so admitted swaps of
-/// overlapping epochs share nothing and may execute on any worker in any
+/// One admitted swap, tagged: what a pool job of the exchange holds between
+/// stamping its [`ProvisionedSwap`] onto the timeline and running it. The
+/// instance exclusively owns its chains and key material, so admitted swaps
+/// of overlapping epochs share nothing and may execute on any worker in any
 /// order; [`execute`](AdmittedSwap::execute) carries the tags through to
 /// the [`SwapRunOutput`] so results can be merged back deterministically
 /// (ascending swap id) wherever they ran.
@@ -127,9 +130,11 @@ impl AdmittedSwap {
     }
 }
 
-/// Everything one executed swap sends back from a worker: the identity
-/// tags, the protocol that ran it, the full [`RunReport`], and the final
-/// [`SwapSetup`] whose chains the exchange absorbs into the global ledger.
+/// Everything one executed swap leaves behind: the identity tags, the
+/// protocol that ran it, the full [`RunReport`], and the final
+/// [`SwapSetup`]. The exchange reduces it on the worker to what it keeps —
+/// a summary, the report, and the chains it absorbs into the global ledger
+/// — and drops the rest there.
 #[derive(Debug)]
 pub struct SwapRunOutput {
     /// The market-issued swap id (results merge in ascending order of it).

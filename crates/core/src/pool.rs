@@ -8,13 +8,20 @@
 //! overlapping epochs feed one shared execution tier:
 //!
 //! * **Queue-on-admit.** Producers [`submit`](WorkerPool::submit) jobs the
-//!   moment the work exists (the exchange queues every swap at
-//!   `ProvisionedSwap::admit` time); nothing waits for an epoch barrier.
+//!   moment the work exists (the exchange queues every swap the instant
+//!   its epoch enters execution); nothing waits for an epoch barrier.
 //! * **Work stealing.** Jobs are placed round-robin onto per-worker run
 //!   queues. A worker drains its own queue from the front and, when empty,
 //!   steals from the *back* of a sibling's queue — so a skewed batch (one
 //!   long swap next to many short ones) keeps every worker busy instead of
 //!   serializing behind the unlucky queue.
+//! * **Wake-ups ride with the work.** A wake-up is the one expensive thing
+//!   `submit` can do, and a worker woken next to its submitter competes
+//!   with it for the core. So `submit` wakes a sleeping worker only while
+//!   no other wake-up is on its way, and a worker that takes a job while
+//!   more are queued wakes the next sleeper itself: a burst of jobs costs
+//!   its submitter one wake-up, the rest fan out from worker to worker,
+//!   and a lone job never wakes more than one.
 //! * **Results over a channel.** Every job's return value comes back
 //!   through [`recv`](WorkerPool::recv) as a [`Completed`] record carrying
 //!   the submitter's tag. Completion order is host-scheduling-dependent;
@@ -29,8 +36,9 @@
 //!
 //! The pool is deliberately tag-generic (`K`) and result-generic (`T`): it
 //! schedules closures, not swaps, so unit tests can drive it with plain
-//! functions and the exchange can ship [`crate::instance::AdmittedSwap`]
-//! executions through it.
+//! functions and the exchange can ship whole swaps — admission
+//! ([`crate::instance::ProvisionedSwap::admit`]), run and tear-down —
+//! through it.
 //!
 //! # Example
 //!
@@ -88,7 +96,23 @@ impl std::error::Error for JobPanic {}
 /// free in practice and keeps the steal scan trivially consistent.
 struct State<K, T> {
     queues: Vec<VecDeque<Job<K, T>>>,
+    /// Workers blocked on `work_ready`.
+    idle: usize,
+    /// Wake-ups issued that no worker has woken to yet.
+    waking: usize,
     shutdown: bool,
+}
+
+impl<K, T> State<K, T> {
+    /// Claims a sleeping worker that no wake-up is on its way to yet, if
+    /// there is one; the caller notifies `work_ready` once it has unlocked.
+    fn claim_sleeper(&mut self) -> bool {
+        let claimed = self.idle > self.waking;
+        if claimed {
+            self.waking += 1;
+        }
+        claimed
+    }
 }
 
 struct Shared<K, T> {
@@ -116,6 +140,8 @@ impl<K: Send + 'static, T: Send + 'static> WorkerPool<K, T> {
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
                 queues: (0..workers).map(|_| VecDeque::new()).collect(),
+                idle: 0,
+                waking: 0,
                 shutdown: false,
             }),
             work_ready: Condvar::new(),
@@ -146,8 +172,14 @@ impl<K: Send + 'static, T: Send + 'static> WorkerPool<K, T> {
         let slot = self.next % state.queues.len();
         state.queues[slot].push_back((tag, Box::new(job)));
         self.next = self.next.wrapping_add(1);
+        // The submitter pays for at most one wake-up at a time: while one
+        // is on its way, the worker it reaches wakes the next sleeper
+        // itself if a backlog remains (see `worker_loop`).
+        let wake = state.waking == 0 && state.claim_sleeper();
         drop(state);
-        self.shared.work_ready.notify_one();
+        if wake {
+            self.shared.work_ready.notify_one();
+        }
     }
 
     /// Blocks until the next job finishes (successfully or by panic) and
@@ -201,9 +233,9 @@ fn worker_loop<K: Send, T: Send>(
     results: Sender<Completed<K, T>>,
 ) {
     loop {
-        let job = {
+        let (job, wake_sibling) = {
             let mut state = shared.state.lock().expect("pool state lock");
-            loop {
+            let job = loop {
                 if let Some(job) = state.queues[me].pop_front() {
                     break Some(job);
                 }
@@ -218,9 +250,20 @@ fn worker_loop<K: Send, T: Send>(
                 if state.shutdown {
                     break None;
                 }
+                state.idle += 1;
                 state = shared.work_ready.wait(state).expect("pool state lock");
-            }
+                state.idle -= 1;
+                // One notify can release two waiters (or this one woke on
+                // its own), so `waking` may already be spent: it only ever
+                // errs low, towards a wake-up too many.
+                state.waking = state.waking.saturating_sub(1);
+            };
+            let backlog = state.queues.iter().any(|q| !q.is_empty());
+            (job, backlog && state.claim_sleeper())
         };
+        if wake_sibling {
+            shared.work_ready.notify_one();
+        }
         let Some((tag, run)) = job else { return };
         let result = catch_unwind(AssertUnwindSafe(run)).map_err(|payload| {
             shared.panics.fetch_add(1, Ordering::Relaxed);
@@ -282,6 +325,37 @@ mod tests {
         tags.sort();
         assert_eq!(tags, ["a", "b", "c"]);
         assert!(pool.steals() >= 1, "c must have been stolen");
+    }
+
+    #[test]
+    fn a_backlog_wakes_every_sleeping_worker() {
+        // Three jobs that each wait for the other two: the test only
+        // completes if all three workers end up running at once — the
+        // submitter wakes one, and the wake-ups fan out from there.
+        let mut pool: WorkerPool<usize, ()> = WorkerPool::new(3);
+        let all_running = Arc::new(std::sync::Barrier::new(3));
+        for n in 0..3 {
+            let all_running = Arc::clone(&all_running);
+            pool.submit(n, move || {
+                all_running.wait();
+            });
+        }
+        let mut tags: Vec<usize> = (0..3).map(|_| pool.recv().tag).collect();
+        tags.sort();
+        assert_eq!(tags, [0, 1, 2]);
+        // And a job that arrives while one worker is busy and the others
+        // sleep again still gets a worker of its own.
+        let (release, held) = mpsc::channel::<()>();
+        let (started_tx, started) = mpsc::channel::<()>();
+        pool.submit(3, move || {
+            started_tx.send(()).expect("the test listens");
+            held.recv().expect("released after job 4 ran");
+        });
+        started.recv().expect("job 3 starts");
+        pool.submit(4, || {});
+        assert_eq!(pool.recv().tag, 4, "job 4 must not wait behind job 3");
+        release.send(()).expect("job 3 is waiting");
+        assert_eq!(pool.recv().tag, 3);
     }
 
     #[test]

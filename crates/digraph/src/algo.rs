@@ -38,8 +38,20 @@ pub fn is_strongly_connected(d: &Digraph) -> bool {
     if reachable_from(d, start).iter().any(|&r| !r) {
         return false;
     }
-    let t = d.transpose();
-    reachable_from(&t, start).iter().all(|&r| r)
+    // Everything reaches `start` iff `start` reaches everything in Dᵀ —
+    // walked along the entering arcs of `d`, with no transposed copy.
+    let mut seen = vec![false; n];
+    let mut stack = vec![start];
+    seen[start.index()] = true;
+    while let Some(v) = stack.pop() {
+        for arc in d.in_arcs(v) {
+            if !seen[arc.head.index()] {
+                seen[arc.head.index()] = true;
+                stack.push(arc.head);
+            }
+        }
+    }
+    seen.iter().all(|&r| r)
 }
 
 /// Tarjan's strongly connected components, iteratively (no recursion, so
@@ -139,26 +151,33 @@ pub fn is_acyclic(d: &Digraph) -> bool {
 /// A topological order of the vertexes, or `None` if `d` has a cycle.
 /// Isolated vertexes are included.
 pub fn topological_order(d: &Digraph) -> Option<Vec<VertexId>> {
+    topological_order_avoiding(d, &vec![false; d.vertex_count()])
+}
+
+/// [`topological_order`] of `d` with the `removed` vertexes (a dense mask,
+/// one flag per vertex) and their arcs deleted: the order covers the
+/// surviving vertexes only. `D \ L` is never materialized — the walk skips
+/// masked endpoints on `d` itself.
+pub(crate) fn topological_order_avoiding(d: &Digraph, removed: &[bool]) -> Option<Vec<VertexId>> {
     let n = d.vertex_count();
-    let mut indeg: Vec<usize> = (0..n).map(|v| d.in_degree(VertexId::new(v as u32))).collect();
-    let mut queue: Vec<usize> = (0..n).filter(|&v| indeg[v] == 0).collect();
+    let alive = |v: VertexId| !removed[v.index()];
+    let mut indeg: Vec<usize> =
+        d.vertices().map(|v| d.in_arcs(v).filter(|a| alive(a.head)).count()).collect();
+    let mut queue: Vec<VertexId> =
+        d.vertices().filter(|&v| alive(v) && indeg[v.index()] == 0).collect();
+    let survivors = removed.iter().filter(|&&r| !r).count();
     let mut order = Vec::with_capacity(n);
     while let Some(v) = queue.pop() {
-        let vid = VertexId::new(v as u32);
-        order.push(vid);
-        for arc in d.out_arcs(vid) {
+        order.push(v);
+        for arc in d.out_arcs(v).filter(|a| alive(a.tail)) {
             let w = arc.tail.index();
             indeg[w] -= 1;
             if indeg[w] == 0 {
-                queue.push(w);
+                queue.push(arc.tail);
             }
         }
     }
-    if order.len() == n {
-        Some(order)
-    } else {
-        None
-    }
+    (order.len() == survivors).then_some(order)
 }
 
 /// The paper's `diam(D)` computed exactly, or `None` when the digraph exceeds
@@ -190,8 +209,9 @@ pub fn diameter_exact(d: &Digraph) -> Option<usize> {
     let mut best = 0usize;
     // For each start vertex s, dp[mask] = set of possible end vertexes of a
     // simple path starting at s visiting exactly `mask`.
+    let mut dp = vec![0u32; 1 << n];
     for s in 0..n {
-        let mut dp = vec![0u32; 1 << n];
+        dp.fill(0);
         dp[1 << s] = 1 << s;
         for mask in 0u32..(1u32 << n) {
             if mask & (1 << s) == 0 {
@@ -242,21 +262,20 @@ pub fn longest_path_to(d: &Digraph, from: VertexId, target: VertexId) -> Option<
     if from == target {
         return Some(0);
     }
-    let removed: BTreeSet<VertexId> = [target].into_iter().collect();
-    let rest = d.delete_vertices(&removed);
-    // Predecessors of target in the full digraph (arc u -> target exists).
-    let preds: BTreeSet<VertexId> = d.in_arcs(target).map(|a| a.head).collect();
-    if preds.is_empty() {
+    if d.in_degree(target) == 0 {
         return None;
     }
-    if let Some(order) = topological_order(&rest) {
-        // Longest simple path in the DAG from `from`, then +1 hop to target.
-        let n = d.vertex_count();
+    let n = d.vertex_count();
+    let mut removed = vec![false; n];
+    removed[target.index()] = true;
+    if let Some(order) = topological_order_avoiding(d, &removed) {
+        // Longest simple path in the DAG from `from`, then +1 hop to target
+        // from one of its predecessors in the full digraph.
         let mut dist = vec![None::<usize>; n];
         dist[from.index()] = Some(0);
         for &v in &order {
             let Some(dv) = dist[v.index()] else { continue };
-            for arc in rest.out_arcs(v) {
+            for arc in d.out_arcs(v).filter(|a| a.tail != target) {
                 let w = arc.tail.index();
                 let cand = dv + 1;
                 if dist[w].map_or(true, |old| cand > old) {
@@ -264,7 +283,7 @@ pub fn longest_path_to(d: &Digraph, from: VertexId, target: VertexId) -> Option<
                 }
             }
         }
-        preds.iter().filter_map(|&u| dist[u.index()]).max().map(|len| len + 1)
+        d.in_arcs(target).filter_map(|a| dist[a.head.index()]).max().map(|len| len + 1)
     } else {
         if d.vertex_count() > EXACT_DIAMETER_LIMIT {
             return None;
@@ -304,9 +323,63 @@ mod tests {
     use super::*;
     use crate::digraph::DigraphBuilder;
     use crate::generators;
+    use proptest::prelude::*;
+    use swap_sim::SimRng;
 
     fn triangle() -> Digraph {
         generators::herlihy_three_party()
+    }
+
+    /// `D(from, target)` by trying every simple path.
+    fn longest_path_by_search(d: &Digraph, from: VertexId, target: VertexId) -> Option<usize> {
+        fn extend(
+            d: &Digraph,
+            v: VertexId,
+            target: VertexId,
+            on_path: &mut [bool],
+        ) -> Option<usize> {
+            let mut best = None;
+            for w in d.successors(v) {
+                let via = if w == target {
+                    Some(1)
+                } else if on_path[w.index()] {
+                    None
+                } else {
+                    on_path[w.index()] = true;
+                    let rest = extend(d, w, target, on_path);
+                    on_path[w.index()] = false;
+                    rest.map(|len| len + 1)
+                };
+                best = best.max(via);
+            }
+            best
+        }
+        if from == target {
+            return Some(0);
+        }
+        let mut on_path = vec![false; d.vertex_count()];
+        on_path[from.index()] = true;
+        extend(d, from, target, &mut on_path)
+    }
+
+    proptest! {
+        /// The masked walks (no deleted or transposed copy) agree with the
+        /// definitions on every vertex pair of small random digraphs.
+        #[test]
+        fn masked_walks_match_the_definitions(n in 1usize..7, p in 0.0f64..0.7, seed in any::<u64>()) {
+            let d = generators::random_digraph(n, p, &mut SimRng::from_seed(seed));
+            for from in d.vertices() {
+                for target in d.vertices() {
+                    prop_assert_eq!(
+                        longest_path_to(&d, from, target),
+                        longest_path_by_search(&d, from, target),
+                        "{} -> {} in\n{}", from, target, d.render()
+                    );
+                }
+            }
+            let mutually_reachable = d.vertices().all(|v| reachable_from(&d, v).iter().all(|&r| r));
+            prop_assert_eq!(is_strongly_connected(&d), mutually_reachable);
+        }
     }
 
     #[test]

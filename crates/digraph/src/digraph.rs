@@ -217,16 +217,12 @@ impl Digraph {
 
     /// Successor vertexes of `v` (deduplicated, sorted).
     pub fn successors(&self, v: VertexId) -> Vec<VertexId> {
-        let set: BTreeSet<VertexId> =
-            self.out[v.index()].iter().map(|&a| self.arcs[a.index()].1).collect();
-        set.into_iter().collect()
+        sorted_unique(self.out_arcs(v).map(|a| a.tail))
     }
 
     /// Predecessor vertexes of `v` (deduplicated, sorted).
     pub fn predecessors(&self, v: VertexId) -> Vec<VertexId> {
-        let set: BTreeSet<VertexId> =
-            self.into[v.index()].iter().map(|&a| self.arcs[a.index()].0).collect();
-        set.into_iter().collect()
+        sorted_unique(self.in_arcs(v).map(|a| a.head))
     }
 
     /// Whether at least one arc goes from `u` to `v`.
@@ -260,8 +256,11 @@ impl Digraph {
     /// vertexes keep their ids (deleted ones become isolated), and every arc
     /// incident to a removed vertex disappears.
     ///
-    /// This "mask, don't renumber" representation is what the feedback-vertex
-    /// machinery wants: `D \ L` keeps the same vertex ids as `D`.
+    /// `D \ L` keeps the same vertex ids as `D`, which is what callers that
+    /// hand the remainder on (witness cycles, topological orders) want. The
+    /// copy costs one `String` per vertex, so the leader search and the spec
+    /// checks do not build it: they walk `D` itself under a removed-vertex
+    /// mask (see [`crate::fvs`] and [`crate::algo`]).
     pub fn delete_vertices(&self, removed: &BTreeSet<VertexId>) -> Digraph {
         let mut d = Digraph::new();
         for name in &self.names {
@@ -320,6 +319,14 @@ impl Digraph {
         }
         out
     }
+}
+
+/// `vertices`, sorted and deduplicated.
+fn sorted_unique(vertices: impl Iterator<Item = VertexId>) -> Vec<VertexId> {
+    let mut out: Vec<VertexId> = vertices.collect();
+    out.sort_unstable();
+    out.dedup();
+    out
 }
 
 /// Incremental builder with a fluent interface for tests and generators.

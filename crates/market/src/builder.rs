@@ -93,6 +93,9 @@ impl From<SpecError> for BuildError {
 pub struct SpecBuilder {
     digraph: Digraph,
     identities: Vec<Option<(MssPublicKey, Hashlock)>>,
+    /// The first vertex an identity was registered for that the digraph
+    /// does not have; [`build`](SpecBuilder::build) reports it.
+    unknown_vertex: Option<VertexId>,
     delta: Delta,
     start: SimTime,
     leaders: Option<Vec<VertexId>>,
@@ -110,6 +113,7 @@ impl SpecBuilder {
         SpecBuilder {
             digraph,
             identities: vec![None; n],
+            unknown_vertex: None,
             delta,
             start: SimTime::ZERO + delta.times(1),
             leaders: None,
@@ -119,14 +123,15 @@ impl SpecBuilder {
         }
     }
 
-    /// Registers vertex `v`'s verification key and hashlock.
+    /// Registers vertex `v`'s verification key and hashlock. A vertex the
+    /// digraph does not have is remembered and fails
+    /// [`build`](SpecBuilder::build) with [`BuildError::UnknownVertex`].
     pub fn identity(&mut self, v: VertexId, key: MssPublicKey, hashlock: Hashlock) -> &mut Self {
-        if v.index() < self.identities.len() {
-            self.identities[v.index()] = Some((key, hashlock));
-        } else {
-            // Remember the error for build() by growing with a sentinel; the
-            // simplest correct behavior is to fail fast instead.
-            panic!("identity for unknown vertex {v}");
+        match self.identities.get_mut(v.index()) {
+            Some(slot) => *slot = Some((key, hashlock)),
+            None => {
+                self.unknown_vertex.get_or_insert(v);
+            }
         }
         self
     }
@@ -174,9 +179,13 @@ impl SpecBuilder {
     ///
     /// # Errors
     ///
-    /// See [`BuildError`]; notably, every vertex needs an identity and the
-    /// final spec must pass [`SwapSpec::validate`].
+    /// See [`BuildError`]; notably, every vertex needs an identity, every
+    /// identity a vertex, and the final spec must pass
+    /// [`SwapSpec::validate`].
     pub fn build(&self) -> Result<SwapSpec, BuildError> {
+        if let Some(v) = self.unknown_vertex {
+            return Err(BuildError::UnknownVertex(v));
+        }
         let n = self.digraph.vertex_count();
         let mut keys = Vec::with_capacity(n);
         let mut addresses: Vec<Address> = Vec::with_capacity(n);
@@ -345,14 +354,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unknown vertex")]
-    fn identity_for_unknown_vertex_panics() {
-        let d = generators::herlihy_three_party();
+    fn identity_for_unknown_vertex_is_a_build_error() {
+        // Every real vertex is covered, so the out-of-range registration is
+        // the only thing wrong — and the first one is the one reported.
+        let mut b = builder_for(generators::herlihy_three_party());
         let kp = MssKeypair::from_seed_with_height([1u8; 32], 2);
-        SpecBuilder::new(d).identity(
-            VertexId::new(9),
-            kp.public_key(),
-            Secret::from_bytes([1u8; 32]).hashlock(),
-        );
+        let hashlock = Secret::from_bytes([1u8; 32]).hashlock();
+        b.identity(VertexId::new(9), kp.public_key(), hashlock);
+        b.identity(VertexId::new(12), kp.public_key(), hashlock);
+        let err = b.build().unwrap_err();
+        assert_eq!(err, BuildError::UnknownVertex(VertexId::new(9)));
+        assert!(err.to_string().contains("unknown vertex"));
     }
 }

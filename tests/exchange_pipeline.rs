@@ -1,4 +1,4 @@
-//! The exchange pipeline's two pinned guarantees:
+//! The exchange pipeline's three pinned guarantees:
 //!
 //! 1. **Equivalence** — a single cleared swap executed through the
 //!    [`Exchange`] orchestrator produces a [`RunReport`] byte-identical
@@ -7,6 +7,10 @@
 //! 2. **Determinism** — the same seed and the same offer book yield an
 //!    identical [`ExchangeReport`] for 1, 2, and 8 worker threads. Sharding
 //!    changes wall-clock only.
+//! 3. **Running totals** — the report's storage and transaction counters,
+//!    accumulated per retiring swap from what its worker computed, equal a
+//!    full scan of the merged ledger after *every* settled epoch, under
+//!    both protocols.
 //!
 //! These goldens drive the staged pipeline to quiescence
 //! ([`Exchange::drive_until_quiescent`]): with the default zero stage
@@ -16,7 +20,9 @@
 //! and multi-epoch coverage lives in `tests/pipeline_stages.rs`; worker
 //! pool and multi-slot execution coverage in `tests/exchange_pool.rs`.
 
-use atomic_swaps::core::exchange::{Exchange, ExchangeConfig, ExchangeParty, ProtocolPolicy};
+use atomic_swaps::core::exchange::{
+    Exchange, ExchangeConfig, ExchangeParty, ProtocolPolicy, StepEvent,
+};
 use atomic_swaps::core::instance::SwapInstance;
 use atomic_swaps::core::runner::RunConfig;
 use atomic_swaps::core::{Engine, Lockstep, ProtocolKind};
@@ -215,5 +221,52 @@ fn protocol_choice_is_recorded_per_swap() {
         let report = exchange.report();
         assert_eq!(report.swaps_settled, 3);
         assert!(report.swaps.iter().all(|s| s.protocol == expected), "policy {policy:?}");
+    }
+}
+
+/// `retire` keeps the report's storage and transaction counters as running
+/// totals (each swap's worker-computed figures added on) instead of
+/// re-scanning the ledger; the scan must agree after every settled epoch,
+/// however the epochs overlapped.
+#[test]
+fn running_totals_equal_the_ledger_scan_after_every_epoch() {
+    for policy in [ProtocolPolicy::Auto, ProtocolPolicy::ForceHashkey] {
+        let mut exchange = Exchange::new(ExchangeConfig {
+            protocol: policy,
+            threads: 2,
+            executing_slots: 2,
+            ..Default::default()
+        });
+        let mut settled_epochs = 0;
+        let mut check = |exchange: &Exchange, event: StepEvent| {
+            if let StepEvent::EpochSettled { epoch, .. } = event {
+                settled_epochs += 1;
+                let (ledger, report) = (exchange.ledger(), exchange.report());
+                assert_eq!(report.storage, ledger.storage_report(), "{policy:?} epoch {epoch}");
+                let scan = |f: fn(&_) -> u64| ledger.iter().map(|(_, chain)| f(chain)).sum::<u64>();
+                assert_eq!(report.tx_executed, scan(|c| c.txs_executed()), "{policy:?} {epoch}");
+                assert_eq!(report.tx_rolled_back, scan(|c| c.txs_rolled_back()));
+            }
+        };
+        // Three waves, each landing while the one before is still in the
+        // pipeline, so retirements interleave with later epochs' stages.
+        for (wave, sizes) in [&[3, 2, 4][..], &[5, 2], &[2, 3, 3]].into_iter().enumerate() {
+            for p in ring_book(sizes, 0x570 + wave as u64) {
+                exchange.submit(p);
+            }
+            for _ in 0..2 {
+                let event = exchange.step().expect("pipeline steps");
+                check(&exchange, event);
+            }
+        }
+        loop {
+            match exchange.step().expect("pipeline steps") {
+                StepEvent::Quiescent => break,
+                event => check(&exchange, event),
+            }
+        }
+        assert_eq!(settled_epochs, 3, "{policy:?}");
+        assert_eq!(exchange.report().swaps_settled, 8, "{policy:?}");
+        assert!(exchange.report().storage.total_bytes() > 0);
     }
 }

@@ -5,7 +5,10 @@
 //!    mixed cycle lengths force uneven per-swap costs (and therefore work
 //!    stealing), under both protocol policies. Host workers change
 //!    wall-clock only; the simulated trace — wall ticks, stage
-//!    attribution, occupancy, per-swap reports — is identical.
+//!    attribution, occupancy, per-swap reports — is identical. The bytes
+//!    are also held to a fingerprint recorded before admission and
+//!    tear-down moved into the pool jobs: where a swap's chains are
+//!    created and its summary folded is invisible in the report.
 //! 2. **Multi-slot execution** — with `executing_slots > 1`, two epochs
 //!    are observably resident in `Executing` at once, `executing_peak`
 //!    records it, stage ticks still sum exactly to `wall_ticks`, and the
@@ -14,7 +17,10 @@
 //! 3. **Panic isolation** — a swap whose engine panics on its worker fails
 //!    alone (`ExchangeError::WorkerPanicked`, offers refunded); sibling
 //!    swaps of the same epoch settle normally and the pipeline keeps
-//!    driving.
+//!    driving. The panicked swap reaches neither the ledger nor the
+//!    report's running totals. (A panic inside *admission*, which no public
+//!    knob can provoke, is covered by a unit test next to the job closure
+//!    in `swap-core`'s `exchange.rs`.)
 
 use std::collections::BTreeMap;
 
@@ -24,6 +30,7 @@ use atomic_swaps::core::exchange::{
 };
 use atomic_swaps::core::runner::RunConfig;
 use atomic_swaps::core::{Action, Behavior};
+use atomic_swaps::crypto::sha256;
 use atomic_swaps::digraph::{ArcId, VertexId};
 use atomic_swaps::market::{AssetKind, OfferStatus};
 use atomic_swaps::sim::SimRng;
@@ -105,9 +112,20 @@ fn skewed_waves(seed: u64) -> Vec<Vec<ExchangeParty>> {
     ]
 }
 
+/// SHA-256 of the skewed book's `ExchangeReport` (`Debug` bytes) under each
+/// policy, recorded at the commit before chain creation and tear-down moved
+/// onto the pool workers.
+const RECORDED_FINGERPRINTS: [(ProtocolPolicy, &str); 2] = [
+    (ProtocolPolicy::Auto, "7e480ffbfe976dd1176c62dc9272dbb13a6107279c5f6ae37d678ca145cbf564"),
+    (
+        ProtocolPolicy::ForceHashkey,
+        "8ea5d9ea2dcb88e851a733517813d143f5191376ef5ea5a1d9ed3ee413e2fba9",
+    ),
+];
+
 #[test]
 fn report_byte_invariant_across_pool_workers() {
-    for policy in [ProtocolPolicy::Auto, ProtocolPolicy::ForceHashkey] {
+    for (policy, recorded) in RECORDED_FINGERPRINTS {
         let run = |threads: usize| {
             let config = ExchangeConfig {
                 threads,
@@ -122,6 +140,7 @@ fn report_byte_invariant_across_pool_workers() {
             format!("{report:?}")
         };
         let baseline = run(1);
+        assert_eq!(sha256(baseline.as_bytes()).to_hex(), recorded, "policy={policy:?}");
         for threads in [2, 8, 16] {
             assert_eq!(baseline, run(threads), "threads={threads} policy={policy:?}");
         }
@@ -206,4 +225,8 @@ fn panicked_swap_fails_alone_and_siblings_settle() {
     }
     assert_eq!(exchange.ledger().len(), 3);
     assert!(exchange.ledger().verify_integrity());
+    // Nor did the panicked swap touch the running totals: they are the
+    // survivor's alone, and a scan of the ledger agrees.
+    assert_eq!(report.storage, executed[0].report.storage);
+    assert_eq!(report.storage, exchange.ledger().storage_report());
 }
