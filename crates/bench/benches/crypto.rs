@@ -77,6 +77,20 @@ fn bench_mss(c: &mut Criterion) {
     group.finish();
 }
 
+/// `n` height-4 signers, leader first.
+fn signers(n: usize) -> Vec<MssKeypair> {
+    (0..n).map(|i| MssKeypair::from_seed_with_height([i as u8 + 1; 32], 4)).collect()
+}
+
+/// The hashkey chain over `secret` signed by `kps` in order, leader first.
+fn chain_over(kps: &mut [MssKeypair], secret: &Secret) -> SigChain {
+    let mut chain = SigChain::sign_secret(&mut kps[0], secret).expect("keys");
+    for kp in kps.iter_mut().skip(1) {
+        chain = chain.extend(kp).expect("keys");
+    }
+    chain
+}
+
 fn bench_sigchain(c: &mut Criterion) {
     // Hashkey chains of growing path length — the per-arc unlock cost in
     // the general protocol.
@@ -86,31 +100,30 @@ fn bench_sigchain(c: &mut Criterion) {
     for links in [1usize, 3, 6] {
         group.bench_with_input(BenchmarkId::new("build", links), &links, |b, &links| {
             b.iter_batched(
-                || {
-                    (0..links)
-                        .map(|i| MssKeypair::from_seed_with_height([i as u8 + 1; 32], 4))
-                        .collect::<Vec<_>>()
-                },
-                |mut kps| {
-                    let mut chain = SigChain::sign_secret(&mut kps[0], &secret).expect("keys");
-                    for kp in kps.iter_mut().skip(1) {
-                        chain = chain.extend(kp).expect("keys");
-                    }
-                    chain
-                },
+                || signers(links),
+                |mut kps| chain_over(&mut kps, &secret),
                 criterion::BatchSize::SmallInput,
             )
         });
-        // Verification cost (what the contract pays on `unlock`).
-        let mut kps: Vec<MssKeypair> =
-            (0..links).map(|i| MssKeypair::from_seed_with_height([i as u8 + 1; 32], 4)).collect();
-        let mut chain = SigChain::sign_secret(&mut kps[0], &secret).expect("keys");
-        for kp in kps.iter_mut().skip(1) {
-            chain = chain.extend(kp).expect("keys");
-        }
+        // Verification cost (what the contract pays on `unlock`), split by
+        // the per-link proof memo: `verify_cold` gets a freshly signed
+        // chain per sample — every link takes the full MSS check, the
+        // first contract's view — and `verify_warm` re-verifies one chain,
+        // i.e. times memo hits, what every later contract on the path pays
+        // for the inherited links.
+        let kps = signers(links);
         // Path order: outermost signer first, leader last.
         let keys: Vec<_> = kps.iter().rev().map(|kp| kp.public_key()).collect();
-        group.bench_with_input(BenchmarkId::new("verify", links), &links, |b, _| {
+        let fresh_chain = || chain_over(&mut kps.clone(), &secret);
+        group.bench_with_input(BenchmarkId::new("verify_cold", links), &links, |b, _| {
+            b.iter_batched(
+                fresh_chain,
+                |chain| chain.verify(&secret, &keys).expect("valid chain"),
+                criterion::BatchSize::SmallInput,
+            )
+        });
+        let chain = fresh_chain();
+        group.bench_with_input(BenchmarkId::new("verify_warm", links), &links, |b, _| {
             b.iter(|| std::hint::black_box(&chain).verify(&secret, &keys).expect("valid chain"))
         });
     }
@@ -119,12 +132,7 @@ fn bench_sigchain(c: &mut Criterion) {
     // on a build where `extend` deep-copied, the Arc identity check fails
     // before any timing runs.
     for links in [1usize, 8, 64] {
-        let mut kps: Vec<MssKeypair> =
-            (0..links).map(|i| MssKeypair::from_seed_with_height([i as u8 + 1; 32], 4)).collect();
-        let mut chain = SigChain::sign_secret(&mut kps[0], &secret).expect("keys");
-        for kp in kps.iter_mut().skip(1) {
-            chain = chain.extend(kp).expect("keys");
-        }
+        let chain = chain_over(&mut signers(links), &secret);
         let mut signer = MssKeypair::from_seed_with_height([99; 32], 4);
         let extended = chain.extend(&mut signer).expect("keys");
         assert_eq!(extended.len(), links + 1);

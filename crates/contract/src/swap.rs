@@ -399,7 +399,7 @@ impl ContractLogic for SwapContract {
             .unlocked
             .iter()
             .flatten()
-            .map(|r| 32 + r.path.to_bytes().len() + r.sig.byte_len() + 8)
+            .map(|r| 32 + r.path.encoded_len() + r.sig.byte_len() + 8)
             .sum();
         self.spec.storage_bytes() + 8 + 4 + self.unlocked.len() + records
     }

@@ -249,7 +249,7 @@ impl SwapProtocol for HashkeyProtocol {
     fn call_of(&self, action: Action) -> Option<(AnyCall, usize)> {
         match action {
             Action::Unlock { index, secret, path, sig, .. } => {
-                let wire = 32 + path.to_bytes().len() + sig.byte_len();
+                let wire = 32 + path.encoded_len() + sig.byte_len();
                 Some((AnyCall::Swap(SwapCall::Unlock { index, secret, path, sig }), wire))
             }
             Action::Claim { .. } => Some((AnyCall::Swap(SwapCall::Claim), 40)),
@@ -496,7 +496,7 @@ impl SwapProtocol for HtlcProtocol {
             // HTLC parties emit neither unlocks nor claims; translated
             // literally, the HTLC rejects the flavor mismatch.
             Action::Unlock { index, secret, path, sig, .. } => {
-                let wire = 32 + path.to_bytes().len() + sig.byte_len();
+                let wire = 32 + path.encoded_len() + sig.byte_len();
                 Some((AnyCall::Swap(SwapCall::Unlock { index, secret, path, sig }), wire))
             }
             Action::Claim { .. } => Some((AnyCall::Swap(SwapCall::Claim), 40)),

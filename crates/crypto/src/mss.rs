@@ -6,8 +6,45 @@
 //! public key digest, and a Merkle inclusion proof. This is the `sig(x, v)`
 //! primitive of the paper (§2.2) — hash-based end to end, matching the
 //! hashlock trust assumptions.
+//!
+//! # The per-signature proof memo
+//!
+//! A hashkey's links travel along a path and every contract on it checks
+//! all of them, so the same immutable signature object is asked the same
+//! question — "do you verify under key `k` over message `m`?" — once per
+//! arc. An [`MssSignature`] therefore carries two private write-once cells
+//! next to its signed contents:
+//!
+//! * its own [`digest`](MssSignature::digest) (the 16 KiB Lamport body is
+//!   hashed the first time anyone asks, then read back), and
+//! * the one `(message, public key)` statement it has been **proven**
+//!   under by a full [`MssPublicKey::verify`].
+//!
+//! [`SigChain::verify`](crate::SigChain::verify) asks through the
+//! crate-private `verified_by`, which answers from the second cell only on
+//! a hit and otherwise runs the full check. Two rules make that sound:
+//!
+//! 1. **A hit is equality of the whole statement.** Both the message and
+//!    the key must equal the recorded pair; the same object presented under
+//!    another vertex's key, another secret or another predecessor link
+//!    misses, takes the full path and fails exactly as it always did.
+//! 2. **Signed contents are immutable once a cell may be set.** The fields
+//!    are private, nothing hands out `&mut` to them, and `Clone` yields a
+//!    value with *empty* cells — so a memo can never describe bytes other
+//!    than the ones it was computed over. (In-crate tamper tests build a
+//!    fresh value; they never edit a warmed one.)
+//!
+//! Only successes are recorded. A failure says nothing reusable — the next
+//! question may be a different statement that holds — and caching it would
+//! let one bad presentation poison a link the honest parties still need.
+//! [`MssPublicKey::verify`] itself stays the un-memoised full check: it is
+//! what a miss runs, what `debug_assert!` re-runs on every hit (so the
+//! debug-profile test suite keeps the full check as a per-step oracle), and
+//! what callers outside a chain get. The cells are excluded from `==`,
+//! [`byte_len`](MssSignature::byte_len) and the digest itself, so nothing a
+//! contract meters or stores can see them.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use serde::{Deserialize, Serialize};
 
@@ -48,13 +85,38 @@ pub struct MssPublicKey {
     height: u32,
 }
 
-/// A complete MSS signature.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// A complete MSS signature, plus the two memo cells described in the
+/// [module docs](self): what has already been computed and proven about
+/// these exact bytes.
+#[derive(Debug, Serialize, Deserialize)]
 pub struct MssSignature {
     leaf_index: u64,
     ots: LamportSignature,
     proof: MerkleProof,
+    /// [`digest`](Self::digest), once computed.
+    #[serde(skip)]
+    digest: OnceLock<Digest32>,
+    /// The `(message, key)` statement a full verification has accepted.
+    #[serde(skip)]
+    proven: OnceLock<(Digest32, MssPublicKey)>,
 }
+
+/// A clone is a new object about which nothing has been proven yet: it
+/// copies the signed contents and starts with empty memo cells.
+impl Clone for MssSignature {
+    fn clone(&self) -> Self {
+        Self::new(self.leaf_index, self.ots.clone(), self.proof.clone())
+    }
+}
+
+/// Equality is over the signed contents only, never the memo cells.
+impl PartialEq for MssSignature {
+    fn eq(&self, other: &Self) -> bool {
+        self.leaf_index == other.leaf_index && self.ots == other.ots && self.proof == other.proof
+    }
+}
+
+impl Eq for MssSignature {}
 
 /// Error: all `2^h` one-time keys have been used.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -218,7 +280,7 @@ impl MssKeypair {
         let sk = lamport::secret_key_with(&self.engine, index);
         let ots = lamport::sign(sk, message);
         let proof = self.tree.prove(index as usize).expect("index < leaf count");
-        Ok(MssSignature { leaf_index: index, ots, proof })
+        Ok(MssSignature::new(index, ots, proof))
     }
 }
 
@@ -273,6 +335,30 @@ fn reconstruct_ots_pk(sig: &LamportSignature, message: &Digest32) -> Option<Dige
 }
 
 impl MssSignature {
+    /// A signature with empty memo cells.
+    fn new(leaf_index: u64, ots: LamportSignature, proof: MerkleProof) -> Self {
+        MssSignature { leaf_index, ots, proof, digest: OnceLock::new(), proven: OnceLock::new() }
+    }
+
+    /// Whether this signature verifies under `key` over `message`,
+    /// answered from the proof memo when — and only when — the whole
+    /// statement equals the recorded one; anything else runs the full
+    /// [`MssPublicKey::verify`] and records the pair if it succeeds. A
+    /// failure records nothing.
+    pub(crate) fn verified_by(&self, key: &MssPublicKey, message: &Digest32) -> bool {
+        if self.proven.get().is_some_and(|(m, k)| m == message && k == key) {
+            debug_assert!(key.verify(message, self), "proof memo disagrees with the full check");
+            return true;
+        }
+        let ok = key.verify(message, self);
+        if ok {
+            // Losing the race to another verifier of the same object is
+            // fine: whatever sits in the cell was proven too.
+            let _ = self.proven.set((*message, *key));
+        }
+        ok
+    }
+
     /// The one-time key index used.
     pub fn leaf_index(&self) -> u64 {
         self.leaf_index
@@ -284,16 +370,32 @@ impl MssSignature {
     }
 
     /// Digest of the whole signature, used when an outer hashkey chain link
-    /// signs this one.
+    /// signs this one. Hashes the body on the first call and reads the
+    /// digest cell afterwards.
     pub fn digest(&self) -> Digest32 {
-        let mut h = Sha256::new();
-        h.update(&self.leaf_index.to_be_bytes());
-        h.update(self.ots.digest().as_bytes());
-        h.update(&(self.proof.index() as u64).to_be_bytes());
-        for sibling in self.proof.siblings() {
-            h.update(sibling.as_bytes());
-        }
-        h.finalize()
+        *self.digest.get_or_init(|| {
+            let mut h = Sha256::new();
+            h.update(&self.leaf_index.to_be_bytes());
+            h.update(self.ots.digest().as_bytes());
+            h.update(&(self.proof.index() as u64).to_be_bytes());
+            for sibling in self.proof.siblings() {
+                h.update(sibling.as_bytes());
+            }
+            h.finalize()
+        })
+    }
+
+    /// Whether the digest cell is set — lets the chain tests assert that a
+    /// body was hashed (once) without timing anything.
+    #[cfg(test)]
+    pub(crate) fn digest_is_cached(&self) -> bool {
+        self.digest.get().is_some()
+    }
+
+    /// The recorded proof statement, if any.
+    #[cfg(test)]
+    pub(crate) fn proven(&self) -> Option<&(Digest32, MssPublicKey)> {
+        self.proven.get()
     }
 }
 
@@ -387,9 +489,10 @@ mod tests {
         let mut kp = pair();
         let pk = kp.public_key();
         let m = sha256(b"m");
-        let mut sig = kp.sign(&m).unwrap();
-        sig.leaf_index = 1 << 3;
-        assert!(!pk.verify(&m, &sig));
+        let sig = kp.sign(&m).unwrap();
+        let tampered = MssSignature::new(1 << 3, sig.ots.clone(), sig.proof.clone());
+        assert!(!pk.verify(&m, &tampered));
+        assert!(!tampered.verified_by(&pk, &m));
     }
 
     #[test]

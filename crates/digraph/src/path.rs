@@ -142,6 +142,12 @@ impl VertexPath {
         }
         out
     }
+
+    /// Length of [`to_bytes`](Self::to_bytes) without building it, for
+    /// metering sites that only need the size.
+    pub fn encoded_len(&self) -> usize {
+        self.vertices.len() * 4
+    }
 }
 
 impl fmt::Display for VertexPath {
@@ -330,6 +336,28 @@ mod tests {
         assert_eq!(p1.to_bytes().len(), 8);
         assert_ne!(p1.to_bytes(), p2.to_bytes());
         assert_eq!(p1.to_bytes(), p1.to_bytes());
+    }
+
+    #[test]
+    fn encoded_len_is_to_bytes_len() {
+        let mut paths = vec![
+            VertexPath::single(VertexId::new(0)),
+            VertexPath::single(VertexId::new(42)),
+            VertexPath::single(VertexId::new(0))
+                .prepend(VertexId::new(2))
+                .prepend(VertexId::new(1)),
+        ];
+        for d in [triangle(), generators::two_leader_triangle(), generators::complete(4)] {
+            for from in d.vertices() {
+                for to in d.vertices() {
+                    paths.extend(enumerate_paths(&d, from, to));
+                }
+            }
+        }
+        assert!(paths.len() > 30);
+        for p in &paths {
+            assert_eq!(p.encoded_len(), p.to_bytes().len(), "{p}");
+        }
     }
 
     #[test]

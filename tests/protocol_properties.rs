@@ -3,10 +3,13 @@
 
 use proptest::prelude::*;
 
-use atomic_swaps::core::runner::{RunConfig, SwapRunner};
+use std::sync::Arc;
+
+use atomic_swaps::contract::UnlockRecord;
+use atomic_swaps::core::runner::{RunConfig, RunReport, SwapRunner};
 use atomic_swaps::core::setup::{SetupConfig, SwapSetup};
-use atomic_swaps::core::{Behavior, Outcome};
-use atomic_swaps::digraph::{generators, Digraph, VertexId};
+use atomic_swaps::core::{Action, Behavior, Lockstep, Outcome, ProtocolKind, SwapInstance};
+use atomic_swaps::digraph::{generators, ArcId, Digraph, DigraphBuilder, VertexId, VertexPath};
 use atomic_swaps::market::LeaderStrategy;
 use atomic_swaps::sim::SimRng;
 
@@ -144,4 +147,129 @@ proptest! {
             prop_assert_eq!(report.outcomes[v.index()], Outcome::classify(entering, leaving));
         }
     }
+}
+
+// --- Adversaries replaying warmed hashkey links -----------------------------
+//
+// A chain link remembers the one `(message, key)` statement it was proven
+// under (`swap_crypto::mss`). The honest run below leaves every link of
+// every hashkey warmed; the adversary then presents those very `Arc`s —
+// same keys, same spec — under statements they were never proven for.
+
+fn hashkey_setup(digraph: Digraph, leader: &str) -> SwapSetup {
+    let leader = digraph.vertex_by_name(leader).expect("named vertex");
+    let config = SetupConfig { leaders: Some(vec![leader]), ..fast_config() };
+    SwapSetup::generate(digraph, &config, &mut SimRng::from_seed(0x5EED)).expect("valid swap")
+}
+
+fn run_hashkey(setup: SwapSetup, config: RunConfig) -> (RunReport, SwapSetup) {
+    let delta = setup.spec.delta;
+    SwapInstance::new(0, setup, config)
+        .with_protocol(ProtocolKind::Hashkey)
+        .engine(Lockstep::new(delta))
+        .run_full()
+}
+
+/// The hashkey stored on `arc`'s contract for the single leader, if any.
+fn unlock_record(setup: &SwapSetup, arc: ArcId) -> Option<UnlockRecord> {
+    let chain = setup.chains.get(setup.chain_of_arc[arc.index()]).expect("arc has a chain");
+    let contract = chain.contracts().find_map(|(_, c)| c.as_swap().filter(|c| c.arc() == arc))?;
+    contract.unlock_record(0).cloned()
+}
+
+fn arc_between(setup: &SwapSetup, from: VertexId, to: VertexId) -> ArcId {
+    setup.spec.digraph.arcs_between(from, to)[0]
+}
+
+fn rejections(report: &RunReport) -> Vec<&str> {
+    report.trace.entries_of_kind("tx.rejected").map(|e| e.detail.as_str()).collect()
+}
+
+/// Herlihy's three parties, alice leading. Bob replays carol's warmed
+/// hashkey on the arc he *is* the counterparty of (its path names carol,
+/// not him) and on the arc he is *not* the counterparty of.
+#[test]
+fn warmed_hashkey_replayed_on_another_arc_is_rejected() {
+    let setup = hashkey_setup(generators::herlihy_three_party(), "alice");
+    let d = &setup.spec.digraph;
+    let [alice, bob, carol] = ["alice", "bob", "carol"].map(|n| d.vertex_by_name(n).unwrap());
+    let (to_bob, to_carol) = (arc_between(&setup, alice, bob), arc_between(&setup, bob, carol));
+
+    let (honest, after) = run_hashkey(setup.clone(), RunConfig::default());
+    assert!(honest.all_deal());
+    assert_eq!((honest.metrics.unlock_calls, honest.metrics.rejected_calls), (3, 0));
+    let carols = unlock_record(&after, to_carol).expect("carol unlocked her entering arc");
+    assert_eq!(carols.path.vertices(), &[carol, alice]);
+
+    let replay = |arc| Action::Unlock {
+        arc,
+        index: 0,
+        secret: carols.secret,
+        path: carols.path.clone(),
+        sig: carols.sig.clone(),
+    };
+    // Bob publishes his leaving contract on schedule so there is something
+    // to call, then replays; alice and carol go on to unlock theirs.
+    let script =
+        vec![(1, Action::Publish { arc: to_carol }), (2, replay(to_bob)), (2, replay(to_carol))];
+    let mut config = RunConfig::default();
+    config.behaviors.insert(bob, Behavior::Scripted { actions: script });
+    let (report, after) = run_hashkey(setup, config);
+    assert_eq!(report.metrics.rejected_calls, 2);
+    assert_eq!(report.metrics.unlock_calls, 2);
+    let rejected = rejections(&report);
+    assert!(rejected.iter().any(|r| r.contains("path is not valid")), "{rejected:?}");
+    assert!(rejected.iter().any(|r| r.contains("not the counterparty")), "{rejected:?}");
+    assert!(unlock_record(&after, to_bob).is_none());
+    assert!(report.no_conforming_underwater());
+}
+
+/// Two routes from bob to the leader: `a→b, b→c, c→a, b→d, d→a`. Bob
+/// extends carol's warmed chain with his own signature — a perfectly good
+/// hashkey for the path through carol — but names dave. The leader's link
+/// is proven under the leader's key either way; carol's is now asked about
+/// dave's key, misses its memo, and fails the full check.
+#[test]
+fn warmed_links_under_a_path_naming_another_vertex_are_rejected() {
+    let digraph = DigraphBuilder::new()
+        .vertices(["a", "b", "c", "d"])
+        .arc("a", "b")
+        .arc("b", "c")
+        .arc("c", "a")
+        .arc("b", "d")
+        .arc("d", "a")
+        .build();
+    let setup = hashkey_setup(digraph, "a");
+    let d = &setup.spec.digraph;
+    let [a, b, c, dave] = ["a", "b", "c", "d"].map(|n| d.vertex_by_name(n).unwrap());
+    let (to_b, to_c) = (arc_between(&setup, a, b), arc_between(&setup, b, c));
+
+    let (honest, after) = run_hashkey(setup.clone(), RunConfig::default());
+    assert!(honest.all_deal());
+    assert_eq!(honest.metrics.rejected_calls, 0);
+    let carols = unlock_record(&after, to_c).expect("c unlocked its entering arc");
+    assert_eq!(carols.path.vertices(), &[c, a]);
+
+    let sig = carols.sig.extend(&mut setup.keypairs[b.index()].clone()).unwrap();
+    assert!(Arc::ptr_eq(&sig.links()[1], &carols.sig.links()[1]), "the honest run's own link");
+    let unlock = |via| Action::Unlock {
+        arc: to_b,
+        index: 0,
+        secret: carols.secret,
+        path: VertexPath::from_vertices(vec![b, via, a]).unwrap(),
+        sig: sig.clone(),
+    };
+    // Round 2 names dave; round 3 presents the same chain honestly, which
+    // shows the named vertex was the only thing wrong with it.
+    let mut config = RunConfig::default();
+    config
+        .behaviors
+        .insert(b, Behavior::Scripted { actions: vec![(2, unlock(dave)), (3, unlock(c))] });
+    let (report, after) = run_hashkey(setup, config);
+    assert_eq!(report.metrics.rejected_calls, 1);
+    let rejected = rejections(&report);
+    assert!(rejected[0].contains("signature at chain position 1 is invalid"), "{rejected:?}");
+    assert_eq!(report.metrics.unlock_calls, 1);
+    let stored = unlock_record(&after, to_b).expect("the honest presentation unlocked");
+    assert_eq!(stored.path.vertices(), &[b, c, a]);
 }
