@@ -1,5 +1,5 @@
 //! Criterion benches for end-to-end protocol runs — the wall-clock cost of
-//! simulating one full atomic swap, and the two DESIGN.md ablations:
+//! simulating one full atomic swap, and two ablations of the paper's design:
 //! single-leader timeouts vs general hashkeys, and the §4.5 broadcast
 //! optimization.
 

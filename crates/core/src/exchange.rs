@@ -167,10 +167,10 @@ pub struct ExchangeConfig {
     /// Simulated cost of the non-execution pipeline stages. Zero by
     /// default: stage latencies are negligible next to protocol rounds at
     /// small book sizes, and zero costs keep single-epoch workloads
-    /// byte-identical to the historical batch path. Experiments model them
-    /// explicitly to measure the pipelining win (see E18/E19) and, since
-    /// the clearing coefficients are driven by *measured* per-clear work,
-    /// the clearing index's win (see E20).
+    /// byte-identical to the historical batch path. Tests set them to pin
+    /// the pipelining win (`tests/pipeline_stages.rs`, `exchange_pool.rs`)
+    /// and, the clearing coefficients being driven by *measured* per-clear
+    /// work, the index's (`stage_costs_are_attributed_and_sum_to_wall`).
     pub stage_costs: StageCosts,
 }
 

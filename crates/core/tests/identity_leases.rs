@@ -7,14 +7,19 @@
 //!    one-time even as identities persist across swaps), and
 //! 2. exhausting a height-`h` identity surfaces as the checked
 //!    [`ExchangeError::KeysExhausted`] refund path — sibling swaps settle,
-//!    nothing panics mid-epoch.
+//!    nothing panics mid-epoch, and
+//! 3. where an identity's key comes from — built by the caller, minted on
+//!    the pool, or leased from the registry — shows up in the minting
+//!    counters and nowhere in simulated time, beyond a reserved address
+//!    deferring its next offer.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 use swap_contract::AnyContract;
 use swap_core::exchange::{
-    DriveError, Exchange, ExchangeConfig, ExchangeError, ExchangeParty, ProtocolPolicy,
+    DriveError, EpochStage, Exchange, ExchangeConfig, ExchangeError, ExchangeParty, ExchangeReport,
+    PartySeed, ProtocolPolicy, StageCosts, StepEvent,
 };
 use swap_crypto::{Address, Digest32, Secret};
 use swap_market::AssetKind;
@@ -126,6 +131,142 @@ fn exhaustion_is_checked_refund_not_panic() {
     assert_eq!(exchange.identities().remaining(&scarce_address), Some(0));
     // And nothing on the ledger reused a leaf.
     assert!(leaf_usage(&exchange).values().all(|sigs| sigs.len() == 1));
+}
+
+/// Where a rolling book's identities come from.
+#[derive(Debug, Clone, Copy)]
+enum IdentitySource {
+    /// Parties built by the caller and `submit`ted, fresh every wave.
+    CallerBuilt,
+    /// The same seeds minted by the exchange on its pool (`submit_seeded`).
+    PoolMinted,
+    /// Nine identities minted in wave 0 and `resubmit`ted ever after.
+    Registry,
+}
+
+/// Drives a six-wave rolling book — three disjoint rings of 2–4 parties,
+/// nine offers a wave, the next wave injected each time an epoch enters
+/// `Executing` — with every identity drawn from `source`.
+fn rolling_book(source: IdentitySource, threads: usize) -> ExchangeReport {
+    const WAVES: usize = 6;
+    // 16 leaves: a registry identity leases two a wave, twelve in all.
+    const KEY_HEIGHT: u32 = 4;
+    let kinds = |wave: usize| -> Vec<(AssetKind, AssetKind)> {
+        let mut out = Vec::new();
+        for ring in 0..3 {
+            let len = 2 + (wave + ring) % 3;
+            for slot in 0..len {
+                out.push((
+                    AssetKind::new(format!("w{wave}r{ring}k{slot}")),
+                    AssetKind::new(format!("w{wave}r{ring}k{}", (slot + 1) % len)),
+                ));
+            }
+        }
+        out
+    };
+    let seeds = |wave: usize| -> Vec<PartySeed> {
+        let mut rng = SimRng::from_seed(0xE21 + wave as u64);
+        kinds(wave)
+            .into_iter()
+            .map(|(gives, wants)| PartySeed {
+                seed: rng.bytes32(),
+                key_height: KEY_HEIGHT,
+                secret: Secret::random(&mut rng),
+                gives,
+                wants,
+            })
+            .collect()
+    };
+    let mut exchange = Exchange::new(ExchangeConfig {
+        threads,
+        executing_slots: 8,
+        stage_costs: StageCosts {
+            clearing_base: 2,
+            provisioning_base: 2,
+            settling_base: 2,
+            ..Default::default()
+        },
+        ..Default::default()
+    });
+    let mut secrets = SimRng::from_seed(0x5EC2E2);
+    let mut registered: Vec<Address> = Vec::new();
+    let mut inject = |exchange: &mut Exchange, wave: usize| match source {
+        IdentitySource::CallerBuilt => {
+            let mut rng = SimRng::from_seed(0xE21 + wave as u64);
+            for (gives, wants) in kinds(wave) {
+                exchange.submit(ExchangeParty::generate(&mut rng, KEY_HEIGHT, gives, wants));
+            }
+        }
+        IdentitySource::Registry if wave > 0 => {
+            for (address, (gives, wants)) in registered.iter().zip(kinds(wave)) {
+                exchange
+                    .resubmit(*address, Secret::random(&mut secrets), gives, wants)
+                    .expect("every identity registered in wave 0");
+            }
+        }
+        IdentitySource::PoolMinted | IdentitySource::Registry => {
+            registered.extend(exchange.submit_seeded(seeds(wave)).into_iter().map(|(_, a)| a));
+        }
+    };
+    inject(&mut exchange, 0);
+    let mut next = 1;
+    loop {
+        match exchange.step().expect("pipeline advances") {
+            StepEvent::StageEntered { stage: EpochStage::Executing, .. } if next < WAVES => {
+                inject(&mut exchange, next);
+                next += 1;
+            }
+            StepEvent::Quiescent => break,
+            _ => {}
+        }
+    }
+    assert_eq!(next, WAVES, "every wave injected");
+    assert!(leaf_usage(&exchange).values().all(|sigs| sigs.len() == 1), "{source:?}");
+    exchange.into_report()
+}
+
+#[test]
+fn identity_source_moves_the_mint_counters_and_never_simulated_time() {
+    let mut walls = Vec::new();
+    for source in
+        [IdentitySource::CallerBuilt, IdentitySource::PoolMinted, IdentitySource::Registry]
+    {
+        let report = rolling_book(source, 1);
+        for threads in [2, 8] {
+            assert_eq!(
+                format!("{:?}", rolling_book(source, threads)),
+                format!("{report:?}"),
+                "{source:?}: report differs at {threads} threads"
+            );
+        }
+        assert_eq!(report.swaps_settled, 18, "{source:?}");
+        assert_eq!((report.swaps_refunded, report.swaps_exhausted), (0, 0), "{source:?}");
+        assert_eq!(report.stage_ticks.total(), report.wall_ticks, "{source:?}");
+        let minted = (
+            report.identities_minted,
+            report.identities_registered,
+            report.mints_overlapping_execution,
+        );
+        match source {
+            // The exchange mints nothing; it registers what it was handed.
+            IdentitySource::CallerBuilt => assert_eq!(minted, (0, 54, 0)),
+            // Every wave after the first queues its nine keygens while
+            // the wave before it executes.
+            IdentitySource::PoolMinted => assert_eq!(minted, (54, 54, 45)),
+            // Nine identities, minted once, leased every wave.
+            IdentitySource::Registry => {
+                assert_eq!(minted, (9, 9, 0));
+                assert!(report.leaves_leased > 0);
+            }
+        }
+        walls.push(report.wall_ticks);
+    }
+    // The fresh arms draw different key material, so their reports differ
+    // in bytes — but who ran the keygen is invisible to simulated time.
+    assert_eq!(walls[0], walls[1], "caller-built vs pool-minted wall ticks");
+    // A reserved address defers its next offer to the clearing after its
+    // swap settles: one identity per trader serializes the waves.
+    assert!(walls[2] > walls[1], "registry {} vs fresh {} wall ticks", walls[2], walls[1]);
 }
 
 proptest! {

@@ -1,169 +1,29 @@
-//! A hand-rolled JSON writer and reader.
+//! A hand-rolled JSON reader.
 //!
 //! The workspace builds offline against a no-op `serde` stub (see
-//! `vendor/README.md`), so machine-readable output is emitted by this
-//! small, dependency-free writer instead of derived serialization. The
-//! writer started life in `swap_bench::json` (which still re-exports it,
-//! and keeps its report-shaped encoders); it moved here so BENCH emission
-//! and the durability store share one encoding stack — and gained
-//! [`parse`], the decoder the bench crate never needed.
-//!
-//! The writer covers exactly what the perf trajectory needs: objects,
-//! arrays, numbers, booleans, and escaped strings. The parser reads any
-//! document the writer emits (and ordinary JSON generally) into a
-//! [`JsonValue`] tree, preserving object key order.
-
-use std::fmt::Write as _;
+//! `vendor/README.md`), so the one place that reads JSON — `benchmark/`,
+//! for `BENCHMARK.json` and for the result line each of its runs prints —
+//! does it through this small, dependency-free parser. [`parse`] reads any
+//! JSON document into a [`JsonValue`] tree, preserving object key order;
+//! nothing in the workspace writes JSON through this crate.
 
 use crate::codec::DecodeError;
 
-/// Builds one JSON object; create with [`object`], add fields in insertion
-/// order, and take the rendered text from the closure's return.
-#[derive(Debug)]
-pub struct JsonObject {
-    buf: String,
-    first: bool,
-}
+/// Deepest nesting of arrays and objects [`parse`] follows. It recurses
+/// once per level, so without a bound a long run of `[` overflows the
+/// stack instead of returning an error.
+const MAX_DEPTH: usize = 128;
 
-/// Builds one JSON array; see [`JsonObject::field_array`].
-#[derive(Debug)]
-pub struct JsonArray {
-    buf: String,
-    first: bool,
-}
-
-/// Renders `{...}` with the fields `f` adds.
-pub fn object(f: impl FnOnce(&mut JsonObject)) -> String {
-    let mut obj = JsonObject { buf: String::from("{"), first: true };
-    f(&mut obj);
-    obj.buf.push('}');
-    obj.buf
-}
-
-fn escape_into(buf: &mut String, s: &str) {
-    buf.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => buf.push_str("\\\""),
-            '\\' => buf.push_str("\\\\"),
-            '\n' => buf.push_str("\\n"),
-            '\r' => buf.push_str("\\r"),
-            '\t' => buf.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(buf, "\\u{:04x}", c as u32);
-            }
-            c => buf.push(c),
-        }
-    }
-    buf.push('"');
-}
-
-impl JsonObject {
-    fn key(&mut self, key: &str) {
-        if !self.first {
-            self.buf.push(',');
-        }
-        self.first = false;
-        escape_into(&mut self.buf, key);
-        self.buf.push(':');
-    }
-
-    /// Adds an unsigned integer field.
-    pub fn field_u64(&mut self, key: &str, v: u64) -> &mut Self {
-        self.key(key);
-        let _ = write!(self.buf, "{v}");
-        self
-    }
-
-    /// Adds a `usize` field.
-    pub fn field_usize(&mut self, key: &str, v: usize) -> &mut Self {
-        self.field_u64(key, v as u64)
-    }
-
-    /// Adds a finite float field (rendered with up to 3 decimals; non-finite
-    /// values become `null`, which JSON requires).
-    pub fn field_f64(&mut self, key: &str, v: f64) -> &mut Self {
-        self.key(key);
-        if v.is_finite() {
-            let _ = write!(self.buf, "{v:.3}");
-        } else {
-            self.buf.push_str("null");
-        }
-        self
-    }
-
-    /// Adds a boolean field.
-    pub fn field_bool(&mut self, key: &str, v: bool) -> &mut Self {
-        self.key(key);
-        self.buf.push_str(if v { "true" } else { "false" });
-        self
-    }
-
-    /// Adds an escaped string field.
-    pub fn field_str(&mut self, key: &str, v: &str) -> &mut Self {
-        self.key(key);
-        escape_into(&mut self.buf, v);
-        self
-    }
-
-    /// Adds a nested object field.
-    pub fn field_object(&mut self, key: &str, f: impl FnOnce(&mut JsonObject)) -> &mut Self {
-        self.key(key);
-        self.buf.push_str(&object(f));
-        self
-    }
-
-    /// Adds an array field.
-    pub fn field_array(&mut self, key: &str, f: impl FnOnce(&mut JsonArray)) -> &mut Self {
-        self.key(key);
-        let mut arr = JsonArray { buf: String::from("["), first: true };
-        f(&mut arr);
-        arr.buf.push(']');
-        self.buf.push_str(&arr.buf);
-        self
-    }
-}
-
-impl JsonArray {
-    fn sep(&mut self) {
-        if !self.first {
-            self.buf.push(',');
-        }
-        self.first = false;
-    }
-
-    /// Appends an object element.
-    pub fn push_object(&mut self, f: impl FnOnce(&mut JsonObject)) -> &mut Self {
-        self.sep();
-        self.buf.push_str(&object(f));
-        self
-    }
-
-    /// Appends an unsigned integer element.
-    pub fn push_u64(&mut self, v: u64) -> &mut Self {
-        self.sep();
-        let _ = write!(self.buf, "{v}");
-        self
-    }
-
-    /// Appends an escaped string element.
-    pub fn push_str(&mut self, v: &str) -> &mut Self {
-        self.sep();
-        escape_into(&mut self.buf, v);
-        self
-    }
-}
-
-/// A parsed JSON document. Objects preserve key order (they are written in
-/// insertion order, and drift checks compare key sequences).
+/// A parsed JSON document. Objects preserve key order, so a reader can
+/// report fields in the order the document lists them.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
     /// `null`.
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number; parsed as `f64` (the writer never emits more than
-    /// 53 bits of integer precision for values drift checks care about).
+    /// Any JSON number; parsed as a finite `f64`, so integers are exact
+    /// up to 53 bits.
     Number(f64),
     /// A string, with escapes resolved.
     String(String),
@@ -213,12 +73,14 @@ impl JsonValue {
 ///
 /// Returns [`DecodeError::UnexpectedEnd`] for truncated input,
 /// [`DecodeError::BadTag`] for an unexpected byte (reported as the
-/// offending byte), and [`DecodeError::TrailingBytes`] if anything but
-/// whitespace follows the document.
+/// offending byte), [`DecodeError::TrailingBytes`] if anything but
+/// whitespace follows the document, and [`DecodeError::Invalid`] for
+/// arrays and objects nested more than 128 deep or a number too large for
+/// a finite `f64`.
 pub fn parse(text: &str) -> Result<JsonValue, DecodeError> {
     let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
     p.skip_ws();
-    let v = p.value()?;
+    let v = p.value(0)?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
         return Err(DecodeError::TrailingBytes);
@@ -268,10 +130,14 @@ impl Parser<'_> {
         Ok(v)
     }
 
-    fn value(&mut self) -> Result<JsonValue, DecodeError> {
+    /// Parses the value at `pos`, which `depth` arrays and objects enclose.
+    fn value(&mut self, depth: usize) -> Result<JsonValue, DecodeError> {
         match self.peek().ok_or(DecodeError::UnexpectedEnd)? {
-            b'{' => self.object(),
-            b'[' => self.array(),
+            b'{' | b'[' if depth == MAX_DEPTH => {
+                Err(DecodeError::Invalid("JSON nested deeper than 128 levels"))
+            }
+            b'{' => self.object(depth + 1),
+            b'[' => self.array(depth + 1),
             b'"' => Ok(JsonValue::String(self.string()?)),
             b't' => self.literal(b"true", JsonValue::Bool(true)),
             b'f' => self.literal(b"false", JsonValue::Bool(false)),
@@ -281,7 +147,7 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self) -> Result<JsonValue, DecodeError> {
+    fn object(&mut self, depth: usize) -> Result<JsonValue, DecodeError> {
         self.expect(b'{')?;
         let mut fields = Vec::new();
         self.skip_ws();
@@ -295,7 +161,7 @@ impl Parser<'_> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let v = self.value()?;
+            let v = self.value(depth)?;
             fields.push((key, v));
             self.skip_ws();
             match self.bump()? {
@@ -306,7 +172,7 @@ impl Parser<'_> {
         }
     }
 
-    fn array(&mut self) -> Result<JsonValue, DecodeError> {
+    fn array(&mut self, depth: usize) -> Result<JsonValue, DecodeError> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -316,7 +182,7 @@ impl Parser<'_> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            items.push(self.value(depth)?);
             self.skip_ws();
             match self.bump()? {
                 b',' => continue,
@@ -348,8 +214,8 @@ impl Parser<'_> {
                             let digit = (d as char).to_digit(16).ok_or(DecodeError::BadTag(d))?;
                             code = code * 16 + digit;
                         }
-                        // Surrogates would need pairing; the writer never
-                        // emits them (it only \u-escapes control bytes).
+                        // Surrogates would need pairing; no document read
+                        // here escapes anything beyond the basic plane.
                         out.push(char::from_u32(code).ok_or(DecodeError::BadUtf8)?);
                     }
                     b => return Err(DecodeError::BadTag(b)),
@@ -386,6 +252,11 @@ impl Parser<'_> {
         let text =
             std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| DecodeError::BadUtf8)?;
         let n: f64 = text.parse().map_err(|_| DecodeError::BadTag(self.bytes[start]))?;
+        // `str::parse` rounds an out-of-range literal to infinity; JSON
+        // has no such number.
+        if !n.is_finite() {
+            return Err(DecodeError::Invalid("JSON number is not finite"));
+        }
         Ok(JsonValue::Number(n))
     }
 }
@@ -395,62 +266,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn objects_arrays_and_escaping() {
-        let s = object(|o| {
-            o.field_u64("n", 3)
-                .field_bool("ok", true)
-                .field_f64("rate", 1.5)
-                .field_f64("bad", f64::NAN)
-                .field_str("name", "a\"b\\c\nd\u{1}")
-                .field_object("inner", |i| {
-                    i.field_usize("k", 7);
-                })
-                .field_array("xs", |a| {
-                    a.push_u64(1).push_str("two").push_object(|o| {
-                        o.field_u64("three", 3);
-                    });
-                });
-        });
-        assert_eq!(
-            s,
-            "{\"n\":3,\"ok\":true,\"rate\":1.500,\"bad\":null,\
-             \"name\":\"a\\\"b\\\\c\\nd\\u0001\",\"inner\":{\"k\":7},\
-             \"xs\":[1,\"two\",{\"three\":3}]}"
-        );
-    }
-
-    #[test]
-    fn empty_object_and_array() {
-        assert_eq!(object(|_| {}), "{}");
-        assert_eq!(
-            object(|o| {
-                o.field_array("xs", |_| {});
-            }),
-            "{\"xs\":[]}"
-        );
-    }
-
-    #[test]
-    fn parser_round_trips_writer_output() {
-        let s = object(|o| {
-            o.field_u64("n", 3)
-                .field_bool("ok", true)
-                .field_f64("rate", 1.5)
-                .field_f64("bad", f64::NAN)
-                .field_str("name", "a\"b\\c\nd\u{1} ☃")
-                .field_object("inner", |i| {
-                    i.field_usize("k", 7);
-                })
-                .field_array("xs", |a| {
-                    a.push_u64(1).push_str("two").push_object(|o| {
-                        o.field_u64("three", 3);
-                    });
-                });
-        });
-        let v = parse(&s).unwrap();
+    fn parser_reads_a_literal_document() {
+        let text = "{\"n\":3,\"ok\":true,\"rate\":1.500,\"bad\":null,\
+                    \"name\":\"a\\\"b\\\\c\\nd\\u0001 ☃\",\"inner\":{\"k\":7},\
+                    \"xs\":[1,\"two\",{\"three\":3},[[],[null]]],\"none\":{},\"empty\":[]}";
+        let v = parse(text).unwrap();
         assert_eq!(v.get("n").unwrap().as_u64(), Some(3));
         assert_eq!(v.get("ok"), Some(&JsonValue::Bool(true)));
         assert_eq!(v.get("rate").unwrap().as_f64(), Some(1.5));
+        assert_eq!(v.get("rate").unwrap().as_u64(), None);
         assert_eq!(v.get("bad"), Some(&JsonValue::Null));
         assert_eq!(v.get("name").unwrap().as_str(), Some("a\"b\\c\nd\u{1} ☃"));
         assert_eq!(v.get("inner").unwrap().get("k").unwrap().as_u64(), Some(7));
@@ -460,13 +284,24 @@ mod tests {
                 JsonValue::Number(1.0),
                 JsonValue::String("two".into()),
                 JsonValue::Object(vec![("three".into(), JsonValue::Number(3.0))]),
+                JsonValue::Array(vec![
+                    JsonValue::Array(vec![]),
+                    JsonValue::Array(vec![JsonValue::Null]),
+                ]),
             ]))
         );
-        // Key order is preserved, as drift checks require.
+        assert_eq!(v.get("none"), Some(&JsonValue::Object(vec![])));
+        assert_eq!(v.get("empty"), Some(&JsonValue::Array(vec![])));
+        assert_eq!(v.get("missing"), None);
+        assert_eq!(v.get("n").unwrap().get("k"), None);
+        // Key order is the document's.
         match &v {
             JsonValue::Object(fields) => {
                 let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
-                assert_eq!(keys, ["n", "ok", "rate", "bad", "name", "inner", "xs"]);
+                assert_eq!(
+                    keys,
+                    ["n", "ok", "rate", "bad", "name", "inner", "xs", "none", "empty"]
+                );
             }
             other => panic!("expected object, got {other:?}"),
         }
@@ -493,5 +328,18 @@ mod tests {
         assert!(parse("{\"a\":}").is_err());
         assert!(parse("[1,]").is_err());
         assert!(parse("tru").is_err());
+        // A lone surrogate is not a character.
+        assert_eq!(parse("\"\\ud800\""), Err(DecodeError::BadUtf8));
+        // Out of `f64`'s range is not a JSON number; the largest finite one is.
+        assert!(matches!(parse("1e999"), Err(DecodeError::Invalid(_))));
+        assert!(matches!(parse("[-1e999]"), Err(DecodeError::Invalid(_))));
+        assert_eq!(parse("1.7976931348623157e308").unwrap().as_f64(), Some(f64::MAX));
+        // Nesting is followed to `MAX_DEPTH` and refused beyond it, however
+        // long the run of openers: an error, never a stack overflow.
+        let nest = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        assert!(matches!(parse(&nest(MAX_DEPTH + 1)), Err(DecodeError::Invalid(_))));
+        assert!(matches!(parse(&"[".repeat(200_000)), Err(DecodeError::Invalid(_))));
+        assert!(matches!(parse(&"{\"a\":".repeat(200_000)), Err(DecodeError::Invalid(_))));
     }
 }

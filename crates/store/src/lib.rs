@@ -2,10 +2,10 @@
 //! an append-only write-ahead log (WAL), and whole-state snapshots.
 //!
 //! The workspace builds offline against a no-op `serde` stub (see
-//! `vendor/README.md`), so everything here is hand-rolled, the same way
-//! the bench crate's JSON writer always was — that writer now lives in
-//! [`json`], with a decoder next to it, so BENCH emission and the WAL
-//! share one encoding stack.
+//! `vendor/README.md`), so everything here is hand-rolled. Beside the
+//! store sits [`json`], the reader `benchmark/` parses `BENCHMARK.json`
+//! and its own result lines with; it shares [`DecodeError`] with the codec
+//! and nothing else.
 //!
 //! Three layers:
 //!

@@ -14,6 +14,11 @@ Per crate under `crates/`, prints
   workspace keeps them in one file, `UNSAFE_HOME` (the SHA-NI compression
   kernel); one anywhere else is listed and fails the run.
 
+Then prints, for information only, the non-blank lines of what stands
+around the crates and the table above never sees: benches, tests, scripts
+and CI workflows (`SCAFFOLDING`). No bound applies to them; the block
+exists so that deleting or growing scaffolding shows up somewhere.
+
 Then, for each config struct in `CONFIG_STRUCTS`, prints its number of
 `pub` fields: every one is an independently settable value, the count a
 simplicity change has to quote before and after.
@@ -38,6 +43,12 @@ PUB_FIELD = re.compile(r"^    pub\s+\w+\s*:")
 UNSAFE = re.compile(r"\bunsafe\b")
 UNSAFE_HOME = "crates/crypto/src/sha256/x86.rs"
 CONFIG_STRUCTS = ("ExchangeConfig", "RunConfig", "StageCosts", "JournalConfig", "SetupConfig")
+SCAFFOLDING = (
+    ("benches", ("crates/*/benches/**/*.rs",)),
+    ("tests", ("crates/*/tests/**/*.rs", "tests/**/*.rs")),
+    ("scripts", ("scripts/**/*.py",)),
+    ("workflows", (".github/workflows/*.yml",)),
+)
 
 
 def non_test_lines(text):
@@ -115,6 +126,11 @@ def main():
     print(f"{'crate':<10} {'lines':>7} {'pub':>5} {'unsafe':>7}")
     for name, lines, pubs, unsafes in rows:
         print(f"{name:<10} {lines:>7} {pubs:>5} {unsafes:>7}")
+    print(f"\n{'scaffolding':<10} {'lines':>7}")
+    for name, patterns in SCAFFOLDING:
+        texts = (path.read_text() for pattern in patterns for path in root.glob(pattern))
+        count = sum(1 for text in texts for line in text.splitlines() if line.strip())
+        print(f"{name:<10} {count:>7}")
     print(f"\n{'config struct':<16} {'pub fields':>10}")
     for struct in CONFIG_STRUCTS:
         fields = pub_fields(everything, struct)

@@ -22,8 +22,11 @@ use swap_market::AssetKind;
 use swap_sim::SimRng;
 use swap_store::{decode_frames, WAL_FILE};
 
-/// Ring sizes of the six waves — mixed 2/3/4-party cycles, E19-style.
+/// Ring sizes of the six waves — mixed 2/3/4-party cycles.
 const WAVE_SIZES: [usize; 6] = [2, 3, 4, 2, 3, 4];
+
+/// Never-matching offers the snapshot test rests under the waves.
+const RESTING: usize = 128;
 
 fn config(threads: usize) -> ExchangeConfig {
     ExchangeConfig { threads, executing_slots: 2, ..Default::default() }
@@ -81,7 +84,13 @@ fn waves_submitted(report: &ExchangeReport) -> usize {
 /// before the first step — the same state point the uncrashed run injected
 /// at.
 fn drive_to_quiescence(exchange: &mut Exchange) {
-    let mut next = waves_submitted(exchange.report());
+    let next = waves_submitted(exchange.report());
+    drive_from_wave(exchange, next);
+}
+
+/// [`drive_to_quiescence`] for a caller that knows the next wave itself,
+/// because offers outside the waves make the offer count say nothing.
+fn drive_from_wave(exchange: &mut Exchange, mut next: usize) {
     loop {
         if next < WAVE_SIZES.len() && exchange.report().epochs >= next as u64 {
             exchange.submit_seeded(wave_seeds(next));
@@ -205,7 +214,21 @@ fn snapshot_plus_tail_recovery_matches_the_uncrashed_run() {
     // absorbed into a snapshot and reset.
     let mut exchange =
         Exchange::with_journal(config(1), journal(&dir, 1)).expect("journal store opens");
-    drive_to_quiescence(&mut exchange);
+    // A resting book under the waves: offers for a kind nobody gives never
+    // match, so every snapshot image carries them as open offers.
+    let mut rng = SimRng::from_seed(0xD057);
+    let resting: Vec<PartySeed> = (0..RESTING)
+        .map(|i| PartySeed {
+            seed: rng.bytes32(),
+            key_height: 2,
+            secret: Secret::random(&mut rng),
+            gives: AssetKind::new(format!("dust{i}")),
+            wants: AssetKind::new("void".to_string()),
+        })
+        .collect();
+    exchange.submit_seeded(resting);
+    drive_from_wave(&mut exchange, 0);
+    assert_eq!(exchange.report().swaps_settled, WAVE_SIZES.len() as u64);
     // Feed one more wave on top of the snapshot, so the store holds
     // snapshot + command tail, and capture the crash point.
     exchange.submit_seeded(wave_seeds(0));
@@ -226,6 +249,11 @@ fn snapshot_plus_tail_recovery_matches_the_uncrashed_run() {
     assert!(recovered.stats.snapshot_seq.is_some(), "recovery loaded the snapshot");
     assert!(recovered.stats.commands_replayed >= 1, "the extra wave replays from the tail");
     let mut exchange = recovered.exchange;
+    assert_eq!(
+        exchange.service().open_count(),
+        RESTING + WAVE_SIZES[0],
+        "the snapshot's resting offers and the tail's wave are open again"
+    );
     while !matches!(exchange.step().expect("pipeline advances"), StepEvent::Quiescent) {}
     assert_eq!(exchange.into_report(), oracle_report);
 }
