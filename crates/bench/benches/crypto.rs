@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use swap_crypto::sha256::sha256;
-use swap_crypto::{lamport, sha256_pair, MssKeypair, Secret, SigChain};
+use swap_crypto::{sha256_pair, wots, MssKeypair, Secret, SigChain};
 
 fn bench_sha256(c: &mut Criterion) {
     let mut group = c.benchmark_group("sha256");
@@ -33,23 +33,22 @@ fn bench_sha256(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_lamport(c: &mut Criterion) {
-    let mut group = c.benchmark_group("lamport");
+fn bench_wots(c: &mut Criterion) {
+    let mut group = c.benchmark_group("wots");
     let seed = [7u8; 32];
-    group.bench_function("keygen", |b| b.iter(|| lamport::keygen(std::hint::black_box(&seed), 0)));
+    group.bench_function("keygen", |b| b.iter(|| wots::keygen(std::hint::black_box(&seed), 0)));
     let msg = sha256(b"message");
     group.bench_function("sign", |b| {
         b.iter_batched(
-            || lamport::keygen(&seed, 0).0,
-            |sk| lamport::sign(sk, &msg),
+            || wots::keygen(&seed, 0).0,
+            |sk| wots::sign(sk, &msg),
             criterion::BatchSize::SmallInput,
         )
     });
-    let (sk, pk) = lamport::keygen(&seed, 0);
-    let sig = lamport::sign(sk, &msg);
-    let pk_digest = pk.digest();
+    let (sk, pk) = wots::keygen(&seed, 0);
+    let sig = wots::sign(sk, &msg);
     group.bench_function("verify", |b| {
-        b.iter(|| lamport::verify(std::hint::black_box(&sig), &msg, &pk_digest))
+        b.iter(|| wots::verify(std::hint::black_box(&sig), &msg, &pk))
     });
     group.finish();
 }
@@ -161,6 +160,6 @@ criterion_group! {
         .warm_up_time(std::time::Duration::from_millis(500))
         .measurement_time(std::time::Duration::from_secs(2))
         .sample_size(10);
-    targets = bench_sha256, bench_lamport, bench_mss, bench_sigchain
+    targets = bench_sha256, bench_wots, bench_mss, bench_sigchain
 }
 criterion_main!(benches);

@@ -47,11 +47,15 @@ use crate::runner::RunMetrics;
 /// clearing rules or stage costs would silently diverge instead of
 /// rebuilding the crashed exchange. `threads` is excluded — it is a host
 /// wall-clock knob the report is invariant under, so recovering on a
-/// different worker count is explicitly allowed (and tested).
+/// different worker count is explicitly allowed (and tested). The
+/// signature scheme's name is included because a snapshot stores each
+/// identity's leaf digests: under another one-time scheme the recovered
+/// keypair would sign with chains its own tree does not commit to.
 pub(crate) fn config_digest(config: &ExchangeConfig) -> [u8; 32] {
     let semantic = format!(
-        "delta={:?};executing_slots={};run={:?};leader_strategy={:?};protocol={:?};\
+        "scheme={};delta={:?};executing_slots={};run={:?};leader_strategy={:?};protocol={:?};\
          stage_costs={:?}",
+        swap_crypto::mss::SCHEME,
         config.delta,
         config.executing_slots.max(1),
         config.run,
@@ -409,9 +413,9 @@ wire_struct!(
 );
 
 // A master identity persists as `(seed, height, leaf cursor, leaf
-// digests)`: enough to rebuild the keypair without re-deriving the Lamport
+// digests)`: enough to rebuild the keypair without re-deriving the W-OTS
 // leaves, the expensive part of keygen — the Merkle tree is rebuilt from
-// the stored digests.
+// the stored digests (which is why `config_digest` names the scheme).
 impl Wire for MssKeypair {
     fn put(&self, e: &mut Encoder) {
         self.seed().put(e);

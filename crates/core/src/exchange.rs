@@ -1049,7 +1049,7 @@ impl Exchange {
     /// Submits a batch of parties whose identities the *exchange* mints,
     /// on the worker pool.
     ///
-    /// Minting a height-`h` identity derives `2^h` Lamport one-time keys —
+    /// Minting a height-`h` identity derives `2^h` Winternitz one-time keys —
     /// by far the most expensive operation in the pipeline. Queueing the
     /// keygen jobs here lets them run on idle pool workers *while
     /// previously admitted epochs execute*: in a rolling book, the next

@@ -2,7 +2,7 @@
 //!
 //! The Merkle signature scheme ([`MssKeypair`]) is the expensive primitive
 //! in the whole system: minting a height-`h` identity derives and hashes
-//! `2^h` Lamport one-time keys before a single swap can run. The naive
+//! `2^h` Winternitz one-time keys before a single swap can run. The naive
 //! exchange paid that cost once per *swap* — every provisioning round
 //! regenerated full keypairs even for addresses it had already seen, and
 //! (worse) handed every swap a clone starting at leaf 0, silently reusing

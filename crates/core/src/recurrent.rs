@@ -171,7 +171,7 @@ impl RecurrentSession {
         }
         // The runner signed with *clones* of the session keypairs, so the
         // master copies still point at the leaves the round just spent.
-        // Reusing a Lamport leaf forfeits its security, so burn the worst
+        // Reusing a one-time leaf forfeits its security, so burn the worst
         // case per party — one leaf per leader secret propagated — before
         // the next round signs anything.
         let leaves_spent = spec_leader_count as u64;

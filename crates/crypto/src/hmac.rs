@@ -1,5 +1,5 @@
 //! HMAC-SHA256 (RFC 2104), used for deterministic key derivation in the
-//! Lamport/Merkle signature machinery and for seeding per-party randomness.
+//! Winternitz/Merkle signature machinery and for seeding per-party randomness.
 
 use crate::sha256::{finish_block, Digest32, Sha256, MAX_FINAL_TAIL};
 

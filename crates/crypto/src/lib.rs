@@ -17,7 +17,8 @@
 //!   derivation,
 //! * [`secret`] — [`Secret`]s and [`Hashlock`]s,
 //! * [`merkle`] — Merkle trees with inclusion proofs,
-//! * [`lamport`] — Lamport one-time signatures over 256-bit digests,
+//! * [`wots`] — Winternitz (`w = 16`) one-time signatures over 256-bit
+//!   digests,
 //! * [`mss`] — a Merkle signature scheme turning 2^h one-time keys into one
 //!   many-time identity (this is what parties sign hashkeys with),
 //! * [`sigchain`] — the nested hashkey signature chains of §4.1.
@@ -39,15 +40,15 @@
 #![warn(missing_docs)]
 
 pub mod hmac;
-pub mod lamport;
 pub mod merkle;
 pub mod mss;
 pub mod secret;
 pub mod sha256;
 pub mod sigchain;
+pub mod wots;
 
 pub use hmac::HmacEngine;
 pub use mss::{KeysExhaustedError, MssKeypair, MssPublicKey, MssSignature};
 pub use secret::{Hashlock, Secret};
-pub use sha256::{sha256, sha256_32, sha256_pair, Digest32};
+pub use sha256::{sha256, sha256_pair, Digest32};
 pub use sigchain::{Address, SigChain, SigChainError};

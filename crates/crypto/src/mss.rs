@@ -1,11 +1,12 @@
 //! A Merkle signature scheme (MSS): many-time identities from one-time keys.
 //!
-//! Each party derives `2^h` Lamport one-time key pairs from a seed and
-//! publishes only the Merkle root of their public key digests. Signature
-//! `i` consists of the Lamport signature under leaf key `i`, that leaf's
-//! public key digest, and a Merkle inclusion proof. This is the `sig(x, v)`
-//! primitive of the paper (§2.2) — hash-based end to end, matching the
-//! hashlock trust assumptions.
+//! Each party derives `2^h` Winternitz ([`wots`], `w = 16`)
+//! one-time key pairs from a seed and publishes only the Merkle root of
+//! their public key digests. Signature `i` consists of the W-OTS signature
+//! under leaf key `i` — from which a verifier reconstructs that leaf's
+//! public key digest — and a Merkle inclusion proof. This is the
+//! `sig(x, v)` primitive of the paper (§2.2) — hash-based end to end,
+//! matching the hashlock trust assumptions.
 //!
 //! # The per-signature proof memo
 //!
@@ -15,7 +16,7 @@
 //! arc. An [`MssSignature`] therefore carries two private write-once cells
 //! next to its signed contents:
 //!
-//! * its own [`digest`](MssSignature::digest) (the 16 KiB Lamport body is
+//! * its own [`digest`](MssSignature::digest) (the 2.1 KiB W-OTS body is
 //!   hashed the first time anyone asks, then read back), and
 //! * the one `(message, public key)` statement it has been **proven**
 //!   under by a full [`MssPublicKey::verify`].
@@ -49,11 +50,20 @@ use std::sync::{Arc, OnceLock};
 use serde::{Deserialize, Serialize};
 
 use crate::hmac::HmacEngine;
-use crate::lamport::{self, LamportSignature};
 use crate::merkle::{leaf_hash, MerkleProof, MerkleTree};
 use crate::sha256::{tagged_hash, Digest32, Sha256};
+use crate::wots::{self, WotsSignature};
 
 const ADDRESS_TAG: &str = "swap/address/v1";
+
+/// Names the one-time scheme under the tree and its hash. Stored leaf
+/// digests ([`MssKeypair::from_parts`]) are only meaningful to the scheme
+/// that derived them, so anything that persists them must bind this.
+pub const SCHEME: &str = "mss/wots16-sha256";
+
+/// The tallest tree a keypair may have (65 536 leaves) and a public key
+/// may claim.
+const MAX_HEIGHT: u32 = 16;
 
 /// Default tree height: `2^6 = 64` signatures per identity, plenty for any
 /// single swap while keeping keygen fast in tests.
@@ -91,7 +101,7 @@ pub struct MssPublicKey {
 #[derive(Debug, Serialize, Deserialize)]
 pub struct MssSignature {
     leaf_index: u64,
-    ots: LamportSignature,
+    ots: WotsSignature,
     proof: MerkleProof,
     /// [`digest`](Self::digest), once computed.
     #[serde(skip)]
@@ -147,18 +157,17 @@ impl MssKeypair {
     /// hashing and anything larger is a configuration error in this
     /// simulation context.
     pub fn from_seed_with_height(seed: [u8; 32], height: u32) -> Self {
-        assert!(height <= 16, "MSS height {height} too large");
+        assert!(height <= MAX_HEIGHT, "MSS height {height} too large");
         let leaf_count = 1u64 << height;
         let engine = HmacEngine::new(&seed);
-        let leaves: Vec<Digest32> = (0..leaf_count)
-            .map(|i| leaf_hash(lamport::public_key_with(&engine, i).digest().as_bytes()))
-            .collect();
+        let leaves: Vec<Digest32> =
+            (0..leaf_count).map(|i| leaf_hash(wots::public_key(&engine, i).as_bytes())).collect();
         let tree = Arc::new(MerkleTree::from_leaves(leaves).expect("leaf_count >= 1"));
         MssKeypair { seed, engine, tree, next_leaf: 0, limit: leaf_count, height }
     }
 
     /// Rebuilds a keypair from its seed and previously computed leaf
-    /// digests, skipping the `O(2^h)` Lamport keygen — the expensive part
+    /// digests, skipping the `O(2^h)` W-OTS keygen — the expensive part
     /// of [`from_seed_with_height`](Self::from_seed_with_height). This is
     /// the snapshot-recovery path: the store persists `(seed, height,
     /// leaves, next_leaf)` and gets back a keypair whose tree, signatures,
@@ -171,7 +180,7 @@ impl MssKeypair {
     /// stored state is corrupt, which the caller must rule out first (a
     /// checksum cannot: `swap-core`'s snapshot decoder checks all three).
     pub fn from_parts(seed: [u8; 32], height: u32, leaves: Vec<Digest32>, next_leaf: u64) -> Self {
-        assert!(height <= 16, "MSS height {height} too large");
+        assert!(height <= MAX_HEIGHT, "MSS height {height} too large");
         let leaf_count = 1u64 << height;
         assert_eq!(leaves.len() as u64, leaf_count, "leaf count must be 2^height");
         assert!(next_leaf <= leaf_count, "leaf cursor past the tree");
@@ -277,8 +286,7 @@ impl MssKeypair {
         }
         let index = self.next_leaf;
         self.next_leaf += 1;
-        let sk = lamport::secret_key_with(&self.engine, index);
-        let ots = lamport::sign(sk, message);
+        let ots = wots::sign(wots::secret_key(&self.engine, index), message);
         let proof = self.tree.prove(index as usize).expect("index < leaf count");
         Ok(MssSignature::new(index, ots, proof))
     }
@@ -287,15 +295,21 @@ impl MssKeypair {
 impl MssPublicKey {
     /// Verifies `sig` over `message`.
     ///
-    /// Checks: (1) the Lamport signature reconstructs some one-time public
-    /// key digest, and (2) that digest sits at `sig.leaf_index` under this
-    /// identity's Merkle root.
+    /// Checks: (0) this key's claimed height is one a keypair can have and
+    /// the proof is exactly that deep — [`from_root`](Self::from_root) takes
+    /// any height, and a proof shorter than the claim would let leaf indices
+    /// that agree in their low bits share one path; (1) the W-OTS signature
+    /// reconstructs some one-time public key digest, and (2) that digest
+    /// sits at `sig.leaf_index` under this identity's Merkle root.
     pub fn verify(&self, message: &Digest32, sig: &MssSignature) -> bool {
-        if sig.leaf_index >= (1u64 << self.height) {
+        if self.height > MAX_HEIGHT
+            || sig.proof.depth() != self.height as usize
+            || sig.leaf_index >= (1u64 << self.height)
+        {
             return false;
         }
         // Reconstruct the claimed one-time pk digest from the signature.
-        let Some(claimed_pk_digest) = reconstruct_ots_pk(&sig.ots, message) else {
+        let Some(claimed_pk_digest) = sig.ots.reconstruct_pk_digest(message) else {
             return false;
         };
         let leaf = leaf_hash(claimed_pk_digest.as_bytes());
@@ -328,15 +342,9 @@ impl MssPublicKey {
     }
 }
 
-/// Rebuilds the one-time public key digest a Lamport signature commits to,
-/// or `None` if the signature is structurally invalid.
-fn reconstruct_ots_pk(sig: &LamportSignature, message: &Digest32) -> Option<Digest32> {
-    sig.reconstruct_pk_digest(message)
-}
-
 impl MssSignature {
     /// A signature with empty memo cells.
-    fn new(leaf_index: u64, ots: LamportSignature, proof: MerkleProof) -> Self {
+    fn new(leaf_index: u64, ots: WotsSignature, proof: MerkleProof) -> Self {
         MssSignature { leaf_index, ots, proof, digest: OnceLock::new(), proven: OnceLock::new() }
     }
 
@@ -433,6 +441,35 @@ mod tests {
         assert!(pk.verify(&sha256(&[0]), &sig));
     }
 
+    /// A key is caller-supplied (`from_root` takes any height): one
+    /// claiming a height no keypair can have is refused, not shifted by.
+    #[test]
+    fn oversized_claimed_height_is_rejected_without_panicking() {
+        let mut kp = pair();
+        let m = sha256(b"m");
+        let sig = kp.sign(&m).unwrap();
+        for height in [17, 63, 64, u32::MAX] {
+            let claimed = MssPublicKey::from_root(*kp.public_key().root(), height);
+            assert!(!claimed.verify(&m, &sig), "height {height}");
+            assert!(!sig.verified_by(&claimed, &m), "height {height}");
+        }
+    }
+
+    /// The proof's depth is tied to the key's height: the same root under
+    /// a taller or shorter claimed tree accepts nothing.
+    #[test]
+    fn proof_depth_must_equal_the_claimed_height() {
+        let mut kp = MssKeypair::from_seed_with_height([3u8; 32], 2);
+        let pk = kp.public_key();
+        let m = sha256(b"m");
+        let sig = kp.sign(&m).unwrap();
+        assert!(pk.verify(&m, &sig));
+        for height in [0, 1, 3, 9, 16] {
+            let claimed = MssPublicKey::from_root(*pk.root(), height);
+            assert!(!claimed.verify(&m, &sig), "height {height}");
+        }
+    }
+
     #[test]
     fn sign_verify_roundtrip() {
         let mut kp = pair();
@@ -516,8 +553,8 @@ mod tests {
     fn signature_sizes() {
         let mut kp = pair();
         let sig = kp.sign(&sha256(b"m")).unwrap();
-        // 8 (index) + 16384 (lamport) + (8 + 32*3) (proof at height 3).
-        assert_eq!(sig.byte_len(), 8 + 16384 + 8 + 96);
+        // 8 (index) + 2144 (W-OTS) + (8 + 32*3) (proof at height 3).
+        assert_eq!(sig.byte_len(), 8 + 2144 + 8 + 96);
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //! Cargo feature, environment variable or config field chooses), and
 //! everywhere else the scalar rounds, unrolled with rotating register
 //! roles, which are also the reference the tests compare the first against.
-//! The two fixed input shapes that dominate MSS key generation get
-//! dedicated single- and double-compression entry points ([`sha256_32`],
-//! [`sha256_pair`]) that skip buffering.
+//! Fixed input shapes skip buffering: a message that shares one block with
+//! its padding (an HMAC derive, a Winternitz chain step) is finished in
+//! place by the crate-private `finish_block`, and two digests side by side
+//! get the double-compression entry point [`sha256_pair`].
 
 use std::fmt;
 
@@ -267,8 +268,7 @@ pub(crate) fn finish_block(
 /// `SHA-256(left || right)` for two 32-byte digests in exactly two
 /// compressions: one over the data block, one over the fixed padding
 /// block (whose schedule the scalar kernel has precomputed). This is the
-/// shape of the Lamport public-key fold and of binary-tree node
-/// combination, the two inner loops of MSS key generation.
+/// shape of untagged binary-tree node combination.
 pub fn sha256_pair(left: &Digest32, right: &Digest32) -> Digest32 {
     let mut state = H0;
     let mut block = [0u8; 64];
@@ -277,15 +277,6 @@ pub fn sha256_pair(left: &Digest32, right: &Digest32) -> Digest32 {
     compress_block(&mut state, &block);
     compress_pad64(&mut state);
     state_to_digest(&state)
-}
-
-/// `SHA-256(data)` for a 32-byte input in a single compression (message,
-/// `0x80`, and the 256-bit length all fit one block). This is the per-value
-/// hash of Lamport public-key derivation.
-pub fn sha256_32(data: &[u8; 32]) -> Digest32 {
-    let mut block = [0u8; 64];
-    block[..32].copy_from_slice(data);
-    finish_block(H0, block, 32, 32)
 }
 
 /// Incremental SHA-256 hasher.
@@ -608,15 +599,6 @@ mod tests {
         let r = sha256(b"right");
         assert_eq!(sha256_pair(&l, &r), sha256_concat(&[l.as_bytes(), r.as_bytes()]));
         assert_eq!(sha256_pair(&Digest32::ZERO, &Digest32::ZERO), sha256(&[0u8; 64]));
-    }
-
-    #[test]
-    fn sha256_32_matches_general_path() {
-        for seed in 0..8u8 {
-            let data = [seed.wrapping_mul(37); 32];
-            assert_eq!(sha256_32(&data), sha256(&data), "seed {seed}");
-        }
-        assert_eq!(sha256_32(sha256(b"x").as_bytes()), sha256(sha256(b"x").as_bytes()));
     }
 
     #[test]

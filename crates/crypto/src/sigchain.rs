@@ -24,7 +24,7 @@
 //! proven under, and runs the full MSS verification otherwise. An unlock
 //! with path `p` then costs one full verification — the newest link — plus
 //! `|p|` 32-byte comparisons, instead of `|p| + 1` verifications and as
-//! many 16 KiB body hashes.
+//! many 2.1 KiB body hashes.
 //!
 //! There is no cache to size, key or evict: the memo lives in the link and
 //! dies with its last `Arc`. Soundness is the two rules stated in
@@ -145,7 +145,7 @@ impl From<KeysExhaustedError> for SigChainError {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SigChain {
     /// Links behind `Arc` so extension shares them with the source chain
-    /// instead of deep-copying ~16 KiB of signature per inherited link.
+    /// instead of deep-copying ~2.1 KiB of signature per inherited link.
     links: Vec<Arc<MssSignature>>,
 }
 

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use swap_crypto::merkle::{leaf_hash, MerkleTree};
 use swap_crypto::sha256::{sha256, Sha256};
-use swap_crypto::{lamport, MssKeypair, Secret, SigChain};
+use swap_crypto::{wots, MssKeypair, Secret, SigChain};
 
 proptest! {
     /// Incremental hashing equals one-shot hashing for any chunking.
@@ -66,19 +66,19 @@ proptest! {
         }
     }
 
-    /// Lamport signatures verify for the signed message only.
+    /// W-OTS signatures verify for the signed message only.
     #[test]
-    fn lamport_message_binding(
+    fn wots_message_binding(
         seed in any::<[u8; 32]>(),
         msg_a in prop::collection::vec(any::<u8>(), 0..32),
         msg_b in prop::collection::vec(any::<u8>(), 0..32),
     ) {
-        let (sk, pk) = lamport::keygen(&seed, 0);
+        let (sk, pk) = wots::keygen(&seed, 0);
         let da = sha256(&msg_a);
         let db = sha256(&msg_b);
-        let sig = lamport::sign(sk, &da);
-        prop_assert!(lamport::verify(&sig, &da, &pk.digest()));
-        prop_assert_eq!(lamport::verify(&sig, &db, &pk.digest()), da == db);
+        let sig = wots::sign(sk, &da);
+        prop_assert!(wots::verify(&sig, &da, &pk));
+        prop_assert_eq!(wots::verify(&sig, &db, &pk), da == db);
     }
 
     /// MSS: every signature from a keypair verifies under its public key

@@ -13,7 +13,7 @@
 //! |---|---|
 //! | discrete-event simulation, the Δ timing model | [`sim`] |
 //! | swap digraphs, feedback vertex sets, generators | [`digraph`] |
-//! | SHA-256, Merkle trees, Lamport/Merkle signatures, hashkey chains | [`crypto`] |
+//! | SHA-256, Merkle trees, Winternitz/Merkle signatures, hashkey chains | [`crypto`] |
 //! | simulated blockchains, assets, escrow, storage metering | [`chain`] |
 //! | the Figures 4–5 swap contract and classic HTLCs | [`contract`] |
 //! | the §4.4 pebble games | [`pebble`] |

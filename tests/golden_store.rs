@@ -20,11 +20,24 @@
 //! `VERSION` — or when an input of the exchange's config digest changes
 //! (the digest is inside the snapshot, and a recovery under a different
 //! one is refused by design); never to quiet a failure of the three tests
-//! above.
+//! above. The digest's inputs have changed twice: the reference-mode
+//! fields above, and the signature scheme's name, added when the one-time
+//! keys under the Merkle tree became Winternitz chains — a snapshot holds
+//! each identity's leaf digests, and this time log, report and snapshot
+//! were all recorded anew (every signature, and so every metered byte,
+//! changed with the scheme).
+//!
+//! `tests/golden/store-lamport/` keeps the snapshot and log `store-v1`
+//! held until then. Its leaf digests commit to Lamport keys no build can
+//! sign with any more, so the promise this build owes it is the opposite
+//! one: refuse it ([`RecoverError::ConfigMismatch`]) rather than recover
+//! identities whose signatures could never verify.
 
 use std::path::{Path, PathBuf};
 
-use swap_core::exchange::{Exchange, ExchangeConfig, ExchangeReport, JournalConfig, PartySeed};
+use swap_core::exchange::{
+    Exchange, ExchangeConfig, ExchangeReport, JournalConfig, PartySeed, RecoverError,
+};
 use swap_crypto::Secret;
 use swap_market::AssetKind;
 use swap_sim::SimRng;
@@ -34,6 +47,10 @@ const REPORT_FILE: &str = "report.txt";
 
 fn fixture_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/store-v1")
+}
+
+fn lamport_fixture_dir() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/store-lamport")
 }
 
 fn config(threads: usize) -> ExchangeConfig {
@@ -162,6 +179,24 @@ fn recovery_reproduces_the_recorded_report() {
         assert!(recovered.stats.snapshot_seq.is_some(), "recovery loaded the snapshot");
         assert!(recovered.stats.commands_replayed >= 6, "the tail replays");
         assert_eq!(rendered(recovered.exchange.report()), recorded_report());
+    }
+}
+
+#[test]
+fn a_store_written_under_the_lamport_scheme_is_refused() {
+    let recorded = store_files(&lamport_fixture_dir());
+    assert_eq!(recorded.len(), 2, "the old fixture is a snapshot and a log");
+    for threads in [1, 2] {
+        let dir = scratch_dir(&format!("lamport{threads}"));
+        for (name, bytes) in &recorded {
+            std::fs::write(dir.join(name), bytes).expect("fixture file copyable");
+        }
+        let refused = Exchange::recover(config(threads), journal(&dir));
+        assert!(
+            matches!(refused, Err(RecoverError::ConfigMismatch)),
+            "threads {threads}: {:?}",
+            refused.map(|recovered| recovered.stats)
+        );
     }
 }
 
