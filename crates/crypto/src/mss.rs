@@ -416,27 +416,28 @@ mod tests {
         MssKeypair::from_seed_with_height([3u8; 32], 3)
     }
 
-    /// Known answers recorded at the commit before the hardware SHA-256
-    /// kernel landed (scalar compression, streaming HMAC): a kernel or
-    /// derive bug that is merely self-consistent would re-key every
-    /// identity in the world and still sign and verify happily.
+    /// Known answers computed outside this crate, by
+    /// `scripts/mss_known_answers.py` (the scheme written out over
+    /// Python's `hashlib`/`hmac`): a kernel, derive or chain-step bug that
+    /// is merely self-consistent would re-key every identity in the world
+    /// and still sign and verify happily.
     #[test]
     fn key_material_known_answers() {
         let mut kp = MssKeypair::from_seed_with_height([9u8; 32], 6);
         let pk = kp.public_key();
         assert_eq!(
             pk.root().to_hex(),
-            "b04f3f1c211162bc27b844e7becbbaaf0d7659b51a66275f59fcb18dd6334277"
+            "bcd89775b6f71f14488e9377711531485141bc40434b34a2b03d68326f4d4ea9"
         );
         assert_eq!(
             pk.address().digest().to_hex(),
-            "4a44d2c2a09ee54015928d47ac73ff688a23dd8b3a32f21088bc1b90353a33e2"
+            "0762d4a3c222f6fd999b87d70f2f58b1f280c7f630d3fdfdefe40d4895cb7599"
         );
         let sig = kp.sign(&sha256(&[0])).unwrap();
         assert_eq!(sig.leaf_index(), 0);
         assert_eq!(
             sig.digest().to_hex(),
-            "fdd6909b9cfe3c0c19d8b317617067a32b817922363bcf1b47d858bb981bd822"
+            "ae61cbddf3f1e519891f82e6dd6099e19a136cff3eee2486aeca9bf4069c2e7a"
         );
         assert!(pk.verify(&sha256(&[0]), &sig));
     }

@@ -114,13 +114,16 @@ fn skewed_waves(seed: u64) -> Vec<Vec<ExchangeParty>> {
 }
 
 /// SHA-256 of the skewed book's `ExchangeReport` (`Debug` bytes) under each
-/// policy, recorded at the commit before chain creation and tear-down moved
-/// onto the pool workers.
+/// policy. `Auto` (every ring here settles on HTLCs) was recorded at the
+/// commit before chain creation and tear-down moved onto the pool workers;
+/// `ForceHashkey` again when the one-time keys became Winternitz chains and
+/// its `contract_bytes`, `tx_bytes` and per-swap `unlock_bytes` shrank
+/// (nothing else in the report moved).
 const RECORDED_FINGERPRINTS: [(ProtocolPolicy, &str); 2] = [
     (ProtocolPolicy::Auto, "7e480ffbfe976dd1176c62dc9272dbb13a6107279c5f6ae37d678ca145cbf564"),
     (
         ProtocolPolicy::ForceHashkey,
-        "8ea5d9ea2dcb88e851a733517813d143f5191376ef5ea5a1d9ed3ee413e2fba9",
+        "05efd1d49ec3a216f733b4087ee8e2c93a8cf68223fe5c1e76ffebac212e83d1",
     ),
 ];
 

@@ -23,9 +23,10 @@
 //! above. The digest's inputs have changed twice: the reference-mode
 //! fields above, and the signature scheme's name, added when the one-time
 //! keys under the Merkle tree became Winternitz chains — a snapshot holds
-//! each identity's leaf digests, and this time log, report and snapshot
-//! were all recorded anew (every signature, and so every metered byte,
-//! changed with the scheme).
+//! each identity's leaf digests, and this time the log moved with the
+//! snapshot (every Merkle root, and so every address in a logged command,
+//! changed with the scheme) while the recorded report — HTLC swaps, which
+//! sign nothing — came out byte-identical.
 //!
 //! `tests/golden/store-lamport/` keeps the snapshot and log `store-v1`
 //! held until then. Its leaf digests commit to Lamport keys no build can
