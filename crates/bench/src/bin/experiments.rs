@@ -24,7 +24,7 @@ use swap_core::runner::{RunConfig, SwapRunner};
 use swap_core::setup::SwapSetup;
 use swap_core::single_leader::timeout_assignment_feasible;
 use swap_core::timing::PerChainLatency;
-use swap_core::{assign_timeouts, Behavior, Engine, Outcome, ProtocolKind, SwapInstance};
+use swap_core::{assign_timeouts, Behavior, Engine, Outcome, ProtocolKind, SwapInstance, What};
 use swap_crypto::{MssKeypair, Secret};
 use swap_digraph::{generators, Digraph, FeedbackVertexSet, VertexId};
 use swap_pebble::{EagerPebbleGame, LazyPebbleGame};
@@ -116,13 +116,14 @@ fn e1_three_party_timeline() -> bool {
     let delta = 10.0;
     let mut ok = true;
     println!("    event                measured   paper");
-    for (kind, expected) in
-        [("contract.published", [1.0, 2.0, 3.0]), ("arc.triggered", [4.0, 5.0, 6.0])]
-    {
-        for (entry, exp) in report.trace.entries_of_kind(kind).zip(expected) {
+    let is_publish: fn(&What) -> bool = |w| matches!(w, What::Published { .. });
+    let is_trigger: fn(&What) -> bool = |w| matches!(w, What::Triggered { .. });
+    for (is_row, expected) in [(is_publish, [1.0, 2.0, 3.0]), (is_trigger, [4.0, 5.0, 6.0])] {
+        for (event, exp) in report.trace.events().iter().filter(|e| is_row(&e.what)).zip(expected) {
+            let kind = event.what.kind();
             // Transactions execute mid-round; they are *visible* at the
             // round boundary, which is the paper's instant.
-            let visible = (entry.time.ticks() as f64 / delta).ceil();
+            let visible = (event.time.ticks() as f64 / delta).ceil();
             let hit = (visible - exp).abs() < f64::EPSILON;
             ok &= hit;
             println!(
@@ -580,7 +581,9 @@ fn e12_figure8_propagation() -> bool {
     let report = run_conforming(generators::two_leader_triangle(), 0xE12);
     let publish_rounds: BTreeSet<u64> = report
         .trace
-        .entries_of_kind("contract.published")
+        .events()
+        .iter()
+        .filter(|e| matches!(e.what, What::Published { .. }))
         .map(|e| e.time.ticks() / 10 + 1)
         .collect();
     println!(
@@ -695,7 +698,9 @@ fn e14_extensions() -> bool {
     let mut config = RunConfig::default();
     config.behaviors.insert(leader, Behavior::WithholdSecret);
     let report = SwapRunner::new(setup, config).run();
-    let refund_time = report.trace.last_time_of_kind("arc.refunded");
+    let events = report.trace.events().iter();
+    let refund_time =
+        events.rev().find(|e| matches!(e.what, What::Refunded { .. })).map(|e| e.time);
     println!(
         "\n    DoS lock-up: assets escrowed from ~{start}, refundable at {dead}, refunded at {:?}",
         refund_time.map(|t| t.to_string())

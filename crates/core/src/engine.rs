@@ -9,7 +9,9 @@
 //! * `Ev::Wake` — one party observes its [`View`] and emits actions; each
 //!   action is scheduled to execute at the instant the [`TimingModel`]
 //!   assigns to its target chain.
-//! * `Ev::Exec` — an action executes as a transaction; successful
+//! * `Ev::Exec` — an action executes as a transaction and leaves one
+//!   typed [`crate::event::SwapEvent`] in the trace, accepted or refused
+//!   (ids only — nothing is formatted until a reader renders); successful
 //!   mutations schedule a visibility event for the touched arc.
 //! * `Ev::Visible` — a chain change reaches observers: the arc's cached
 //!   snapshot is re-built *only if* the chain's state-version moved, so
@@ -38,8 +40,9 @@ use std::sync::Arc;
 use swap_chain::{ChainId, ContractId, Owner};
 use swap_contract::{AnyContract, SwapSpec};
 use swap_digraph::{ArcId, VertexId};
-use swap_sim::{SimTime, Simulation, TraceLog};
+use swap_sim::{SimTime, Simulation};
 
+use crate::event::{Actor, Attempt, Refusal, Trace, What};
 use crate::instance::SwapInstance;
 use crate::outcome::Outcome;
 use crate::party::{Action, ArcSnapshot, Behavior, BulletinEntry, View};
@@ -61,16 +64,6 @@ enum Ev {
     Visible { arc: ArcId },
     /// The round's bookkeeping runs.
     Close(u64),
-}
-
-/// The trace/metering facts of an on-chain action, copied out before the
-/// owned [`Action`] moves into the protocol's call translation.
-#[derive(Debug, Clone, Copy)]
-enum OnChainMeta {
-    Unlock { index: usize, path_len: usize },
-    Claim,
-    Refund,
-    Reveal,
 }
 
 /// Executes one swap instance as a discrete-event simulation under a
@@ -109,7 +102,7 @@ pub struct Engine<T: TimingModel> {
     finished: bool,
     t0: SimTime,
     max_rounds: u64,
-    trace: TraceLog,
+    trace: Trace,
     metrics: RunMetrics,
 }
 
@@ -150,6 +143,9 @@ impl<T: TimingModel> Engine<T> {
         let arc_count = spec.digraph.arc_count();
         let t0 = spec.start - spec.delta.times(1);
         let max_rounds = config.max_rounds.unwrap_or(2 * spec.diam + 6);
+        // A conforming run publishes, claims and triggers every arc once and
+        // unlocks it once per leader.
+        let trace = Trace::new(&spec.digraph, arc_count * (3 + spec.leaders.len()));
         let shared_spec = Arc::new(spec.clone());
         let protocol = build_protocol(protocol, &setup, &config, Arc::clone(&shared_spec));
         let mut sim = Simulation::new();
@@ -176,7 +172,7 @@ impl<T: TimingModel> Engine<T> {
             finished: false,
             t0,
             max_rounds,
-            trace: TraceLog::new(),
+            trace,
             metrics: RunMetrics::default(),
         }
     }
@@ -192,10 +188,7 @@ impl<T: TimingModel> Engine<T> {
     /// [`swap_chain::ChainSet::absorb`]).
     pub fn run_full(mut self) -> (RunReport, SwapSetup) {
         while !self.finished {
-            let ev = match self.sim.poll() {
-                Ok(ev) => ev,
-                Err(_) => break,
-            };
+            let Some(ev) = self.sim.poll() else { break };
             let now = ev.time;
             match ev.payload {
                 Ev::Boundary(round) => self.on_boundary(round),
@@ -298,15 +291,34 @@ impl<T: TimingModel> Engine<T> {
         self.visible[arc] = snapshot;
     }
 
+    /// Appends one event to the trace and bumps the counter it stands for,
+    /// so every counted call — a refused one included — has its event.
+    fn record(&mut self, time: SimTime, actor: Actor, what: What) {
+        let m = &mut self.metrics;
+        match what {
+            What::Published { .. } => m.contracts_published += 1,
+            // A §4.6 reveal is metered as an unlock so wire-size comparisons
+            // across protocols read off one field.
+            What::Unlocked { .. } | What::Revealed { .. } => m.unlock_calls += 1,
+            What::Claimed { .. } => m.claim_calls += 1,
+            What::Refunded { .. } => m.refund_calls += 1,
+            What::DirectTransfer { .. } => m.direct_transfers += 1,
+            What::Rejected { .. } => m.rejected_calls += 1,
+            What::Triggered { .. } | What::Announced { .. } => {}
+        }
+        self.trace.push(time, actor, what);
+    }
+
     /// An action executes as a transaction at `exec_time`.
-    fn on_exec(&mut self, exec_time: SimTime, round: u64, actor: VertexId, action: Action) {
-        let actor_addr = self.shared_spec.address_of(actor);
-        let actor_name = self.shared_spec.digraph.name(actor).to_string();
+    fn on_exec(&mut self, exec_time: SimTime, round: u64, vertex: VertexId, action: Action) {
+        let actor_addr = self.shared_spec.address_of(vertex);
+        let actor = Actor::Party(vertex);
+        let reject = |attempt, arc, why| What::Rejected { attempt, arc, why };
         match action {
             Action::Publish { arc } => {
                 if self.contract_of_arc[arc.index()].is_some() {
-                    self.metrics.rejected_calls += 1;
-                    return;
+                    let what = reject(Attempt::Publish, arc, Refusal::AlreadyPublished);
+                    return self.record(exec_time, actor, what);
                 }
                 let asset = self.setup.asset_of_arc[arc.index()];
                 // The protocol decides the contract flavor and what it
@@ -320,23 +332,11 @@ impl<T: TimingModel> Engine<T> {
                 match chain.publish_contract(contract, actor_addr, exec_time) {
                     Ok(id) => {
                         self.contract_of_arc[arc.index()] = Some(id);
-                        self.metrics.contracts_published += 1;
-                        self.trace.record(
-                            exec_time,
-                            actor_name,
-                            "contract.published",
-                            format!("arc {arc} round {round}"),
-                        );
+                        self.record(exec_time, actor, What::Published { arc, round });
                         self.schedule_visibility(exec_time, arc);
                     }
                     Err(e) => {
-                        self.metrics.rejected_calls += 1;
-                        self.trace.record(
-                            exec_time,
-                            actor_name,
-                            "tx.rejected",
-                            format!("publish {arc}: {e}"),
-                        );
+                        self.record(exec_time, actor, reject(Attempt::Publish, arc, Refusal::Tx(e)))
                     }
                 }
             }
@@ -344,71 +344,36 @@ impl<T: TimingModel> Engine<T> {
             | Action::Claim { .. }
             | Action::Refund { .. }
             | Action::Reveal { .. }) => {
-                // Copy out everything the traces need, then hand the action
-                // to the protocol *by value* so the multi-kilobyte unlock
-                // payloads (path + signature chain) move instead of clone.
-                let (arc, meta) = match &action {
-                    Action::Unlock { arc, index, path, .. } => {
-                        (*arc, OnChainMeta::Unlock { index: *index, path_len: path.len() })
-                    }
-                    Action::Claim { arc } => (*arc, OnChainMeta::Claim),
-                    Action::Refund { arc } => (*arc, OnChainMeta::Refund),
-                    Action::Reveal { arc, .. } => (*arc, OnChainMeta::Reveal),
+                // Copy out what the trace needs, then hand the action to the
+                // protocol *by value* so the multi-kilobyte unlock payloads
+                // (path + signature chain) move instead of clone.
+                let (arc, attempt, accepted) = match action {
+                    Action::Unlock { arc, index, ref path, .. } => (
+                        arc,
+                        Attempt::Unlock { index },
+                        What::Unlocked { arc, index, path_len: path.len() },
+                    ),
+                    Action::Claim { arc } => (arc, Attempt::Claim, What::Claimed { arc }),
+                    Action::Refund { arc } => (arc, Attempt::Refund, What::Refunded { arc }),
+                    Action::Reveal { arc, .. } => (arc, Attempt::Reveal, What::Revealed { arc }),
                     _ => unreachable!("outer match narrows the variants"),
                 };
                 let Some(id) = self.contract_of_arc[arc.index()] else {
-                    self.metrics.rejected_calls += 1;
-                    return;
+                    let what = reject(attempt, arc, Refusal::NoContract);
+                    return self.record(exec_time, actor, what);
                 };
                 let (call, wire) =
                     self.protocol.call_of(action).expect("unlock/claim/refund/reveal are on-chain");
                 let chain = self.chain_mut(arc);
                 match chain.call_contract(id, actor_addr, call, exec_time, wire) {
                     Ok(_) => {
-                        let (kind, detail) = match meta {
-                            OnChainMeta::Unlock { index, path_len } => {
-                                self.metrics.unlock_calls += 1;
-                                self.metrics.unlock_bytes += wire as u64;
-                                (
-                                    "hashlock.unlocked",
-                                    format!("arc {arc} index {index} path_len {path_len}"),
-                                )
-                            }
-                            OnChainMeta::Claim => {
-                                self.metrics.claim_calls += 1;
-                                ("arc.claimed", format!("arc {arc}"))
-                            }
-                            OnChainMeta::Refund => {
-                                self.metrics.refund_calls += 1;
-                                ("arc.refunded", format!("arc {arc}"))
-                            }
-                            OnChainMeta::Reveal => {
-                                // The §4.6 analogue of an unlock: metered in
-                                // the same counters so wire-size comparisons
-                                // across protocols read off one field.
-                                self.metrics.unlock_calls += 1;
-                                self.metrics.unlock_bytes += wire as u64;
-                                ("secret.revealed", format!("arc {arc}"))
-                            }
-                        };
-                        self.trace.record(exec_time, actor_name, kind, detail);
+                        if matches!(accepted, What::Unlocked { .. } | What::Revealed { .. }) {
+                            self.metrics.unlock_bytes += wire as u64;
+                        }
+                        self.record(exec_time, actor, accepted);
                         self.schedule_visibility(exec_time, arc);
                     }
-                    Err(e) => {
-                        self.metrics.rejected_calls += 1;
-                        let verb = match meta {
-                            OnChainMeta::Unlock { index, .. } => format!("unlock {arc}[{index}]"),
-                            OnChainMeta::Claim => format!("claim {arc}"),
-                            OnChainMeta::Refund => format!("refund {arc}"),
-                            OnChainMeta::Reveal => format!("reveal {arc}"),
-                        };
-                        self.trace.record(
-                            exec_time,
-                            actor_name,
-                            "tx.rejected",
-                            format!("{verb}: {e}"),
-                        );
-                    }
+                    Err(e) => self.record(exec_time, actor, reject(attempt, arc, Refusal::Tx(e))),
                 }
             }
             Action::DirectTransfer { arc } => {
@@ -418,25 +383,13 @@ impl<T: TimingModel> Engine<T> {
                 let chain = self.chain_mut(arc);
                 match chain.transfer_asset(asset, actor_addr, tail_addr, exec_time) {
                     Ok(()) => {
-                        self.metrics.direct_transfers += 1;
-                        self.trace.record(
-                            exec_time,
-                            actor_name,
-                            "asset.direct_transfer",
-                            format!("arc {arc}"),
-                        );
+                        self.record(exec_time, actor, What::DirectTransfer { arc });
                         if self.triggered_at[arc.index()].is_none() {
                             self.triggered_at[arc.index()] = Some(exec_time);
                         }
                     }
                     Err(e) => {
-                        self.metrics.rejected_calls += 1;
-                        self.trace.record(
-                            exec_time,
-                            actor_name,
-                            "tx.rejected",
-                            format!("direct {arc}: {e}"),
-                        );
+                        self.record(exec_time, actor, reject(Attempt::Direct, arc, Refusal::Tx(e)))
                     }
                 }
             }
@@ -444,12 +397,7 @@ impl<T: TimingModel> Engine<T> {
                 self.metrics.announce_bytes += 32 + base_sig.byte_len() as u64;
                 self.bulletin
                     .push((round, Arc::new(BulletinEntry { leader_index, secret, base_sig })));
-                self.trace.record(
-                    exec_time,
-                    actor_name,
-                    "secret.announced",
-                    format!("leader index {leader_index}"),
-                );
+                self.record(exec_time, actor, What::Announced { leader_index });
             }
         }
     }
@@ -472,7 +420,7 @@ impl<T: TimingModel> Engine<T> {
                 // that is the round's shared execution instant.
                 let at = chain.last_mutation_at();
                 self.triggered_at[arc] = Some(at);
-                self.trace.record(at, "sim", "arc.triggered", format!("arc a{arc}"));
+                self.trace.push(at, Actor::Sim, What::Triggered { arc: ArcId::new(arc as u32) });
             }
             if !self.settled_arcs[arc] && contract.settled() {
                 self.settled_arcs[arc] = true;

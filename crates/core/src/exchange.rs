@@ -101,9 +101,10 @@
 //! *command* record first (the operation and its inputs — enough to re-run
 //! it), followed by the *audit* records of everything the operation did to
 //! the offer/swap lifecycle (plan commits, settlements, refunds, identity
-//! registrations, leaf leases). All lifecycle mutations funnel through one
-//! internal choke point (`Exchange::apply_transition`), so the audit
-//! trail cannot silently miss a mutation path. Periodic snapshots at
+//! registrations, leaf leases). All lifecycle mutations funnel through six
+//! private methods (`Exchange::apply_submit`, `apply_resubmit`,
+//! `apply_cancel`, `apply_settle`, `apply_refund`, `apply_tear_down`), so
+//! the audit trail cannot silently miss a mutation path. Periodic snapshots at
 //! pipeline-empty points truncate the log; [`Exchange::recover`] loads the
 //! latest snapshot, replays the WAL tail in *lockstep* — each command is
 //! re-run and the records it regenerates are compared one-to-one against
@@ -652,71 +653,6 @@ struct Journal {
     /// Audit records of the operation in progress; committed right after
     /// its command head, as one group.
     pending: Vec<WalRecord>,
-    /// Nesting depth of journaled public operations (`submit_seeded`
-    /// calls `submit`); only the outermost operation's head is logged, so
-    /// replaying the outer command cannot double-apply the inner one.
-    depth: u32,
-}
-
-/// One offer/swap lifecycle mutation. Every mutation of the book, the
-/// material map, the identity registry's lifecycle counters, or the
-/// report's lifecycle tallies goes through
-/// `Exchange::apply_transition` — the single durability choke point
-/// where audit records are emitted.
-#[derive(Debug)]
-enum Transition {
-    /// A party submits an offer (registering its identity on first touch).
-    Submit(ExchangeParty),
-    /// A registered identity submits a fresh offer (no keygen).
-    Resubmit {
-        /// The registered identity.
-        address: Address,
-        /// Fresh swap secret.
-        secret: Secret,
-        /// Asset kind given.
-        gives: AssetKind,
-        /// Asset kind wanted.
-        wants: AssetKind,
-    },
-    /// An open offer is withdrawn.
-    Cancel(OfferId),
-    /// An executed swap's offers settle (every party ended in `Deal`).
-    Settle(SwapId),
-    /// A swap's offers refund (failed execution, worker panic, or — with
-    /// `exhausted` — a key-exhausted identity at provisioning).
-    Refund {
-        /// The refunded swap.
-        swap: SwapId,
-        /// True when the refund is due to one-time-key exhaustion.
-        exhausted: bool,
-    },
-    /// Verify-failure teardown: the swap's offers refund and its material
-    /// drops, but *without* released-reservation tracking — nothing was
-    /// provisioned, so no deferred counterparty is owed a wake-up.
-    TearDown(SwapId),
-}
-
-/// What a [`Transition`] did.
-#[derive(Debug)]
-enum Applied {
-    /// The offer now in the book.
-    Submitted(OfferId),
-    /// The offer was withdrawn.
-    Cancelled,
-    /// The swap resolved (settled or refunded); these parties' clearing
-    /// reservations were released.
-    Resolved(BTreeSet<Address>),
-    /// The swap was torn down.
-    TornDown,
-}
-
-/// Why a [`Transition`] could not apply.
-#[derive(Debug)]
-enum TransitionError {
-    /// `Resubmit` for an address with no registered identity.
-    UnknownAddress,
-    /// `Cancel` of an unknown or non-open offer.
-    Cancel(CancelError),
 }
 
 /// One swap the pipeline executed, with its full per-run report.
@@ -1030,7 +966,6 @@ impl Exchange {
     /// existing identity (and its consumed-leaf state), so re-submission
     /// can never rewind the one-time-key counter into leaf reuse.
     pub fn submit(&mut self, party: ExchangeParty) -> OfferId {
-        self.journal_begin();
         let head = WalRecord::SubmitOffer {
             seed: *party.keypair.seed(),
             height: party.keypair.height() as u8,
@@ -1039,9 +974,7 @@ impl Exchange {
             gives: party.gives.0.clone(),
             wants: party.wants.0.clone(),
         };
-        let Ok(Applied::Submitted(id)) = self.apply_transition(Transition::Submit(party)) else {
-            unreachable!("submission is infallible")
-        };
+        let id = self.apply_submit(party);
         self.journal_commit(head);
         id
     }
@@ -1064,7 +997,6 @@ impl Exchange {
     /// address to [`resubmit`](Self::resubmit) to trade again with zero
     /// keygen.
     pub fn submit_seeded(&mut self, seeds: Vec<PartySeed>) -> Vec<(OfferId, Address)> {
-        self.journal_begin();
         let head = WalRecord::SubmitSeeded {
             seeds: seeds
                 .iter()
@@ -1112,7 +1044,9 @@ impl Exchange {
                     gives: spec.gives,
                     wants: spec.wants,
                 };
-                (self.submit(party), address)
+                // The seeded command is the group's one head: replaying it
+                // re-runs every submission, so none logs its own.
+                (self.apply_submit(party), address)
             })
             .collect();
         self.journal_commit(head);
@@ -1129,26 +1063,20 @@ impl Exchange {
         gives: AssetKind,
         wants: AssetKind,
     ) -> Option<OfferId> {
-        self.journal_begin();
         let head = WalRecord::Resubmit {
             address: *address.digest().as_bytes(),
             secret: *secret.reveal(),
             gives: gives.0.clone(),
             wants: wants.0.clone(),
         };
-        match self.apply_transition(Transition::Resubmit { address, secret, gives, wants }) {
-            Ok(Applied::Submitted(id)) => {
-                self.journal_commit(head);
-                Some(id)
-            }
-            Err(TransitionError::UnknownAddress) => {
-                // Nothing happened; an unknown address leaves no trace in
-                // the log either.
-                self.journal_abort();
-                None
-            }
-            other => unreachable!("resubmission yielded {other:?}"),
+        let id = self.apply_resubmit(address, secret, gives, wants);
+        match id {
+            Some(_) => self.journal_commit(head),
+            // Nothing happened; an unknown address leaves no trace in the
+            // log either.
+            None => self.journal_abort(),
         }
+        id
     }
 
     /// Withdraws an open offer (see [`ClearingService::cancel`]). Accepted
@@ -1160,18 +1088,12 @@ impl Exchange {
     ///
     /// [`CancelError`] if the offer is unknown or no longer open.
     pub fn cancel(&mut self, id: OfferId) -> Result<(), CancelError> {
-        self.journal_begin();
-        match self.apply_transition(Transition::Cancel(id)) {
-            Ok(Applied::Cancelled) => {
-                self.journal_commit(WalRecord::Cancel { offer: id.raw() });
-                Ok(())
-            }
-            Err(TransitionError::Cancel(e)) => {
-                self.journal_abort();
-                Err(e)
-            }
-            other => unreachable!("cancellation yielded {other:?}"),
+        let outcome = self.apply_cancel(id);
+        match outcome {
+            Ok(()) => self.journal_commit(WalRecord::Cancel { offer: id.raw() }),
+            Err(_) => self.journal_abort(),
         }
+        outcome
     }
 
     /// The pipeline frontier: the simulated instant of the latest completed
@@ -1294,7 +1216,6 @@ impl Exchange {
     /// survive and settle normally. The pipeline stays consistent in every
     /// case and further `step` calls keep driving the remaining epochs.
     pub fn step(&mut self) -> Result<StepEvent, ExchangeError> {
-        self.journal_begin();
         let outcome = self.step_inner();
         match &outcome {
             Ok(StepEvent::StageEntered { epoch, stage, at }) => {
@@ -1536,8 +1457,7 @@ impl Exchange {
                     // the lifecycle resolves instead of wedging in
                     // `Matched`.
                     for swap in &cleared {
-                        self.apply_transition(Transition::TearDown(swap.id))
-                            .expect("teardown is infallible");
+                        self.apply_tear_down(swap.id);
                     }
                     self.report.swaps_cleared += cleared.len() as u64;
                     self.in_flight.remove(i);
@@ -1567,15 +1487,7 @@ impl Exchange {
                         (self.identities.remaining(address).unwrap_or(0) < *n).then_some(*address)
                     });
                     if let Some(address) = short {
-                        let Ok(Applied::Resolved(freed)) =
-                            self.apply_transition(Transition::Refund {
-                                swap: swap.id,
-                                exhausted: true,
-                            })
-                        else {
-                            unreachable!("refunds are infallible")
-                        };
-                        released.extend(freed);
+                        released.extend(self.apply_refund(swap.id, true));
                         self.report.swaps_cleared += 1;
                         exhausted.push((swap.id, address));
                         continue;
@@ -1726,12 +1638,7 @@ impl Exchange {
         // their parties' reservations release exactly as settlement would.
         let mut released: BTreeSet<Address> = BTreeSet::new();
         for &id in &panicked {
-            let Ok(Applied::Resolved(freed)) =
-                self.apply_transition(Transition::Refund { swap: id, exhausted: false })
-            else {
-                unreachable!("refunds are infallible")
-            };
-            released.extend(freed);
+            released.extend(self.apply_refund(id, false));
             self.report.swaps_cleared += 1;
         }
         if !released.is_empty() && self.service.any_deferred_from(&released) {
@@ -1791,15 +1698,11 @@ impl Exchange {
         let mut released: BTreeSet<Address> = BTreeSet::new();
         for SwapResult { summary, tx_executed, tx_rolled_back, chains, report } in results {
             let (id, epoch) = (summary.swap, summary.epoch);
-            let transition = if summary.all_deal {
-                Transition::Settle(id)
+            released.extend(if summary.all_deal {
+                self.apply_settle(id)
             } else {
-                Transition::Refund { swap: id, exhausted: false }
-            };
-            let Ok(Applied::Resolved(freed)) = self.apply_transition(transition) else {
-                unreachable!("settlements and refunds are infallible")
-            };
-            released.extend(freed);
+                self.apply_refund(id, false)
+            });
             self.report.swaps.push(summary);
             self.report.tx_executed += tx_executed;
             self.report.tx_rolled_back += tx_rolled_back;
@@ -1846,84 +1749,96 @@ impl Exchange {
     }
 
     // ─── The durability choke point ──────────────────────────────────────
+    //
+    // **Every** mutation of the book, the offer-material map, the identity
+    // registry's registration path, and the report's lifecycle tallies goes
+    // through one of the six `apply_*` methods below — the only places audit
+    // records are emitted, so the WAL cannot silently miss a mutation path.
 
-    /// Applies one offer/swap lifecycle mutation. **Every** mutation of the
-    /// book, the offer-material map, the identity registry's registration
-    /// path, and the report's lifecycle tallies goes through here — the
-    /// single place audit records are emitted, so the WAL cannot silently
-    /// miss a mutation path.
-    fn apply_transition(&mut self, transition: Transition) -> Result<Applied, TransitionError> {
-        match transition {
-            Transition::Submit(party) => {
-                let offer = party.offer();
-                let (address, first) = self.identities.register(party.keypair);
-                if first {
-                    self.report.identities_registered += 1;
-                    self.journal_audit(WalRecord::IdentityRegistered {
-                        address: *address.digest().as_bytes(),
-                    });
-                }
-                let id = self.service.submit(offer);
-                self.material.insert(id, (address, party.secret));
-                self.report.offers_submitted += 1;
-                // The *latest* unseen change: the next clearing scans the
-                // book as of admission, so it cannot start before this
-                // submission exists.
-                self.dirty_since = Some(self.now);
-                Ok(Applied::Submitted(id))
-            }
-            Transition::Resubmit { address, secret, gives, wants } => {
-                let key =
-                    self.identities.public_key(&address).ok_or(TransitionError::UnknownAddress)?;
-                let id =
-                    self.service.submit(Offer { key, hashlock: secret.hashlock(), gives, wants });
-                self.material.insert(id, (address, secret));
-                self.report.offers_submitted += 1;
-                self.dirty_since = Some(self.now);
-                Ok(Applied::Submitted(id))
-            }
-            Transition::Cancel(id) => {
-                self.service.cancel(id).map_err(TransitionError::Cancel)?;
-                self.material.remove(&id);
-                self.report.offers_cancelled += 1;
-                // A withdrawal changes the open book too: the next clearing
-                // gets a look (this is also the recovery path after a
-                // failed admission).
-                self.dirty_since = Some(self.now);
-                Ok(Applied::Cancelled)
-            }
-            Transition::Settle(swap) => {
-                let released = self.release_swap_material(swap);
-                self.service.settle_swap(swap).expect("issued this epoch");
-                self.report.swaps_settled += 1;
-                self.journal_audit(WalRecord::SwapSettled { swap: swap.raw() });
-                Ok(Applied::Resolved(released))
-            }
-            Transition::Refund { swap, exhausted } => {
-                let released = self.release_swap_material(swap);
-                self.service.refund_swap(swap).expect("issued this epoch");
-                self.report.swaps_refunded += 1;
-                if exhausted {
-                    self.report.swaps_exhausted += 1;
-                }
-                self.journal_audit(WalRecord::SwapRefunded { swap: swap.raw(), exhausted });
-                Ok(Applied::Resolved(released))
-            }
-            Transition::TearDown(swap) => {
-                // Unlike a refund, a teardown tracks no released
-                // reservations: nothing was provisioned, so no deferred
-                // counterparty is owed a wake-up.
-                let offers: Vec<OfferId> =
-                    self.service.offers_of_swap(swap).map(<[_]>::to_vec).unwrap_or_default();
-                self.service.refund_swap(swap).expect("issued this epoch");
-                for oid in &offers {
-                    self.material.remove(oid);
-                }
-                self.report.swaps_refunded += 1;
-                self.journal_audit(WalRecord::SwapRefunded { swap: swap.raw(), exhausted: false });
-                Ok(Applied::TornDown)
-            }
+    /// A party submits an offer (registering its identity on first touch).
+    fn apply_submit(&mut self, party: ExchangeParty) -> OfferId {
+        let offer = party.offer();
+        let (address, first) = self.identities.register(party.keypair);
+        if first {
+            self.report.identities_registered += 1;
+            self.journal_audit(WalRecord::IdentityRegistered {
+                address: *address.digest().as_bytes(),
+            });
         }
+        let id = self.service.submit(offer);
+        self.material.insert(id, (address, party.secret));
+        self.report.offers_submitted += 1;
+        // The *latest* unseen change: the next clearing scans the book as
+        // of admission, so it cannot start before this submission exists.
+        self.dirty_since = Some(self.now);
+        id
+    }
+
+    /// A registered identity submits a fresh offer (no keygen); `None` for
+    /// an address with no registered identity.
+    fn apply_resubmit(
+        &mut self,
+        address: Address,
+        secret: Secret,
+        gives: AssetKind,
+        wants: AssetKind,
+    ) -> Option<OfferId> {
+        let key = self.identities.public_key(&address)?;
+        let id = self.service.submit(Offer { key, hashlock: secret.hashlock(), gives, wants });
+        self.material.insert(id, (address, secret));
+        self.report.offers_submitted += 1;
+        self.dirty_since = Some(self.now);
+        Some(id)
+    }
+
+    /// An open offer is withdrawn.
+    fn apply_cancel(&mut self, id: OfferId) -> Result<(), CancelError> {
+        self.service.cancel(id)?;
+        self.material.remove(&id);
+        self.report.offers_cancelled += 1;
+        // A withdrawal changes the open book too: the next clearing gets a
+        // look (this is also the recovery path after a failed admission).
+        self.dirty_since = Some(self.now);
+        Ok(())
+    }
+
+    /// An executed swap's offers settle (every party ended in `Deal`).
+    /// Returns the parties whose clearing reservations this releases.
+    fn apply_settle(&mut self, swap: SwapId) -> BTreeSet<Address> {
+        let released = self.release_swap_material(swap);
+        self.service.settle_swap(swap).expect("issued this epoch");
+        self.report.swaps_settled += 1;
+        self.journal_audit(WalRecord::SwapSettled { swap: swap.raw() });
+        released
+    }
+
+    /// A swap's offers refund (failed execution, worker panic, or — with
+    /// `exhausted` — a key-exhausted identity at provisioning). Returns the
+    /// parties whose clearing reservations this releases.
+    fn apply_refund(&mut self, swap: SwapId, exhausted: bool) -> BTreeSet<Address> {
+        let released = self.release_swap_material(swap);
+        self.service.refund_swap(swap).expect("issued this epoch");
+        self.report.swaps_refunded += 1;
+        if exhausted {
+            self.report.swaps_exhausted += 1;
+        }
+        self.journal_audit(WalRecord::SwapRefunded { swap: swap.raw(), exhausted });
+        released
+    }
+
+    /// Verify-failure teardown: the swap's offers refund and its material
+    /// drops, but — unlike a refund — *without* released-reservation
+    /// tracking: nothing was provisioned, so no deferred counterparty is
+    /// owed a wake-up.
+    fn apply_tear_down(&mut self, swap: SwapId) {
+        let offers: Vec<OfferId> =
+            self.service.offers_of_swap(swap).map(<[_]>::to_vec).unwrap_or_default();
+        self.service.refund_swap(swap).expect("issued this epoch");
+        for oid in &offers {
+            self.material.remove(oid);
+        }
+        self.report.swaps_refunded += 1;
+        self.journal_audit(WalRecord::SwapRefunded { swap: swap.raw(), exhausted: false });
     }
 
     /// Drops a resolving swap's key material and collects the addresses
@@ -1982,7 +1897,6 @@ impl Exchange {
             snapshot_every: journal.snapshot_every,
             settled_since_snapshot: 0,
             pending: Vec::new(),
-            depth: 0,
         });
         Ok(exchange)
     }
@@ -2002,19 +1916,11 @@ impl Exchange {
         Ok(())
     }
 
-    /// Opens a journaled public operation (one record group).
-    fn journal_begin(&mut self) {
-        if let Some(journal) = &mut self.journal {
-            journal.depth += 1;
-        }
-    }
-
     /// Closes a journaled operation that mutated nothing: no record.
-    fn journal_abort(&mut self) {
-        if let Some(journal) = &mut self.journal {
-            journal.depth -= 1;
+    fn journal_abort(&self) {
+        if let Some(journal) = &self.journal {
             debug_assert!(
-                journal.depth > 0 || journal.pending.is_empty(),
+                journal.pending.is_empty(),
                 "aborted operation left audit records pending"
             );
         }
@@ -2024,14 +1930,6 @@ impl Exchange {
     /// `head` first, then every audit record the operation emitted.
     fn journal_commit(&mut self, head: WalRecord) {
         let Some(journal) = &mut self.journal else { return };
-        journal.depth -= 1;
-        if journal.depth > 0 {
-            // A nested operation (`submit_seeded` calls `submit`): its head
-            // is implied by the outer command — replaying the outer command
-            // re-runs it — so only its audits stay pending, for the outer
-            // group.
-            return;
-        }
         let mut group = Vec::with_capacity(1 + journal.pending.len());
         group.push(head);
         group.append(&mut journal.pending);
@@ -2183,7 +2081,6 @@ impl Exchange {
             snapshot_every: journal.snapshot_every,
             settled_since_snapshot: 0,
             pending: Vec::new(),
-            depth: 0,
         });
         let mut stats = RecoveryStats {
             snapshot_seq,

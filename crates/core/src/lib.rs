@@ -13,6 +13,10 @@
 //!   party wake-ups, transaction execution, and visibility boundaries as
 //!   scheduled events over [`swap_sim::Simulation`], with snapshot-delta
 //!   caching keyed on chain state-versions.
+//! * [`event`] — what a swap did, in types ([`SwapEvent`], [`What`]): the
+//!   paper's closed list of publish / unlock / claim / refund / reveal /
+//!   trigger / direct transfer / announce, plus every refused call; ids in,
+//!   strings only at render ([`Trace::render`]).
 //! * [`protocol`] — the protocol axis ([`protocol::SwapProtocol`]): the
 //!   general §4.5 hashkey protocol and the §4.6 single-leader HTLC
 //!   protocol as pluggable strategies over the one engine, selected per
@@ -42,8 +46,8 @@
 //!   [`timing::Lockstep`] Δ-rounds and [`timing::PerChainLatency`]
 //!   (per-chain publish/confirm delays under a dominating Δ).
 //! * [`runner`] — the lockstep facade ([`SwapRunner`]) producing
-//!   [`RunReport`]s with outcomes, per-arc trigger times, traces, and
-//!   storage/communication metrics.
+//!   [`RunReport`]s with outcomes, per-arc trigger times, the typed
+//!   [`Trace`], and storage/communication metrics.
 //! * [`outcome`] — the Figure 3 outcome lattice ([`Outcome`]).
 //! * [`single_leader`] — the §4.6 Lemma 4.13 timeout assignment and the
 //!   Figure 6 feasibility analysis (the protocol itself runs as
@@ -80,6 +84,7 @@
 mod durability;
 
 pub mod engine;
+pub mod event;
 pub mod exchange;
 pub mod hashkey;
 pub mod identity;
@@ -96,6 +101,7 @@ pub mod timing;
 pub mod waitsfor;
 
 pub use engine::Engine;
+pub use event::{Actor, SwapEvent, Trace, What};
 pub use exchange::{
     DriveError, EpochStage, Exchange, ExchangeConfig, ExchangeError, ExchangeParty, ExchangeReport,
     ExecutedSwap, JournalConfig, PartySeed, ProtocolPolicy, RecoverError, Recovered, RecoveryStats,

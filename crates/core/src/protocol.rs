@@ -513,6 +513,7 @@ impl SwapProtocol for HtlcProtocol {
 mod tests {
     use super::*;
     use crate::engine::Engine;
+    use crate::event::What;
     use crate::instance::SwapInstance;
     use crate::outcome::Outcome;
     use crate::runner::{RunConfig, RunReport, SwapRunner};
@@ -598,12 +599,9 @@ mod tests {
         // event-driven engine instead of a private round loop.
         let report = run_htlc(generators::herlihy_three_party(), 3, RunConfig::default());
         assert!(report.all_deal(), "outcomes: {:?}", report.outcomes);
-        let publishes: Vec<u64> =
-            report.trace.entries_of_kind("contract.published").map(|e| e.time.ticks()).collect();
-        assert_eq!(publishes, vec![5, 15, 25]);
-        let triggers: Vec<u64> =
-            report.trace.entries_of_kind("arc.triggered").map(|e| e.time.ticks()).collect();
-        assert_eq!(triggers, vec![35, 45, 55]);
+        let trace = &report.trace;
+        assert_eq!(trace.ticks_of(|w| matches!(w, What::Published { .. })), vec![5, 15, 25]);
+        assert_eq!(trace.ticks_of(|w| matches!(w, What::Triggered { .. })), vec![35, 45, 55]);
         assert_eq!(report.metrics.refund_calls, 0);
         assert!(report.settled);
     }

@@ -32,14 +32,19 @@
 //! arcs) instead of O(|A|). The reference for that cache is the recorded
 //! seed-runner fingerprints under `tests/golden/` (the seed runner rebuilt
 //! every arc every round), which `tests/engine_equivalence.rs` replays.
+//!
+//! What the run did comes back in [`RunReport::trace`] as typed
+//! [`crate::event::SwapEvent`]s; [`RunMetrics`]' call counters are bumped
+//! where the events are recorded, one event per counted call.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use swap_chain::StorageReport;
 use swap_digraph::{ArcId, VertexId};
-use swap_sim::{SimTime, TraceLog};
+use swap_sim::SimTime;
 
 use crate::engine::Engine;
+use crate::event::Trace;
 use crate::outcome::Outcome;
 use crate::party::Behavior;
 use crate::setup::SwapSetup;
@@ -78,7 +83,9 @@ pub struct RunMetrics {
     /// Successful protocol-bypassing direct asset transfers (coalition
     /// behavior, Lemma 3.4).
     pub direct_transfers: u64,
-    /// Transactions rejected by contracts or chains.
+    /// Calls refused — by a contract, a chain, or because the arc had no
+    /// contract to call (or already one to publish over). Each left a
+    /// [`crate::event::What::Rejected`] event.
     pub rejected_calls: u64,
     /// Bytes published on the broadcast bulletin.
     pub announce_bytes: u64,
@@ -102,8 +109,9 @@ pub struct RunReport {
     pub conforming: Vec<bool>,
     /// Which parties abandoned after detecting an invalid contract.
     pub abandoned: Vec<VertexId>,
-    /// The execution trace (regenerates the paper's timeline figures).
-    pub trace: TraceLog,
+    /// The execution trace: typed events, rendered on demand (regenerates
+    /// the paper's timeline figures).
+    pub trace: Trace,
     /// Counters.
     pub metrics: RunMetrics,
     /// Bytes stored across all blockchains (Theorem 4.10's quantity).
@@ -160,6 +168,7 @@ impl SwapRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::What;
     use crate::setup::{SetupConfig, SwapSetup};
     use swap_digraph::generators;
     use swap_sim::SimRng;
@@ -189,11 +198,9 @@ mod tests {
         // triggers at 4Δ, 5Δ, 6Δ (here mid-round: 35, 45, 55 exec times
         // visible at 40, 50, 60).
         let report = run_three_party(RunConfig::default());
-        let publishes: Vec<u64> =
-            report.trace.entries_of_kind("contract.published").map(|e| e.time.ticks()).collect();
+        let publishes = report.trace.ticks_of(|w| matches!(w, What::Published { .. }));
         assert_eq!(publishes, vec![5, 15, 25], "deploys in consecutive rounds");
-        let triggers: Vec<u64> =
-            report.trace.entries_of_kind("arc.triggered").map(|e| e.time.ticks()).collect();
+        let triggers = report.trace.ticks_of(|w| matches!(w, What::Triggered { .. }));
         assert_eq!(triggers, vec![35, 45, 55], "triggers in consecutive rounds");
         // Completion within 2·diam·Δ of the start (Theorem 4.7):
         // 55 - 10 = 45 ≤ 60.

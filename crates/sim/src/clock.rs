@@ -53,11 +53,6 @@ impl SimTime {
     pub const fn saturating_add(self, d: SimDuration) -> SimTime {
         SimTime(self.0.saturating_add(d.0))
     }
-
-    /// The duration elapsed since `earlier`, or zero if `earlier` is later.
-    pub const fn saturating_since(self, earlier: SimTime) -> SimDuration {
-        SimDuration(self.0.saturating_sub(earlier.0))
-    }
 }
 
 impl fmt::Display for SimTime {
@@ -224,11 +219,6 @@ impl Delta {
     pub fn times(self, n: u64) -> SimDuration {
         self.0 * n
     }
-
-    /// How many whole Δ intervals fit in `d` (rounding down).
-    pub fn intervals_in(self, d: SimDuration) -> u64 {
-        d.0 / self.0 .0
-    }
 }
 
 impl Default for Delta {
@@ -271,10 +261,6 @@ mod tests {
     fn saturating_ops() {
         assert_eq!(SimTime::MAX.saturating_add(SimDuration::from_ticks(5)), SimTime::MAX);
         assert_eq!(
-            SimTime::from_ticks(3).saturating_since(SimTime::from_ticks(9)),
-            SimDuration::ZERO
-        );
-        assert_eq!(
             SimDuration::from_ticks(3).saturating_sub(SimDuration::from_ticks(9)),
             SimDuration::ZERO
         );
@@ -295,8 +281,6 @@ mod tests {
     fn delta_times() {
         let delta = Delta::from_ticks(10);
         assert_eq!(delta.times(6).ticks(), 60);
-        assert_eq!(delta.intervals_in(SimDuration::from_ticks(59)), 5);
-        assert_eq!(delta.intervals_in(SimDuration::from_ticks(60)), 6);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Deterministic event queue and simulation driver.
+//! Deterministic event queue and the clock-owning [`Simulation`] over it.
 //!
 //! The queue orders events by `(time, insertion sequence)`, so two events
 //! scheduled for the same tick are delivered in the order they were
@@ -9,7 +9,7 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::clock::{SimDuration, SimTime};
+use crate::clock::SimTime;
 
 /// An event that has been scheduled for a particular instant.
 #[derive(Debug, Clone)]
@@ -109,58 +109,33 @@ impl<E> EventQueue<E> {
     }
 }
 
-/// Why a [`Simulation`] run stopped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum StopReason {
-    /// The event queue drained: nothing left to do.
-    QueueDrained,
-    /// The configured horizon was reached before the queue drained.
-    HorizonReached,
-    /// The handler requested an early stop.
-    Halted,
-    /// The event budget (maximum number of dispatched events) was exhausted.
-    BudgetExhausted,
-}
-
-/// What the event handler tells the driver after each event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Control {
-    /// Keep running.
-    Continue,
-    /// Stop immediately (reported as [`StopReason::Halted`]).
-    Halt,
-}
-
-/// A simple single-threaded discrete-event simulation driver.
+/// The clock-owning queue the engine polls.
 ///
-/// The driver owns the clock and the queue; domain state lives in the closure
-/// environment (or in a state struct the caller threads through). Handlers
-/// may schedule further events at or after the current instant.
+/// The simulation owns the clock and the queue; domain state lives with the
+/// caller, which holds the simulation beside it, handles each polled event
+/// with ordinary `&mut self` methods, schedules follow-ups at or after the
+/// current instant between polls, and stops on any condition it likes.
 ///
 /// # Example
 ///
 /// ```
-/// use swap_sim::{Simulation, SimDuration, SimTime, StopReason};
+/// use swap_sim::{Simulation, SimDuration, SimTime};
 ///
 /// let mut sim = Simulation::new();
 /// sim.schedule(SimTime::ZERO, 1u32);
 /// let mut seen = Vec::new();
-/// let reason = sim.run(|now, ev, sched| {
-///     seen.push((now.ticks(), ev));
-///     if ev < 3 {
-///         sched.schedule(now + SimDuration::from_ticks(2), ev + 1);
+/// while let Some(ev) = sim.poll() {
+///     seen.push((ev.time.ticks(), ev.payload));
+///     if ev.payload < 3 {
+///         sim.schedule(sim.now() + SimDuration::from_ticks(2), ev.payload + 1);
 ///     }
-///     swap_sim::event::Control::Continue
-/// });
-/// assert_eq!(reason, StopReason::QueueDrained);
+/// }
 /// assert_eq!(seen, vec![(0, 1), (2, 2), (4, 3)]);
 /// ```
 #[derive(Debug)]
 pub struct Simulation<E> {
     queue: EventQueue<E>,
     now: SimTime,
-    horizon: Option<SimTime>,
-    budget: Option<u64>,
     dispatched: u64,
 }
 
@@ -171,27 +146,9 @@ impl<E> Default for Simulation<E> {
 }
 
 impl<E> Simulation<E> {
-    /// Creates a simulation starting at [`SimTime::ZERO`] with no horizon.
+    /// Creates a simulation starting at [`SimTime::ZERO`].
     pub fn new() -> Self {
-        Simulation {
-            queue: EventQueue::new(),
-            now: SimTime::ZERO,
-            horizon: None,
-            budget: None,
-            dispatched: 0,
-        }
-    }
-
-    /// Sets an inclusive time horizon: events strictly after it never fire.
-    pub fn with_horizon(mut self, horizon: SimTime) -> Self {
-        self.horizon = Some(horizon);
-        self
-    }
-
-    /// Sets a maximum number of dispatched events (runaway protection).
-    pub fn with_budget(mut self, budget: u64) -> Self {
-        self.budget = Some(budget);
-        self
+        Simulation { queue: EventQueue::new(), now: SimTime::ZERO, dispatched: 0 }
     }
 
     /// The current simulated instant.
@@ -204,7 +161,7 @@ impl<E> Simulation<E> {
         self.dispatched
     }
 
-    /// Schedules an event before or during the run.
+    /// Schedules an event, before the first poll or between polls.
     ///
     /// # Panics
     ///
@@ -215,119 +172,18 @@ impl<E> Simulation<E> {
         self.queue.schedule(time, payload);
     }
 
-    /// Schedules an event `delay` after the current instant.
-    pub fn schedule_in(&mut self, delay: SimDuration, payload: E) {
-        let time = self.now + delay;
-        self.queue.schedule(time, payload);
-    }
-
     /// Number of pending events.
     pub fn pending(&self) -> usize {
         self.queue.len()
     }
 
-    /// Pops the earliest runnable event, advancing the clock to it.
-    ///
-    /// This is the pull-style driver: where [`Simulation::run`] inverts
-    /// control into a handler closure, `poll` lets the caller own the loop —
-    /// an engine can hold the simulation *and* its domain state in one
-    /// struct, handle each event with ordinary `&mut self` methods, schedule
-    /// follow-ups directly on the simulation between polls, and stop on any
-    /// domain condition it likes.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`StopReason`] when no event can run: the queue drained,
-    /// the next event lies beyond the horizon, or the dispatch budget is
-    /// exhausted ([`StopReason::Halted`] never originates here — halting is
-    /// the caller's decision in pull style).
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use swap_sim::{Simulation, SimDuration, SimTime, StopReason};
-    ///
-    /// let mut sim = Simulation::new();
-    /// sim.schedule(SimTime::ZERO, 1u32);
-    /// let mut seen = Vec::new();
-    /// loop {
-    ///     let ev = match sim.poll() {
-    ///         Ok(ev) => ev,
-    ///         Err(reason) => {
-    ///             assert_eq!(reason, StopReason::QueueDrained);
-    ///             break;
-    ///         }
-    ///     };
-    ///     seen.push((ev.time.ticks(), ev.payload));
-    ///     if ev.payload < 3 {
-    ///         sim.schedule_in(SimDuration::from_ticks(2), ev.payload + 1);
-    ///     }
-    /// }
-    /// assert_eq!(seen, vec![(0, 1), (2, 2), (4, 3)]);
-    /// ```
-    pub fn poll(&mut self) -> Result<ScheduledEvent<E>, StopReason> {
-        let Some(next_time) = self.queue.next_time() else {
-            return Err(StopReason::QueueDrained);
-        };
-        if let Some(h) = self.horizon {
-            if next_time > h {
-                return Err(StopReason::HorizonReached);
-            }
-        }
-        if let Some(b) = self.budget {
-            if self.dispatched >= b {
-                return Err(StopReason::BudgetExhausted);
-            }
-        }
-        let ev = self.queue.pop().expect("peeked event must exist");
+    /// Pops the earliest event, advancing the clock to it; `None` once the
+    /// queue has drained.
+    pub fn poll(&mut self) -> Option<ScheduledEvent<E>> {
+        let ev = self.queue.pop()?;
         self.now = ev.time;
         self.dispatched += 1;
-        Ok(ev)
-    }
-
-    /// Runs until the queue drains, the horizon passes, the budget runs out,
-    /// or the handler halts. The handler receives the current time, the
-    /// event, and a scheduler for follow-up events.
-    pub fn run<F>(&mut self, mut handler: F) -> StopReason
-    where
-        F: FnMut(SimTime, E, &mut Scheduler<'_, E>) -> Control,
-    {
-        loop {
-            let ev = match self.poll() {
-                Ok(ev) => ev,
-                Err(reason) => return reason,
-            };
-            let mut sched = Scheduler { queue: &mut self.queue, now: self.now };
-            match handler(self.now, ev.payload, &mut sched) {
-                Control::Continue => {}
-                Control::Halt => return StopReason::Halted,
-            }
-        }
-    }
-}
-
-/// Restricted view of the queue handed to event handlers: they may only
-/// schedule *future* (or same-instant) events.
-#[derive(Debug)]
-pub struct Scheduler<'a, E> {
-    queue: &'a mut EventQueue<E>,
-    now: SimTime,
-}
-
-impl<E> Scheduler<'_, E> {
-    /// Schedules a follow-up event at `time`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `time` is before the current instant.
-    pub fn schedule(&mut self, time: SimTime, payload: E) {
-        assert!(time >= self.now, "cannot schedule an event in the past");
-        self.queue.schedule(time, payload);
-    }
-
-    /// The instant of the event currently being handled.
-    pub fn now(&self) -> SimTime {
-        self.now
+        Some(ev)
     }
 }
 
@@ -362,67 +218,17 @@ mod tests {
     }
 
     #[test]
-    fn run_to_drain() {
+    fn poll_to_drain_advances_clock_and_counts() {
         let mut sim = Simulation::new();
         sim.schedule(SimTime::ZERO, 0u32);
-        let mut count = 0;
-        let reason = sim.run(|_, ev, sched| {
-            count += 1;
-            if ev < 9 {
-                sched.schedule(sched.now() + SimDuration::from_ticks(1), ev + 1);
+        while let Some(ev) = sim.poll() {
+            if ev.payload < 9 {
+                sim.schedule(sim.now() + SimDuration::from_ticks(1), ev.payload + 1);
             }
-            Control::Continue
-        });
-        assert_eq!(reason, StopReason::QueueDrained);
-        assert_eq!(count, 10);
+        }
         assert_eq!(sim.now(), SimTime::from_ticks(9));
         assert_eq!(sim.dispatched(), 10);
-    }
-
-    #[test]
-    fn horizon_stops_run() {
-        let mut sim = Simulation::new().with_horizon(SimTime::from_ticks(4));
-        sim.schedule(SimTime::ZERO, ());
-        let mut fired = 0;
-        let reason = sim.run(|now, (), sched| {
-            fired += 1;
-            sched.schedule(now + SimDuration::from_ticks(2), ());
-            Control::Continue
-        });
-        assert_eq!(reason, StopReason::HorizonReached);
-        // Fires at t=0, 2, 4; the event at t=6 exceeds the horizon.
-        assert_eq!(fired, 3);
-    }
-
-    #[test]
-    fn handler_can_halt() {
-        let mut sim = Simulation::new();
-        for i in 0..10 {
-            sim.schedule(SimTime::from_ticks(i), i);
-        }
-        let mut last = None;
-        let reason = sim.run(|_, ev, _| {
-            last = Some(ev);
-            if ev == 3 {
-                Control::Halt
-            } else {
-                Control::Continue
-            }
-        });
-        assert_eq!(reason, StopReason::Halted);
-        assert_eq!(last, Some(3));
-    }
-
-    #[test]
-    fn budget_exhaustion() {
-        let mut sim = Simulation::new().with_budget(5);
-        sim.schedule(SimTime::ZERO, ());
-        let reason = sim.run(|now, (), sched| {
-            sched.schedule(now + SimDuration::from_ticks(1), ());
-            Control::Continue
-        });
-        assert_eq!(reason, StopReason::BudgetExhausted);
-        assert_eq!(sim.dispatched(), 5);
+        assert_eq!(sim.pending(), 0);
     }
 
     #[test]
@@ -430,46 +236,27 @@ mod tests {
     fn scheduling_in_the_past_panics() {
         let mut sim = Simulation::new();
         sim.schedule(SimTime::from_ticks(5), ());
-        sim.run(|_, (), sched| {
-            // now == 5; scheduling at 4 must panic.
-            sched.schedule(SimTime::from_ticks(4), ());
-            Control::Continue
-        });
+        sim.poll();
+        // now == 5; scheduling at 4 must panic.
+        sim.schedule(SimTime::from_ticks(4), ());
     }
 
     #[test]
-    fn poll_pull_style_matches_run_order() {
+    fn poll_orders_follow_ups_scheduled_between_polls() {
         let mut sim = Simulation::new();
         sim.schedule(SimTime::from_ticks(2), 'b');
         sim.schedule(SimTime::from_ticks(1), 'a');
         let mut order = Vec::new();
-        while let Ok(ev) = sim.poll() {
+        while let Some(ev) = sim.poll() {
             order.push(ev.payload);
             if ev.payload == 'a' {
-                // Follow-ups scheduled between polls, directly on the sim.
-                sim.schedule_in(SimDuration::from_ticks(3), 'c');
+                sim.schedule(sim.now() + SimDuration::from_ticks(3), 'c');
             }
         }
         assert_eq!(order, vec!['a', 'b', 'c']);
         assert_eq!(sim.now(), SimTime::from_ticks(4));
         assert_eq!(sim.dispatched(), 3);
-        assert_eq!(sim.poll().unwrap_err(), StopReason::QueueDrained);
-    }
-
-    #[test]
-    fn poll_respects_horizon_and_budget() {
-        let mut sim = Simulation::new().with_horizon(SimTime::from_ticks(3));
-        sim.schedule(SimTime::from_ticks(2), ());
-        sim.schedule(SimTime::from_ticks(5), ());
-        assert!(sim.poll().is_ok());
-        assert_eq!(sim.poll().unwrap_err(), StopReason::HorizonReached);
-
-        let mut sim = Simulation::new().with_budget(1);
-        sim.schedule(SimTime::ZERO, ());
-        sim.schedule(SimTime::from_ticks(1), ());
-        assert!(sim.poll().is_ok());
-        assert_eq!(sim.poll().unwrap_err(), StopReason::BudgetExhausted);
-        assert_eq!(sim.pending(), 1);
+        assert!(sim.poll().is_none());
     }
 
     #[test]
@@ -477,13 +264,12 @@ mod tests {
         let mut sim = Simulation::new();
         sim.schedule(SimTime::from_ticks(3), 0u8);
         let mut order = Vec::new();
-        sim.run(|now, ev, sched| {
-            order.push(ev);
-            if ev == 0 {
-                sched.schedule(now, 1);
+        while let Some(ev) = sim.poll() {
+            order.push(ev.payload);
+            if ev.payload == 0 {
+                sim.schedule(sim.now(), 1);
             }
-            Control::Continue
-        });
+        }
         assert_eq!(order, vec![0, 1]);
     }
 }

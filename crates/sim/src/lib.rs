@@ -9,12 +9,13 @@
 //! * [`SimTime`] / [`SimDuration`] — a discrete logical clock in ticks,
 //! * [`Delta`] — the paper's Δ, expressed in ticks,
 //! * [`EventQueue`] — a deterministic priority queue of timestamped events,
-//! * [`Simulation`] — a driver that pops events in (time, FIFO) order and
-//!   dispatches them to a handler,
+//! * [`Simulation`] — the clock-owning queue the engine polls, popping
+//!   events in (time, FIFO) order,
 //! * [`SimRng`] — seeded, stream-splittable randomness so every experiment
-//!   is reproducible bit-for-bit,
-//! * [`TraceLog`] — a structured record of everything that happened, used by
-//!   the experiment harness to regenerate the paper's figures.
+//!   is reproducible bit-for-bit.
+//!
+//! What a swap *did* is not recorded here: the typed trace lives with the
+//! engine that produces it (`swap_core::event`).
 //!
 //! # Example
 //!
@@ -35,9 +36,7 @@
 pub mod clock;
 pub mod event;
 pub mod rng;
-pub mod trace;
 
 pub use clock::{Delta, SimDuration, SimTime};
-pub use event::{EventQueue, ScheduledEvent, Simulation, StopReason};
+pub use event::{EventQueue, ScheduledEvent, Simulation};
 pub use rng::SimRng;
-pub use trace::{TraceEntry, TraceLog};

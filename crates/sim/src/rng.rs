@@ -83,12 +83,6 @@ impl SimRng {
         self.inner.gen_range(lo..=hi)
     }
 
-    /// A Bernoulli draw with probability `p` (clamped to `[0, 1]`).
-    pub fn chance(&mut self, p: f64) -> bool {
-        let p = p.clamp(0.0, 1.0);
-        self.inner.gen_bool(p)
-    }
-
     /// Fills `buf` with random bytes.
     pub fn fill_bytes(&mut self, buf: &mut [u8]) {
         self.inner.fill_bytes(buf);
@@ -99,16 +93,6 @@ impl SimRng {
         let mut out = [0u8; 32];
         self.inner.fill_bytes(&mut out);
         out
-    }
-
-    /// Chooses a uniformly random element of `items`, or `None` if empty.
-    pub fn choose<'a, T>(&mut self, items: &'a [T]) -> Option<&'a T> {
-        if items.is_empty() {
-            None
-        } else {
-            let i = self.below(items.len() as u64) as usize;
-            Some(&items[i])
-        }
     }
 
     /// Fisher–Yates shuffles `items` in place.
@@ -217,16 +201,6 @@ mod tests {
     }
 
     #[test]
-    fn chance_extremes() {
-        let mut rng = SimRng::from_seed(11);
-        assert!(!rng.chance(0.0));
-        assert!(rng.chance(1.0));
-        // Out-of-range probabilities are clamped, not panicking.
-        assert!(rng.chance(2.0));
-        assert!(!rng.chance(-1.0));
-    }
-
-    #[test]
     fn shuffle_is_permutation() {
         let mut rng = SimRng::from_seed(21);
         let mut v: Vec<u32> = (0..50).collect();
@@ -235,14 +209,6 @@ mod tests {
         sorted.sort_unstable();
         let expected: Vec<u32> = (0..50).collect();
         assert_eq!(sorted, expected);
-    }
-
-    #[test]
-    fn choose_empty_none() {
-        let mut rng = SimRng::from_seed(1);
-        let empty: [u8; 0] = [];
-        assert!(rng.choose(&empty).is_none());
-        assert!(rng.choose(&[42]).copied() == Some(42));
     }
 
     #[test]

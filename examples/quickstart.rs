@@ -10,6 +10,7 @@
 
 use atomic_swaps::core::runner::{RunConfig, SwapRunner};
 use atomic_swaps::core::setup::{SetupConfig, SwapSetup};
+use atomic_swaps::core::What;
 use atomic_swaps::digraph::generators;
 use atomic_swaps::sim::SimRng;
 
@@ -35,9 +36,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let report = SwapRunner::new(setup, RunConfig::default()).run();
 
     println!("\nExecution trace (compare Figures 1 and 2):");
-    for entry in report.trace.entries() {
-        if entry.kind != "tx.rejected" {
-            println!("  {entry}");
+    for event in report.trace.events() {
+        if !matches!(event.what, What::Rejected { .. }) {
+            println!("  {}", report.trace.render(event));
         }
     }
 

@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""The ruler for ROADMAP aim 2: how much non-test Rust each member crate
-carries, and how wide its public surface is.
+"""The ruler for ROADMAP aims 2 and 3: how much non-test Rust each member
+crate carries, how wide its public surface is, and how many panic sites it
+holds.
 
 Per crate under `crates/`, prints
 
@@ -13,6 +14,11 @@ Per crate under `crates/`, prints
 * `unsafe` — `unsafe` keywords in those lines, comments aside. The whole
   workspace keeps them in one file, `UNSAFE_HOME` (the SHA-NI compression
   kernel); one anywhere else is listed and fails the run.
+* `panics` — panic sites in those lines, comments aside: `.unwrap()`,
+  `.expect(`, `unreachable!`, `panic!`, `unimplemented!`, `todo!`. For
+  information only (ROADMAP aim 3 wants each a typed error or a documented
+  invariant); the figure of `PANICS_OF`, the file the aim singles out, is
+  printed under the table.
 
 Then prints, for information only, the non-blank lines of what stands
 around the crates and the table above never sees: benches, tests, scripts
@@ -42,6 +48,8 @@ PUB_USE = re.compile(r"^\s*pub\s+use\b")
 PUB_FIELD = re.compile(r"^    pub\s+\w+\s*:")
 UNSAFE = re.compile(r"\bunsafe\b")
 UNSAFE_HOME = "crates/crypto/src/sha256/x86.rs"
+PANIC = re.compile(r"\.unwrap\(\)|\.expect\(|\b(?:unreachable|panic|unimplemented|todo)!")
+PANICS_OF = "crates/core/src/exchange.rs"
 CONFIG_STRUCTS = ("ExchangeConfig", "RunConfig", "StageCosts", "JournalConfig", "SetupConfig")
 SCAFFOLDING = (
     ("benches", ("crates/*/benches/**/*.rs",)),
@@ -90,9 +98,9 @@ def pub_items(lines):
     return count
 
 
-def unsafe_tokens(lines):
-    """`unsafe` keywords among `lines`, ignoring `//` comments and docs."""
-    return sum(len(UNSAFE.findall(line.split("//", 1)[0])) for line in lines)
+def tokens(pattern, lines):
+    """Matches of `pattern` among `lines`, ignoring `//` comments and docs."""
+    return sum(len(pattern.findall(line.split("//", 1)[0])) for line in lines)
 
 
 def pub_fields(lines, struct):
@@ -106,7 +114,7 @@ def pub_fields(lines, struct):
 
 def main():
     root = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).resolve().parent.parent)
-    rows, everything, stray = [], [], []
+    rows, everything, stray, singled_out = [], [], [], None
     for crate in sorted((root / "crates").iterdir()):
         src = crate / "src"
         if not src.is_dir():
@@ -114,18 +122,21 @@ def main():
         kept, unsafes = [], 0
         for path in sorted(src.rglob("*.rs")):
             lines = non_test_lines(path.read_text())
-            found = unsafe_tokens(lines)
+            found = tokens(UNSAFE, lines)
             where = path.relative_to(root).as_posix()
             if found and where != UNSAFE_HOME:
                 stray.append((where, found))
+            if where == PANICS_OF:
+                singled_out = tokens(PANIC, lines)
             kept += lines
             unsafes += found
-        rows.append((crate.name, len(kept), pub_items(kept), unsafes))
+        rows.append((crate.name, len(kept), pub_items(kept), unsafes, tokens(PANIC, kept)))
         everything += kept
-    rows.append(("total", *(sum(r[i] for r in rows) for i in (1, 2, 3))))
-    print(f"{'crate':<10} {'lines':>7} {'pub':>5} {'unsafe':>7}")
-    for name, lines, pubs, unsafes in rows:
-        print(f"{name:<10} {lines:>7} {pubs:>5} {unsafes:>7}")
+    rows.append(("total", *(sum(r[i] for r in rows) for i in (1, 2, 3, 4))))
+    print(f"{'crate':<10} {'lines':>7} {'pub':>5} {'unsafe':>7} {'panics':>7}")
+    for name, lines, pubs, unsafes, panics in rows:
+        print(f"{name:<10} {lines:>7} {pubs:>5} {unsafes:>7} {panics:>7}")
+    print(f"of which {PANICS_OF}: {singled_out} panics")
     print(f"\n{'scaffolding':<10} {'lines':>7}")
     for name, patterns in SCAFFOLDING:
         texts = (path.read_text() for pattern in patterns for path in root.glob(pattern))

@@ -8,16 +8,19 @@
 //! triggers and their instants, completion, settlement, metrics, storage
 //! accounting, and the full trace — is rendered into the fingerprint, so
 //! any drift in event ordering, transaction timing, trace wording, or
-//! byte accounting fails loudly.
+//! byte accounting fails loudly. The trace lines were written when the
+//! engine recorded strings; the typed trace reproduces them through
+//! `Trace::render`, which makes these files the renderer's oracle.
 //!
 //! (`RunMetrics::direct_transfers` postdates the recording, so it is not
-//! part of the fingerprint; it is asserted to be zero separately — no
-//! combo here uses coalition behavior.)
+//! part of the fingerprint; the seed combos assert it zero and the
+//! coalition golden reads it off the trace.)
 
 use atomic_swaps::core::runner::{RunConfig, RunReport, SwapRunner};
 use atomic_swaps::core::setup::{SetupConfig, SwapSetup};
-use atomic_swaps::core::{Behavior, ProtocolKind, SwapInstance};
-use atomic_swaps::digraph::{generators, Digraph, VertexId};
+use atomic_swaps::core::{Action, Behavior, ProtocolKind, SwapInstance, What};
+use atomic_swaps::crypto::SigChain;
+use atomic_swaps::digraph::{generators, Digraph, VertexId, VertexPath};
 use atomic_swaps::market::LeaderStrategy;
 use atomic_swaps::sim::SimRng;
 
@@ -49,10 +52,19 @@ fn fingerprint(report: &RunReport) -> String {
     s.push_str(&format!("rejected_calls: {}\n", report.metrics.rejected_calls));
     s.push_str(&format!("announce_bytes: {}\n", report.metrics.announce_bytes));
     s.push_str(&format!("storage: {:?}\n", report.storage));
-    for e in report.trace.entries() {
-        s.push_str(&format!("trace: {:?}\n", e));
+    for e in report.trace.events() {
+        s.push_str(&format!("trace: {:?}\n", report.trace.render(e)));
     }
     s
+}
+
+/// The report reproduces its recorded fingerprint, and every call the
+/// metrics count as rejected left its event.
+fn assert_matches_golden(name: &str, report: &RunReport, golden: &str) {
+    assert_eq!(fingerprint(report), golden, "`{name}` diverged from its recorded report");
+    let rejected =
+        report.trace.events().iter().filter(|e| matches!(e.what, What::Rejected { .. })).count();
+    assert_eq!(report.metrics.rejected_calls, rejected as u64, "`{name}`: a silent rejection");
 }
 
 fn adversarial_config() -> RunConfig {
@@ -135,11 +147,7 @@ fn run_combo(digraph: Digraph, seed: u64, config: RunConfig) -> RunReport {
 fn lockstep_engine_reproduces_seed_runner_byte_for_byte() {
     for (name, digraph, seed, config, golden) in combos() {
         let report = run_combo(digraph, seed, config);
-        assert_eq!(
-            fingerprint(&report),
-            golden,
-            "combo `{name}` diverged from the recorded seed-runner report"
-        );
+        assert_matches_golden(name, &report, golden);
         assert_eq!(report.metrics.direct_transfers, 0, "combo `{name}`: no coalition here");
     }
 }
@@ -182,7 +190,82 @@ fn scenarios_once_pinned_by_mode_comparisons_match_their_goldens() {
         let setup = SwapSetup::generate(digraph, &fast_config(), &mut SimRng::from_seed(seed))
             .expect("strongly connected digraphs are valid swaps");
         let report = SwapInstance::new(0, setup, config).with_protocol(protocol).run_lockstep();
-        assert_eq!(fingerprint(&report), golden, "scenario `{name}` diverged from its golden");
+        assert_matches_golden(name, &report, golden);
         assert!(report.no_conforming_underwater(), "scenario `{name}`");
+    }
+}
+
+/// §1's three parties on the hashkey protocol: alice (the leader) leaks her
+/// secret on the bulletin at round 0; bob publishes on schedule and then
+/// plays a script of calls the contracts and the chain must refuse.
+fn premature_reveal_and_refused_calls() -> (SwapSetup, RunConfig) {
+    let digraph = generators::herlihy_three_party();
+    let [alice, bob, carol] = ["alice", "bob", "carol"].map(|n| digraph.vertex_by_name(n).unwrap());
+    let config = SetupConfig { leaders: Some(vec![alice]), ..fast_config() };
+    let setup = SwapSetup::generate(digraph, &config, &mut SimRng::from_seed(29)).expect("valid");
+    let d = &setup.spec.digraph;
+    let (to_bob, to_carol) = (d.arcs_between(alice, bob)[0], d.arcs_between(bob, carol)[0]);
+    let bobs_secret = setup.secrets[bob.index()];
+    let sig =
+        SigChain::sign_secret(&mut setup.keypairs[bob.index()].clone(), &bobs_secret).unwrap();
+    let script = vec![
+        (1, Action::Publish { arc: to_carol }),
+        (2, Action::Claim { arc: to_bob }),
+        (2, Action::Refund { arc: to_carol }),
+        (
+            2,
+            Action::Unlock {
+                arc: to_bob,
+                index: 0,
+                secret: bobs_secret,
+                path: VertexPath::single(bob),
+                sig,
+            },
+        ),
+        (3, Action::DirectTransfer { arc: to_bob }),
+    ];
+    let mut run = RunConfig::default();
+    run.behaviors.insert(alice, Behavior::PrematureReveal);
+    run.behaviors.insert(bob, Behavior::Scripted { actions: script });
+    (setup, run)
+}
+
+/// Lemma 3.4's coalition on §1's three parties: everyone bypasses the
+/// contracts and hands the leaving asset over directly.
+fn direct_coalition() -> (SwapSetup, RunConfig) {
+    let digraph = generators::herlihy_three_party();
+    let mut run = RunConfig::default();
+    for v in digraph.vertices() {
+        run.behaviors.insert(v, Behavior::Direct { skip_arcs: vec![] });
+    }
+    let setup =
+        SwapSetup::generate(digraph, &fast_config(), &mut SimRng::from_seed(17)).expect("valid");
+    (setup, run)
+}
+
+/// The three kinds no other golden reaches — `tx.rejected`,
+/// `asset.direct_transfer`, `secret.announced` — recorded by the last
+/// commit that wrote its trace as strings.
+#[test]
+fn rejections_direct_transfers_and_announcements_match_their_goldens() {
+    let cases = [
+        (
+            "herlihy_three_party_premature_reveal_refused_calls",
+            premature_reveal_and_refused_calls(),
+            include_str!("golden/herlihy_three_party_premature_reveal_refused_calls.txt"),
+        ),
+        (
+            "herlihy_three_party_direct_coalition",
+            direct_coalition(),
+            include_str!("golden/herlihy_three_party_direct_coalition.txt"),
+        ),
+    ];
+    for (name, (setup, run), golden) in cases {
+        let report = SwapRunner::new(setup, run).run();
+        assert_matches_golden(name, &report, golden);
+        // The fingerprint predates this counter; the trace holds it.
+        let events = report.trace.events().iter();
+        let direct = events.filter(|e| matches!(e.what, What::DirectTransfer { .. })).count();
+        assert_eq!(report.metrics.direct_transfers, direct as u64, "{name}");
     }
 }

@@ -7,6 +7,7 @@ use std::collections::BTreeSet;
 
 use atomic_swaps::core::runner::{RunConfig, SwapRunner};
 use atomic_swaps::core::setup::{SetupConfig, SwapSetup};
+use atomic_swaps::core::What;
 use atomic_swaps::digraph::{generators, Digraph};
 use atomic_swaps::pebble::{EagerPebbleGame, LazyPebbleGame};
 use atomic_swaps::sim::SimRng;
@@ -26,17 +27,10 @@ fn publication_rounds(digraph: Digraph, seed: u64) -> (Vec<u64>, Vec<u64>, u64) 
     let report = SwapRunner::new(setup, RunConfig::default()).run();
     assert!(report.all_deal());
     let mut publish = vec![u64::MAX; arc_count];
-    for entry in report.trace.entries_of_kind("contract.published") {
-        // detail format: "arc aN round R"
-        let arc: usize = entry
-            .detail
-            .split_whitespace()
-            .nth(1)
-            .and_then(|s| s.strip_prefix('a'))
-            .and_then(|s| s.parse().ok())
-            .expect("trace detail parses");
-        let round = (entry.time.ticks() - t0) / delta;
-        publish[arc] = round;
+    for event in report.trace.events() {
+        if let What::Published { arc, round } = event.what {
+            publish[arc.index()] = round;
+        }
     }
     let trigger: Vec<u64> = report
         .triggered_at

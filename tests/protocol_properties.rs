@@ -8,7 +8,7 @@ use std::sync::Arc;
 use atomic_swaps::contract::UnlockRecord;
 use atomic_swaps::core::runner::{RunConfig, RunReport, SwapRunner};
 use atomic_swaps::core::setup::{SetupConfig, SwapSetup};
-use atomic_swaps::core::{Action, Behavior, Lockstep, Outcome, ProtocolKind, SwapInstance};
+use atomic_swaps::core::{Action, Behavior, Lockstep, Outcome, ProtocolKind, SwapInstance, What};
 use atomic_swaps::digraph::{generators, ArcId, Digraph, DigraphBuilder, VertexId, VertexPath};
 use atomic_swaps::market::LeaderStrategy;
 use atomic_swaps::sim::SimRng;
@@ -181,8 +181,15 @@ fn arc_between(setup: &SwapSetup, from: VertexId, to: VertexId) -> ArcId {
     setup.spec.digraph.arcs_between(from, to)[0]
 }
 
-fn rejections(report: &RunReport) -> Vec<&str> {
-    report.trace.entries_of_kind("tx.rejected").map(|e| e.detail.as_str()).collect()
+/// Every refused call as rendered text — one per call the metrics count.
+fn rejections(report: &RunReport) -> Vec<String> {
+    let events = report.trace.events().iter();
+    let rendered: Vec<String> = events
+        .filter(|e| matches!(e.what, What::Rejected { .. }))
+        .map(|e| e.what.to_string())
+        .collect();
+    assert_eq!(report.metrics.rejected_calls, rendered.len() as u64, "a silent rejection");
+    rendered
 }
 
 /// Herlihy's three parties, alice leading. Bob replays carol's warmed
@@ -197,7 +204,8 @@ fn warmed_hashkey_replayed_on_another_arc_is_rejected() {
 
     let (honest, after) = run_hashkey(setup.clone(), RunConfig::default());
     assert!(honest.all_deal());
-    assert_eq!((honest.metrics.unlock_calls, honest.metrics.rejected_calls), (3, 0));
+    assert_eq!(honest.metrics.unlock_calls, 3);
+    assert!(rejections(&honest).is_empty());
     let carols = unlock_record(&after, to_carol).expect("carol unlocked her entering arc");
     assert_eq!(carols.path.vertices(), &[carol, alice]);
 
@@ -208,16 +216,24 @@ fn warmed_hashkey_replayed_on_another_arc_is_rejected() {
         path: carols.path.clone(),
         sig: carols.sig.clone(),
     };
-    // Bob publishes his leaving contract on schedule so there is something
-    // to call, then replays; alice and carol go on to unlock theirs.
-    let script =
-        vec![(1, Action::Publish { arc: to_carol }), (2, replay(to_bob)), (2, replay(to_carol))];
+    // Bob calls his leaving arc before it has a contract, publishes on
+    // schedule so there is something to call, publishes once more, then
+    // replays; alice and carol go on to unlock theirs.
+    let script = vec![
+        (0, Action::Refund { arc: to_carol }),
+        (1, Action::Publish { arc: to_carol }),
+        (2, Action::Publish { arc: to_carol }),
+        (2, replay(to_bob)),
+        (2, replay(to_carol)),
+    ];
     let mut config = RunConfig::default();
     config.behaviors.insert(bob, Behavior::Scripted { actions: script });
     let (report, after) = run_hashkey(setup, config);
-    assert_eq!(report.metrics.rejected_calls, 2);
-    assert_eq!(report.metrics.unlock_calls, 2);
+    assert_eq!(report.metrics.rejected_calls, 4);
+    assert_eq!((report.metrics.contracts_published, report.metrics.unlock_calls), (3, 2));
     let rejected = rejections(&report);
+    assert_eq!(rejected[0], format!("refund {to_carol}: arc has no contract"));
+    assert_eq!(rejected[1], format!("publish {to_carol}: arc already has a contract"));
     assert!(rejected.iter().any(|r| r.contains("path is not valid")), "{rejected:?}");
     assert!(rejected.iter().any(|r| r.contains("not the counterparty")), "{rejected:?}");
     assert!(unlock_record(&after, to_bob).is_none());
@@ -246,7 +262,7 @@ fn warmed_links_under_a_path_naming_another_vertex_are_rejected() {
 
     let (honest, after) = run_hashkey(setup.clone(), RunConfig::default());
     assert!(honest.all_deal());
-    assert_eq!(honest.metrics.rejected_calls, 0);
+    assert!(rejections(&honest).is_empty());
     let carols = unlock_record(&after, to_c).expect("c unlocked its entering arc");
     assert_eq!(carols.path.vertices(), &[c, a]);
 

@@ -6,6 +6,7 @@
 
 use atomic_swaps::core::runner::{RunConfig, SwapRunner};
 use atomic_swaps::core::setup::{SetupConfig, SwapSetup};
+use atomic_swaps::core::What;
 use atomic_swaps::digraph::generators;
 use atomic_swaps::sim::SimRng;
 
@@ -25,6 +26,8 @@ fn quickstart_scenario_runs_to_completion() {
     let completion = report.completion.expect("all-conforming swaps complete");
     assert!(completion - start <= worst_case, "Theorem 4.7's 2·diam·Δ bound must hold");
     // The timeline the example prints exists: three deploys, three triggers.
-    assert_eq!(report.trace.entries_of_kind("contract.published").count(), 3);
-    assert_eq!(report.trace.entries_of_kind("arc.triggered").count(), 3);
+    let count =
+        |is: fn(&What) -> bool| report.trace.events().iter().filter(|e| is(&e.what)).count();
+    assert_eq!(count(|w| matches!(w, What::Published { .. })), 3);
+    assert_eq!(count(|w| matches!(w, What::Triggered { .. })), 3);
 }
