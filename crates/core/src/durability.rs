@@ -32,7 +32,7 @@ use std::collections::BTreeMap;
 
 use swap_chain::StorageReport;
 use swap_crypto::{sha256, Address, Digest32, Hashlock, MssKeypair, MssPublicKey, Secret};
-use swap_market::{AssetKind, BookSnapshot, Offer, OfferId, OfferStatus, SwapId};
+use swap_market::{AssetKind, BookEntry, BookSnapshot, Offer, OfferId, OfferStatus, SwapId};
 use swap_sim::SimTime;
 use swap_store::{DecodeError, Decoder, Encoder, FailTag, StageTag};
 
@@ -101,6 +101,7 @@ pub(crate) trait Wire: Sized {
 }
 
 /// Encodes `value` as a complete payload.
+#[cfg(test)]
 pub(crate) fn to_bytes<T: Wire>(value: &T) -> Vec<u8> {
     let mut e = Encoder::new();
     value.put(&mut e);
@@ -182,6 +183,17 @@ impl<T: Wire> Wire for Vec<T> {
         // Collecting allocates as items decode, so a corrupt count (which
         // `len_prefix` already bounds by the bytes left) reserves nothing.
         (0..d.len_prefix()?).map(|_| T::get(d)).collect()
+    }
+}
+
+/// A borrowed slice travels as a `Vec` does, and decodes into one.
+impl<T: Wire + Clone> Wire for Cow<'_, [T]> {
+    fn put(&self, e: &mut Encoder) {
+        e.put_len(self.len());
+        self.iter().for_each(|item| item.put(e));
+    }
+    fn get(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        Vec::get(d).map(Cow::Owned)
     }
 }
 
@@ -391,9 +403,11 @@ impl Wire for MssPublicKey {
 
 wire_struct!(Offer { key, hashlock, gives, wants });
 
+wire_struct!(BookEntry { offer, status });
+
 /// Every offer the book's deferred set and in-flight swaps name must be
 /// one of its entries: `ClearingService::restore` indexes by them.
-fn book_refers_to_its_own_entries(book: &BookSnapshot) -> Result<(), DecodeError> {
+fn book_refers_to_its_own_entries(book: &BookSnapshot<'_>) -> Result<(), DecodeError> {
     let is_entry = |id: &OfferId| {
         id.raw().checked_sub(book.first_id).is_some_and(|i| i < book.entries.len() as u64)
     };
@@ -406,9 +420,10 @@ fn book_refers_to_its_own_entries(book: &BookSnapshot) -> Result<(), DecodeError
 }
 
 // Entry ids are implicit (`first_id + index`), and addresses are
-// recomputed from the public keys on restore.
+// recomputed from the public keys on restore. The entries are borrowed from
+// the live book on the way out.
 wire_struct!(
-    BookSnapshot { first_id, epoch, next_swap, entries, deferred, in_flight }
+    BookSnapshot<'a> { first_id, epoch, next_swap, entries, deferred, in_flight }
     checked by book_refers_to_its_own_entries
 );
 
@@ -466,7 +481,7 @@ pub(crate) struct Snapshot<'a> {
     /// The report, restored verbatim.
     pub(crate) report: Cow<'a, ExchangeReport>,
     /// The clearing book.
-    pub(crate) book: BookSnapshot,
+    pub(crate) book: BookSnapshot<'a>,
     /// The secret (and its owner's address) held for each accepted offer.
     pub(crate) material: Cow<'a, BTreeMap<OfferId, (Address, Secret)>>,
     /// Master identities, in address order.
@@ -490,7 +505,9 @@ wire_struct!(Snapshot<'a> {
 #[cfg(test)]
 mod tests {
     use proptest::prelude::*;
-    use swap_store::write_snapshot;
+    use swap_store::{
+        begin_frame, install_snapshot, seal_frame, write_snapshot_temp, Encoder, SNAPSHOT_KIND,
+    };
 
     use super::*;
     use crate::exchange::{Exchange, JournalConfig, RecoverError};
@@ -581,7 +598,7 @@ mod tests {
 
     /// A book whose deferred set and in-flight swaps name only its own
     /// entries (none at all when it has no entries).
-    fn book() -> impl Strategy<Value = BookSnapshot> {
+    fn book() -> impl Strategy<Value = BookSnapshot<'static>> {
         let picks = || prop::collection::vec(any::<u64>(), 0..4);
         (
             (0u64..1 << 40, any::<u64>(), any::<u64>()),
@@ -599,7 +616,10 @@ mod tests {
                     first_id,
                     epoch,
                     next_swap,
-                    entries,
+                    entries: entries
+                        .into_iter()
+                        .map(|(offer, status)| BookEntry { offer, status })
+                        .collect(),
                     deferred: ids(deferred),
                     in_flight: in_flight
                         .into_iter()
@@ -834,10 +854,10 @@ mod tests {
                 first_id: 10,
                 epoch: 2,
                 next_swap: 4,
-                entries: vec![
-                    (offer(1), OfferStatus::Matched { epoch: 1, swap }),
-                    (offer(2), s.status),
-                ],
+                entries: Cow::Owned(vec![
+                    BookEntry { offer: offer(1), status: OfferStatus::Matched { epoch: 1, swap } },
+                    BookEntry { offer: offer(2), status: s.status },
+                ]),
                 deferred: vec![OfferId::from_raw(s.deferred)],
                 in_flight: vec![(swap, vec![OfferId::from_raw(s.in_flight)])],
             },
@@ -856,7 +876,13 @@ mod tests {
         let dir = std::env::temp_dir()
             .join(format!("swap-core-durability-{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        write_snapshot(&dir, frame_seq, payload).expect("snapshot file writes");
+        std::fs::create_dir_all(&dir).expect("store dir creatable");
+        let mut frame = Encoder::new();
+        begin_frame(&mut frame, SNAPSHOT_KIND, frame_seq);
+        frame.put_raw(payload);
+        seal_frame(&mut frame, 0);
+        write_snapshot_temp(&dir, frame_seq, frame.as_bytes()).expect("snapshot file writes");
+        install_snapshot(&dir, frame_seq).expect("snapshot file installs");
         let recovered = Exchange::recover(ExchangeConfig::default(), JournalConfig::new(&dir));
         let _ = std::fs::remove_dir_all(&dir);
         recovered.map(|_| ())

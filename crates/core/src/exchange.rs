@@ -105,7 +105,9 @@
 //! private methods (`Exchange::apply_submit`, `apply_resubmit`,
 //! `apply_cancel`, `apply_settle`, `apply_refund`, `apply_tear_down`), so
 //! the audit trail cannot silently miss a mutation path. Periodic snapshots at
-//! pipeline-empty points truncate the log; [`Exchange::recover`] loads the
+//! pipeline-empty points rotate the log, and a writer thread puts the
+//! snapshot in place and deletes the rotated-out segment behind the driver
+//! (see [`Exchange::with_journal`]); [`Exchange::recover`] loads the
 //! latest snapshot, replays the WAL tail in *lockstep* — each command is
 //! re-run and the records it regenerates are compared one-to-one against
 //! the log, so divergence is detected at the exact record — and resumes
@@ -127,10 +129,11 @@ use swap_market::{
 };
 use swap_sim::{Delta, SimDuration, SimRng, SimTime};
 use swap_store::{
-    load_latest_snapshot, read_wal, write_snapshot, SeedRecord, Wal, WalRecord, WAL_FILE,
+    fold_retired_segment, is_store_file, load_latest_snapshot, read_wal, SeedRecord,
+    SnapshotWriter, Wal, WalRecord,
 };
 
-use crate::durability::{config_digest, fail_tag, from_bytes, stage_tag, to_bytes, Snapshot};
+use crate::durability::{config_digest, fail_tag, from_bytes, stage_tag, Snapshot, Wire};
 use crate::identity::IdentityStore;
 use crate::instance::{ProvisionedSwap, SwapRunOutput};
 use crate::pool::{Completed, WorkerPool};
@@ -646,13 +649,27 @@ enum JournalSink {
 #[derive(Debug)]
 struct Journal {
     sink: JournalSink,
-    dir: PathBuf,
+    /// The snapshot being written behind the driver, and the frame buffer
+    /// kept between snapshots.
+    writer: SnapshotWriter,
     snapshot_every: u64,
     /// Epochs settled since the last snapshot.
     settled_since_snapshot: u64,
     /// Audit records of the operation in progress; committed right after
     /// its command head, as one group.
     pending: Vec<WalRecord>,
+}
+
+impl Journal {
+    fn new(sink: JournalSink, config: &JournalConfig) -> Journal {
+        Journal {
+            sink,
+            writer: SnapshotWriter::default(),
+            snapshot_every: config.snapshot_every,
+            settled_since_snapshot: 0,
+            pending: Vec::new(),
+        }
+    }
 }
 
 /// One swap the pipeline executed, with its full per-run report.
@@ -1863,10 +1880,17 @@ impl Exchange {
     /// Creates a *durable* exchange journaling into `journal.dir`: every
     /// public operation appends one record group (command head + audit
     /// records) to the write-ahead log before returning, and settled
-    /// epochs periodically snapshot the whole state and truncate the log
-    /// (see [`JournalConfig::snapshot_every`]). Any store files already in
-    /// the directory are removed — this constructor starts a *new* life;
-    /// use [`Exchange::recover`] to resume a previous one.
+    /// epochs periodically snapshot the whole state and rotate the log
+    /// (see [`JournalConfig::snapshot_every`] and
+    /// [`snapshot_now`](Self::snapshot_now)). Any store files already in
+    /// the directory — log, retired segment, snapshots, temp files — are
+    /// removed: this constructor starts a *new* life; use
+    /// [`Exchange::recover`] to resume a previous one.
+    ///
+    /// A periodic snapshot's file work runs on a writer thread spawned for
+    /// that snapshot. It is joined before the next snapshot, by
+    /// [`sync_journal`](Self::sync_journal) and
+    /// [`snapshot_now`](Self::snapshot_now), and when the exchange drops.
     ///
     /// Durability is simulation-scale, not production-scale: the WAL
     /// stores party seeds and swap secrets in plaintext (replay has to
@@ -1880,35 +1904,28 @@ impl Exchange {
         std::fs::create_dir_all(&journal.dir)?;
         for entry in std::fs::read_dir(&journal.dir)? {
             let entry = entry?;
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            let stale = name == WAL_FILE
-                || (name.starts_with("snap-")
-                    && (name.ends_with(".snap") || name.ends_with(".tmp")));
-            if stale {
+            if is_store_file(&entry.file_name().to_string_lossy()) {
                 std::fs::remove_file(entry.path())?;
             }
         }
         let wal = Wal::create(&journal.dir, journal.group_commit)?;
         let mut exchange = Exchange::new(config);
-        exchange.journal = Some(Journal {
-            sink: JournalSink::Wal(wal),
-            dir: journal.dir,
-            snapshot_every: journal.snapshot_every,
-            settled_since_snapshot: 0,
-            pending: Vec::new(),
-        });
+        exchange.journal = Some(Journal::new(JournalSink::Wal(wal), &journal));
         Ok(exchange)
     }
 
-    /// Flushes the journal's group-commit buffer and forces it to disk.
-    /// A no-op on a non-durable exchange.
+    /// Joins the snapshot writer, if one is running, then flushes the
+    /// journal's group-commit buffer and forces it to disk. A no-op on a
+    /// non-durable exchange.
     ///
     /// # Errors
     ///
-    /// Propagates filesystem errors.
+    /// The writer's error first, if the last snapshot failed — returned
+    /// once, with the log left unsynced (call again to sync it); else the
+    /// log's filesystem errors.
     pub fn sync_journal(&mut self) -> io::Result<()> {
         if let Some(journal) = &mut self.journal {
+            journal.writer.join()?;
             if let JournalSink::Wal(wal) = &mut journal.sink {
                 wal.sync()?;
             }
@@ -1960,43 +1977,57 @@ impl Exchange {
             _ => false,
         };
         if due && self.in_flight.is_empty() {
-            self.snapshot_now().expect("journal snapshot failed");
+            self.begin_snapshot().expect("journal snapshot failed");
         }
     }
 
-    /// Writes a snapshot of the whole state and truncates the WAL. A no-op
-    /// on a non-durable exchange, during recovery replay, and on a journal
-    /// that has logged nothing yet.
+    /// Snapshots the whole state and rotates the WAL, synchronously: the
+    /// driver half, then a join of the writer it started (see
+    /// [`with_journal`](Self::with_journal)), so the snapshot is in place
+    /// and the covered log segment gone when this returns. A no-op on a
+    /// non-durable exchange, during recovery replay, and on a journal that
+    /// has logged nothing yet.
     ///
     /// # Errors
     ///
-    /// Propagates filesystem errors.
+    /// The previous snapshot's error if its writer failed (this snapshot
+    /// is then not taken), else this snapshot's.
     ///
     /// # Panics
     ///
     /// If epochs are in flight — the snapshot format deliberately cannot
-    /// represent mid-pipeline engine state. [`maybe_snapshot`] only calls
-    /// this at pipeline-empty points; external callers must do the same.
+    /// represent mid-pipeline engine state. [`maybe_snapshot`] only
+    /// snapshots at pipeline-empty points; external callers must do the
+    /// same.
     ///
     /// [`maybe_snapshot`]: Exchange::step
     pub fn snapshot_now(&mut self) -> io::Result<()> {
-        let Some((last_seq, dir)) = self.journal.as_ref().and_then(|j| match &j.sink {
-            JournalSink::Wal(wal) if wal.next_seq() > 0 => {
-                Some((wal.next_seq() - 1, j.dir.clone()))
+        self.begin_snapshot()?;
+        match &mut self.journal {
+            Some(journal) => journal.writer.join(),
+            None => Ok(()),
+        }
+    }
+
+    /// The driver half of a snapshot: joins the previous writer, encodes
+    /// the state in place into the journal's frame buffer — the book and
+    /// the rest borrowed, not cloned — rotates the log, and starts the
+    /// writer (see [`SnapshotWriter::begin`]).
+    fn begin_snapshot(&mut self) -> io::Result<()> {
+        let Some(mut journal) = self.journal.take() else { return Ok(()) };
+        let begun = match &mut journal.sink {
+            JournalSink::Wal(wal) => {
+                assert!(
+                    self.in_flight.is_empty(),
+                    "snapshots are only taken at pipeline-empty points"
+                );
+                journal.settled_since_snapshot = 0;
+                journal.writer.begin(wal, |last_seq, frame| self.snapshot(last_seq).put(frame))
             }
-            _ => None,
-        }) else {
-            return Ok(());
+            JournalSink::Capture(_) => Ok(()),
         };
-        assert!(self.in_flight.is_empty(), "snapshots are only taken at pipeline-empty points");
-        write_snapshot(&dir, last_seq, &to_bytes(&self.snapshot(last_seq)))?;
-        let journal = self.journal.as_mut().expect("checked above");
-        journal.settled_since_snapshot = 0;
-        let JournalSink::Wal(wal) = &mut journal.sink else { unreachable!("checked above") };
-        // A crash between the snapshot rename and this truncation is
-        // benign: recovery skips WAL records at or before the snapshot's
-        // sequence number.
-        wal.reset()
+        self.journal = Some(journal);
+        begun
     }
 
     /// The pipeline-empty state as it is persisted, borrowed in place.
@@ -2061,6 +2092,10 @@ impl Exchange {
             None => None,
         };
         let snapshot_seq = snapshot.as_ref().map(|s| s.last_seq);
+        // A snapshot that crashed before its writer finished leaves the
+        // log it rotated out: fold it ahead of the live log, or delete it
+        // if this snapshot covers it, so one log file remains.
+        fold_retired_segment(&journal.dir, snapshot_seq)?;
         let mut exchange = match snapshot {
             Some(snap) => Exchange::from_snapshot(config, snap),
             None => Exchange::new(config),
@@ -2071,17 +2106,12 @@ impl Exchange {
             next_seq = next_seq.max(frame.seq + 1);
         }
         // Frames at or before the snapshot's seq are already reflected in
-        // the loaded state (a crash between snapshot rename and WAL
-        // truncation leaves them behind); replay starts after them.
+        // the loaded state (the snapshot after a failed writer does not
+        // rotate, so the log can start with them); replay starts after
+        // them.
         let tail: Vec<&swap_store::Framed> =
             scan.frames.iter().filter(|f| snapshot_seq.map_or(true, |s| f.seq > s)).collect();
-        exchange.journal = Some(Journal {
-            sink: JournalSink::Capture(Vec::new()),
-            dir: journal.dir.clone(),
-            snapshot_every: journal.snapshot_every,
-            settled_since_snapshot: 0,
-            pending: Vec::new(),
-        });
+        exchange.journal = Some(Journal::new(JournalSink::Capture(Vec::new()), &journal));
         let mut stats = RecoveryStats {
             snapshot_seq,
             records_replayed: 0,
@@ -2601,7 +2631,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_truncates_wal_and_recovery_uses_it() {
+    fn snapshot_retires_wal_and_recovery_uses_it() {
         let dir = store_dir("snapshot");
         let config = ExchangeConfig::default();
         let mut rng = SimRng::from_seed(55);
@@ -2616,9 +2646,11 @@ mod tests {
         durable.drive_until_quiescent().unwrap();
         let live_report = durable.report().clone();
         drop(durable);
-        // Every epoch snapshots, so the settled epoch truncated the log.
+        // Every epoch snapshots, so the settled epoch rotated the log out,
+        // and the drop joined the writer that deleted the retired segment.
         let scan = read_wal(&dir).unwrap();
-        assert_eq!(scan.frames.len(), 0, "snapshot must truncate the WAL");
+        assert_eq!(scan.frames.len(), 0, "snapshot must rotate the WAL");
+        assert!(!dir.join(swap_store::RETIRED_WAL_FILE).exists());
         let (snapshot_seq, _) = load_latest_snapshot(&dir).unwrap().expect("snapshot written");
         assert!(snapshot_seq > 0);
         let recovered = Exchange::recover(
@@ -2639,6 +2671,8 @@ mod tests {
         }
         assert_eq!(drive_checking_storage(&mut exchange).len(), 2);
         assert!(exchange.report.storage.total_bytes() > live_report.storage.total_bytes());
+        // Dropping joins the snapshot writer, which may still be writing.
+        drop(exchange);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -50,6 +50,7 @@
 //! same resulting book; the two differ only in how much work
 //! ([`ClearStats::offers_examined`]) reaching that answer costs.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
@@ -352,8 +353,12 @@ impl ClearPlan {
 /// rebuilds `open`, the reservation set (the union of in-flight parties),
 /// the per-address fan-out, and the park/index split from these fields,
 /// which keeps the snapshot format independent of index internals.
+///
+/// The entry table is the bulk of a deep book, and
+/// [`snapshot`](ClearingService::snapshot) borrows it from the live
+/// service rather than copying it; a decoded snapshot owns its own.
 #[derive(Debug, Clone, PartialEq)]
-pub struct BookSnapshot {
+pub struct BookSnapshot<'a> {
     /// Raw id of the first entry; entry `i` holds offer `first_id + i`.
     pub first_id: u64,
     /// The next epoch number.
@@ -361,25 +366,21 @@ pub struct BookSnapshot {
     /// The next swap id to issue.
     pub next_swap: u64,
     /// Every submitted offer with its status, in id order.
-    pub entries: Vec<(Offer, OfferStatus)>,
+    pub entries: Cow<'a, [BookEntry]>,
     /// Offers skipped by the most recent committed clearing.
     pub deferred: Vec<OfferId>,
     /// Matched-but-unresolved swaps and their offers in vertex order.
     pub in_flight: Vec<(SwapId, Vec<OfferId>)>,
 }
 
-/// One offer plus its lifecycle state and cached identity.
-#[derive(Debug, Clone)]
-struct OfferEntry {
-    offer: Offer,
-    status: OfferStatus,
-    /// The offer's public id. Distinct from the entry's position in
-    /// `entries` whenever the service was built with
-    /// [`ClearingService::with_first_offer_id`].
-    id: OfferId,
-    /// The party address, derived once at submission (hashing the key per
-    /// lookup is measurable at book scale).
-    address: Address,
+/// One submitted offer and its lifecycle state: an element of the
+/// service's entry table, which a [`BookSnapshot`] borrows as it is.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BookEntry {
+    /// The offer as submitted.
+    pub offer: Offer,
+    /// Where it is in its lifecycle.
+    pub status: OfferStatus,
 }
 
 /// The (untrusted) market-clearing service.
@@ -417,7 +418,12 @@ struct OfferEntry {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ClearingService {
-    entries: Vec<OfferEntry>,
+    /// Every submitted offer, in id order: entry `i` holds offer
+    /// `first_id + i`.
+    entries: Vec<BookEntry>,
+    /// The party address of each entry, derived once at submission
+    /// (hashing the key per lookup is measurable at book scale).
+    addresses: Vec<Address>,
     leader_strategy: LeaderStrategy,
     /// Bumped by every lifecycle mutation (submit, cancel, commit, settle,
     /// refund); a [`ClearPlan`] is only committable at the generation it
@@ -498,7 +504,8 @@ impl ClearingService {
     pub fn submit(&mut self, offer: Offer) -> OfferId {
         let id = OfferId(self.first_id + self.entries.len() as u64);
         let address = offer.key.address();
-        self.entries.push(OfferEntry { offer, status: OfferStatus::Open, id, address });
+        self.entries.push(BookEntry { offer, status: OfferStatus::Open });
+        self.addresses.push(address);
         self.generation += 1;
         self.open.insert(id);
         self.by_address.entry(address).or_default().insert(id);
@@ -524,8 +531,13 @@ impl ClearingService {
     }
 
     /// The entry for `id`, checked (see [`Self::entry_index`]).
-    fn entry(&self, id: OfferId) -> Result<&OfferEntry, LifecycleError> {
+    fn entry(&self, id: OfferId) -> Result<&BookEntry, LifecycleError> {
         self.entry_index(id).map(|i| &self.entries[i])
+    }
+
+    /// The id of the offer at entry index `i`.
+    fn id_at(&self, i: usize) -> OfferId {
+        OfferId(self.first_id + i as u64)
     }
 
     /// Withdraws an `Open` offer. A cancelled offer can never be matched by
@@ -544,7 +556,7 @@ impl ClearingService {
                 self.generation += 1;
                 self.open.remove(&id);
                 self.deferred.remove(&id);
-                let address = self.entries[i].address;
+                let address = self.addresses[i];
                 self.book_remove(id, &address);
                 Ok(())
             }
@@ -616,7 +628,7 @@ impl ClearingService {
             self.entries[i].status = terminal;
             // Release the party's reservation and wake its parked offers
             // back into the matching index.
-            let address = self.entries[i].address;
+            let address = self.addresses[i];
             self.reserved.remove(&address);
             self.unpark_address(&address);
         }
@@ -642,8 +654,9 @@ impl ClearingService {
     /// leftovers (no counterparty) do not warrant one.
     pub fn any_deferred_from(&self, addresses: &BTreeSet<Address>) -> bool {
         self.deferred.iter().any(|&id| {
-            self.entry(id).is_ok_and(|entry| {
-                matches!(entry.status, OfferStatus::Open) && addresses.contains(&entry.address)
+            self.entry_index(id).is_ok_and(|i| {
+                matches!(self.entries[i].status, OfferStatus::Open)
+                    && addresses.contains(&self.addresses[i])
             })
         })
     }
@@ -786,7 +799,7 @@ impl ClearingService {
         let mut skipped: Vec<OfferId> = Vec::new();
         for &id in &self.open {
             let i = self.entry_index(id).expect("open offers were issued by this service");
-            if !self.reserved.is_empty() && self.reserved.contains(&self.entries[i].address) {
+            if !self.reserved.is_empty() && self.reserved.contains(&self.addresses[i]) {
                 skipped.push(id);
             } else {
                 open_idx.push(i);
@@ -800,7 +813,7 @@ impl ClearingService {
         // coincide only when the id base is 0).
         let cycles: Vec<Vec<OfferId>> = cycles
             .into_iter()
-            .map(|cycle| cycle.into_iter().map(|i| self.entries[i].id).collect())
+            .map(|cycle| cycle.into_iter().map(|i| self.id_at(i)).collect())
             .collect();
         let selected = self.select_disjoint(cycles, &mut skipped);
         self.finish_plan(self.open.len() as u64, selected, skipped, 0)
@@ -842,7 +855,7 @@ impl ClearingService {
                 .map(|&id| {
                     let i =
                         self.entry_index(id).expect("matched offers were issued by this service");
-                    self.entries[i].address
+                    self.addresses[i]
                 })
                 .collect();
             let disjoint = addrs.iter().all(|a| !epoch_addresses.contains(a))
@@ -904,7 +917,7 @@ impl ClearingService {
                 let i = self.entry_index(oid).expect("cleared offers were issued by this service");
                 self.entries[i].status = OfferStatus::Matched { epoch, swap: swap.id };
                 self.open.remove(&oid);
-                let address = self.entries[i].address;
+                let address = self.addresses[i];
                 self.book_remove(oid, &address);
                 addresses.push(address);
             }
@@ -1208,13 +1221,14 @@ impl ClearingService {
 
     // ---- durability ----
 
-    /// Captures the service's durable state (see [`BookSnapshot`]).
-    pub fn snapshot(&self) -> BookSnapshot {
+    /// Captures the service's durable state (see [`BookSnapshot`]),
+    /// borrowing the entry table.
+    pub fn snapshot(&self) -> BookSnapshot<'_> {
         BookSnapshot {
             first_id: self.first_id,
             epoch: self.epoch,
             next_swap: self.next_swap,
-            entries: self.entries.iter().map(|e| (e.offer.clone(), e.status)).collect(),
+            entries: Cow::Borrowed(&self.entries),
             deferred: self.deferred.iter().copied().collect(),
             in_flight: self.in_flight.iter().map(|(&s, o)| (s, o.clone())).collect(),
         }
@@ -1232,37 +1246,34 @@ impl ClearingService {
     /// Panics if the snapshot references offer ids outside its own entry
     /// table — `swap-core`'s snapshot decoder refuses such a book before it
     /// gets here.
-    pub fn restore(snapshot: BookSnapshot, leader_strategy: LeaderStrategy) -> Self {
+    pub fn restore(snapshot: BookSnapshot<'_>, leader_strategy: LeaderStrategy) -> Self {
+        let entries = snapshot.entries.into_owned();
+        let addresses = entries.iter().map(|e| e.offer.key.address()).collect();
         let mut svc = ClearingService {
+            entries,
+            addresses,
             leader_strategy,
             first_id: snapshot.first_id,
             epoch: snapshot.epoch,
             next_swap: snapshot.next_swap,
             ..Default::default()
         };
-        for (k, (offer, status)) in snapshot.entries.into_iter().enumerate() {
-            let id = OfferId(svc.first_id + k as u64);
-            let address = offer.key.address();
-            svc.entries.push(OfferEntry { offer, status, id, address });
-        }
         svc.deferred = snapshot.deferred.into_iter().collect();
         // The reservation set is exactly the union of in-flight parties —
         // the invariant `commit`/`resolve_swap` maintain incrementally.
         for (swap, offers) in snapshot.in_flight {
             for &oid in &offers {
                 let i = svc.entry_index(oid).expect("in-flight offer inside the snapshot");
-                svc.reserved.insert(svc.entries[i].address);
+                svc.reserved.insert(svc.addresses[i]);
             }
             svc.in_flight.insert(swap, offers);
         }
         // Open offers re-enter the book in id order, restoring FIFO
         // positions; reserved parties' offers park instead of indexing,
         // exactly as a live `submit` would have left them.
-        let open: Vec<(OfferId, Address)> = svc
-            .entries
-            .iter()
-            .filter(|e| matches!(e.status, OfferStatus::Open))
-            .map(|e| (e.id, e.address))
+        let open: Vec<(OfferId, Address)> = (0..svc.entries.len())
+            .filter(|&i| matches!(svc.entries[i].status, OfferStatus::Open))
+            .map(|i| (svc.id_at(i), svc.addresses[i]))
             .collect();
         for (id, address) in open {
             svc.open.insert(id);

@@ -60,7 +60,7 @@ pub mod verify;
 
 pub use builder::{BuildError, LeaderStrategy, SpecBuilder};
 pub use clearing::{
-    AssetKind, BookSnapshot, CancelError, ClearError, ClearPlan, ClearStats, ClearedSwap,
-    ClearingService, LifecycleError, Offer, OfferId, OfferStatus, SwapId,
+    AssetKind, BookEntry, BookSnapshot, CancelError, ClearError, ClearPlan, ClearStats,
+    ClearedSwap, ClearingService, LifecycleError, Offer, OfferId, OfferStatus, SwapId,
 };
 pub use verify::{verify_cleared_swap, VerifyError};

@@ -18,9 +18,10 @@
 //!   [`record::WalRecord`] frame, appended through a group-commit buffer
 //!   ([`wal::Wal`]) and read back tolerating a torn final record
 //!   ([`wal::read_wal`]).
-//! * [`snapshot`] — snapshot *files* that truncate the log: one
-//!   checksummed frame of opaque payload bytes, written temp-then-rename
-//!   (atomic on POSIX), loaded newest-first.
+//! * [`snapshot`] — snapshot *files*: one checksummed frame of opaque
+//!   payload bytes, written temp-then-rename (atomic on POSIX) by a
+//!   [`SnapshotWriter`] thread after the driver rotated the log
+//!   ([`Wal::rotate`]), loaded newest-first.
 //!
 //! The store deliberately depends on **nothing**, so the durability
 //! format cannot create dependency cycles and is testable in isolation.
@@ -43,7 +44,20 @@ pub mod wal;
 
 pub use codec::{crc32, DecodeError, Decoder, Encoder};
 pub use record::{
-    decode_frames, encode_frame, FailTag, FrameScan, Framed, SeedRecord, StageTag, WalRecord,
+    begin_frame, decode_frames, seal_frame, FailTag, FrameScan, Framed, SeedRecord, StageTag,
+    WalRecord, SNAPSHOT_KIND,
 };
-pub use snapshot::{load_latest_snapshot, write_snapshot};
-pub use wal::{read_wal, Wal, WAL_FILE};
+pub use snapshot::{
+    install_snapshot, load_latest_snapshot, remove_older_snapshots, write_snapshot_temp,
+    SnapshotWriter,
+};
+pub use wal::{
+    fold_retired_segment, read_wal, remove_retired_segment, Wal, RETIRED_WAL_FILE, WAL_FILE,
+};
+
+/// True for every file name the store writes into its directory: the live
+/// log, the retired segment, a fold's temp file, snapshots and their temp
+/// files.
+pub fn is_store_file(name: &str) -> bool {
+    wal::is_log_file(name) || snapshot::is_snapshot_file(name)
+}

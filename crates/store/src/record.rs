@@ -9,8 +9,10 @@
 //!
 //! All integers little-endian; the header is [`HEADER_LEN`] bytes. The
 //! sequence number is monotone for the life of a store directory — it
-//! keeps counting across snapshot truncations, which is how recovery
-//! skips WAL frames already covered by the snapshot it loaded.
+//! keeps counting across log rotations, which is how recovery skips WAL
+//! frames already covered by the snapshot it loaded. [`begin_frame`] and
+//! [`seal_frame`] build a frame in place, in the buffer it is written
+//! from; WAL records and snapshots are framed by the same two calls.
 //!
 //! [`decode_frames`] is the torn-tail-tolerant reader: it stops at the
 //! first frame that is short, has a bad magic/version, or fails its CRC,
@@ -18,7 +20,7 @@
 //! *final* frame (appends are sequential), so everything before the stop
 //! point is trustworthy.
 
-use crate::codec::{crc32, DecodeError, Decoder, Encoder};
+use crate::codec::{crc32, crc32_update, DecodeError, Decoder, Encoder};
 
 /// Frame magic: `b"SW"` on disk (0x5753 little-endian).
 pub const MAGIC: u16 = 0x5753;
@@ -297,9 +299,19 @@ impl WalRecord {
         self.kind() <= 7
     }
 
-    /// Encodes the payload (frame body, without the header or CRC).
+    /// Encodes the payload (frame body, without the header or CRC) into a
+    /// buffer of its own.
     pub fn encode_payload(&self) -> Vec<u8> {
         let mut e = Encoder::new();
+        self.put_payload(&mut e);
+        e.into_bytes()
+    }
+
+    /// Appends the payload to `e`: what [`Wal::append_group`] writes
+    /// between [`begin_frame`] and [`seal_frame`].
+    ///
+    /// [`Wal::append_group`]: crate::Wal::append_group
+    pub fn put_payload(&self, e: &mut Encoder) {
         match self {
             WalRecord::SubmitOffer { seed, height, next_leaf, secret, gives, wants } => {
                 e.put_bytes32(seed);
@@ -312,7 +324,7 @@ impl WalRecord {
             WalRecord::SubmitSeeded { seeds } => {
                 e.put_len(seeds.len());
                 for s in seeds {
-                    s.encode(&mut e);
+                    s.encode(e);
                 }
             }
             WalRecord::Resubmit { address, secret, gives, wants } => {
@@ -335,7 +347,7 @@ impl WalRecord {
                     e.put_u64(*s);
                 }
             }
-            WalRecord::StepFailed { error } => error.encode(&mut e),
+            WalRecord::StepFailed { error } => error.encode(e),
             WalRecord::PlanCommitted { epoch, cycles, offers_examined, offers_matched } => {
                 e.put_u64(*epoch);
                 e.put_u64(*cycles);
@@ -358,7 +370,6 @@ impl WalRecord {
                 e.put_u64(*count);
             }
         }
-        e.into_bytes()
     }
 
     /// Decodes a payload of the given `kind`; inverse of
@@ -429,25 +440,47 @@ impl WalRecord {
     }
 }
 
-/// Encodes one frame of any kind: header, payload, CRC.
-pub fn encode_frame_raw(kind: u16, seq: u64, payload: &[u8]) -> Vec<u8> {
-    let mut e = Encoder::new();
+/// Opens a frame at the end of `e`: writes its header with the payload
+/// length still zero and returns the offset the frame starts at. The
+/// caller encodes the payload into `e` next and closes the frame with
+/// [`seal_frame`] — so a frame is built where it will be written from,
+/// never in a buffer of its own and copied. The WAL frames each record
+/// of a group this way, and a snapshot is one such frame.
+pub fn begin_frame(e: &mut Encoder, kind: u16, seq: u64) -> usize {
+    let start = e.len();
     e.put_u16(MAGIC);
     e.put_u16(VERSION);
     e.put_u16(kind);
     e.put_u16(0); // flags, reserved
     e.put_u64(seq);
-    e.put_u32(payload.len() as u32);
-    e.put_raw(payload);
-    let mut bytes = e.into_bytes();
-    let crc = crc32(&bytes);
-    bytes.extend_from_slice(&crc.to_le_bytes());
-    bytes
+    e.put_u32(0); // payload length, set by `seal_frame`
+    start
 }
 
-/// Encodes one WAL record as a complete frame.
-pub fn encode_frame(seq: u64, record: &WalRecord) -> Vec<u8> {
-    encode_frame_raw(record.kind(), seq, &record.encode_payload())
+/// Closes the frame [`begin_frame`] opened at `start`: everything encoded
+/// since is its payload. Fills in the payload length and appends the CRC,
+/// taken over the header and payload where they lie in `e`.
+pub fn seal_frame(e: &mut Encoder, start: usize) {
+    seal_frame_in_slices(e, start, usize::MAX, || {});
+}
+
+/// [`seal_frame`], with the CRC taken `slice` bytes at a time and
+/// `between` called after each slice: how the snapshot writer keeps its
+/// checksum from holding a core.
+pub(crate) fn seal_frame_in_slices(
+    e: &mut Encoder,
+    start: usize,
+    slice: usize,
+    mut between: impl FnMut(),
+) {
+    let len = (e.len() - start - HEADER_LEN) as u32;
+    e.buf[start + HEADER_LEN - 4..start + HEADER_LEN].copy_from_slice(&len.to_le_bytes());
+    let mut crc = 0;
+    for piece in e.buf[start..].chunks(slice) {
+        crc = crc32_update(crc, piece);
+        between();
+    }
+    e.put_u32(crc);
 }
 
 /// One decoded frame before payload interpretation.
@@ -568,6 +601,49 @@ pub fn decode_snapshot_frame(bytes: &[u8]) -> Result<(u64, Vec<u8>), DecodeError
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The framing [`begin_frame`] and [`seal_frame`] replaced, kept as
+    /// their reference: the payload in a buffer of its own, copied behind
+    /// a header, the CRC over the copy.
+    fn reference_frame(kind: u16, seq: u64, payload: &[u8]) -> Vec<u8> {
+        let mut e = Encoder::new();
+        e.put_u16(MAGIC);
+        e.put_u16(VERSION);
+        e.put_u16(kind);
+        e.put_u16(0);
+        e.put_u64(seq);
+        e.put_u32(payload.len() as u32);
+        e.put_raw(payload);
+        let mut bytes = e.into_bytes();
+        let crc = crc32(&bytes);
+        bytes.extend_from_slice(&crc.to_le_bytes());
+        bytes
+    }
+
+    fn encode_frame(seq: u64, record: &WalRecord) -> Vec<u8> {
+        reference_frame(record.kind(), seq, &record.encode_payload())
+    }
+
+    #[test]
+    fn in_place_frames_equal_the_reference_framing() {
+        // Frames laid end to end in one buffer, as a WAL group is, after a
+        // prefix so no frame starts at offset 0.
+        let mut e = Encoder::new();
+        e.put_raw(b"prefix");
+        let mut expected = b"prefix".to_vec();
+        for (i, rec) in sample_records().iter().enumerate() {
+            let start = begin_frame(&mut e, rec.kind(), 40 + i as u64);
+            rec.put_payload(&mut e);
+            seal_frame(&mut e, start);
+            expected.extend_from_slice(&encode_frame(40 + i as u64, rec));
+        }
+        assert_eq!(e.as_bytes(), expected.as_slice());
+        // An empty payload, as a snapshot kind.
+        let mut e = Encoder::new();
+        let start = begin_frame(&mut e, SNAPSHOT_KIND, 9);
+        seal_frame(&mut e, start);
+        assert_eq!(e.into_bytes(), reference_frame(SNAPSHOT_KIND, 9, &[]));
+    }
 
     pub(crate) fn sample_records() -> Vec<WalRecord> {
         vec![
@@ -716,7 +792,7 @@ mod tests {
     #[test]
     fn snapshot_frame_round_trips_and_rejects_tears() {
         let payload = b"snapshot payload".to_vec();
-        let bytes = encode_frame_raw(SNAPSHOT_KIND, 77, &payload);
+        let bytes = reference_frame(SNAPSHOT_KIND, 77, &payload);
         assert_eq!(decode_snapshot_frame(&bytes).unwrap(), (77, payload.clone()));
         // A torn snapshot is an error, never silently accepted.
         assert!(decode_snapshot_frame(&bytes[..bytes.len() - 1]).is_err());

@@ -5,7 +5,24 @@
 //! `durability` module.)
 
 use proptest::prelude::*;
-use swap_store::{decode_frames, encode_frame, FailTag, Framed, SeedRecord, StageTag, WalRecord};
+use swap_store::{
+    begin_frame, decode_frames, seal_frame, Encoder, FailTag, Framed, SeedRecord, StageTag,
+    WalRecord,
+};
+
+/// `records` framed back to back the way the WAL frames a group, the
+/// `i`-th under sequence number `seq(i)`.
+fn frames(records: &[WalRecord], seq: impl Fn(usize) -> u64) -> (Vec<u8>, Vec<usize>) {
+    let mut e = Encoder::new();
+    let mut boundaries = vec![0];
+    for (i, rec) in records.iter().enumerate() {
+        let start = begin_frame(&mut e, rec.kind(), seq(i));
+        rec.put_payload(&mut e);
+        seal_frame(&mut e, start);
+        boundaries.push(e.len());
+    }
+    (e.into_bytes(), boundaries)
+}
 
 fn asset() -> impl Strategy<Value = String> {
     prop::collection::vec(any::<u8>(), 0..12).prop_map(|v| {
@@ -102,10 +119,7 @@ proptest! {
 
     #[test]
     fn frame_streams_round_trip(records in prop::collection::vec(wal_record(), 0..8)) {
-        let mut bytes = Vec::new();
-        for (i, rec) in records.iter().enumerate() {
-            bytes.extend_from_slice(&encode_frame(i as u64 * 3, rec));
-        }
+        let (bytes, _) = frames(&records, |i| i as u64 * 3);
         let scan = decode_frames(&bytes).unwrap();
         prop_assert!(!scan.torn);
         prop_assert_eq!(scan.valid_len, bytes.len());
@@ -121,12 +135,7 @@ proptest! {
         records in prop::collection::vec(wal_record(), 1..6),
         cut_frac in 0u64..=1000,
     ) {
-        let mut bytes = Vec::new();
-        let mut boundaries = vec![0usize];
-        for (i, rec) in records.iter().enumerate() {
-            bytes.extend_from_slice(&encode_frame(i as u64, rec));
-            boundaries.push(bytes.len());
-        }
+        let (bytes, boundaries) = frames(&records, |i| i as u64);
         let cut = (bytes.len() as u64 * cut_frac / 1000) as usize;
         let scan = decode_frames(&bytes[..cut]).unwrap();
         let whole = boundaries.iter().filter(|&&b| b <= cut).count() - 1;
