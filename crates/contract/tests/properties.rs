@@ -93,7 +93,7 @@ proptest! {
     }
 
     /// HTLC: reveal succeeds iff before the timeout; refund succeeds iff
-    /// at/after — and the two are mutually exclusive forever after.
+    /// at/after — and once one has succeeded the other never can.
     #[test]
     fn htlc_timeout_dichotomy(timeout in 1u64..100, when in 0u64..200) {
         let secret = Secret::from_bytes([9u8; 32]);

@@ -51,15 +51,17 @@ use crate::runner::RunMetrics;
 /// signature scheme's name is included because a snapshot stores each
 /// identity's leaf digests: under another one-time scheme the recovered
 /// keypair would sign with chains its own tree does not commit to.
+/// `leader_strategy=MinimumExact` is a literal: cleared swaps always elect
+/// exact minimum leaders, and the text keeps the digest of every store
+/// written while the strategy was a config field.
 pub(crate) fn config_digest(config: &ExchangeConfig) -> [u8; 32] {
     let semantic = format!(
-        "scheme={};delta={:?};executing_slots={};run={:?};leader_strategy={:?};protocol={:?};\
-         stage_costs={:?}",
+        "scheme={};delta={:?};executing_slots={};run={:?};leader_strategy=MinimumExact;\
+         protocol={:?};stage_costs={:?}",
         swap_crypto::mss::SCHEME,
         config.delta,
         config.executing_slots.max(1),
         config.run,
-        config.leader_strategy,
         config.protocol,
         config.stage_costs,
     );

@@ -101,9 +101,9 @@
 //! *command* record first (the operation and its inputs — enough to re-run
 //! it), followed by the *audit* records of everything the operation did to
 //! the offer/swap lifecycle (plan commits, settlements, refunds, identity
-//! registrations, leaf leases). All lifecycle mutations funnel through six
+//! registrations, leaf leases). All lifecycle mutations funnel through five
 //! private methods (`Exchange::apply_submit`, `apply_resubmit`,
-//! `apply_cancel`, `apply_settle`, `apply_refund`, `apply_tear_down`), so
+//! `apply_cancel`, `apply_settle`, `apply_refund`), so
 //! the audit trail cannot silently miss a mutation path. Periodic snapshots at
 //! pipeline-empty points rotate the log, and a writer thread puts the
 //! snapshot in place and deletes the rotated-out segment behind the driver
@@ -124,8 +124,8 @@ use swap_contract::AnyContract;
 use swap_crypto::{Address, Digest32, MssKeypair, Secret};
 use swap_digraph::VertexId;
 use swap_market::{
-    verify_cleared_swap, AssetKind, CancelError, ClearError, ClearedSwap, ClearingService,
-    LeaderStrategy, Offer, OfferId, SwapId, VerifyError,
+    verify_cleared_swap, AssetKind, CancelError, ClearError, ClearedSwap, ClearingService, Offer,
+    OfferId, SwapId, VerifyError,
 };
 use swap_sim::{Delta, SimDuration, SimRng, SimTime};
 use swap_store::{
@@ -164,8 +164,6 @@ pub struct ExchangeConfig {
     /// id within each swap, so they apply to every cleared swap alike —
     /// useful for adversarial sweeps).
     pub run: RunConfig,
-    /// Leader-election strategy for cleared swaps.
-    pub leader_strategy: LeaderStrategy,
     /// How the exchange picks the protocol executing each cleared cycle.
     pub protocol: ProtocolPolicy,
     /// Simulated cost of the non-execution pipeline stages. Zero by
@@ -200,7 +198,6 @@ impl Default for ExchangeConfig {
             threads: 1,
             executing_slots: 1,
             run: RunConfig::default(),
-            leader_strategy: LeaderStrategy::MinimumExact,
             protocol: ProtocolPolicy::Auto,
             stage_costs: StageCosts::default(),
         }
@@ -953,7 +950,7 @@ impl Exchange {
     /// worker pool ([`ExchangeConfig::threads`] threads) is spawned here
     /// and lives as long as the exchange.
     pub fn new(config: ExchangeConfig) -> Exchange {
-        let service = ClearingService::new().with_leader_strategy(config.leader_strategy);
+        let service = ClearingService::new();
         let pool = WorkerPool::new(config.threads);
         Exchange {
             config,
@@ -1470,12 +1467,14 @@ impl Exchange {
                 // escrowed (§4.2).
                 if let Err(error) = self.verify_epoch(&cleared, published_at) {
                     // Nothing was escrowed, but `clear` already consumed
-                    // the matched offers — tear every cleared swap down so
+                    // the matched offers — refund every cleared swap so
                     // the lifecycle resolves instead of wedging in
                     // `Matched`.
+                    let mut released: BTreeSet<Address> = BTreeSet::new();
                     for swap in &cleared {
-                        self.apply_tear_down(swap.id);
+                        released.extend(self.apply_refund(swap.id, false));
                     }
+                    self.wake_deferred(&released);
                     self.report.swaps_cleared += cleared.len() as u64;
                     self.in_flight.remove(i);
                     return Err(error);
@@ -1536,9 +1535,7 @@ impl Exchange {
                 self.report.leaves_leased = self.identities.leaves_leased();
                 // A refunded party's deferred counterparties get the next
                 // clearing's attention, exactly as settlement would grant.
-                if !released.is_empty() && self.service.any_deferred_from(&released) {
-                    self.dirty_since = Some(self.now);
-                }
+                self.wake_deferred(&released);
                 let cost = costs.provisioning_base + costs.provisioning_per_party * parties;
                 self.enter(
                     i,
@@ -1658,9 +1655,7 @@ impl Exchange {
             released.extend(self.apply_refund(id, false));
             self.report.swaps_cleared += 1;
         }
-        if !released.is_empty() && self.service.any_deferred_from(&released) {
-            self.dirty_since = Some(self.now);
-        }
+        self.wake_deferred(&released);
         Err(ExchangeError::WorkerPanicked(panicked[0]))
     }
 
@@ -1733,18 +1728,21 @@ impl Exchange {
             self.archived_storage.merge(&self.ledger.storage_report()),
             "the running storage total left the ledger's"
         );
-        // If a released party still has an offer sitting `Open` that a
-        // clearing *skipped while the party was reserved*, wake the
-        // pipeline so the next clearing picks it up. Without this, the
-        // deferred offer would strand until some unrelated submission
-        // re-dirtied the book. Ordinary no-counterparty leftovers are not
-        // deferred, so settlements never admit phantom epochs for them —
-        // and zero-swap epochs release nothing, so this can never re-admit
-        // clearings forever.
-        if !released.is_empty() && self.service.any_deferred_from(&released) {
+        self.wake_deferred(&released);
+        out
+    }
+
+    /// If a released party still has an offer sitting `Open` that a
+    /// clearing *skipped while the party was reserved*, wakes the pipeline
+    /// so the next clearing picks it up. Without this, the deferred offer
+    /// would strand until some unrelated submission re-dirtied the book.
+    /// Ordinary no-counterparty leftovers are not deferred, so resolutions
+    /// never admit phantom epochs for them — and zero-swap epochs release
+    /// nothing, so this can never re-admit clearings forever.
+    fn wake_deferred(&mut self, released: &BTreeSet<Address>) {
+        if !released.is_empty() && self.service.any_deferred_from(released) {
             self.dirty_since = Some(self.now);
         }
-        out
     }
 
     /// Re-checks every cleared slot against the party's original offer, as
@@ -1769,7 +1767,7 @@ impl Exchange {
     //
     // **Every** mutation of the book, the offer-material map, the identity
     // registry's registration path, and the report's lifecycle tallies goes
-    // through one of the six `apply_*` methods below — the only places audit
+    // through one of the five `apply_*` methods below — the only places audit
     // records are emitted, so the WAL cannot silently miss a mutation path.
 
     /// A party submits an offer (registering its identity on first touch).
@@ -1829,8 +1827,9 @@ impl Exchange {
         released
     }
 
-    /// A swap's offers refund (failed execution, worker panic, or — with
-    /// `exhausted` — a key-exhausted identity at provisioning). Returns the
+    /// A swap's offers refund (failed execution, worker panic, a cleared
+    /// slot that failed re-verification, or — with `exhausted` — a
+    /// key-exhausted identity at provisioning). Returns the
     /// parties whose clearing reservations this releases.
     fn apply_refund(&mut self, swap: SwapId, exhausted: bool) -> BTreeSet<Address> {
         let released = self.release_swap_material(swap);
@@ -1841,21 +1840,6 @@ impl Exchange {
         }
         self.journal_audit(WalRecord::SwapRefunded { swap: swap.raw(), exhausted });
         released
-    }
-
-    /// Verify-failure teardown: the swap's offers refund and its material
-    /// drops, but — unlike a refund — *without* released-reservation
-    /// tracking: nothing was provisioned, so no deferred counterparty is
-    /// owed a wake-up.
-    fn apply_tear_down(&mut self, swap: SwapId) {
-        let offers: Vec<OfferId> =
-            self.service.offers_of_swap(swap).map(<[_]>::to_vec).unwrap_or_default();
-        self.service.refund_swap(swap).expect("issued this epoch");
-        for oid in &offers {
-            self.material.remove(oid);
-        }
-        self.report.swaps_refunded += 1;
-        self.journal_audit(WalRecord::SwapRefunded { swap: swap.raw(), exhausted: false });
     }
 
     /// Drops a resolving swap's key material and collects the addresses
@@ -2229,7 +2213,7 @@ impl Exchange {
 
     /// Rebuilds the pipeline-empty state a snapshot holds.
     fn from_snapshot(config: ExchangeConfig, snap: Snapshot<'_>) -> Exchange {
-        let service = ClearingService::restore(snap.book, config.leader_strategy);
+        let service = ClearingService::restore(snap.book);
         let identities = IdentityStore::restore(
             snap.identities.into_iter().map(Cow::into_owned),
             snap.leaves_leased,

@@ -186,9 +186,9 @@ impl SwapInstance {
     /// call, for orchestrators that execute immediately after clearing. The
     /// protocol is auto-selected by [`ProtocolKind::select`] from the
     /// cycle's shape and the configured behaviors: single-leader feasible
-    /// cycles (the common case — every simple trade cycle is, see
-    /// [`ClearedSwap::single_leader_feasible`]) run the cheap §4.6 HTLC
-    /// protocol, everything else the general hashkey protocol. Override
+    /// cycles (the common case — any one vertex of a simple trade cycle is
+    /// a minimum feedback vertex set) run the cheap §4.6 HTLC protocol,
+    /// everything else the general hashkey protocol. Override
     /// with [`SwapInstance::with_protocol`].
     pub fn from_cleared(
         cleared: &ClearedSwap,

@@ -377,8 +377,8 @@ mod tests {
                     );
                 }
             }
-            let mutually_reachable = d.vertices().all(|v| reachable_from(&d, v).iter().all(|&r| r));
-            prop_assert_eq!(is_strongly_connected(&d), mutually_reachable);
+            let all_reach_all = d.vertices().all(|v| reachable_from(&d, v).iter().all(|&r| r));
+            prop_assert_eq!(is_strongly_connected(&d), all_reach_all);
         }
     }
 

@@ -17,16 +17,6 @@ pub enum LeaderStrategy {
     MinimumExact,
     /// Greedy heuristic feedback vertex set (any size, possibly larger).
     Greedy,
-    /// Exact minimum leaders, *and* a clearing-level bias: when several
-    /// disjoint-cycle decompositions of the book tie on matched offers, the
-    /// clearing service prefers the one made of shorter cycles (pairing off
-    /// mutual two-party trades first). Every cleared cycle is single-leader
-    /// feasible either way, but shorter cycles carry strictly smaller
-    /// Lemma 4.13 timeout ladders, so they are strictly cheaper to execute
-    /// under the §4.6 single-leader HTLC protocol. For spec assembly this
-    /// behaves exactly like [`LeaderStrategy::MinimumExact`]; the bias
-    /// lives in [`crate::ClearingService::clear`].
-    PreferSingleLeader,
 }
 
 /// Errors from [`SpecBuilder::build`].
@@ -205,13 +195,11 @@ impl SpecBuilder {
                 ls
             }
             None => match self.strategy {
-                LeaderStrategy::MinimumExact | LeaderStrategy::PreferSingleLeader => {
-                    FeedbackVertexSet::minimum(&self.digraph)
-                        .ok_or(BuildError::LeaderSearchExceeded)?
-                        .into_vertices()
-                        .into_iter()
-                        .collect()
-                }
+                LeaderStrategy::MinimumExact => FeedbackVertexSet::minimum(&self.digraph)
+                    .ok_or(BuildError::LeaderSearchExceeded)?
+                    .into_vertices()
+                    .into_iter()
+                    .collect(),
                 LeaderStrategy::Greedy => {
                     FeedbackVertexSet::greedy(&self.digraph).into_vertices().into_iter().collect()
                 }

@@ -29,13 +29,11 @@
 //!
 //! # The incremental clearing index
 //!
-//! The service maintains price-time FIFO buckets — per-`(gives, wants)` trade buckets plus
-//! per-kind giver/wanter sets, all ordered by offer id (= submission
-//! order) — on every `submit`/`cancel`/match/`settle_swap`/`refund_swap`
-//! delta. A clearing epoch then touches only the *matchable* region of the
-//! book: the kinds with both supply and demand (`active` kinds), with a
-//! pair-match fast path that drains mutual two-party trades straight from
-//! opposing bucket heads before the general cycle walk. Open offers whose
+//! The service maintains price-time FIFO queues — per-kind giver and
+//! wanter sets, ordered by offer id (= submission order) — on every
+//! `submit`/`cancel`/match/`settle_swap`/`refund_swap` delta. A clearing
+//! epoch then touches only the *matchable* region of the book: the kinds
+//! with both supply and demand (`active` kinds). Open offers whose
 //! party is reserved by an in-flight swap are *parked* out of the index
 //! and re-inserted when the swap resolves, so the reservation scan is
 //! incremental too. An epoch over a million-offer book with a small
@@ -60,7 +58,7 @@ use swap_crypto::{Address, Hashlock, MssPublicKey};
 use swap_digraph::{Digraph, VertexId};
 use swap_sim::{Delta, SimTime};
 
-use crate::builder::{BuildError, LeaderStrategy, SpecBuilder};
+use crate::builder::{BuildError, SpecBuilder};
 
 /// A label for a tradable asset category, e.g. `"btc"`, `"altcoin"`,
 /// `"cadillac-title"`. Matching is exact on the label.
@@ -192,24 +190,6 @@ pub struct ClearedSwap {
     pub arc_kinds: Vec<AssetKind>,
 }
 
-impl ClearedSwap {
-    /// The protocol hint an execution layer reads off the cycle's shape:
-    /// whether the §4.6 single-leader timeout protocol applies — exactly
-    /// one elected leader whose removal leaves the followers acyclic
-    /// (Lemma 4.13's precondition, the Figure 6 obstruction otherwise).
-    ///
-    /// Every simple trade cycle with one leader satisfies this, which makes
-    /// cheap HTLC execution the common case for cleared books.
-    pub fn single_leader_feasible(&self) -> bool {
-        if self.spec.leaders.len() != 1 {
-            return false;
-        }
-        let removed: BTreeSet<VertexId> = self.spec.leaders.iter().copied().collect();
-        let followers = self.spec.digraph.delete_vertices(&removed);
-        swap_digraph::fvs::find_cycle(&followers).is_none()
-    }
-}
-
 /// Errors from [`ClearingService::clear`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum ClearError {
@@ -296,7 +276,7 @@ impl std::error::Error for LifecycleError {}
 pub struct ClearStats {
     /// Open offers in the book when the plan was drawn (parked included).
     pub open_offers: u64,
-    /// Offers the planner actually examined: only the zip/pair steps over
+    /// Offers the planner actually examined: only the zip steps over
     /// active kinds for [`ClearingService::plan`]; every open offer for the
     /// [`ClearingService::plan_full_rescan`] reference. This is the work
     /// proxy that separates the two on large, mostly-unmatchable books.
@@ -305,11 +285,6 @@ pub struct ClearStats {
     pub cycles_emitted: u64,
     /// Offers matched into those cycles.
     pub offers_matched: u64,
-    /// Offers the mutual-two-cycle fast path matched before general cycle
-    /// search (counted pre-disjointness; nonzero only for
-    /// [`ClearingService::plan`] with [`LeaderStrategy::PreferSingleLeader`]
-    /// when the biased decomposition wins the tie rule).
-    pub pair_matched: u64,
 }
 
 /// An uncommitted clearing epoch: the cycles a [`ClearingService::plan`]
@@ -424,7 +399,6 @@ pub struct ClearingService {
     /// The party address of each entry, derived once at submission
     /// (hashing the key per lookup is measurable at book scale).
     addresses: Vec<Address>,
-    leader_strategy: LeaderStrategy,
     /// Bumped by every lifecycle mutation (submit, cancel, commit, settle,
     /// refund); a [`ClearPlan`] is only committable at the generation it
     /// was drawn at.
@@ -457,9 +431,6 @@ pub struct ClearingService {
     /// whose address is in `reserved`.
     parked: BTreeSet<OfferId>,
     // ---- the matching index (open, unparked offers only) ----
-    /// Price-time buckets: offers by exact `(gives, wants)` trade,
-    /// id-ordered (= submission order, the FIFO "time" axis).
-    by_trade: BTreeMap<(AssetKind, AssetKind), BTreeSet<OfferId>>,
     /// Offers giving each kind. Entries are never empty.
     givers: BTreeMap<AssetKind, BTreeSet<OfferId>>,
     /// Offers wanting each kind. Entries are never empty.
@@ -467,10 +438,6 @@ pub struct ClearingService {
     /// Kinds with both supply and demand — the only kinds a clearing epoch
     /// visits.
     active: BTreeSet<AssetKind>,
-    /// Unordered kind pairs `{a, b}` (stored `a < b`) with offers in both
-    /// the `(a, b)` and `(b, a)` buckets: the mutual-two-cycle fast path's
-    /// work list.
-    mutual: BTreeSet<(AssetKind, AssetKind)>,
     /// Stats of the most recent committed clearing.
     last_stats: Option<ClearStats>,
 }
@@ -479,12 +446,6 @@ impl ClearingService {
     /// Creates an empty service.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Sets the leader-election strategy for cleared swaps.
-    pub fn with_leader_strategy(mut self, strategy: LeaderStrategy) -> Self {
-        self.leader_strategy = strategy;
-        self
     }
 
     /// Offsets the id space: the first submitted offer gets raw id `base`
@@ -673,13 +634,9 @@ impl ClearingService {
         let i = self.entry_index(id).expect("indexed offers were issued by this service");
         let gives = self.entries[i].offer.gives.clone();
         let wants = self.entries[i].offer.wants.clone();
-        self.by_trade.entry((gives.clone(), wants.clone())).or_default().insert(id);
-        if gives != wants && self.by_trade.contains_key(&(wants.clone(), gives.clone())) {
-            self.mutual.insert(Self::canon_pair(&gives, &wants));
-        }
         self.givers.entry(gives.clone()).or_default().insert(id);
         if self.wanters.contains_key(&gives) {
-            self.active.insert(gives.clone());
+            self.active.insert(gives);
         }
         self.wanters.entry(wants.clone()).or_default().insert(id);
         if self.givers.contains_key(&wants) {
@@ -688,42 +645,23 @@ impl ClearingService {
     }
 
     /// Removes an offer from the matching index, pruning emptied buckets
-    /// (so `contains_key` on `givers`/`wanters`/`by_trade` means
-    /// non-empty).
+    /// (so `contains_key` on `givers`/`wanters` means non-empty).
     fn index_remove(&mut self, id: OfferId) {
         let i = self.entry_index(id).expect("indexed offers were issued by this service");
-        let gives = self.entries[i].offer.gives.clone();
-        let wants = self.entries[i].offer.wants.clone();
-        if let Some(bucket) = self.by_trade.get_mut(&(gives.clone(), wants.clone())) {
-            bucket.remove(&id);
-            if bucket.is_empty() {
-                self.by_trade.remove(&(gives.clone(), wants.clone()));
-                if gives != wants {
-                    self.mutual.remove(&Self::canon_pair(&gives, &wants));
-                }
-            }
-        }
-        if let Some(set) = self.givers.get_mut(&gives) {
+        let Offer { gives, wants, .. } = &self.entries[i].offer;
+        if let Some(set) = self.givers.get_mut(gives) {
             set.remove(&id);
             if set.is_empty() {
-                self.givers.remove(&gives);
-                self.active.remove(&gives);
+                self.givers.remove(gives);
+                self.active.remove(gives);
             }
         }
-        if let Some(set) = self.wanters.get_mut(&wants) {
+        if let Some(set) = self.wanters.get_mut(wants) {
             set.remove(&id);
             if set.is_empty() {
-                self.wanters.remove(&wants);
-                self.active.remove(&wants);
+                self.wanters.remove(wants);
+                self.active.remove(wants);
             }
-        }
-    }
-
-    fn canon_pair(a: &AssetKind, b: &AssetKind) -> (AssetKind, AssetKind) {
-        if a <= b {
-            (a.clone(), b.clone())
-        } else {
-            (b.clone(), a.clone())
         }
     }
 
@@ -776,15 +714,12 @@ impl ClearingService {
     /// in between.
     pub fn plan(&self) -> ClearPlan {
         let mut examined = 0u64;
-        let (cycles, pair_matched) = match self.leader_strategy {
-            LeaderStrategy::PreferSingleLeader => self.indexed_biased(&mut examined),
-            _ => (self.indexed_fifo(None, &mut examined), 0),
-        };
+        let cycles = self.indexed_fifo(&mut examined);
         // Everything a full rescan would have skipped for reservation is,
         // by the park invariant, exactly the parked set.
         let mut skipped: Vec<OfferId> = self.parked.iter().copied().collect();
         let selected = self.select_disjoint(cycles, &mut skipped);
-        self.finish_plan(examined, selected, skipped, pair_matched)
+        self.finish_plan(examined, selected, skipped)
     }
 
     /// The executable specification of [`plan`](Self::plan): rescans the
@@ -805,18 +740,15 @@ impl ClearingService {
                 open_idx.push(i);
             }
         }
-        let cycles = match self.leader_strategy {
-            LeaderStrategy::PreferSingleLeader => self.biased_cycles(&open_idx),
-            _ => self.fifo_cycles(&open_idx),
-        };
         // Cycles of entry indices → cycles of real offer ids (the two
         // coincide only when the id base is 0).
-        let cycles: Vec<Vec<OfferId>> = cycles
+        let cycles: Vec<Vec<OfferId>> = self
+            .fifo_cycles(&open_idx)
             .into_iter()
             .map(|cycle| cycle.into_iter().map(|i| self.id_at(i)).collect())
             .collect();
         let selected = self.select_disjoint(cycles, &mut skipped);
-        self.finish_plan(self.open.len() as u64, selected, skipped, 0)
+        self.finish_plan(self.open.len() as u64, selected, skipped)
     }
 
     fn finish_plan(
@@ -824,14 +756,12 @@ impl ClearingService {
         offers_examined: u64,
         selected: Vec<Vec<OfferId>>,
         skipped: Vec<OfferId>,
-        pair_matched: u64,
     ) -> ClearPlan {
         let stats = ClearStats {
             open_offers: self.open.len() as u64,
             offers_examined,
             cycles_emitted: selected.len() as u64,
             offers_matched: selected.iter().map(|c| c.len() as u64).sum(),
-            pair_matched,
         };
         ClearPlan { selected, skipped, stats, generation: self.generation }
     }
@@ -957,15 +887,11 @@ impl ClearingService {
     /// demand for kind `k` is paired with the first open unmatched supply
     /// of `k`. Deterministic, order-sensitive, and O(n) — richer strategies
     /// (maximum-cycle-cover) belong to the clearing literature the paper
-    /// cites, not to the swap protocol itself. Under
-    /// [`LeaderStrategy::PreferSingleLeader`] the service additionally
-    /// pairs off mutual two-party trades first and keeps that decomposition
-    /// whenever it matches at least as many offers as plain FIFO: shorter
-    /// cycles carry strictly smaller §4.6 timeout ladders, so ties between
-    /// decompositions resolve toward the cheapest single-leader cycles.
-    /// [`plan`](Self::plan) computes this answer from the incremental
-    /// index — see the module docs — with the mutual pairing served by the
-    /// bucket-head fast path.
+    /// cites, not to the swap protocol itself. Every cleared cycle is a
+    /// simple ring, so any one vertex is a minimum feedback vertex set and
+    /// every cleared swap elects a single leader. [`plan`](Self::plan)
+    /// computes this answer from the incremental index — see the module
+    /// docs.
     ///
     /// # Errors
     ///
@@ -977,21 +903,15 @@ impl ClearingService {
         self.commit(plan, delta, now)
     }
 
-    // ---- indexed matchers ----
+    // ---- the indexed matcher ----
 
     /// Greedy FIFO matching from the index: for every *active* kind, zip
     /// the id-ordered givers against the id-ordered wanters (the i-th
     /// demand for a kind pairs with the i-th supply — exactly what the
     /// full-rescan queue matcher computes), then walk the resulting
     /// partial permutation's cycles from their smallest members upward.
-    /// Offers in `exclude` are invisible. Each zip step counts one
-    /// examined offer.
-    fn indexed_fifo(
-        &self,
-        exclude: Option<&BTreeSet<OfferId>>,
-        examined: &mut u64,
-    ) -> Vec<Vec<OfferId>> {
-        let excluded = |id: &OfferId| exclude.is_some_and(|set| set.contains(id));
+    /// Each zip step counts one examined offer.
+    fn indexed_fifo(&self, examined: &mut u64) -> Vec<Vec<OfferId>> {
         let mut succ: BTreeMap<OfferId, OfferId> = BTreeMap::new();
         let mut has_supplier: BTreeSet<OfferId> = BTreeSet::new();
         for kind in &self.active {
@@ -999,9 +919,7 @@ impl ClearingService {
             else {
                 continue;
             };
-            let mut give = givers.iter().filter(|id| !excluded(id));
-            let mut want = wanters.iter().filter(|id| !excluded(id));
-            while let (Some(&giver), Some(&wanter)) = (give.next(), want.next()) {
+            for (&giver, &wanter) in givers.iter().zip(wanters) {
                 *examined += 1;
                 succ.insert(giver, wanter);
                 has_supplier.insert(wanter);
@@ -1034,48 +952,7 @@ impl ClearingService {
         cycles
     }
 
-    /// The [`LeaderStrategy::PreferSingleLeader`] decomposition from the
-    /// index: drain mutual two-cycles straight from opposing
-    /// `(a, b)`/`(b, a)` bucket heads (the snippet-2 "merge
-    /// exactly-matching counterparties" fast path), emit them by their
-    /// earliest member, run plain FIFO on the remainder — and keep the
-    /// biased decomposition only when it matches at least as many offers
-    /// as plain FIFO would. Returns the cycles plus the number of offers
-    /// the fast path matched.
-    fn indexed_biased(&self, examined: &mut u64) -> (Vec<Vec<OfferId>>, u64) {
-        let mut pairs: Vec<(OfferId, OfferId)> = Vec::new();
-        for (a, b) in &self.mutual {
-            let (Some(fwd), Some(rev)) = (
-                self.by_trade.get(&(a.clone(), b.clone())),
-                self.by_trade.get(&(b.clone(), a.clone())),
-            ) else {
-                continue;
-            };
-            for (&x, &y) in fwd.iter().zip(rev.iter()) {
-                *examined += 1;
-                pairs.push(if x < y { (x, y) } else { (y, x) });
-            }
-        }
-        // The rescan matcher discovers pairs in submission order of their
-        // earliest member, interleaved across trade pairs.
-        pairs.sort_unstable();
-        let paired: BTreeSet<OfferId> = pairs.iter().flat_map(|&(x, y)| [x, y]).collect();
-        let mut biased: Vec<Vec<OfferId>> = pairs.iter().map(|&(x, y)| vec![x, y]).collect();
-        biased.extend(self.indexed_fifo(Some(&paired), examined));
-        let plain = self.indexed_fifo(None, examined);
-        let matched = |cycles: &[Vec<OfferId>]| cycles.iter().map(Vec::len).sum::<usize>();
-        // Only bias between *tied* decompositions: pairing off a two-cycle
-        // that plain FIFO would have woven into a larger cycle must never
-        // cost the book liquidity.
-        if matched(&biased) >= matched(&plain) {
-            let pair_matched = 2 * pairs.len() as u64;
-            (biased, pair_matched)
-        } else {
-            (plain, 0)
-        }
-    }
-
-    // ---- reference (full-rescan) matchers ----
+    // ---- the reference (full-rescan) matcher ----
 
     /// Greedy FIFO matching over the given entry indices (submission
     /// order): pairs each demand with the earliest unmatched supply of the
@@ -1131,61 +1008,6 @@ impl ClearingService {
         cycles
     }
 
-    /// The [`LeaderStrategy::PreferSingleLeader`] decomposition over a
-    /// dense rescan: pair off mutual two-party trades first (earliest
-    /// counter-offer wins), then run plain FIFO on the remainder — and
-    /// keep the biased decomposition only when it matches at least as many
-    /// offers as plain FIFO would. Two-party cycles have the smallest
-    /// possible diameter, hence the smallest Lemma 4.13 timeout ladders,
-    /// so when decompositions tie this picks the one that is strictly
-    /// cheapest under the §4.6 single-leader protocol.
-    fn biased_cycles(&self, idx: &[usize]) -> Vec<Vec<usize>> {
-        let m = idx.len();
-        // by_trade[(gives, wants)] = dense positions offering that trade.
-        let mut by_trade: BTreeMap<(&AssetKind, &AssetKind), VecDeque<usize>> = BTreeMap::new();
-        for (pos, &i) in idx.iter().enumerate() {
-            let offer = &self.entries[i].offer;
-            by_trade.entry((&offer.gives, &offer.wants)).or_default().push_back(pos);
-        }
-        let mut paired = vec![false; m];
-        let mut pairs: Vec<Vec<usize>> = Vec::new();
-        for pos in 0..m {
-            if paired[pos] {
-                continue;
-            }
-            let offer = &self.entries[idx[pos]].offer;
-            if offer.gives == offer.wants {
-                continue;
-            }
-            if let Some(counters) = by_trade.get_mut(&(&offer.wants, &offer.gives)) {
-                while let Some(&cand) = counters.front() {
-                    if paired[cand] {
-                        counters.pop_front();
-                        continue;
-                    }
-                    paired[pos] = true;
-                    paired[cand] = true;
-                    counters.pop_front();
-                    pairs.push(vec![idx[pos], idx[cand]]);
-                    break;
-                }
-            }
-        }
-        let rest: Vec<usize> = (0..m).filter(|&pos| !paired[pos]).map(|pos| idx[pos]).collect();
-        let mut biased = pairs;
-        biased.extend(self.fifo_cycles(&rest));
-        let plain = self.fifo_cycles(idx);
-        let matched = |cycles: &[Vec<usize>]| cycles.iter().map(Vec::len).sum::<usize>();
-        // Only bias between *tied* decompositions: pairing off a two-cycle
-        // that plain FIFO would have woven into a larger cycle must never
-        // cost the book liquidity.
-        if matched(&biased) >= matched(&plain) {
-            biased
-        } else {
-            plain
-        }
-    }
-
     /// Builds the digraph and spec for one cleared cycle of offer ids.
     fn assemble(
         &self,
@@ -1209,7 +1031,7 @@ impl ClearingService {
             arc_kinds.push(self.entries[i].offer.gives.clone());
         }
         let mut builder = SpecBuilder::new(digraph);
-        builder.delta(delta).start(now + delta.times(1)).leader_strategy(self.leader_strategy);
+        builder.delta(delta).start(now + delta.times(1));
         for (pos, &oid) in cycle.iter().enumerate() {
             let i = self.entry_index(oid).expect("cleared offers were issued by this service");
             let offer = &self.entries[i].offer;
@@ -1235,8 +1057,7 @@ impl ClearingService {
     }
 
     /// Rebuilds a service from a [`BookSnapshot`], rederiving the matching
-    /// index, the reservation set, and the park/index split. The strategy
-    /// is configuration, not state, so the caller supplies it; the restored
+    /// index, the reservation set, and the park/index split. The restored
     /// service plans and commits exactly as the snapshotted one would
     /// ([`last_clear_stats`](Self::last_clear_stats) alone resets to `None`
     /// — it is a measurement, not book state).
@@ -1246,13 +1067,12 @@ impl ClearingService {
     /// Panics if the snapshot references offer ids outside its own entry
     /// table — `swap-core`'s snapshot decoder refuses such a book before it
     /// gets here.
-    pub fn restore(snapshot: BookSnapshot<'_>, leader_strategy: LeaderStrategy) -> Self {
+    pub fn restore(snapshot: BookSnapshot<'_>) -> Self {
         let entries = snapshot.entries.into_owned();
         let addresses = entries.iter().map(|e| e.offer.key.address()).collect();
         let mut svc = ClearingService {
             entries,
             addresses,
-            leader_strategy,
             first_id: snapshot.first_id,
             epoch: snapshot.epoch,
             next_swap: snapshot.next_swap,
@@ -1338,7 +1158,7 @@ mod tests {
         svc.submit(offer(8, "y", "x"));
 
         let snap = svc.snapshot();
-        let restored = ClearingService::restore(snap.clone(), LeaderStrategy::default());
+        let restored = ClearingService::restore(snap.clone());
 
         // Same durable state...
         assert_eq!(restored.snapshot(), snap);
@@ -1545,28 +1365,6 @@ mod tests {
     }
 
     #[test]
-    fn pair_fast_path_drains_mutual_two_cycles() {
-        let mut svc =
-            ClearingService::new().with_leader_strategy(LeaderStrategy::PreferSingleLeader);
-        svc.submit(offer(1, "a", "b"));
-        svc.submit(offer(2, "b", "a"));
-        svc.submit(offer(3, "b", "a"));
-        svc.submit(offer(4, "a", "b"));
-        svc.submit(offer(5, "zzz", "a")); // no counterparty; never examined
-        let swaps = clear(&mut svc);
-        assert_eq!(swaps.len(), 2);
-        let stats = svc.last_clear_stats().unwrap();
-        assert_eq!(stats.pair_matched, 4, "both two-cycles came off the bucket heads");
-        assert_eq!(stats.cycles_emitted, 2);
-        assert_eq!(stats.offers_matched, 4);
-        assert_eq!(stats.open_offers, 5);
-        assert!(
-            stats.offers_examined < stats.open_offers * 2,
-            "the straggler's dead kinds cost nothing"
-        );
-    }
-
-    #[test]
     fn indexed_examines_only_active_kinds() {
         let mut svc = ClearingService::new();
         svc.submit(offer(1, "btc", "eth"));
@@ -1737,56 +1535,32 @@ mod tests {
     }
 
     #[test]
-    fn prefer_single_leader_biases_tied_decompositions() {
-        // This book admits two decompositions that tie at 4 matched offers:
-        // one 4-cycle (what plain FIFO weaves, in this submission order) or
-        // two 2-cycles. The biased strategy must pick the 2-cycles: same
-        // liquidity, strictly smaller timeout ladders under §4.6.
-        let book = [("a", "b"), ("b", "c"), ("c", "b"), ("b", "a")];
-        let submit = |svc: &mut ClearingService| {
-            for (i, (g, w)) in book.iter().enumerate() {
-                svc.submit(offer(i as u8 + 1, g, w));
-            }
-        };
-
-        let mut plain = ClearingService::new();
-        submit(&mut plain);
-        let plain_swaps = clear(&mut plain);
-        assert_eq!(plain_swaps.len(), 1);
-        assert_eq!(plain_swaps[0].spec.digraph.vertex_count(), 4);
-
-        let mut biased =
-            ClearingService::new().with_leader_strategy(LeaderStrategy::PreferSingleLeader);
-        submit(&mut biased);
-        let biased_swaps = clear(&mut biased);
-        assert_eq!(biased_swaps.len(), 2, "bias decomposes into two 2-cycles");
-        let matched: usize = biased_swaps.iter().map(|s| s.offer_of_vertex.len()).sum();
-        assert_eq!(matched, 4, "the decompositions tie on matched offers");
-        for swap in &biased_swaps {
-            assert_eq!(swap.spec.digraph.vertex_count(), 2);
-            assert!(swap.single_leader_feasible());
-            // The §4.6 cost of the shorter cycles is strictly lower.
-            assert!(
-                swap.spec.worst_case_duration() < plain_swaps[0].spec.worst_case_duration(),
-                "2-cycle ladder must undercut the 4-cycle ladder"
-            );
-        }
-    }
-
-    #[test]
-    fn bias_never_reduces_matched_offers() {
-        // Pairing (a→b, b→a) off would orphan the (b→c, c→a) tail: plain
-        // FIFO matches 3 offers into a 3-cycle, the pairs-first split only
-        // 2. The decompositions do NOT tie, so the bias must fall back.
-        let book = [("a", "b"), ("b", "c"), ("c", "a"), ("b", "a")];
-        for strategy in [LeaderStrategy::MinimumExact, LeaderStrategy::PreferSingleLeader] {
-            let mut svc = ClearingService::new().with_leader_strategy(strategy);
+    fn fifo_decomposes_each_book_into_its_recorded_cycles() {
+        // Books that admit more than one decomposition into cycles, and the
+        // ring sizes FIFO matching picks (`clear` holds the indexed planner
+        // to `plan_full_rescan` on each). The first weaves one 4-cycle
+        // where two 2-cycles would tie on matched offers; in the second,
+        // pairing off (a→b, b→a) would orphan the (b→c, c→a) tail, and FIFO
+        // matches all three into one 3-cycle instead; the third drains two
+        // opposing 2-cycles and leaves the counterpartyless offer open.
+        let books = [
+            (vec![("a", "b"), ("b", "c"), ("c", "b"), ("b", "a")], vec![4]),
+            (vec![("a", "b"), ("b", "c"), ("c", "a"), ("b", "a")], vec![3]),
+            (vec![("a", "b"), ("b", "a"), ("b", "a"), ("a", "b"), ("zzz", "a")], vec![2, 2]),
+        ];
+        for (book, rings) in books {
+            let mut svc = ClearingService::new();
             for (i, (g, w)) in book.iter().enumerate() {
                 svc.submit(offer(i as u8 + 1, g, w));
             }
             let swaps = clear(&mut svc);
-            assert_eq!(swaps.len(), 1, "{strategy:?}");
-            assert_eq!(swaps[0].spec.digraph.vertex_count(), 3, "{strategy:?}");
+            let sizes: Vec<usize> = swaps.iter().map(|s| s.spec.digraph.vertex_count()).collect();
+            assert_eq!(sizes, rings, "{book:?}");
+            for swap in &swaps {
+                assert_eq!(swap.spec.leaders.len(), 1, "a ring elects one leader");
+            }
+            let matched: usize = rings.iter().sum();
+            assert_eq!(svc.open_count(), book.len() - matched, "{book:?}");
         }
     }
 

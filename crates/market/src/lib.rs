@@ -35,11 +35,11 @@
 //! `swap-core`'s `Exchange`) drives the cleared swaps and reports back via
 //! [`ClearingService::settle_swap`] / [`ClearingService::refund_swap`].
 //!
-//! Matching runs from an **incremental clearing index**: per-`(gives,
-//! wants)` price-time buckets maintained on every lifecycle delta, a
-//! mutual-two-cycle fast path, and a parked set for reserved parties, so an
-//! epoch costs O(matchable region) instead of O(open book). The original
-//! whole-book matcher stays as the executable specification,
+//! Matching runs from an **incremental clearing index**: per-kind
+//! price-time giver and wanter queues maintained on every lifecycle delta,
+//! and a parked set for reserved parties, so an epoch costs O(matchable
+//! region) instead of O(open book). The original whole-book matcher stays
+//! as the executable specification,
 //! [`ClearingService::plan_full_rescan`]; property tests hold the indexed
 //! planner to it before every clear. [`ClearStats`] reports the measured
 //! work (offers examined, cycles emitted) of each epoch, and the

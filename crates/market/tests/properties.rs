@@ -7,9 +7,7 @@ use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 use swap_crypto::{MssKeypair, Secret};
-use swap_market::{
-    AssetKind, ClearedSwap, ClearingService, LeaderStrategy, Offer, OfferId, OfferStatus,
-};
+use swap_market::{AssetKind, ClearedSwap, ClearingService, Offer, OfferId, OfferStatus};
 use swap_sim::{Delta, SimTime};
 
 /// A random offer book: each entry is `(gives, wants)` drawn from a small
@@ -144,21 +142,14 @@ proptest! {
 
     /// `ClearingService::plan` agrees with the `plan_full_rescan`
     /// specification at every clear of an offer/cancel/clear/resolve
-    /// stream, under both leader strategies and across epochs with
-    /// same-party re-entry, live reservations, parked offers and their wake
+    /// stream, across epochs with same-party re-entry, live reservations, parked offers and their wake
     /// after settlement.
     #[test]
     fn indexed_plan_equals_full_rescan_at_every_clear(
         (book, cancel_mask) in arb_book(),
         resolve_mask in any::<u32>(),
-        biased in any::<bool>(),
     ) {
-        let strategy = if biased {
-            LeaderStrategy::PreferSingleLeader
-        } else {
-            LeaderStrategy::MinimumExact
-        };
-        let mut svc = ClearingService::new().with_leader_strategy(strategy);
+        let mut svc = ClearingService::new();
         let ids: Vec<OfferId> =
             book.iter().enumerate().map(|(i, &(g, w))| svc.submit(offer(i, g, w))).collect();
         for (i, &id) in ids.iter().enumerate() {

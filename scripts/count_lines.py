@@ -29,9 +29,13 @@ Then, for each config struct in `CONFIG_STRUCTS`, prints its number of
 `pub` fields: every one is an independently settable value, the count a
 simplicity change has to quote before and after.
 
+Then, for each enum in `CONFIG_ENUMS`, prints its number of variants: each
+is a value a config field can select, which the field count cannot show.
+For information only; no bound applies.
+
 Relies on the tree being rustfmt-formatted: a `#[cfg(test)]` module ends at
-the first `}` indented like its attribute, and a struct at the first `}` in
-column 0.
+the first `}` indented like its attribute, and a struct or enum at the first
+`}` in column 0.
 
 Usage: python3 scripts/count_lines.py [repo-root]
 """
@@ -46,11 +50,13 @@ PUB_ITEM = re.compile(
 )
 PUB_USE = re.compile(r"^\s*pub\s+use\b")
 PUB_FIELD = re.compile(r"^    pub\s+\w+\s*:")
+VARIANT = re.compile(r"^    [A-Z]\w*\s*[,({]")
 UNSAFE = re.compile(r"\bunsafe\b")
 UNSAFE_HOME = "crates/crypto/src/sha256/x86.rs"
 PANIC = re.compile(r"\.unwrap\(\)|\.expect\(|\b(?:unreachable|panic|unimplemented|todo)!")
 PANICS_OF = "crates/core/src/exchange.rs"
 CONFIG_STRUCTS = ("ExchangeConfig", "RunConfig", "StageCosts", "JournalConfig", "SetupConfig")
+CONFIG_ENUMS = ("LeaderStrategy", "ProtocolPolicy")
 SCAFFOLDING = (
     ("benches", ("crates/*/benches/**/*.rs",)),
     ("tests", ("crates/*/tests/**/*.rs", "tests/**/*.rs")),
@@ -103,13 +109,12 @@ def tokens(pattern, lines):
     return sum(len(pattern.findall(line.split("//", 1)[0])) for line in lines)
 
 
-def pub_fields(lines, struct):
-    """`pub` fields of `pub struct <struct> {` among `lines`, or None if absent."""
-    opener = f"pub struct {struct} {{"
+def members(lines, opener, pattern):
+    """Lines matching `pattern` in the body that `opener` starts, or None if absent."""
     if opener not in lines:
         return None
     body = lines[lines.index(opener) + 1 :]
-    return sum(1 for line in body[: body.index("}")] if PUB_FIELD.match(line))
+    return sum(1 for line in body[: body.index("}")] if pattern.match(line))
 
 
 def main():
@@ -144,8 +149,12 @@ def main():
         print(f"{name:<10} {count:>7}")
     print(f"\n{'config struct':<16} {'pub fields':>10}")
     for struct in CONFIG_STRUCTS:
-        fields = pub_fields(everything, struct)
+        fields = members(everything, f"pub struct {struct} {{", PUB_FIELD)
         print(f"{struct:<16} {'absent' if fields is None else fields:>10}")
+    print(f"\n{'config enum':<16} {'variants':>10}")
+    for enum in CONFIG_ENUMS:
+        variants = members(everything, f"pub enum {enum} {{", VARIANT)
+        print(f"{enum:<16} {'absent' if variants is None else variants:>10}")
     for path, found in stray:
         print(f"error: {found} `unsafe` in {path}; only {UNSAFE_HOME} may hold any", file=sys.stderr)
     if stray:

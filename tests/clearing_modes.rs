@@ -12,13 +12,12 @@
 //! bookkeeping, and settlement-triggered re-admission end to end —
 //! exactly the paths where an incremental matcher could drift from the
 //! full rescan. The resulting `ExchangeReport` must also be byte-identical
-//! — pinned via `Debug` — across 1/2/8 pool workers, under both leader
-//! strategies.
+//! — pinned via `Debug` — across 1/2/8 pool workers.
 
 use atomic_swaps::core::exchange::{
     EpochStage, Exchange, ExchangeConfig, ExchangeParty, StepEvent,
 };
-use atomic_swaps::market::{AssetKind, ClearingService, LeaderStrategy, OfferStatus};
+use atomic_swaps::market::{AssetKind, ClearingService, OfferStatus};
 use atomic_swaps::sim::{Delta, SimRng, SimTime};
 
 /// Disjoint rings of the given sizes: party `p` of ring `c` gives
@@ -79,13 +78,9 @@ fn checked_step(exchange: &mut Exchange, agreed_swaps: &mut usize) -> StepEvent 
 
 /// Drives the rolling book to quiescence and returns the full report
 /// plus every offer's terminal status, both pinned via `Debug`.
-fn drive(strategy: LeaderStrategy, threads: usize) -> String {
-    let mut exchange = Exchange::new(ExchangeConfig {
-        threads,
-        executing_slots: 2,
-        leader_strategy: strategy,
-        ..Default::default()
-    });
+fn drive(threads: usize) -> String {
+    let mut exchange =
+        Exchange::new(ExchangeConfig { threads, executing_slots: 2, ..Default::default() });
     let mut agreed_swaps = 0;
     let mut rng = SimRng::from_seed(0xC1EA);
     let wave_one = ring_book(&[2, 3, 4], &mut rng);
@@ -120,7 +115,7 @@ fn drive(strategy: LeaderStrategy, threads: usize) -> String {
         assert_eq!(
             exchange.service().status(*id),
             Some(OfferStatus::Settled),
-            "offer {i} under {strategy:?} / {threads} workers"
+            "offer {i} under {threads} workers"
         );
     }
     let statuses: Vec<_> = ids.iter().map(|id| exchange.service().status(*id)).collect();
@@ -132,14 +127,11 @@ fn drive(strategy: LeaderStrategy, threads: usize) -> String {
 }
 
 /// The acceptance pin: the planners agree before every clear (inside
-/// `drive`), and reports are byte-invariant across 1/2/8 pool workers,
-/// under both leader strategies.
+/// `drive`), and reports are byte-invariant across 1/2/8 pool workers.
 #[test]
 fn planners_agree_at_every_clear_and_reports_are_worker_invariant() {
-    for strategy in [LeaderStrategy::MinimumExact, LeaderStrategy::PreferSingleLeader] {
-        let baseline = drive(strategy, 1);
-        for threads in [2, 8] {
-            assert_eq!(baseline, drive(strategy, threads), "{strategy:?} / {threads} workers");
-        }
+    let baseline = drive(1);
+    for threads in [2, 8] {
+        assert_eq!(baseline, drive(threads), "{threads} workers");
     }
 }

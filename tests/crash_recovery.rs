@@ -57,7 +57,7 @@ fn store_dir(name: &str) -> PathBuf {
     dir
 }
 
-/// Wave `w`'s parties: one ring of [`WAVE_SIZES`]`[w]` mutually-trading
+/// Wave `w`'s parties: one trade ring of [`WAVE_SIZES`]`[w]`
 /// offers, derived from a per-wave seed so resubmission after recovery
 /// rebuilds byte-identical parties.
 fn wave_seeds(w: usize) -> Vec<PartySeed> {

@@ -72,7 +72,7 @@ fn scratch_dir(name: &str) -> PathBuf {
     dir
 }
 
-/// One ring of `len` mutually-trading parties, wave `w` of the run.
+/// One trade ring of `len` parties, wave `w` of the run.
 fn ring(rng: &mut SimRng, w: usize, len: usize) -> Vec<PartySeed> {
     (0..len)
         .map(|p| PartySeed {
