@@ -4,16 +4,22 @@
 //! optimization.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use swap_bench::bench_setup_config;
 use swap_core::runner::{RunConfig, SwapRunner};
-use swap_core::setup::SwapSetup;
+use swap_core::setup::{SetupConfig, SwapSetup};
 use swap_core::{ProtocolKind, SwapInstance};
-use swap_digraph::{generators, Digraph};
+use swap_digraph::{generators, Digraph, FeedbackVertexSet};
 use swap_sim::SimRng;
 
+/// Height-5 keys (32 one-time signatures, enough for every leader count
+/// here) and the greedy feedback vertex set as leaders.
+fn provision(digraph: Digraph, seed: u64) -> SwapSetup {
+    let leaders = FeedbackVertexSet::greedy(&digraph).into_vertices().into_iter().collect();
+    let config = SetupConfig { key_height: 5, leaders: Some(leaders), ..SetupConfig::default() };
+    SwapSetup::generate(digraph, &config, &mut SimRng::from_seed(seed)).expect("valid")
+}
+
 fn run_general(digraph: Digraph, broadcast: bool) {
-    let mut setup = SwapSetup::generate(digraph, &bench_setup_config(), &mut SimRng::from_seed(1))
-        .expect("valid");
+    let mut setup = provision(digraph, 1);
     setup.spec.broadcast_arcs = broadcast;
     let report = SwapRunner::new(setup, RunConfig::default()).run();
     assert!(report.all_deal());
@@ -47,12 +53,7 @@ fn bench_single_vs_multi(c: &mut Criterion) {
         let digraph = generators::cycle(n);
         group.bench_with_input(BenchmarkId::new("htlc", n), &digraph, |b, d| {
             b.iter(|| {
-                let setup = SwapSetup::generate(
-                    d.clone(),
-                    &bench_setup_config(),
-                    &mut SimRng::from_seed(2),
-                )
-                .expect("valid");
+                let setup = provision(d.clone(), 2);
                 let report = SwapInstance::new(0, setup, RunConfig::default())
                     .with_protocol(ProtocolKind::Htlc)
                     .run_lockstep();
@@ -88,10 +89,7 @@ fn bench_setup_cost(c: &mut Criterion) {
     for n in [3usize, 6] {
         let digraph = generators::cycle(n);
         group.bench_with_input(BenchmarkId::from_parameter(n), &digraph, |b, d| {
-            b.iter(|| {
-                SwapSetup::generate(d.clone(), &bench_setup_config(), &mut SimRng::from_seed(3))
-                    .expect("valid")
-            })
+            b.iter(|| provision(d.clone(), 3))
         });
     }
     group.finish();

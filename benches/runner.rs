@@ -6,14 +6,17 @@
 //! the engine dominates the measurement.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use swap_bench::bench_setup_config;
 use swap_core::runner::{RunConfig, SwapRunner};
-use swap_core::setup::SwapSetup;
-use swap_digraph::{generators, Digraph};
+use swap_core::setup::{SetupConfig, SwapSetup};
+use swap_digraph::{generators, Digraph, FeedbackVertexSet};
 use swap_sim::SimRng;
 
+/// Height-5 keys and the greedy feedback vertex set as leaders (any size;
+/// the exact search is branch-and-bound, for small digraphs).
 fn provision(digraph: Digraph) -> SwapSetup {
-    SwapSetup::generate(digraph, &bench_setup_config(), &mut SimRng::from_seed(0xB0B))
+    let leaders = FeedbackVertexSet::greedy(&digraph).into_vertices().into_iter().collect();
+    let config = SetupConfig { key_height: 5, leaders: Some(leaders), ..SetupConfig::default() };
+    SwapSetup::generate(digraph, &config, &mut SimRng::from_seed(0xB0B))
         .expect("valid swap digraph")
 }
 

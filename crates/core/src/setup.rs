@@ -11,7 +11,7 @@ use swap_chain::{AssetDescriptor, AssetId, ChainId, ChainSet};
 use swap_contract::{AnyContract, SwapSpec};
 use swap_crypto::{MssKeypair, Secret};
 use swap_digraph::{Digraph, VertexId};
-use swap_market::{BuildError, LeaderStrategy, SpecBuilder};
+use swap_market::{BuildError, SpecBuilder};
 use swap_sim::{Delta, SimRng, SimTime};
 
 /// Default MSS key-tree height for generated parties: `2^6 = 64` one-time
@@ -75,9 +75,8 @@ pub struct SetupConfig {
     /// "Now": when the clearing service publishes. The protocol start is
     /// `now + delta` (the minimum §4.2 allows).
     pub now: SimTime,
-    /// Leader election strategy.
-    pub leader_strategy: LeaderStrategy,
-    /// Explicit leaders (overrides `leader_strategy` when set).
+    /// Explicit leaders; `None` elects the exact minimum feedback vertex
+    /// set.
     pub leaders: Option<Vec<VertexId>>,
     /// MSS key height per party.
     pub key_height: u32,
@@ -88,7 +87,6 @@ impl Default for SetupConfig {
         SetupConfig {
             delta: Delta::from_ticks(10),
             now: SimTime::ZERO,
-            leader_strategy: LeaderStrategy::MinimumExact,
             leaders: None,
             key_height: DEFAULT_KEY_HEIGHT,
         }
@@ -117,10 +115,7 @@ impl SwapSetup {
         let secrets: Vec<Secret> = (0..n).map(|_| Secret::random(&mut secret_rng)).collect();
 
         let mut builder = SpecBuilder::new(digraph.clone());
-        builder
-            .delta(config.delta)
-            .start(config.now + config.delta.times(1))
-            .leader_strategy(config.leader_strategy);
+        builder.delta(config.delta).start(config.now + config.delta.times(1));
         if let Some(ls) = &config.leaders {
             builder.leaders(ls.clone());
         }

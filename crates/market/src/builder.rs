@@ -9,16 +9,6 @@ use swap_digraph::algo::EXACT_DIAMETER_LIMIT;
 use swap_digraph::{Digraph, FeedbackVertexSet, VertexId};
 use swap_sim::{Delta, SimTime};
 
-/// How the builder picks the leader set when none is given explicitly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LeaderStrategy {
-    /// Exact minimum feedback vertex set (branch-and-bound; small graphs).
-    #[default]
-    MinimumExact,
-    /// Greedy heuristic feedback vertex set (any size, possibly larger).
-    Greedy,
-}
-
 /// Errors from [`SpecBuilder::build`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum BuildError {
@@ -26,8 +16,9 @@ pub enum BuildError {
     MissingIdentity(VertexId),
     /// An identity was registered for a nonexistent vertex.
     UnknownVertex(VertexId),
-    /// Exact leader search exceeded its budget; use
-    /// [`LeaderStrategy::Greedy`].
+    /// Exact leader search exceeded its budget; pass explicit leaders,
+    /// e.g. [`FeedbackVertexSet::greedy`], through
+    /// [`SpecBuilder::leaders`].
     LeaderSearchExceeded,
     /// The assembled spec failed validation.
     Spec(SpecError),
@@ -89,7 +80,6 @@ pub struct SpecBuilder {
     delta: Delta,
     start: SimTime,
     leaders: Option<Vec<VertexId>>,
-    strategy: LeaderStrategy,
     diam_override: Option<u64>,
     broadcast_arcs: bool,
 }
@@ -107,7 +97,6 @@ impl SpecBuilder {
             delta,
             start: SimTime::ZERO + delta.times(1),
             leaders: None,
-            strategy: LeaderStrategy::default(),
             diam_override: None,
             broadcast_arcs: false,
         }
@@ -141,13 +130,6 @@ impl SpecBuilder {
     /// Fixes the leader set explicitly (it is still validated as an FVS).
     pub fn leaders(&mut self, leaders: Vec<VertexId>) -> &mut Self {
         self.leaders = Some(leaders);
-        self
-    }
-
-    /// Chooses the leader-election strategy for when no explicit set is
-    /// given.
-    pub fn leader_strategy(&mut self, strategy: LeaderStrategy) -> &mut Self {
-        self.strategy = strategy;
         self
     }
 
@@ -194,16 +176,11 @@ impl SpecBuilder {
                 ls.dedup();
                 ls
             }
-            None => match self.strategy {
-                LeaderStrategy::MinimumExact => FeedbackVertexSet::minimum(&self.digraph)
-                    .ok_or(BuildError::LeaderSearchExceeded)?
-                    .into_vertices()
-                    .into_iter()
-                    .collect(),
-                LeaderStrategy::Greedy => {
-                    FeedbackVertexSet::greedy(&self.digraph).into_vertices().into_iter().collect()
-                }
-            },
+            None => FeedbackVertexSet::minimum(&self.digraph)
+                .ok_or(BuildError::LeaderSearchExceeded)?
+                .into_vertices()
+                .into_iter()
+                .collect(),
         };
         let hashlocks = leaders
             .iter()
@@ -268,10 +245,15 @@ mod tests {
         assert_eq!(spec.leaders.len(), 2);
     }
 
+    fn greedy_leaders(d: &Digraph) -> Vec<VertexId> {
+        FeedbackVertexSet::greedy(d).into_vertices().into_iter().collect()
+    }
+
     #[test]
-    fn greedy_strategy_also_valid() {
-        let mut b = builder_for(generators::complete(5));
-        b.leader_strategy(LeaderStrategy::Greedy);
+    fn greedy_leaders_also_valid() {
+        let d = generators::complete(5);
+        let mut b = builder_for(d.clone());
+        b.leaders(greedy_leaders(&d));
         let spec = b.build().unwrap();
         spec.validate().unwrap();
         assert!(spec.leaders.len() >= 4);
@@ -335,7 +317,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
         let d = generators::random_strongly_connected(20, 0.1, &mut rng);
         let mut b = builder_for(d.clone());
-        b.leader_strategy(LeaderStrategy::Greedy);
+        b.leaders(greedy_leaders(&d));
         let spec = b.build().unwrap();
         assert_eq!(spec.diam, 20);
         spec.validate().unwrap();

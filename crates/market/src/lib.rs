@@ -47,8 +47,9 @@
 //! execution layer price an epoch before publishing it.
 //!
 //! [`SpecBuilder`] is the lower-level brick: given any digraph and identity
-//! table it assembles a validated [`swap_contract::SwapSpec`], choosing leaders exactly or
-//! greedily. The protocol runner and benches use it to set up swaps over
+//! table it assembles a validated [`swap_contract::SwapSpec`], electing the
+//! exact minimum feedback vertex set as leaders unless the caller names
+//! them. The protocol runner and benches use it to set up swaps over
 //! arbitrary digraph families.
 
 #![forbid(unsafe_code)]
@@ -58,7 +59,7 @@ pub mod builder;
 pub mod clearing;
 pub mod verify;
 
-pub use builder::{BuildError, LeaderStrategy, SpecBuilder};
+pub use builder::{BuildError, SpecBuilder};
 pub use clearing::{
     AssetKind, BookEntry, BookSnapshot, CancelError, ClearError, ClearPlan, ClearStats,
     ClearedSwap, ClearingService, LifecycleError, Offer, OfferId, OfferStatus, SwapId,

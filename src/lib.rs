@@ -41,8 +41,9 @@
 //! # Ok::<(), atomic_swaps::core::setup::SetupError>(())
 //! ```
 //!
-//! See `examples/` for runnable scenarios and `swap-bench`'s `experiments`
-//! binary for the per-theorem/per-figure validation harness.
+//! See `examples/` for runnable scenarios and `tests/paper.rs` for the
+//! per-theorem/per-figure validation harness (E1–E15; `cargo test --release
+//! --test paper -- --nocapture` prints its paper-vs-measured tables).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

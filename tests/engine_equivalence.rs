@@ -21,15 +21,10 @@ use atomic_swaps::core::setup::{SetupConfig, SwapSetup};
 use atomic_swaps::core::{Action, Behavior, ProtocolKind, SwapInstance, What};
 use atomic_swaps::crypto::SigChain;
 use atomic_swaps::digraph::{generators, Digraph, VertexId, VertexPath};
-use atomic_swaps::market::LeaderStrategy;
 use atomic_swaps::sim::SimRng;
 
 fn fast_config() -> SetupConfig {
-    SetupConfig {
-        key_height: 4,
-        leader_strategy: LeaderStrategy::MinimumExact,
-        ..SetupConfig::default()
-    }
+    SetupConfig { key_height: 4, ..SetupConfig::default() }
 }
 
 /// Renders every seed-era field of the report in the exact format the

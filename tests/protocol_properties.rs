@@ -10,15 +10,10 @@ use atomic_swaps::core::runner::{RunConfig, RunReport, SwapRunner};
 use atomic_swaps::core::setup::{SetupConfig, SwapSetup};
 use atomic_swaps::core::{Action, Behavior, Lockstep, Outcome, ProtocolKind, SwapInstance, What};
 use atomic_swaps::digraph::{generators, ArcId, Digraph, DigraphBuilder, VertexId, VertexPath};
-use atomic_swaps::market::LeaderStrategy;
 use atomic_swaps::sim::SimRng;
 
 fn fast_config() -> SetupConfig {
-    SetupConfig {
-        key_height: 4,
-        leader_strategy: LeaderStrategy::MinimumExact,
-        ..SetupConfig::default()
-    }
+    SetupConfig { key_height: 4, ..SetupConfig::default() }
 }
 
 fn random_digraph(seed: u64, n: usize, extra: f64) -> Digraph {
