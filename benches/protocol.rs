@@ -4,9 +4,9 @@
 //! optimization.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use swap_core::runner::{RunConfig, SwapRunner};
+use swap_core::runner::RunConfig;
 use swap_core::setup::{SetupConfig, SwapSetup};
-use swap_core::{ProtocolKind, SwapInstance};
+use swap_core::{Engine, ProtocolKind};
 use swap_digraph::{generators, Digraph, FeedbackVertexSet};
 use swap_sim::SimRng;
 
@@ -21,7 +21,7 @@ fn provision(digraph: Digraph, seed: u64) -> SwapSetup {
 fn run_general(digraph: Digraph, broadcast: bool) {
     let mut setup = provision(digraph, 1);
     setup.spec.broadcast_arcs = broadcast;
-    let report = SwapRunner::new(setup, RunConfig::default()).run();
+    let report = Engine::lockstep(setup, RunConfig::default(), ProtocolKind::Hashkey).run();
     assert!(report.all_deal());
 }
 
@@ -54,9 +54,8 @@ fn bench_single_vs_multi(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("htlc", n), &digraph, |b, d| {
             b.iter(|| {
                 let setup = provision(d.clone(), 2);
-                let report = SwapInstance::new(0, setup, RunConfig::default())
-                    .with_protocol(ProtocolKind::Htlc)
-                    .run_lockstep();
+                let report =
+                    Engine::lockstep(setup, RunConfig::default(), ProtocolKind::Htlc).run();
                 assert!(report.all_deal());
             })
         });

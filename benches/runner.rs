@@ -6,8 +6,9 @@
 //! the engine dominates the measurement.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use swap_core::runner::{RunConfig, SwapRunner};
+use swap_core::runner::RunConfig;
 use swap_core::setup::{SetupConfig, SwapSetup};
+use swap_core::{Engine, ProtocolKind};
 use swap_digraph::{generators, Digraph, FeedbackVertexSet};
 use swap_sim::SimRng;
 
@@ -21,7 +22,7 @@ fn provision(digraph: Digraph) -> SwapSetup {
 }
 
 fn run(setup: &SwapSetup, config: &RunConfig) {
-    let report = SwapRunner::new(setup.clone(), config.clone()).run();
+    let report = Engine::lockstep(setup.clone(), config.clone(), ProtocolKind::Hashkey).run();
     assert!(report.metrics.contracts_published > 0);
 }
 

@@ -289,11 +289,6 @@ impl AssetRegistry {
         Ok(())
     }
 
-    /// All assets currently owned by `owner`, sorted by id.
-    pub fn assets_of(&self, owner: Owner) -> Vec<AssetId> {
-        self.records.iter().filter(|(_, r)| r.owner == owner).map(|(&id, _)| id).collect()
-    }
-
     /// Number of minted assets.
     pub fn len(&self) -> usize {
         self.records.len()
@@ -371,16 +366,6 @@ mod tests {
         assert!(reg.transfer_from(car, Owner::Party(addr(1)), Owner::Party(addr(2))).is_err());
         reg.transfer_from(car, Owner::Escrow(contract), Owner::Party(addr(2))).unwrap();
         assert_eq!(reg.owner(car), Some(Owner::Party(addr(2))));
-    }
-
-    #[test]
-    fn assets_of_filters_by_owner() {
-        let mut reg = AssetRegistry::new();
-        let a = reg.mint(AssetDescriptor::unique("x"), addr(1));
-        let _b = reg.mint(AssetDescriptor::unique("y"), addr(2));
-        let c = reg.mint(AssetDescriptor::unique("z"), addr(1));
-        assert_eq!(reg.assets_of(Owner::Party(addr(1))), vec![a, c]);
-        assert_eq!(reg.assets_of(Owner::Escrow(ContractId::new(0))), vec![]);
     }
 
     #[test]

@@ -1,4 +1,10 @@
 //! The [`Blockchain`] ledger: publish, call, observe, meter.
+//!
+//! Observers read state, not a log: a contract's current state is public
+//! ([`Blockchain::contract`]), every sealed transaction bumps the chain's
+//! [`Blockchain::version`], and a successful `publish_contract` or
+//! `call_contract` reports nothing beyond its success. What a whole swap
+//! did is recorded once, by the engine that drives it.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -104,22 +110,6 @@ impl<E> From<AssetError> for TxError<E> {
     }
 }
 
-/// A timestamped contract event, as seen by observers polling the chain.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChainEvent<E> {
-    /// When the emitting transaction executed.
-    pub time: SimTime,
-    /// The contract that emitted the event.
-    pub contract: ContractId,
-    /// The event payload.
-    pub event: E,
-}
-
-/// Position in a chain's event log; advance it with
-/// [`Blockchain::events_since`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct EventCursor(usize);
-
 /// Byte-level accounting of everything stored on one chain — the measured
 /// quantity in the Theorem 4.10 space experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -154,13 +144,6 @@ impl StorageReport {
     }
 }
 
-#[derive(Debug, Clone)]
-struct ContractEntry<C> {
-    state: C,
-    publisher: Address,
-    published_at: SimTime,
-}
-
 /// A single simulated blockchain hosting contracts of logic type `C`.
 ///
 /// Every mutation is a transaction: it executes atomically, lands in its own
@@ -185,9 +168,8 @@ pub struct Blockchain<C: ContractLogic> {
     name: String,
     blocks: Vec<Block>,
     assets: AssetRegistry,
-    contracts: BTreeMap<ContractId, ContractEntry<C>>,
+    contracts: BTreeMap<ContractId, C>,
     next_contract: u64,
-    events: Vec<ChainEvent<C::Event>>,
     tx_bytes: usize,
     version: u64,
     last_mutation_at: SimTime,
@@ -204,7 +186,6 @@ impl<C: ContractLogic> Blockchain<C> {
             assets: AssetRegistry::new(),
             contracts: BTreeMap::new(),
             next_contract: 0,
-            events: Vec::new(),
             tx_bytes: 0,
             version: 0,
             last_mutation_at: genesis_time,
@@ -291,8 +272,8 @@ impl<C: ContractLogic> Blockchain<C> {
 
     /// Publishes a contract. Its `on_publish` hook runs atomically (escrow
     /// typically happens there); failure aborts publication with no trace —
-    /// no id is consumed, no block seals, no event lands in the log (see
-    /// the `failed_publish_*` regression tests).
+    /// no id is consumed and no block seals (see the `failed_publish_*`
+    /// regression tests).
     ///
     /// # Errors
     ///
@@ -307,15 +288,11 @@ impl<C: ContractLogic> Blockchain<C> {
         self.assets.begin_journal();
         let mut ctx = ExecCtx { caller: publisher, now, this: id, assets: &mut self.assets };
         match contract.on_publish(&mut ctx) {
-            Ok(events) => {
+            Ok(()) => {
                 self.assets.commit_journal();
                 self.next_contract += 1;
                 let storage = contract.storage_bytes();
-                self.contracts
-                    .insert(id, ContractEntry { state: contract, publisher, published_at: now });
-                for event in events {
-                    self.events.push(ChainEvent { time: now, contract: id, event });
-                }
+                self.contracts.insert(id, contract);
                 self.seal_tag(now, TxTag::Publish { contract: id }, storage);
                 Ok(id)
             }
@@ -330,11 +307,8 @@ impl<C: ContractLogic> Blockchain<C> {
     }
 
     /// Calls a contract. Execution is atomic: on error, contract state and
-    /// asset registry roll back and nothing is recorded.
-    ///
-    /// The emitted events are moved into the chain's log and returned as a
-    /// borrowed slice of that log — observers poll the same entries through
-    /// [`Blockchain::events_since`], so nothing is cloned per caller.
+    /// asset registry roll back and nothing is recorded. What the call did
+    /// is read back from the contract's state ([`Blockchain::contract`]).
     ///
     /// `wire_bytes` is the size of the call as transmitted — hashkey calls
     /// carry multi-kilobyte signature chains, and the communication
@@ -350,9 +324,9 @@ impl<C: ContractLogic> Blockchain<C> {
         call: C::Call,
         now: SimTime,
         wire_bytes: usize,
-    ) -> Result<&[ChainEvent<C::Event>], TxError<C::Error>> {
-        let entry = self.contracts.get_mut(&id).ok_or(TxError::UnknownContract(id))?;
-        if entry.state.is_terminated() {
+    ) -> Result<(), TxError<C::Error>> {
+        let state = self.contracts.get_mut(&id).ok_or(TxError::UnknownContract(id))?;
+        if state.is_terminated() {
             return Err(TxError::ContractTerminated(id));
         }
         // Contract state needs no snapshot: `ContractLogic::apply` is
@@ -360,15 +334,11 @@ impl<C: ContractLogic> Blockchain<C> {
         // a failing hook did make is undone by the journal.
         self.assets.begin_journal();
         let mut ctx = ExecCtx { caller, now, this: id, assets: &mut self.assets };
-        match entry.state.apply(call, &mut ctx) {
-            Ok(events) => {
+        match state.apply(call, &mut ctx) {
+            Ok(()) => {
                 self.assets.commit_journal();
-                let logged_from = self.events.len();
-                for event in events {
-                    self.events.push(ChainEvent { time: now, contract: id, event });
-                }
                 self.seal_tag(now, TxTag::Call { contract: id }, wire_bytes);
-                Ok(&self.events[logged_from..])
+                Ok(())
             }
             Err(e) => {
                 self.assets.rollback_journal();
@@ -380,35 +350,17 @@ impl<C: ContractLogic> Blockchain<C> {
 
     /// Public read of a contract's current state.
     pub fn contract(&self, id: ContractId) -> Option<&C> {
-        self.contracts.get(&id).map(|e| &e.state)
-    }
-
-    /// Who published a contract, and when.
-    pub fn contract_provenance(&self, id: ContractId) -> Option<(Address, SimTime)> {
-        self.contracts.get(&id).map(|e| (e.publisher, e.published_at))
+        self.contracts.get(&id)
     }
 
     /// Iterator over `(id, state)` for all published contracts.
     pub fn contracts(&self) -> impl Iterator<Item = (ContractId, &C)> {
-        self.contracts.iter().map(|(&id, e)| (id, &e.state))
+        self.contracts.iter().map(|(&id, c)| (id, c))
     }
 
     /// The asset registry (read-only; mutation goes through transactions).
     pub fn assets(&self) -> &AssetRegistry {
         &self.assets
-    }
-
-    /// Events recorded at or after `cursor`; returns the slice and the new
-    /// cursor. Polling with the returned cursor yields each event exactly
-    /// once.
-    pub fn events_since(&self, cursor: EventCursor) -> (&[ChainEvent<C::Event>], EventCursor) {
-        let start = cursor.0.min(self.events.len());
-        (&self.events[start..], EventCursor(self.events.len()))
-    }
-
-    /// All events ever recorded.
-    pub fn all_events(&self) -> &[ChainEvent<C::Event>] {
-        &self.events
     }
 
     /// Byte-level storage accounting.
@@ -417,7 +369,7 @@ impl<C: ContractLogic> Blockchain<C> {
             blocks: self.blocks.len() as u64,
             block_bytes: self.blocks.len() * Block::HEADER_BYTES
                 + self.blocks.iter().map(|b| 32 * b.tx_digests.len()).sum::<usize>(),
-            contract_bytes: self.contracts.values().map(|e| e.state.storage_bytes()).sum(),
+            contract_bytes: self.contracts.values().map(C::storage_bytes).sum(),
             asset_bytes: self.assets.storage_bytes(),
             tx_bytes: self.tx_bytes,
         }
@@ -492,12 +444,6 @@ mod tests {
     }
 
     #[derive(Debug, Clone, PartialEq, Eq)]
-    enum PinEvent {
-        Escrowed,
-        Released,
-    }
-
-    #[derive(Debug, Clone, PartialEq, Eq)]
     enum PinError {
         WrongPin,
         NotAssetOwner,
@@ -515,21 +461,15 @@ mod tests {
 
     impl ContractLogic for PinLock {
         type Call = PinCall;
-        type Event = PinEvent;
         type Error = PinError;
 
-        fn on_publish(&mut self, ctx: &mut ExecCtx<'_>) -> Result<Vec<PinEvent>, PinError> {
+        fn on_publish(&mut self, ctx: &mut ExecCtx<'_>) -> Result<(), PinError> {
             ctx.assets
                 .transfer_from(self.asset, Owner::Party(ctx.caller), Owner::Escrow(ctx.this))
-                .map_err(|_| PinError::NotAssetOwner)?;
-            Ok(vec![PinEvent::Escrowed])
+                .map_err(|_| PinError::NotAssetOwner)
         }
 
-        fn apply(
-            &mut self,
-            call: PinCall,
-            ctx: &mut ExecCtx<'_>,
-        ) -> Result<Vec<PinEvent>, PinError> {
+        fn apply(&mut self, call: PinCall, ctx: &mut ExecCtx<'_>) -> Result<(), PinError> {
             match call {
                 PinCall::Open { pin } => {
                     if pin != self.pin {
@@ -543,7 +483,7 @@ mod tests {
                         )
                         .expect("escrowed at publish");
                     self.done = true;
-                    Ok(vec![PinEvent::Released])
+                    Ok(())
                 }
             }
         }
@@ -573,8 +513,6 @@ mod tests {
         let lock = PinLock { asset, beneficiary: addr(2), pin: 1234, done: false };
         let id = chain.publish_contract(lock, addr(1), SimTime::from_ticks(1)).unwrap();
         assert_eq!(chain.assets().owner(asset), Some(Owner::Escrow(id)));
-        assert_eq!(chain.contract_provenance(id), Some((addr(1), SimTime::from_ticks(1))));
-        assert_eq!(chain.all_events().len(), 1);
         assert!(chain.contract(id).is_some());
     }
 
@@ -591,10 +529,9 @@ mod tests {
     }
 
     #[test]
-    fn failed_publish_bumps_no_id_seals_no_tx_leaves_no_events() {
+    fn failed_publish_bumps_no_id_seals_no_tx() {
         // Regression: a failing `on_publish` must not consume a contract
-        // id, seal a block, bump the version, count as executed, or leave
-        // any event in the log.
+        // id, seal a block, bump the version, or count as executed.
         let (mut chain, asset) = setup();
         let height = chain.height();
         let version = chain.version();
@@ -604,7 +541,7 @@ mod tests {
         assert_eq!(chain.version(), version, "no version bump");
         assert_eq!(chain.txs_executed(), version, "not executed");
         assert_eq!(chain.txs_rolled_back(), 1, "rollback counted");
-        assert!(chain.all_events().is_empty(), "zero event trace");
+        assert_eq!(chain.contracts().count(), 0, "nothing published");
         // The failed publish consumed no id: the next publish gets the
         // id the failed one would have had.
         let good = PinLock { asset, beneficiary: addr(2), pin: 1, done: false };
@@ -617,12 +554,10 @@ mod tests {
         let (mut chain, asset) = setup();
         let lock = PinLock { asset, beneficiary: addr(2), pin: 42, done: false };
         let id = chain.publish_contract(lock, addr(1), SimTime::from_ticks(1)).unwrap();
-        let events = chain
+        chain
             .call_contract(id, addr(2), PinCall::Open { pin: 42 }, SimTime::from_ticks(2), 16)
             .unwrap();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].event, PinEvent::Released);
-        assert_eq!(events[0].contract, id);
+        assert!(chain.contract(id).unwrap().is_terminated());
         assert_eq!(chain.assets().owner(asset), Some(Owner::Party(addr(2))));
     }
 
@@ -663,26 +598,6 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, TxError::UnknownContract(ContractId::new(9)));
         assert!(err.to_string().contains("contract9"));
-    }
-
-    #[test]
-    fn event_cursor_sees_each_event_once() {
-        let (mut chain, asset) = setup();
-        let lock = PinLock { asset, beneficiary: addr(2), pin: 42, done: false };
-        let id = chain.publish_contract(lock, addr(1), SimTime::from_ticks(1)).unwrap();
-        let (events, cursor) = chain.events_since(EventCursor::default());
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].event, PinEvent::Escrowed);
-        let (none_yet, cursor) = chain.events_since(cursor);
-        assert!(none_yet.is_empty());
-        chain
-            .call_contract(id, addr(2), PinCall::Open { pin: 42 }, SimTime::from_ticks(2), 16)
-            .unwrap();
-        let (more, _) = chain.events_since(cursor);
-        assert_eq!(more.len(), 1);
-        assert_eq!(more[0].event, PinEvent::Released);
-        assert_eq!(more[0].contract, id);
-        assert_eq!(more[0].time, SimTime::from_ticks(2));
     }
 
     #[test]

@@ -7,6 +7,11 @@
 //! tests use small toy contracts. The chain enforces the blockchain-level
 //! guarantees (irrevocability, public readability, atomic state
 //! transitions); the logic decides what calls mean.
+//!
+//! A contract is a state machine whose state anyone can read (the paper's
+//! Figures 4–5), so its hooks change state and return `()`: there is no
+//! event vocabulary here. Theorem 4.10 counts what contracts *store*, which
+//! is [`ContractLogic::storage_bytes`].
 
 use std::fmt;
 
@@ -81,8 +86,6 @@ pub struct ExecCtx<'a> {
 pub trait ContractLogic: Clone + fmt::Debug {
     /// The call (method + arguments) type.
     type Call: Clone + fmt::Debug;
-    /// Events emitted for observers.
-    type Event: Clone + fmt::Debug;
     /// Rejection reasons.
     type Error: std::error::Error + Clone;
 
@@ -93,7 +96,7 @@ pub trait ContractLogic: Clone + fmt::Debug {
     /// # Errors
     ///
     /// Implementation-defined; a publication that errors is not recorded.
-    fn on_publish(&mut self, ctx: &mut ExecCtx<'_>) -> Result<Vec<Self::Event>, Self::Error>;
+    fn on_publish(&mut self, ctx: &mut ExecCtx<'_>) -> Result<(), Self::Error>;
 
     /// Applies a call. State changes and asset moves are atomic: if this
     /// returns an error the ledger restores the pre-call state. Must
@@ -102,11 +105,7 @@ pub trait ContractLogic: Clone + fmt::Debug {
     /// # Errors
     ///
     /// Implementation-defined.
-    fn apply(
-        &mut self,
-        call: Self::Call,
-        ctx: &mut ExecCtx<'_>,
-    ) -> Result<Vec<Self::Event>, Self::Error>;
+    fn apply(&mut self, call: Self::Call, ctx: &mut ExecCtx<'_>) -> Result<(), Self::Error>;
 
     /// Bytes of persistent storage this contract occupies on-chain — the
     /// quantity Theorem 4.10 sums over all contracts.

@@ -30,6 +30,6 @@ pub mod contract;
 pub mod multichain;
 
 pub use asset::{AssetDescriptor, AssetId, AssetRegistry, JournalOp, Owner, UndoJournal};
-pub use chain::{Blockchain, ChainEvent, EventCursor, StorageReport, TxError, TxTag};
+pub use chain::{Blockchain, StorageReport, TxError, TxTag};
 pub use contract::{ContractId, ContractLogic, ExecCtx};
 pub use multichain::{ChainId, ChainSet};

@@ -146,13 +146,12 @@ mod tests {
 
     impl ContractLogic for Nop {
         type Call = ();
-        type Event = ();
         type Error = NopError;
-        fn on_publish(&mut self, _ctx: &mut ExecCtx<'_>) -> Result<Vec<()>, NopError> {
-            Ok(vec![])
+        fn on_publish(&mut self, _ctx: &mut ExecCtx<'_>) -> Result<(), NopError> {
+            Ok(())
         }
-        fn apply(&mut self, _call: (), _ctx: &mut ExecCtx<'_>) -> Result<Vec<()>, NopError> {
-            Ok(vec![])
+        fn apply(&mut self, _call: (), _ctx: &mut ExecCtx<'_>) -> Result<(), NopError> {
+            Ok(())
         }
         fn storage_bytes(&self) -> usize {
             10

@@ -29,13 +29,12 @@ impl std::error::Error for NopError {}
 
 impl ContractLogic for Nop {
     type Call = ();
-    type Event = ();
     type Error = NopError;
-    fn on_publish(&mut self, _ctx: &mut ExecCtx<'_>) -> Result<Vec<()>, NopError> {
-        Ok(vec![])
+    fn on_publish(&mut self, _ctx: &mut ExecCtx<'_>) -> Result<(), NopError> {
+        Ok(())
     }
-    fn apply(&mut self, _call: (), _ctx: &mut ExecCtx<'_>) -> Result<Vec<()>, NopError> {
-        Ok(vec![])
+    fn apply(&mut self, _call: (), _ctx: &mut ExecCtx<'_>) -> Result<(), NopError> {
+        Ok(())
     }
     fn storage_bytes(&self) -> usize {
         1
@@ -66,29 +65,17 @@ enum VaultCall {
     FailAfterMove,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum VaultEvent {
-    Escrowed,
-    Released,
-}
-
 impl ContractLogic for Vault {
     type Call = VaultCall;
-    type Event = VaultEvent;
     type Error = NopError;
 
-    fn on_publish(&mut self, ctx: &mut ExecCtx<'_>) -> Result<Vec<VaultEvent>, NopError> {
+    fn on_publish(&mut self, ctx: &mut ExecCtx<'_>) -> Result<(), NopError> {
         ctx.assets
             .transfer_from(self.asset, Owner::Party(ctx.caller), Owner::Escrow(ctx.this))
-            .map_err(|_| NopError)?;
-        Ok(vec![VaultEvent::Escrowed])
+            .map_err(|_| NopError)
     }
 
-    fn apply(
-        &mut self,
-        call: VaultCall,
-        ctx: &mut ExecCtx<'_>,
-    ) -> Result<Vec<VaultEvent>, NopError> {
+    fn apply(&mut self, call: VaultCall, ctx: &mut ExecCtx<'_>) -> Result<(), NopError> {
         match call {
             VaultCall::Release => {
                 ctx.assets
@@ -99,7 +86,7 @@ impl ContractLogic for Vault {
                     )
                     .map_err(|_| NopError)?;
                 self.done = true;
-                Ok(vec![VaultEvent::Released])
+                Ok(())
             }
             VaultCall::FailClean => Err(NopError),
             VaultCall::FailAfterMove => {
@@ -162,14 +149,13 @@ fn arb_mixed_op() -> impl Strategy<Value = MixedOp> {
 }
 
 /// Everything observable on `chain` except the rolled-back counter:
-/// assets, contracts, events, storage, version, and the head block hash.
+/// assets, contracts, storage, version, and the head block hash.
 fn fingerprint(chain: &Blockchain<Vault>) -> String {
     let contracts: Vec<_> = chain.contracts().collect();
     format!(
-        "{:?}|{:?}|{:?}|{:?}|{}|{:?}",
+        "{:?}|{:?}|{:?}|{}|{:?}",
         chain.assets(),
         contracts,
-        chain.all_events(),
         chain.storage_report(),
         chain.txs_executed(),
         chain.blocks().last().unwrap().hash(),
@@ -333,7 +319,7 @@ proptest! {
                         1 => VaultCall::FailClean,
                         _ => VaultCall::FailAfterMove,
                     };
-                    let result = chain.call_contract(id, addr(caller), call, now, 16).map(drop);
+                    let result = chain.call_contract(id, addr(caller), call, now, 16);
                     assert_no_trace(&chain, &before, &result)?;
                 }
                 _ => {}

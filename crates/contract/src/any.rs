@@ -9,8 +9,8 @@ use std::fmt;
 
 use swap_chain::{ContractLogic, ExecCtx};
 
-use crate::htlc::{HtlcCall, HtlcContract, HtlcError, HtlcEvent};
-use crate::swap::{SwapCall, SwapContract, SwapError, SwapEvent};
+use crate::htlc::{HtlcCall, HtlcContract, HtlcError};
+use crate::swap::{SwapCall, SwapContract, SwapError};
 
 /// Either contract flavor.
 #[derive(Debug, Clone)]
@@ -28,15 +28,6 @@ pub enum AnyCall {
     Htlc(HtlcCall),
     /// A call to a [`SwapContract`].
     Swap(SwapCall),
-}
-
-/// An event from either contract flavor.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AnyEvent {
-    /// From an [`HtlcContract`].
-    Htlc(HtlcEvent),
-    /// From a [`SwapContract`].
-    Swap(SwapEvent),
 }
 
 /// An error from either contract flavor, or a flavor mismatch.
@@ -126,32 +117,23 @@ impl AnyContract {
 
 impl ContractLogic for AnyContract {
     type Call = AnyCall;
-    type Event = AnyEvent;
     type Error = AnyError;
 
-    fn on_publish(&mut self, ctx: &mut ExecCtx<'_>) -> Result<Vec<AnyEvent>, AnyError> {
+    fn on_publish(&mut self, ctx: &mut ExecCtx<'_>) -> Result<(), AnyError> {
         match self {
-            AnyContract::Htlc(c) => c
-                .on_publish(ctx)
-                .map(|es| es.into_iter().map(AnyEvent::Htlc).collect())
-                .map_err(AnyError::Htlc),
-            AnyContract::Swap(c) => c
-                .on_publish(ctx)
-                .map(|es| es.into_iter().map(AnyEvent::Swap).collect())
-                .map_err(AnyError::Swap),
+            AnyContract::Htlc(c) => c.on_publish(ctx).map_err(AnyError::Htlc),
+            AnyContract::Swap(c) => c.on_publish(ctx).map_err(AnyError::Swap),
         }
     }
 
-    fn apply(&mut self, call: AnyCall, ctx: &mut ExecCtx<'_>) -> Result<Vec<AnyEvent>, AnyError> {
+    fn apply(&mut self, call: AnyCall, ctx: &mut ExecCtx<'_>) -> Result<(), AnyError> {
         match (self, call) {
-            (AnyContract::Htlc(c), AnyCall::Htlc(call)) => c
-                .apply(call, ctx)
-                .map(|es| es.into_iter().map(AnyEvent::Htlc).collect())
-                .map_err(AnyError::Htlc),
-            (AnyContract::Swap(c), AnyCall::Swap(call)) => c
-                .apply(call, ctx)
-                .map(|es| es.into_iter().map(AnyEvent::Swap).collect())
-                .map_err(AnyError::Swap),
+            (AnyContract::Htlc(c), AnyCall::Htlc(call)) => {
+                c.apply(call, ctx).map_err(AnyError::Htlc)
+            }
+            (AnyContract::Swap(c), AnyCall::Swap(call)) => {
+                c.apply(call, ctx).map_err(AnyError::Swap)
+            }
             _ => Err(AnyError::WrongFlavor),
         }
     }
@@ -210,13 +192,12 @@ mod tests {
             this: ContractId::new(0),
             assets: &mut assets,
         };
-        let events = any
-            .apply(
-                AnyCall::Htlc(HtlcCall::Reveal { secret: Secret::from_bytes([5u8; 32]) }),
-                &mut ctx,
-            )
-            .unwrap();
-        assert_eq!(events, vec![AnyEvent::Htlc(HtlcEvent::Triggered)]);
+        any.apply(
+            AnyCall::Htlc(HtlcCall::Reveal { secret: Secret::from_bytes([5u8; 32]) }),
+            &mut ctx,
+        )
+        .unwrap();
+        assert!(any.as_htlc().unwrap().is_triggered());
         assert!(any.is_terminated());
         assert!(any.storage_bytes() > 0);
     }

@@ -25,21 +25,6 @@ pub enum HtlcCall {
     Refund,
 }
 
-/// Events emitted by an [`HtlcContract`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum HtlcEvent {
-    /// Contract published, asset escrowed.
-    Escrowed {
-        /// The escrowed asset.
-        asset: AssetId,
-    },
-    /// Secret revealed; asset transferred to the counterparty. The secret
-    /// is now public on this chain.
-    Triggered,
-    /// Asset refunded to the party after timeout.
-    Refunded,
-}
-
 /// Rejection reasons for [`HtlcContract`] calls.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HtlcError {
@@ -188,28 +173,22 @@ impl HtlcContract {
 
 impl ContractLogic for HtlcContract {
     type Call = HtlcCall;
-    type Event = HtlcEvent;
     type Error = HtlcError;
 
-    fn on_publish(&mut self, ctx: &mut ExecCtx<'_>) -> Result<Vec<HtlcEvent>, HtlcError> {
+    fn on_publish(&mut self, ctx: &mut ExecCtx<'_>) -> Result<(), HtlcError> {
         if ctx.caller != self.party {
             return Err(HtlcError::NotParty);
         }
         ctx.assets
             .transfer_from(self.asset, Owner::Party(ctx.caller), Owner::Escrow(ctx.this))
-            .map_err(|_| HtlcError::PublisherNotOwner)?;
-        Ok(vec![HtlcEvent::Escrowed { asset: self.asset }])
+            .map_err(|_| HtlcError::PublisherNotOwner)
     }
 
     /// Applies a call under the validate-then-commit rule the journaled
     /// rollback mode relies on (see [`ContractLogic`]): each arm runs all
     /// of its guards before the escrow move and state write, so an error
     /// here guarantees untouched contract state.
-    fn apply(
-        &mut self,
-        call: HtlcCall,
-        ctx: &mut ExecCtx<'_>,
-    ) -> Result<Vec<HtlcEvent>, HtlcError> {
+    fn apply(&mut self, call: HtlcCall, ctx: &mut ExecCtx<'_>) -> Result<(), HtlcError> {
         // Hosting chains already refuse calls to terminated contracts; this
         // guard keeps the state machine safe when driven directly.
         if self.is_terminated() {
@@ -231,7 +210,7 @@ impl ContractLogic for HtlcContract {
                     .expect("asset escrowed at publication");
                 self.state = HtlcState::Triggered;
                 self.revealed = Some(secret);
-                Ok(vec![HtlcEvent::Triggered])
+                Ok(())
             }
             HtlcCall::Refund => {
                 if ctx.caller != self.party {
@@ -244,7 +223,7 @@ impl ContractLogic for HtlcContract {
                     .transfer_from(self.asset, Owner::Escrow(ctx.this), Owner::Party(ctx.caller))
                     .expect("asset escrowed at publication");
                 self.state = HtlcState::Refunded;
-                Ok(vec![HtlcEvent::Refunded])
+                Ok(())
             }
         }
     }
@@ -297,12 +276,7 @@ mod tests {
             Rig { htlc, assets, asset, secret }
         }
 
-        fn call(
-            &mut self,
-            caller: Address,
-            call: HtlcCall,
-            now: u64,
-        ) -> Result<Vec<HtlcEvent>, HtlcError> {
+        fn call(&mut self, caller: Address, call: HtlcCall, now: u64) -> Result<(), HtlcError> {
             let mut ctx = ExecCtx {
                 caller,
                 now: SimTime::from_ticks(now),
@@ -316,8 +290,7 @@ mod tests {
     #[test]
     fn reveal_before_timeout_transfers() {
         let mut rig = Rig::new(60);
-        let events = rig.call(addr(2), HtlcCall::Reveal { secret: rig.secret }, 59).unwrap();
-        assert_eq!(events, vec![HtlcEvent::Triggered]);
+        rig.call(addr(2), HtlcCall::Reveal { secret: rig.secret }, 59).unwrap();
         assert!(rig.htlc.is_triggered());
         assert!(rig.htlc.is_terminated());
         assert_eq!(rig.assets.owner(rig.asset), Some(Owner::Party(addr(2))));
@@ -354,8 +327,7 @@ mod tests {
     #[test]
     fn refund_after_timeout() {
         let mut rig = Rig::new(60);
-        let events = rig.call(addr(1), HtlcCall::Refund, 60).unwrap();
-        assert_eq!(events, vec![HtlcEvent::Refunded]);
+        rig.call(addr(1), HtlcCall::Refund, 60).unwrap();
         assert!(rig.htlc.is_refunded());
         assert_eq!(rig.assets.owner(rig.asset), Some(Owner::Party(addr(1))));
     }

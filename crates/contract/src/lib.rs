@@ -32,7 +32,7 @@ pub mod spec;
 pub mod swap;
 pub mod testkit;
 
-pub use any::{AnyCall, AnyContract, AnyError, AnyEvent};
-pub use htlc::{HtlcCall, HtlcContract, HtlcError, HtlcEvent};
+pub use any::{AnyCall, AnyContract, AnyError};
+pub use htlc::{HtlcCall, HtlcContract, HtlcError};
 pub use spec::SwapSpec;
-pub use swap::{SwapCall, SwapContract, SwapError, SwapEvent, UnlockRecord};
+pub use swap::{SwapCall, SwapContract, SwapError, UnlockRecord};

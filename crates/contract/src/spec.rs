@@ -190,11 +190,6 @@ impl SwapSpec {
         &self.keys[v.index()]
     }
 
-    /// The vertex with address `a`, if any.
-    pub fn vertex_of_address(&self, a: Address) -> Option<VertexId> {
-        self.addresses.iter().position(|&x| x == a).map(|i| VertexId::new(i as u32))
-    }
-
     /// The index of `v` within the leader vector, if `v` is a leader.
     pub fn leader_index(&self, v: VertexId) -> Option<usize> {
         self.leaders.iter().position(|&l| l == v)
@@ -251,7 +246,6 @@ mod tests {
         spec.validate().unwrap();
         assert!(spec.is_leader(a));
         assert_eq!(spec.leader_index(a), Some(0));
-        assert_eq!(spec.vertex_of_address(spec.address_of(a)), Some(a));
     }
 
     #[test]

@@ -49,27 +49,6 @@ pub enum SwapCall {
     Claim,
 }
 
-/// Events emitted by a [`SwapContract`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SwapEvent {
-    /// The contract was published and the asset escrowed.
-    Escrowed {
-        /// The escrowed asset.
-        asset: AssetId,
-    },
-    /// Hashlock `index` was unlocked. The full hashkey is readable via
-    /// [`SwapContract::unlock_record`].
-    Unlocked {
-        /// Hashlock index.
-        index: usize,
-    },
-    /// The arc triggered: every hashlock unlocked and the counterparty
-    /// claimed the asset.
-    Claimed,
-    /// The asset was refunded to the party.
-    Refunded,
-}
-
 /// Rejection reasons for [`SwapContract`] calls.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SwapError {
@@ -311,31 +290,25 @@ impl SwapContract {
 
 impl ContractLogic for SwapContract {
     type Call = SwapCall;
-    type Event = SwapEvent;
     type Error = SwapError;
 
     /// Publication escrows the party's asset (the contract "assumes
     /// temporary control", §4.1). The publisher must be the arc's party and
     /// own the asset.
-    fn on_publish(&mut self, ctx: &mut ExecCtx<'_>) -> Result<Vec<SwapEvent>, SwapError> {
+    fn on_publish(&mut self, ctx: &mut ExecCtx<'_>) -> Result<(), SwapError> {
         if ctx.caller != self.party() {
             return Err(SwapError::NotParty);
         }
         ctx.assets
             .transfer_from(self.asset, Owner::Party(ctx.caller), Owner::Escrow(ctx.this))
-            .map_err(|_| SwapError::PublisherNotOwner)?;
-        Ok(vec![SwapEvent::Escrowed { asset: self.asset }])
+            .map_err(|_| SwapError::PublisherNotOwner)
     }
 
     /// Applies a call under the validate-then-commit rule the journaled
     /// rollback mode relies on (see [`ContractLogic`]): every arm checks
     /// all of its Figure 5 guard lines first and only then touches
     /// `self`/escrow, so an error here guarantees untouched contract state.
-    fn apply(
-        &mut self,
-        call: SwapCall,
-        ctx: &mut ExecCtx<'_>,
-    ) -> Result<Vec<SwapEvent>, SwapError> {
+    fn apply(&mut self, call: SwapCall, ctx: &mut ExecCtx<'_>) -> Result<(), SwapError> {
         // Hosting chains already refuse calls to terminated contracts; this
         // guard keeps the state machine safe when driven directly.
         if self.is_terminated() {
@@ -352,10 +325,8 @@ impl ContractLogic for SwapContract {
                 // record (its hashkey already circulates).
                 if self.unlocked[index].is_none() {
                     self.unlocked[index] = Some(UnlockRecord { secret, path, sig, at: ctx.now });
-                    Ok(vec![SwapEvent::Unlocked { index }])
-                } else {
-                    Ok(vec![])
                 }
+                Ok(())
             }
             SwapCall::Refund => {
                 // Line 36: only the party may refund.
@@ -369,7 +340,7 @@ impl ContractLogic for SwapContract {
                     .transfer_from(self.asset, Owner::Escrow(ctx.this), Owner::Party(ctx.caller))
                     .expect("asset escrowed at publication");
                 self.settlement = Settlement::Refunded;
-                Ok(vec![SwapEvent::Refunded])
+                Ok(())
             }
             SwapCall::Claim => {
                 // Line 43: only the counterparty may claim.
@@ -386,7 +357,7 @@ impl ContractLogic for SwapContract {
                     .transfer_from(self.asset, Owner::Escrow(ctx.this), Owner::Party(ctx.caller))
                     .expect("asset escrowed at publication");
                 self.settlement = Settlement::Claimed;
-                Ok(vec![SwapEvent::Claimed])
+                Ok(())
             }
         }
     }
@@ -448,8 +419,8 @@ mod tests {
                 this: CONTRACT_ID,
                 assets: &mut assets,
             };
-            let events = contract.on_publish(&mut ctx).unwrap();
-            assert_eq!(events, vec![SwapEvent::Escrowed { asset }]);
+            contract.on_publish(&mut ctx).unwrap();
+            assert_eq!(assets.owner(asset), Some(Owner::Escrow(CONTRACT_ID)));
             Rig { contract, assets, alice, bob, carol, asset }
         }
 
@@ -458,7 +429,7 @@ mod tests {
             caller_vertex: VertexId,
             call: SwapCall,
             now_ticks: u64,
-        ) -> Result<Vec<SwapEvent>, SwapError> {
+        ) -> Result<(), SwapError> {
             let caller = self.contract.spec().address_of(caller_vertex);
             let mut ctx = ExecCtx {
                 caller,
@@ -492,12 +463,9 @@ mod tests {
         let mut rig = Rig::new();
         let (secret, path, sig) = rig.bob_hashkey();
         // Timeout for |p| = 2: start(10) + (3 + 2)·10 = 60.
-        let events =
-            rig.call(rig.bob, SwapCall::Unlock { index: 0, secret, path, sig }, 59).unwrap();
-        assert_eq!(events, vec![SwapEvent::Unlocked { index: 0 }]);
+        rig.call(rig.bob, SwapCall::Unlock { index: 0, secret, path, sig }, 59).unwrap();
         assert!(rig.contract.fully_unlocked());
-        let events = rig.call(rig.bob, SwapCall::Claim, 60).unwrap();
-        assert_eq!(events, vec![SwapEvent::Claimed]);
+        rig.call(rig.bob, SwapCall::Claim, 60).unwrap();
         assert!(rig.contract.is_claimed());
         assert!(rig.contract.is_terminated());
         // Asset now belongs to bob.
@@ -609,9 +577,7 @@ mod tests {
         )
         .unwrap();
         let first = rig.contract.unlock_record(0).unwrap().at;
-        let events =
-            rig.call(rig.bob, SwapCall::Unlock { index: 0, secret, path, sig }, 35).unwrap();
-        assert!(events.is_empty());
+        rig.call(rig.bob, SwapCall::Unlock { index: 0, secret, path, sig }, 35).unwrap();
         assert_eq!(rig.contract.unlock_record(0).unwrap().at, first);
     }
 
@@ -633,8 +599,7 @@ mod tests {
     #[test]
     fn refund_after_deadline_succeeds() {
         let mut rig = Rig::new();
-        let events = rig.call(rig.alice, SwapCall::Refund, 70).unwrap();
-        assert_eq!(events, vec![SwapEvent::Refunded]);
+        rig.call(rig.alice, SwapCall::Refund, 70).unwrap();
         assert!(rig.contract.is_refunded());
         let alice_addr = rig.contract.spec().address_of(rig.alice);
         assert_eq!(rig.assets.owner(rig.asset), Some(Owner::Party(alice_addr)));

@@ -35,8 +35,8 @@ fn host(
 
 /// Sends `call` to contract `id` at tick `when`; returns whether it was
 /// accepted. A rejected call must leave no trace — the contract's state
-/// (via `Debug`), the asset registry, the event log and the sealed version
-/// all as they were — and advance `txs_rolled_back` by one exactly when
+/// (via `Debug`), the asset registry and the sealed version all as they
+/// were — and advance `txs_rolled_back` by one exactly when
 /// the contract's own hook (not the chain's terminated-contract guard) did
 /// the rejecting.
 fn call(
@@ -49,7 +49,6 @@ fn call(
     let before = (
         format!("{:?}", chain.contract(id)),
         chain.assets().clone(),
-        chain.all_events().to_vec(),
         chain.version(),
         chain.txs_rolled_back(),
     );
@@ -60,10 +59,9 @@ fn call(
         };
     prop_assert_eq!(format!("{:?}", chain.contract(id)), before.0, "{:?} mutated state", rejection);
     prop_assert_eq!(chain.assets(), &before.1, "{:?} moved an asset", rejection);
-    prop_assert_eq!(chain.all_events(), &before.2[..], "{:?} logged an event", rejection);
-    prop_assert_eq!(chain.version(), before.3, "{:?} sealed a block", rejection);
+    prop_assert_eq!(chain.version(), before.2, "{:?} sealed a block", rejection);
     let hook_rejected = matches!(rejection, TxError::Contract(_));
-    prop_assert_eq!(chain.txs_rolled_back(), before.4 + u64::from(hook_rejected));
+    prop_assert_eq!(chain.txs_rolled_back(), before.3 + u64::from(hook_rejected));
     Ok(false)
 }
 

@@ -6,7 +6,7 @@
 //! * `Ev::Boundary` — a round boundary opens: snapshots are already fresh
 //!   (visibility events keep them so), newly confirmed bulletin entries are
 //!   promoted, and one wake-up per party is scheduled.
-//! * `Ev::Wake` — one party observes its [`View`] and emits actions; each
+//! * `Ev::Wake` — one party observes its `View` and emits actions; each
 //!   action is scheduled to execute at the instant the [`TimingModel`]
 //!   assigns to its target chain.
 //! * `Ev::Exec` — an action executes as a transaction and leaves one
@@ -26,14 +26,19 @@
 //! reports), while [`crate::timing::PerChainLatency`] gives each chain its
 //! own publish/confirm latency under a dominating Δ.
 //!
-//! It is also generic over the *protocol*: everything protocol-specific —
-//! party strategies, the contract flavor published on
-//! [`swap_contract::AnyContract`] chains, snapshot
-//! construction, and call translation — lives behind
-//! [`crate::protocol::SwapProtocol`]. The same event loop therefore runs
-//! the general §4.5 hashkey protocol and the §4.6 single-leader HTLC
-//! protocol, and the [`crate::exchange::Exchange`] picks per cleared cycle
-//! via [`crate::protocol::ProtocolKind::select`].
+//! It runs either *protocol*: everything protocol-specific — party
+//! strategies, the contract flavor published on
+//! [`swap_contract::AnyContract`] chains, snapshot construction, and call
+//! translation — lives behind the crate-private `SwapProtocol` trait, built
+//! from the [`ProtocolKind`] the caller names. The same event loop
+//! therefore runs the general §4.5 hashkey protocol and the §4.6
+//! single-leader HTLC protocol, and the [`crate::exchange::Exchange`]
+//! picks per cleared cycle via [`ProtocolKind::select`].
+//!
+//! There are two constructors and no other way to run a swap:
+//! [`Engine::new`] takes any timing model, and [`Engine::lockstep`] builds
+//! the paper's [`Lockstep`] from the spec's own Δ, so the Δ the rounds are
+//! timed by cannot differ from the one the contracts enforce.
 
 use std::sync::Arc;
 
@@ -43,13 +48,12 @@ use swap_digraph::{ArcId, VertexId};
 use swap_sim::{SimTime, Simulation};
 
 use crate::event::{Actor, Attempt, Refusal, Trace, What};
-use crate::instance::SwapInstance;
 use crate::outcome::Outcome;
 use crate::party::{Action, ArcSnapshot, Behavior, BulletinEntry, View};
-use crate::protocol::{build_protocol, SwapProtocol};
+use crate::protocol::{build_protocol, ProtocolKind, SwapProtocol};
 use crate::runner::{RunConfig, RunMetrics, RunReport};
 use crate::setup::SwapSetup;
-use crate::timing::TimingModel;
+use crate::timing::{Lockstep, TimingModel};
 
 /// One scheduled unit of protocol activity.
 #[derive(Debug, Clone)]
@@ -66,8 +70,8 @@ enum Ev {
     Close(u64),
 }
 
-/// Executes one swap instance as a discrete-event simulation under a
-/// pluggable [`TimingModel`].
+/// Executes one provisioned swap under one protocol as a discrete-event
+/// simulation, timed by a pluggable [`TimingModel`].
 #[derive(Debug)]
 pub struct Engine<T: TimingModel> {
     setup: SwapSetup,
@@ -106,29 +110,34 @@ pub struct Engine<T: TimingModel> {
     metrics: RunMetrics,
 }
 
-impl<T: TimingModel> Engine<T> {
-    /// Builds an engine; parties take their keypairs and secrets from the
-    /// setup and their behavior from the config.
+impl Engine<Lockstep> {
+    /// Builds an engine under the paper's lockstep Δ-round timing, with Δ
+    /// taken from the spec itself.
     ///
     /// # Panics
     ///
-    /// Panics if Δ is smaller than 2 ticks (timing models need at least one
-    /// tick each for execution and confirmation) or if the spec starts less
-    /// than Δ after the epoch.
-    pub fn new(setup: SwapSetup, config: RunConfig, timing: T) -> Self {
-        Engine::from_instance(SwapInstance::new(0, setup, config), timing)
+    /// Same conditions as [`Engine::new`].
+    pub fn lockstep(setup: SwapSetup, config: RunConfig, protocol: ProtocolKind) -> Self {
+        let delta = setup.spec.delta;
+        Engine::new(setup, config, protocol, Lockstep::new(delta))
     }
+}
 
-    /// Builds an engine from a provisioned [`SwapInstance`]. The instance's
-    /// provisioning state (setup + config) becomes the engine's; everything
+impl<T: TimingModel> Engine<T> {
+    /// Builds an engine that runs `setup` under `protocol`; parties take
+    /// their keypairs and secrets from the setup and their behavior from
+    /// the config. The setup and config become the engine's; everything
     /// else — event queue, party machines, snapshot caches — is execution
     /// state created here.
     ///
     /// # Panics
     ///
-    /// Same conditions as [`Engine::new`].
-    pub fn from_instance(instance: SwapInstance, timing: T) -> Self {
-        let SwapInstance { id: _, setup, config, protocol } = instance;
+    /// Panics if Δ is smaller than 2 ticks (timing models need at least one
+    /// tick each for execution and confirmation), if the spec starts less
+    /// than Δ after the epoch, or if `protocol` is [`ProtocolKind::Htlc`]
+    /// and the spec is not single-leader feasible (check with
+    /// [`ProtocolKind::select`] first).
+    pub fn new(setup: SwapSetup, config: RunConfig, protocol: ProtocolKind, timing: T) -> Self {
         let spec = &setup.spec;
         assert!(spec.delta.ticks() >= 2, "delta must be at least 2 ticks");
         assert!(
@@ -366,7 +375,7 @@ impl<T: TimingModel> Engine<T> {
                     self.protocol.call_of(action).expect("unlock/claim/refund/reveal are on-chain");
                 let chain = self.chain_mut(arc);
                 match chain.call_contract(id, actor_addr, call, exec_time, wire) {
-                    Ok(_) => {
+                    Ok(()) => {
                         if matches!(accepted, What::Unlocked { .. } | What::Revealed { .. }) {
                             self.metrics.unlock_bytes += wire as u64;
                         }
@@ -511,7 +520,7 @@ impl<T: TimingModel> Engine<T> {
 mod tests {
     use super::*;
     use crate::setup::{SetupConfig, SwapSetup};
-    use crate::timing::{Lockstep, PerChainLatency};
+    use crate::timing::PerChainLatency;
     use swap_digraph::generators;
     use swap_sim::SimRng;
 
@@ -532,7 +541,7 @@ mod tests {
         let timing = PerChainLatency::sample(&s, &rng);
         let start = s.spec.start;
         let bound = s.spec.delta.times(2 * s.spec.diam);
-        let report = Engine::new(s, RunConfig::default(), timing).run();
+        let report = Engine::new(s, RunConfig::default(), ProtocolKind::Hashkey, timing).run();
         assert!(report.all_deal(), "outcomes: {:?}", report.outcomes);
         assert!(report.settled);
         let completion = report.completion.expect("all triggered");
@@ -548,11 +557,9 @@ mod tests {
         // Round 0 opens one Δ before the spec start; measure grid offsets
         // from there so the check is alignment-independent.
         let t0 = s.spec.start - delta.duration();
-        let lockstep = {
-            let s = setup(46);
-            Engine::new(s, RunConfig::default(), Lockstep::new(delta)).run()
-        };
-        let latency = Engine::new(s, RunConfig::default(), timing).run();
+        let lockstep =
+            Engine::lockstep(setup(46), RunConfig::default(), ProtocolKind::Hashkey).run();
+        let latency = Engine::new(s, RunConfig::default(), ProtocolKind::Hashkey, timing).run();
         // Same protocol decisions, different transaction instants: at least
         // one arc triggers at an off-mid-round instant.
         assert_eq!(lockstep.metrics.unlock_calls, latency.metrics.unlock_calls);

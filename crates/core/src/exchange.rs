@@ -1,5 +1,5 @@
 //! The exchange pipeline: continuous clearing feeding multi-epoch parallel
-//! execution on a persistent work-stealing worker pool.
+//! execution on a persistent worker pool.
 //!
 //! The paper assumes "the swap digraph is constructed by a (possibly
 //! centralized) market-clearing service" (§4.2) and then analyzes *one*
@@ -51,7 +51,7 @@
 //!    **queued onto the long-lived [`WorkerPool`]** shared by every epoch
 //!    in flight. Everything that belongs to one swap happens in its job,
 //!    on whichever worker runs it: the swap is stamped onto the timeline
-//!    ([`ProvisionedSwap::admit`] creates its chains and rebases its start
+//!    ([`ProvisionedSwap::admit_for_queue`] creates its chains and rebases its start
 //!    to `entry + Δ`), the engine runs, and the run is torn down — its
 //!    [`SwapSummary`] and transaction counters folded, its spec and leased
 //!    keys dropped — so only what the driver keeps comes back over the

@@ -9,7 +9,6 @@
 
 use swap_digraph::path::enumerate_paths;
 use swap_digraph::{ArcId, Digraph, VertexId, VertexPath};
-use swap_sim::{Delta, SimDuration};
 
 /// One admissible hashkey shape: which leader's secret, and the path a
 /// counterparty would present.
@@ -19,14 +18,6 @@ pub struct HashkeyShape {
     pub leader_index: usize,
     /// The path from the arc's tail (counterparty) to that leader.
     pub path: VertexPath,
-}
-
-impl HashkeyShape {
-    /// The hashkey's relative timeout `(diam + |p|)·Δ` (offset from the
-    /// protocol start).
-    pub fn timeout_offset(&self, diam: u64, delta: Delta) -> SimDuration {
-        delta.times(diam + self.path.len() as u64)
-    }
 }
 
 /// Enumerates every admissible hashkey shape for `arc`: for each leader,
@@ -88,6 +79,7 @@ impl HashkeyTable {
 mod tests {
     use super::*;
     use swap_digraph::generators;
+    use swap_sim::Delta;
 
     #[test]
     fn three_party_single_leader_counts() {
@@ -135,7 +127,7 @@ mod tests {
     }
 
     #[test]
-    fn timeout_offsets_grow_with_path_length() {
+    fn no_admissible_hashkey_outlives_two_diam() {
         let d = generators::two_leader_triangle();
         let alice = d.vertex_by_name("alice").unwrap();
         let bob = d.vertex_by_name("bob").unwrap();
@@ -144,9 +136,9 @@ mod tests {
         let diam = d.diameter() as u64;
         for row in &table.rows {
             for shape in row {
-                let offset = shape.timeout_offset(diam, delta);
-                assert_eq!(offset.ticks(), (diam + shape.path.len() as u64) * 10);
-                // No admissible hashkey outlives 2·diam·Δ.
+                // The hashkey's timeout `(diam + |p|)·Δ`, offset from the
+                // protocol start, never exceeds 2·diam·Δ.
+                let offset = delta.times(diam + shape.path.len() as u64);
                 assert!(offset.ticks() <= 2 * diam * 10);
             }
         }

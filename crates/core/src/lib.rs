@@ -9,22 +9,23 @@
 //!   (Phase One contract propagation, Phase Two hashkey dissemination) and
 //!   a suite of deviating [`Behavior`]s (halts, secret withholding,
 //!   premature reveals, coalition bypasses, fully scripted adversaries).
-//! * [`engine`] — the discrete-event execution engine ([`engine::Engine`]):
-//!   party wake-ups, transaction execution, and visibility boundaries as
+//! * [`engine`] — the one way to run a swap ([`engine::Engine`]): a setup,
+//!   a config and a [`ProtocolKind`] in, a [`RunReport`] out. Party
+//!   wake-ups, transaction execution, and visibility boundaries are
 //!   scheduled events over [`swap_sim::Simulation`], with snapshot-delta
-//!   caching keyed on chain state-versions.
+//!   caching keyed on chain state-versions; [`engine::Engine::lockstep`]
+//!   times them by the paper's Δ-rounds.
 //! * [`event`] — what a swap did, in types ([`SwapEvent`], [`What`]): the
 //!   paper's closed list of publish / unlock / claim / refund / reveal /
 //!   trigger / direct transfer / announce, plus every refused call; ids in,
 //!   strings only at render ([`Trace::render`]).
-//! * [`protocol`] — the protocol axis ([`protocol::SwapProtocol`]): the
-//!   general §4.5 hashkey protocol and the §4.6 single-leader HTLC
-//!   protocol as pluggable strategies over the one engine, selected per
-//!   swap via [`protocol::ProtocolKind`].
-//! * [`instance`] — the provisioning/execution split: a
-//!   [`instance::SwapInstance`] owns one swap's spec, key material, chains,
-//!   and run configuration, and becomes an [`engine::Engine`] at execution
-//!   time.
+//! * [`protocol`] — the protocol axis: the general §4.5 hashkey protocol
+//!   and the §4.6 single-leader HTLC protocol as strategies over the one
+//!   engine, named per swap by the closed [`protocol::ProtocolKind`].
+//! * [`instance`] — the provisioning/execution split the exchange ships to
+//!   its pool: a [`instance::ProvisionedSwap`] (cleared spec, key material,
+//!   config, protocol) is admitted onto a timeline as an
+//!   [`instance::AdmittedSwap`] and executed where it was admitted.
 //! * [`identity`] — the per-address identity registry
 //!   ([`identity::IdentityStore`]): one master MSS keypair per address,
 //!   minted at first submit and leased leaf-by-leaf to successive swaps,
@@ -32,7 +33,7 @@
 //! * [`exchange`] — the pipeline above single swaps: offers stream into the
 //!   untrusted clearing service, epochs clear them into disjoint cycles,
 //!   and up to [`exchange::ExchangeConfig::executing_slots`] epochs' swaps
-//!   execute concurrently on a persistent work-stealing worker pool with a
+//!   execute concurrently on a persistent worker pool with a
 //!   deterministic swap-id-ordered merge ([`exchange::Exchange`],
 //!   [`exchange::ExchangeReport`]). A durable exchange
 //!   ([`exchange::Exchange::with_journal`]) write-ahead-logs every
@@ -40,18 +41,18 @@
 //!   and [`exchange::Exchange::recover`] rebuilds a byte-identical
 //!   exchange after a crash.
 //! * [`pool`] — the execution tier under the exchange: a long-lived
-//!   work-stealing [`pool::WorkerPool`] with panic-isolated jobs and
+//!   [`pool::WorkerPool`] with one run queue, panic-isolated jobs and
 //!   results returned over a channel.
 //! * [`timing`] — pluggable [`timing::TimingModel`]s: the paper's
 //!   [`timing::Lockstep`] Δ-rounds and [`timing::PerChainLatency`]
 //!   (per-chain publish/confirm delays under a dominating Δ).
-//! * [`runner`] — the lockstep facade ([`SwapRunner`]) producing
-//!   [`RunReport`]s with outcomes, per-arc trigger times, the typed
+//! * [`runner`] — what a run takes and gives back: [`RunConfig`] and the
+//!   [`RunReport`] with outcomes, per-arc trigger times, the typed
 //!   [`Trace`], and storage/communication metrics.
 //! * [`outcome`] — the Figure 3 outcome lattice ([`Outcome`]).
 //! * [`single_leader`] — the §4.6 Lemma 4.13 timeout assignment and the
 //!   Figure 6 feasibility analysis (the protocol itself runs as
-//!   [`protocol::HtlcProtocol`]).
+//!   [`ProtocolKind::Htlc`]).
 //! * [`hashkey`] — Figure 7 hashkey-path enumeration.
 //! * [`recurrent`] — the §5 recurrent-swap extension (next-round hashlocks
 //!   distributed during Phase Two).
@@ -61,8 +62,9 @@
 //! # Quick start
 //!
 //! ```
-//! use swap_core::runner::{RunConfig, SwapRunner};
+//! use swap_core::runner::RunConfig;
 //! use swap_core::setup::{SetupConfig, SwapSetup};
+//! use swap_core::{Engine, ProtocolKind};
 //! use swap_digraph::generators;
 //! use swap_sim::SimRng;
 //!
@@ -74,7 +76,7 @@
 //!     &mut SimRng::from_seed(42),
 //! )
 //! .expect("valid swap");
-//! let report = SwapRunner::new(setup, RunConfig::default()).run();
+//! let report = Engine::lockstep(setup, RunConfig::default(), ProtocolKind::Hashkey).run();
 //! assert!(report.all_deal()); // everyone swapped
 //! ```
 
@@ -108,12 +110,12 @@ pub use exchange::{
     StageCosts, StageTicks, StepEvent, SwapSummary,
 };
 pub use identity::{IdentityStore, LeaseError};
-pub use instance::{AdmittedSwap, ProvisionedSwap, SwapInstance, SwapRunOutput};
+pub use instance::{AdmittedSwap, ProvisionedSwap, SwapRunOutput};
 pub use outcome::Outcome;
-pub use party::{Action, ArcSnapshot, Behavior};
+pub use party::{Action, Behavior};
 pub use pool::{Completed, JobPanic, WorkerPool};
-pub use protocol::{HashkeyProtocol, HtlcProtocol, ProtocolKind, SwapProtocol};
-pub use runner::{RunConfig, RunMetrics, RunReport, SwapRunner};
+pub use protocol::ProtocolKind;
+pub use runner::{RunConfig, RunMetrics, RunReport};
 pub use setup::{SetupConfig, SwapSetup};
 pub use single_leader::{
     assign_timeouts, single_leader_of, timeout_assignment_feasible, TimeoutError,

@@ -2,7 +2,7 @@
 //! behaviors used to exercise the paper's game-theoretic claims.
 //!
 //! Parties are *reactive*: once per protocol round (one round = one Δ), each
-//! party receives a [`View`] — a snapshot of everything publicly readable as
+//! party receives a `View` — a snapshot of everything publicly readable as
 //! of the round boundary — and emits [`Action`]s. The runner applies actions
 //! transactionally, so a round's actions are based strictly on the previous
 //! round's state, which is exactly the Δ-delay timing model the paper's
@@ -20,7 +20,7 @@ use swap_sim::SimTime;
 /// boundary (`None` entries in the runner's table mean "no contract
 /// published yet").
 #[derive(Debug, Clone)]
-pub struct ContractSnapshot {
+pub(crate) struct ContractSnapshot {
     /// Unlock record per hashlock index, if unlocked.
     pub unlock_records: Vec<Option<UnlockRecord>>,
     /// Whether every hashlock is unlocked.
@@ -37,7 +37,7 @@ pub struct ContractSnapshot {
 /// What one arc's classic HTLC looks like to observers at a round boundary
 /// (§4.6 single-leader protocol).
 #[derive(Debug, Clone, Copy)]
-pub struct HtlcSnapshot {
+pub(crate) struct HtlcSnapshot {
     /// The revealed secret, if the contract triggered — publicly readable,
     /// which is exactly how secrets propagate without hashkeys.
     pub revealed: Option<Secret>,
@@ -53,10 +53,10 @@ pub struct HtlcSnapshot {
 }
 
 /// A flavor-tagged contract observation: the engine snapshots whatever
-/// contract flavor the active [`crate::protocol::SwapProtocol`] hosts, and
+/// contract flavor the active `SwapProtocol` hosts, and
 /// party strategies project the flavor they understand.
 #[derive(Debug, Clone)]
-pub enum ArcSnapshot {
+pub(crate) enum ArcSnapshot {
     /// A general multi-leader swap contract (§4.5).
     Swap(ContractSnapshot),
     /// A classic two-party HTLC (§4.6).
@@ -65,7 +65,7 @@ pub enum ArcSnapshot {
 
 impl ArcSnapshot {
     /// The swap-contract view, if that is the flavor.
-    pub fn as_swap(&self) -> Option<&ContractSnapshot> {
+    pub(crate) fn as_swap(&self) -> Option<&ContractSnapshot> {
         match self {
             ArcSnapshot::Swap(s) => Some(s),
             ArcSnapshot::Htlc(_) => None,
@@ -73,7 +73,7 @@ impl ArcSnapshot {
     }
 
     /// The HTLC view, if that is the flavor.
-    pub fn as_htlc(&self) -> Option<&HtlcSnapshot> {
+    pub(crate) fn as_htlc(&self) -> Option<&HtlcSnapshot> {
         match self {
             ArcSnapshot::Htlc(s) => Some(s),
             ArcSnapshot::Swap(_) => None,
@@ -85,7 +85,7 @@ impl ArcSnapshot {
 /// published on the shared broadcast medium (§4.5 optimization) or leaked
 /// prematurely by an irrational leader (§1).
 #[derive(Debug, Clone)]
-pub struct BulletinEntry {
+pub(crate) struct BulletinEntry {
     /// The leader index of the secret.
     pub leader_index: usize,
     /// The revealed secret.
@@ -96,7 +96,7 @@ pub struct BulletinEntry {
 
 /// The publicly readable world, as of a round boundary.
 #[derive(Debug)]
-pub struct View<'a> {
+pub(crate) struct View<'a> {
     /// The swap spec.
     pub spec: &'a SwapSpec,
     /// Current round number (round 0 = spec publication).
@@ -214,7 +214,7 @@ pub enum Behavior {
 
 /// A party: its identity, secret, behavior, and protocol bookkeeping.
 #[derive(Debug)]
-pub struct Party {
+pub(crate) struct Party {
     vertex: VertexId,
     keypair: MssKeypair,
     secret: Secret,
@@ -237,7 +237,12 @@ pub struct Party {
 
 impl Party {
     /// Creates a party.
-    pub fn new(vertex: VertexId, keypair: MssKeypair, secret: Secret, behavior: Behavior) -> Self {
+    pub(crate) fn new(
+        vertex: VertexId,
+        keypair: MssKeypair,
+        secret: Secret,
+        behavior: Behavior,
+    ) -> Self {
         Party {
             vertex,
             keypair,
@@ -253,14 +258,9 @@ impl Party {
         }
     }
 
-    /// The party's vertex.
-    pub fn vertex(&self) -> VertexId {
-        self.vertex
-    }
-
     /// Whether the party abandoned the protocol after detecting an invalid
     /// contract.
-    pub fn abandoned(&self) -> bool {
+    pub(crate) fn abandoned(&self) -> bool {
         self.abandoned
     }
 
@@ -270,7 +270,7 @@ impl Party {
     /// copy entire `Scripted` action vectors on the hot path — and the
     /// scripted drain moves each fired action out of the script instead of
     /// cloning it (fired entries are never replayed).
-    pub fn step(&mut self, view: &View<'_>) -> Vec<Action> {
+    pub(crate) fn step(&mut self, view: &View<'_>) -> Vec<Action> {
         if let Behavior::Halt { at_round } = self.behavior {
             if view.round >= at_round {
                 return Vec::new();

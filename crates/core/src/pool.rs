@@ -1,4 +1,4 @@
-//! A persistent work-stealing worker pool with panic-isolated jobs.
+//! A persistent worker pool with panic-isolated jobs.
 //!
 //! The exchange pipeline used to execute each epoch on a burst of
 //! `thread::scope` workers: spawn, shard, join, repeat — one barrier per
@@ -10,11 +10,10 @@
 //! * **Queue-on-admit.** Producers [`submit`](WorkerPool::submit) jobs the
 //!   moment the work exists (the exchange queues every swap the instant
 //!   its epoch enters execution); nothing waits for an epoch barrier.
-//! * **Work stealing.** Jobs are placed round-robin onto per-worker run
-//!   queues. A worker drains its own queue from the front and, when empty,
-//!   steals from the *back* of a sibling's queue — so a skewed batch (one
-//!   long swap next to many short ones) keeps every worker busy instead of
-//!   serializing behind the unlucky queue.
+//! * **One run queue.** Jobs wait in a single FIFO under the pool's one
+//!   mutex, and every idle worker takes the next one from its front — so a
+//!   skewed batch (one long swap next to many short ones) keeps every
+//!   worker busy instead of serializing behind an unlucky queue.
 //! * **Wake-ups ride with the work.** A wake-up is the one expensive thing
 //!   `submit` can do, and a worker woken next to its submitter competes
 //!   with it for the core. So `submit` wakes a sleeping worker only while
@@ -37,8 +36,8 @@
 //! The pool is deliberately tag-generic (`K`) and result-generic (`T`): it
 //! schedules closures, not swaps, so unit tests can drive it with plain
 //! functions and the exchange can ship whole swaps — admission
-//! ([`crate::instance::ProvisionedSwap::admit`]), run and tear-down —
-//! through it.
+//! ([`crate::instance::ProvisionedSwap::admit_for_queue`]), run and
+//! tear-down — through it.
 //!
 //! # Example
 //!
@@ -91,11 +90,11 @@ impl fmt::Display for JobPanic {
 
 impl std::error::Error for JobPanic {}
 
-/// The queues and shutdown flag, under the pool's one mutex. Jobs are
+/// The run queue and shutdown flag, under the pool's one mutex. Jobs are
 /// heavyweight (a full protocol run each), so a single lock is contention-
-/// free in practice and keeps the steal scan trivially consistent.
+/// free in practice.
 struct State<K, T> {
-    queues: Vec<VecDeque<Job<K, T>>>,
+    queue: VecDeque<Job<K, T>>,
     /// Workers blocked on `work_ready`.
     idle: usize,
     /// Wake-ups issued that no worker has woken to yet.
@@ -118,19 +117,16 @@ impl<K, T> State<K, T> {
 struct Shared<K, T> {
     state: Mutex<State<K, T>>,
     work_ready: Condvar,
-    steals: AtomicU64,
     panics: AtomicU64,
 }
 
-/// A fixed-size pool of long-lived worker threads with per-worker run
-/// queues, back-of-queue stealing, and a single result channel. See the
-/// [module docs](self) for the design.
+/// A fixed-size pool of long-lived worker threads with one shared run
+/// queue and a single result channel. See the [module docs](self) for the
+/// design.
 pub struct WorkerPool<K, T> {
     shared: Arc<Shared<K, T>>,
     results: Receiver<Completed<K, T>>,
     handles: Vec<JoinHandle<()>>,
-    /// Round-robin placement cursor over the worker queues.
-    next: usize,
 }
 
 impl<K: Send + 'static, T: Send + 'static> WorkerPool<K, T> {
@@ -139,24 +135,23 @@ impl<K: Send + 'static, T: Send + 'static> WorkerPool<K, T> {
         let workers = workers.max(1);
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
-                queues: (0..workers).map(|_| VecDeque::new()).collect(),
+                queue: VecDeque::new(),
                 idle: 0,
                 waking: 0,
                 shutdown: false,
             }),
             work_ready: Condvar::new(),
-            steals: AtomicU64::new(0),
             panics: AtomicU64::new(0),
         });
         let (tx, results) = channel();
         let handles = (0..workers)
-            .map(|me| {
+            .map(|_| {
                 let shared = Arc::clone(&shared);
                 let tx: Sender<Completed<K, T>> = tx.clone();
-                std::thread::spawn(move || worker_loop(me, shared, tx))
+                std::thread::spawn(move || worker_loop(shared, tx))
             })
             .collect();
-        WorkerPool { shared, results, handles, next: 0 }
+        WorkerPool { shared, results, handles }
     }
 
     /// The number of worker threads.
@@ -164,14 +159,12 @@ impl<K: Send + 'static, T: Send + 'static> WorkerPool<K, T> {
         self.handles.len()
     }
 
-    /// Queues a job onto the next worker's run queue (round-robin). The
-    /// job's return value — or its caught panic — comes back from
-    /// [`recv`](WorkerPool::recv) tagged with `tag`.
+    /// Queues a job at the back of the run queue. The job's return value
+    /// — or its caught panic — comes back from [`recv`](WorkerPool::recv)
+    /// tagged with `tag`.
     pub fn submit(&mut self, tag: K, job: impl FnOnce() -> T + Send + 'static) {
         let mut state = self.shared.state.lock().expect("pool state lock");
-        let slot = self.next % state.queues.len();
-        state.queues[slot].push_back((tag, Box::new(job)));
-        self.next = self.next.wrapping_add(1);
+        state.queue.push_back((tag, Box::new(job)));
         // The submitter pays for at most one wake-up at a time: while one
         // is on its way, the worker it reaches wakes the next sleeper
         // itself if a backlog remains (see `worker_loop`).
@@ -189,11 +182,6 @@ impl<K: Send + 'static, T: Send + 'static> WorkerPool<K, T> {
         self.results.recv().expect("worker pool threads outlive the queue")
     }
 
-    /// How many jobs were stolen from a sibling's queue so far.
-    pub fn steals(&self) -> u64 {
-        self.shared.steals.load(Ordering::Relaxed)
-    }
-
     /// How many jobs panicked (and were isolated) so far.
     pub fn panics(&self) -> u64 {
         self.shared.panics.load(Ordering::Relaxed)
@@ -204,7 +192,6 @@ impl<K, T> fmt::Debug for WorkerPool<K, T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("WorkerPool")
             .field("workers", &self.handles.len())
-            .field("steals", &self.shared.steals.load(Ordering::Relaxed))
             .field("panics", &self.shared.panics.load(Ordering::Relaxed))
             .finish()
     }
@@ -225,26 +212,14 @@ impl<K, T> Drop for WorkerPool<K, T> {
     }
 }
 
-/// One worker: drain own queue from the front, steal from siblings' backs,
-/// sleep on the condvar when everything is empty, exit on shutdown.
-fn worker_loop<K: Send, T: Send>(
-    me: usize,
-    shared: Arc<Shared<K, T>>,
-    results: Sender<Completed<K, T>>,
-) {
+/// One worker: take jobs from the front of the run queue, sleep on the
+/// condvar when it is empty, exit on shutdown.
+fn worker_loop<K: Send, T: Send>(shared: Arc<Shared<K, T>>, results: Sender<Completed<K, T>>) {
     loop {
         let (job, wake_sibling) = {
             let mut state = shared.state.lock().expect("pool state lock");
             let job = loop {
-                if let Some(job) = state.queues[me].pop_front() {
-                    break Some(job);
-                }
-                let workers = state.queues.len();
-                let stolen = (1..workers)
-                    .map(|offset| (me + offset) % workers)
-                    .find_map(|victim| state.queues[victim].pop_back());
-                if let Some(job) = stolen {
-                    shared.steals.fetch_add(1, Ordering::Relaxed);
+                if let Some(job) = state.queue.pop_front() {
                     break Some(job);
                 }
                 if state.shutdown {
@@ -258,7 +233,7 @@ fn worker_loop<K: Send, T: Send>(
                 // errs low, towards a wake-up too many.
                 state.waking = state.waking.saturating_sub(1);
             };
-            let backlog = state.queues.iter().any(|q| !q.is_empty());
+            let backlog = !state.queue.is_empty();
             (job, backlog && state.claim_sleeper())
         };
         if wake_sibling {
@@ -306,12 +281,11 @@ mod tests {
     }
 
     #[test]
-    fn idle_workers_steal_queued_jobs() {
-        // Two workers, three jobs placed round-robin: queue 0 gets A and
-        // C, queue 1 gets B. A blocks until C runs — so the test only
-        // completes if worker 1, after finishing B, *steals* C from queue
-        // 0's back while worker 0 is still inside A. Without stealing this
-        // deadlocks (and the test harness times out).
+    fn an_idle_worker_takes_the_next_queued_job() {
+        // Two workers, three jobs. A blocks until C runs — so the test only
+        // completes if the worker that finishes B takes C while the other
+        // is still inside A. A job stuck behind A deadlocks (and the test
+        // harness times out).
         let mut pool: WorkerPool<&'static str, ()> = WorkerPool::new(2);
         let (unblock_tx, unblock_rx) = mpsc::channel::<()>();
         pool.submit("a", move || {
@@ -324,7 +298,6 @@ mod tests {
         let mut tags: Vec<&str> = (0..3).map(|_| pool.recv().tag).collect();
         tags.sort();
         assert_eq!(tags, ["a", "b", "c"]);
-        assert!(pool.steals() >= 1, "c must have been stolen");
     }
 
     #[test]

@@ -5,35 +5,37 @@
 //! single-leader timeout-only protocol on classic HTLCs (§4.6). Both share
 //! the same skeleton — contracts propagate leader-outward in Phase One,
 //! secrets propagate leader-inward in Phase Two, refunds fire on expiry —
-//! and differ only in four places, which is exactly what [`SwapProtocol`]
-//! abstracts:
+//! and differ only in four places, which is exactly what the crate-private
+//! `SwapProtocol` trait abstracts:
 //!
 //! 1. **Provisioning** — what timeout discipline governs the contracts:
 //!    path-dependent hashkey deadlines `T + (diam + |p|)·Δ` vs the
 //!    Lemma 4.13 HTLC ladder `T₀ + (diam + D(v, v̂) + 1)·Δ`
-//!    ([`SwapProtocol::contract_for`]).
-//! 2. **Step strategy** — how a party turns its per-round [`View`] into
-//!    [`Action`]s: the [`Party`] state machine with hashkey tables and
+//!    (`SwapProtocol::contract_for`).
+//! 2. **Step strategy** — how a party turns its per-round `View` into
+//!    [`Action`]s: the `Party` state machine with hashkey tables and
 //!    signature chains, vs the leader-reveals/followers-echo HTLC loop
-//!    ([`SwapProtocol::step`]).
+//!    (`SwapProtocol::step`).
 //! 3. **Contract flavor** — what actually sits on-chain: every chain hosts
 //!    [`AnyContract`], and the protocol decides which flavor it publishes
-//!    and how observers snapshot it ([`SwapProtocol::snapshot`]).
+//!    and how observers snapshot it (`SwapProtocol::snapshot`).
 //! 4. **Call translation** — how an abstract action becomes an on-chain
 //!    call with its wire size: multi-kilobyte hashkey unlocks vs 32-byte
-//!    secret reveals ([`SwapProtocol::call_of`]).
+//!    secret reveals (`SwapProtocol::call_of`).
 //!
 //! The engine ([`crate::engine::Engine`]) owns everything else — the event
 //! queue, timing models, snapshot-delta caching, metering, and report
 //! extraction — so golden fingerprints, `Lockstep`/`PerChainLatency`
 //! timing, and the storage accounting apply to both protocols for free.
-//! The `Exchange` picks the cheapest feasible protocol per cleared cycle
-//! via [`ProtocolKind::select`].
+//! Callers name a protocol with the closed [`ProtocolKind`] and hand it to
+//! [`crate::engine::Engine::new`]; the `Exchange` picks the cheapest
+//! feasible one per cleared cycle via [`ProtocolKind::select`]. The trait
+//! and its two implementations are the crate's internals.
 //!
 //! Further variants from the literature (e.g. the space/local-time-improved
 //! protocol of Imoto et al., arXiv:1905.09985, or grief-resistant designs
-//! like 4-Swap, arXiv:2508.04641) slot in as third implementations of this
-//! trait rather than third runner stacks.
+//! like 4-Swap, arXiv:2508.04641) slot in as a third `ProtocolKind` with a
+//! third implementation of the trait rather than a third runner stack.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -67,11 +69,11 @@ impl ProtocolKind {
     /// Picks the cheapest protocol the swap admits: [`ProtocolKind::Htlc`]
     /// when the swap has exactly one leader, the §4.6 timeout assignment is
     /// feasible (the follower subdigraph is acyclic — Figure 6), and every
-    /// configured behavior is one the HTLC strategy implements
-    /// ([`HtlcProtocol::supports`]); [`ProtocolKind::Hashkey`] otherwise.
+    /// configured behavior is one the HTLC strategy implements;
+    /// [`ProtocolKind::Hashkey`] otherwise.
     ///
     /// This is the one selection predicate in the workspace —
-    /// [`crate::instance::SwapInstance::from_cleared`] and the exchange's
+    /// [`crate::instance::ProvisionedSwap::new`] and the exchange's
     /// auto-policy route through it. Every cleared market *cycle* is
     /// single-leader feasible, which is why auto-selection makes HTLCs the
     /// common case.
@@ -110,10 +112,7 @@ impl fmt::Display for ProtocolKind {
 /// executes, [`snapshot`](SwapProtocol::snapshot) when a chain's state
 /// version moves, and [`call_of`](SwapProtocol::call_of) to translate the
 /// remaining on-chain actions into flavor-correct calls.
-pub trait SwapProtocol: fmt::Debug {
-    /// Which protocol this is (recorded per swap in exchange reports).
-    fn kind(&self) -> ProtocolKind;
-
+pub(crate) trait SwapProtocol: fmt::Debug {
     /// One party observes `view` at a round boundary and emits actions.
     fn step(&mut self, vertex: VertexId, view: &View<'_>) -> Vec<Action>;
 
@@ -145,8 +144,8 @@ pub trait SwapProtocol: fmt::Debug {
 /// Panics if `kind` is [`ProtocolKind::Htlc`] but the spec is not
 /// single-leader feasible, or the config holds a behavior the HTLC
 /// strategy does not implement — select with [`ProtocolKind::select`] (or
-/// let [`crate::instance::SwapInstance::from_cleared`] do it) before
-/// forcing the HTLC protocol.
+/// let [`crate::instance::ProvisionedSwap::new`] do it) before forcing the
+/// HTLC protocol.
 pub(crate) fn build_protocol(
     kind: ProtocolKind,
     setup: &SwapSetup,
@@ -164,7 +163,7 @@ pub(crate) fn build_protocol(
 
 /// The general §4.5 protocol: [`Party`] state machines over swap contracts.
 #[derive(Debug)]
-pub struct HashkeyProtocol {
+pub(crate) struct HashkeyProtocol {
     /// The one spec allocation all honestly published contracts share.
     shared_spec: Arc<SwapSpec>,
     /// Lazily built corrupted spec for `RunConfig::corrupt_arcs`.
@@ -175,7 +174,7 @@ pub struct HashkeyProtocol {
 impl HashkeyProtocol {
     /// Builds the per-party machines from the setup's key material and the
     /// config's behaviors.
-    pub fn new(setup: &SwapSetup, config: &RunConfig, spec: Arc<SwapSpec>) -> Self {
+    fn new(setup: &SwapSetup, config: &RunConfig, spec: Arc<SwapSpec>) -> Self {
         let parties: Vec<Party> = spec
             .digraph
             .vertices()
@@ -202,10 +201,6 @@ impl HashkeyProtocol {
 }
 
 impl SwapProtocol for HashkeyProtocol {
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::Hashkey
-    }
-
     fn step(&mut self, vertex: VertexId, view: &View<'_>) -> Vec<Action> {
         self.parties[vertex.index()].step(view)
     }
@@ -291,9 +286,9 @@ struct HtlcParty {
 /// The remaining deviations are not implemented by this strategy, and
 /// construction refuses them loudly rather than running them as silently
 /// conforming; [`ProtocolKind::select`] falls back to the hashkey protocol
-/// when a configured behavior is unsupported ([`HtlcProtocol::supports`]).
+/// when a configured behavior is unsupported (`HtlcProtocol::supports`).
 #[derive(Debug)]
-pub struct HtlcProtocol {
+pub(crate) struct HtlcProtocol {
     spec: Arc<SwapSpec>,
     leader: VertexId,
     secret: Secret,
@@ -315,10 +310,10 @@ impl HtlcProtocol {
     /// # Panics
     ///
     /// Panics if the config holds a behavior this strategy does not
-    /// implement (see [`HtlcProtocol::supports`]) — running an adversarial
+    /// implement (see `HtlcProtocol::supports`) — running an adversarial
     /// deviation as silently conforming would make safety sweeps pass
     /// vacuously.
-    pub fn new(
+    fn new(
         setup: &SwapSetup,
         config: &RunConfig,
         spec: Arc<SwapSpec>,
@@ -351,18 +346,13 @@ impl HtlcProtocol {
         Ok(HtlcProtocol { spec, leader, secret, hashlock, timeouts, parties })
     }
 
-    /// The assigned timeout per arc.
-    pub fn timeouts(&self) -> &[SimTime] {
-        &self.timeouts
-    }
-
     /// Whether the HTLC strategy implements `behavior`. `Conforming`,
     /// `Halt`, `NeverPublish`, and `WithholdSecret` are honored; `NoClaim`
     /// is vacuously conforming (there is no claim step). Everything else
     /// (`Scripted`, `Direct`, `PrematureReveal`, `EagerPublish`) is not
     /// implemented here — auto-selection routes such configs to the
     /// hashkey protocol instead.
-    pub fn supports(behavior: &Behavior) -> bool {
+    fn supports(behavior: &Behavior) -> bool {
         matches!(
             behavior,
             Behavior::Conforming
@@ -375,10 +365,6 @@ impl HtlcProtocol {
 }
 
 impl SwapProtocol for HtlcProtocol {
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::Htlc
-    }
-
     fn step(&mut self, vertex: VertexId, view: &View<'_>) -> Vec<Action> {
         let party = &mut self.parties[vertex.index()];
         if let Behavior::Halt { at_round } = party.behavior {
@@ -514,9 +500,8 @@ mod tests {
     use super::*;
     use crate::engine::Engine;
     use crate::event::What;
-    use crate::instance::SwapInstance;
     use crate::outcome::Outcome;
-    use crate::runner::{RunConfig, RunReport, SwapRunner};
+    use crate::runner::{RunConfig, RunReport};
     use crate::setup::{SetupConfig, SwapSetup};
     use crate::single_leader::single_leader_of;
     use crate::timing::PerChainLatency;
@@ -531,7 +516,7 @@ mod tests {
         let setup = SwapSetup::generate(digraph, &fast_config(), &mut SimRng::from_seed(seed))
             .expect("valid single-leader family");
         assert_eq!(setup.spec.leaders.len(), 1, "family must elect a single leader");
-        SwapInstance::new(0, setup, config).with_protocol(ProtocolKind::Htlc).run_lockstep()
+        Engine::lockstep(setup, config, ProtocolKind::Htlc).run()
     }
 
     #[test]
@@ -588,8 +573,7 @@ mod tests {
         .unwrap();
         let mut config = RunConfig::default();
         config.behaviors.insert(VertexId::new(0), Behavior::PrematureReveal);
-        let _ =
-            SwapInstance::new(0, setup, config).with_protocol(ProtocolKind::Htlc).run_lockstep();
+        let _ = Engine::lockstep(setup, config, ProtocolKind::Htlc).run();
     }
 
     #[test]
@@ -625,9 +609,7 @@ mod tests {
             let leader = setup.spec.leaders[0];
             let mut config = RunConfig::default();
             config.behaviors.insert(leader, Behavior::Halt { at_round: halt_round });
-            let report = SwapInstance::new(0, setup, config)
-                .with_protocol(ProtocolKind::Htlc)
-                .run_lockstep();
+            let report = Engine::lockstep(setup, config, ProtocolKind::Htlc).run();
             assert!(report.no_conforming_underwater(), "halt {halt_round}: {:?}", report.outcomes);
         }
     }
@@ -656,8 +638,7 @@ mod tests {
         let leader = setup.spec.leaders[0];
         let mut config = RunConfig::default();
         config.behaviors.insert(leader, Behavior::WithholdSecret);
-        let report =
-            SwapInstance::new(0, setup, config).with_protocol(ProtocolKind::Htlc).run_lockstep();
+        let report = Engine::lockstep(setup, config, ProtocolKind::Htlc).run();
         assert!(report.outcomes.iter().all(|&o| o == Outcome::NoDeal));
         assert!(report.settled, "all contracts should be refunded");
         assert_eq!(report.metrics.refund_calls, 3);
@@ -673,7 +654,7 @@ mod tests {
         let simple = run_htlc(d.clone(), 7, RunConfig::default());
         let setup =
             SwapSetup::generate(d, &fast_config(), &mut SimRng::from_seed(7)).expect("valid");
-        let general = SwapRunner::new(setup, RunConfig::default()).run();
+        let general = Engine::lockstep(setup, RunConfig::default(), ProtocolKind::Hashkey).run();
         assert!(general.all_deal() && simple.all_deal());
         assert!(
             simple.storage.total_bytes() < general.storage.total_bytes(),
@@ -691,9 +672,7 @@ mod tests {
         let setup = SwapSetup::generate(d, &fast_config(), &mut rng.clone()).expect("valid");
         let bound = setup.spec.start + setup.spec.worst_case_duration();
         let timing = PerChainLatency::sample(&setup, &rng);
-        let instance =
-            SwapInstance::new(0, setup, RunConfig::default()).with_protocol(ProtocolKind::Htlc);
-        let report = Engine::from_instance(instance, timing).run();
+        let report = Engine::new(setup, RunConfig::default(), ProtocolKind::Htlc, timing).run();
         assert!(report.all_deal(), "outcomes: {:?}", report.outcomes);
         assert!(report.completion.expect("all triggered") <= bound);
     }
@@ -718,8 +697,6 @@ mod tests {
             &mut SimRng::from_seed(11),
         )
         .unwrap();
-        let _ = SwapInstance::new(0, setup, RunConfig::default())
-            .with_protocol(ProtocolKind::Htlc)
-            .run_lockstep();
+        let _ = Engine::lockstep(setup, RunConfig::default(), ProtocolKind::Htlc).run();
     }
 }

@@ -19,7 +19,9 @@ use swap_digraph::Digraph;
 use swap_market::{BuildError, SpecBuilder};
 use swap_sim::{Delta, SimRng, SimTime};
 
-use crate::runner::{RunConfig, RunReport, SwapRunner};
+use crate::engine::Engine;
+use crate::protocol::ProtocolKind;
+use crate::runner::{RunConfig, RunReport};
 use crate::setup::SwapSetup;
 
 /// Errors from a recurrent session.
@@ -165,7 +167,7 @@ impl RecurrentSession {
             self.committed_secrets.clone(),
             self.now,
         );
-        let report = SwapRunner::new(setup, RunConfig::default()).run();
+        let report = Engine::lockstep(setup, RunConfig::default(), ProtocolKind::Hashkey).run();
         if !report.all_deal() {
             return Err(RecurrentError::RoundFailed { round: self.rounds_completed });
         }

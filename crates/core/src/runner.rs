@@ -1,17 +1,18 @@
-//! The protocol runner: executes a swap on the simulated chains.
+//! What a swap run takes and gives back: [`RunConfig`] in, [`RunReport`]
+//! (with its [`RunMetrics`]) out. The run itself is
+//! [`crate::engine::Engine`], the discrete-event engine built on
+//! [`swap_sim::Simulation`].
 //!
 //! # Timing model
 //!
-//! Since the event-driven refactor the runner is a thin facade over
-//! [`crate::engine::Engine`], the discrete-event engine built on
-//! [`swap_sim::Simulation`]. Protocol activity — round boundaries, party
+//! Protocol activity — round boundaries, party
 //! wake-ups, transaction execution, visibility boundaries, round
 //! bookkeeping — is a stream of events popped in deterministic
 //! `(time, seq)` order, and *when* those events land is decided by a
 //! pluggable [`crate::timing::TimingModel`]:
 //!
-//! * [`crate::timing::Lockstep`] (what [`SwapRunner`] uses) is the paper's
-//!   model. Rounds are Δ apart; round 0 happens at `T₀ = spec.start − Δ`,
+//! * [`crate::timing::Lockstep`] (what [`crate::engine::Engine::lockstep`]
+//!   uses) is the paper's model. Rounds are Δ apart; round 0 happens at `T₀ = spec.start − Δ`,
 //!   the instant the clearing service's output reaches the parties (§4.2
 //!   requires the start `T` to be at least Δ later, and that slack is
 //!   exactly what makes the hashkey deadlines satisfiable — see
@@ -43,12 +44,9 @@ use swap_chain::StorageReport;
 use swap_digraph::{ArcId, VertexId};
 use swap_sim::SimTime;
 
-use crate::engine::Engine;
 use crate::event::Trace;
 use crate::outcome::Outcome;
 use crate::party::Behavior;
-use crate::setup::SwapSetup;
-use crate::timing::Lockstep;
 
 /// Per-run configuration: who deviates and for how long the runner waits.
 #[derive(Debug, Clone, Default)]
@@ -135,40 +133,12 @@ impl RunReport {
     }
 }
 
-/// Executes one swap instance under the paper's lockstep Δ-round timing.
-///
-/// This is the [`Engine`] specialized to [`Lockstep`]; use
-/// [`Engine::new`] directly to run under a different
-/// [`crate::timing::TimingModel`].
-#[derive(Debug)]
-pub struct SwapRunner {
-    engine: Engine<Lockstep>,
-}
-
-impl SwapRunner {
-    /// Builds a runner; parties take their keypairs and secrets from the
-    /// setup and their behavior from the config.
-    ///
-    /// # Panics
-    ///
-    /// Panics if Δ is smaller than 2 ticks (transactions execute at
-    /// mid-round, which needs Δ/2 ≥ 1) or if the spec starts less than Δ
-    /// after the epoch.
-    pub fn new(setup: SwapSetup, config: RunConfig) -> Self {
-        let delta = setup.spec.delta;
-        SwapRunner { engine: Engine::new(setup, config, Lockstep::new(delta)) }
-    }
-
-    /// Runs to settlement (or the round limit) and reports.
-    pub fn run(self) -> RunReport {
-        self.engine.run()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Engine;
     use crate::event::What;
+    use crate::protocol::ProtocolKind;
     use crate::setup::{SetupConfig, SwapSetup};
     use swap_digraph::generators;
     use swap_sim::SimRng;
@@ -177,7 +147,7 @@ mod tests {
         let d = generators::herlihy_three_party();
         let setup =
             SwapSetup::generate(d, &SetupConfig::default(), &mut SimRng::from_seed(7)).unwrap();
-        SwapRunner::new(setup, config).run()
+        Engine::lockstep(setup, config, ProtocolKind::Hashkey).run()
     }
 
     #[test]
@@ -217,7 +187,7 @@ mod tests {
         let diam = setup.spec.diam;
         let start = setup.spec.start;
         let delta = setup.spec.delta;
-        let report = SwapRunner::new(setup, RunConfig::default()).run();
+        let report = Engine::lockstep(setup, RunConfig::default(), ProtocolKind::Hashkey).run();
         assert!(report.all_deal(), "outcomes: {:?}", report.outcomes);
         let completion = report.completion.unwrap();
         assert!(completion <= start + delta.times(2 * diam));
@@ -231,7 +201,7 @@ mod tests {
         let leader = setup.spec.leaders[0];
         let mut config = RunConfig::default();
         config.behaviors.insert(leader, Behavior::Halt { at_round: 0 });
-        let report = SwapRunner::new(setup, config).run();
+        let report = Engine::lockstep(setup, config, ProtocolKind::Hashkey).run();
         // Leader never publishes; nothing propagates; nothing triggers.
         assert!(report.outcomes.iter().all(|&o| o == Outcome::NoDeal));
         assert!(report.no_conforming_underwater());
@@ -247,7 +217,7 @@ mod tests {
         let leader = setup.spec.leaders[0];
         let mut config = RunConfig::default();
         config.behaviors.insert(leader, Behavior::WithholdSecret);
-        let report = SwapRunner::new(setup, config).run();
+        let report = Engine::lockstep(setup, config, ProtocolKind::Hashkey).run();
         assert!(report.outcomes.iter().all(|&o| o == Outcome::NoDeal));
         assert!(report.settled, "all contracts should be refunded");
         assert_eq!(report.metrics.refund_calls, 3);
@@ -266,7 +236,7 @@ mod tests {
                     .unwrap();
             let mut config = RunConfig::default();
             config.behaviors.insert(carol, Behavior::Halt { at_round: halt_round });
-            let report = SwapRunner::new(setup, config).run();
+            let report = Engine::lockstep(setup, config, ProtocolKind::Hashkey).run();
             assert!(
                 report.no_conforming_underwater(),
                 "halt at round {halt_round}: {:?}",
@@ -284,7 +254,7 @@ mod tests {
         // Corrupt the leader's (alice's) published contract on arc a0.
         let mut config = RunConfig::default();
         config.corrupt_arcs.insert(swap_digraph::ArcId::new(0));
-        let report = SwapRunner::new(setup, config).run();
+        let report = Engine::lockstep(setup, config, ProtocolKind::Hashkey).run();
         // Bob sees the bad contract on his entering arc and abandons; the
         // swap dies with refunds; nobody conforming is underwater.
         let bob = d.vertex_by_name("bob").unwrap();
@@ -304,7 +274,7 @@ mod tests {
         let leader = setup.spec.leaders[0];
         let mut config = RunConfig::default();
         config.behaviors.insert(leader, Behavior::PrematureReveal);
-        let report = SwapRunner::new(setup, config).run();
+        let report = Engine::lockstep(setup, config, ProtocolKind::Hashkey).run();
         assert!(report.no_conforming_underwater(), "outcomes: {:?}", report.outcomes);
         for (i, &o) in report.outcomes.iter().enumerate() {
             if VertexId::new(i as u32) != leader {
@@ -322,7 +292,7 @@ mod tests {
         let bob = d.vertex_by_name("bob").unwrap();
         let mut config = RunConfig::default();
         config.behaviors.insert(bob, Behavior::NoClaim);
-        let report = SwapRunner::new(setup, config).run();
+        let report = Engine::lockstep(setup, config, ProtocolKind::Hashkey).run();
         // Bob never claims his entering arc, but it is fully unlocked, so
         // everyone still ends in Deal.
         assert!(report.all_deal(), "outcomes: {:?}", report.outcomes);
@@ -335,7 +305,7 @@ mod tests {
         let mut setup =
             SwapSetup::generate(d, &SetupConfig::default(), &mut SimRng::from_seed(15)).unwrap();
         setup.spec.broadcast_arcs = true;
-        let report = SwapRunner::new(setup, RunConfig::default()).run();
+        let report = Engine::lockstep(setup, RunConfig::default(), ProtocolKind::Hashkey).run();
         assert!(report.all_deal(), "outcomes: {:?}", report.outcomes);
         assert!(report.metrics.announce_bytes > 0, "leaders must announce");
     }
@@ -349,7 +319,7 @@ mod tests {
                     .unwrap();
             let mut config = RunConfig::default();
             config.behaviors.insert(VertexId::new(victim), Behavior::NeverPublish { arcs: None });
-            let report = SwapRunner::new(setup, config).run();
+            let report = Engine::lockstep(setup, config, ProtocolKind::Hashkey).run();
             assert!(report.no_conforming_underwater(), "deviator {victim}: {:?}", report.outcomes);
         }
     }
@@ -378,7 +348,7 @@ mod tests {
         for v in d.vertices() {
             config.behaviors.insert(v, Behavior::Direct { skip_arcs: vec![] });
         }
-        let report = SwapRunner::new(setup, config).run();
+        let report = Engine::lockstep(setup, config, ProtocolKind::Hashkey).run();
         assert_eq!(report.metrics.direct_transfers, d.arc_count() as u64);
         assert_eq!(report.metrics.contracts_published, 0);
         assert!(report.arc_triggered.iter().all(|&t| t), "all assets moved");

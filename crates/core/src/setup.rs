@@ -57,8 +57,8 @@ pub struct SwapSetup {
     /// matter to the spec).
     pub secrets: Vec<Secret>,
     /// One blockchain per arc (index = arc index). Chains host
-    /// [`AnyContract`], so the same setup runs under either protocol of the
-    /// [`crate::protocol::SwapProtocol`] axis.
+    /// [`AnyContract`], so the same setup runs under either
+    /// [`crate::protocol::ProtocolKind`].
     pub chains: ChainSet<AnyContract>,
     /// The chain hosting each arc's contract (index = arc index).
     pub chain_of_arc: Vec<ChainId>,
@@ -123,38 +123,17 @@ impl SwapSetup {
             builder.identity(v, keypairs[v.index()].public_key(), secrets[v.index()].hashlock());
         }
         let spec = builder.build()?;
-
-        // One chain and one asset per arc; the asset starts with the party
-        // (the arc's head).
-        let mut chains: ChainSet<AnyContract> = ChainSet::new();
-        let mut chain_of_arc = Vec::with_capacity(digraph.arc_count());
-        let mut asset_of_arc = Vec::with_capacity(digraph.arc_count());
-        for arc in digraph.arcs() {
-            let chain_id = chains.create_chain(
-                format!("chain-{}-{}", digraph.name(arc.head), digraph.name(arc.tail)),
-                config.now,
-            );
-            let chain = chains.get_mut(chain_id).expect("just created");
-            let descriptor =
-                AssetDescriptor::unique(format!("asset-of-{}", digraph.name(arc.head)));
-            let owner = spec.address_of(arc.head);
-            let asset = chain.mint_asset(descriptor, owner, config.now);
-            chain_of_arc.push(chain_id);
-            asset_of_arc.push(asset);
-        }
-        Ok(SwapSetup { spec, keypairs, secrets, chains, chain_of_arc, asset_of_arc })
+        Ok(SwapSetup::from_parts(spec, keypairs, secrets, config.now))
     }
 
-    /// The leader secrets in leader order (parallel to `spec.leaders`).
-    pub fn leader_secrets(&self) -> Vec<Secret> {
-        self.spec.leaders.iter().map(|l| self.secrets[l.index()]).collect()
-    }
-
-    /// Provisions chains and assets for an **explicit, possibly invalid**
-    /// spec. No validation happens: this exists so the impossibility
-    /// experiments (Lemma 3.4's free-riding coalition on a digraph that is
-    /// not strongly connected; Theorem 4.12's non-feedback leader set) can
-    /// run the protocol on specs a conforming market would reject.
+    /// Provisions one chain and one asset per arc for `spec`, created at
+    /// `now`; each asset starts with the arc's party (its head). Every
+    /// setup is made here: [`SwapSetup::generate`] after validating its
+    /// freshly built spec, the exchange when it admits a cleared swap, and
+    /// the impossibility experiments (Lemma 3.4's free-riding coalition on
+    /// a digraph that is not strongly connected; Theorem 4.12's
+    /// non-feedback leader set) on specs a conforming market would reject —
+    /// no validation happens here.
     ///
     /// `keypairs` and `secrets` must be indexed by vertex and match the
     /// spec's key and hashlock tables for the run to make sense.
@@ -164,7 +143,7 @@ impl SwapSetup {
         secrets: Vec<Secret>,
         now: SimTime,
     ) -> SwapSetup {
-        let digraph = spec.digraph.clone();
+        let digraph = &spec.digraph;
         let mut chains: ChainSet<AnyContract> = ChainSet::new();
         let mut chain_of_arc = Vec::with_capacity(digraph.arc_count());
         let mut asset_of_arc = Vec::with_capacity(digraph.arc_count());
@@ -211,7 +190,6 @@ mod tests {
         // Leader hashlock matches the leader's secret.
         let leader = setup.spec.leaders[0];
         assert!(setup.spec.hashlocks[0].matches(&setup.secrets[leader.index()]));
-        assert_eq!(setup.leader_secrets().len(), 1);
     }
 
     #[test]

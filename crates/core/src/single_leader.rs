@@ -18,8 +18,7 @@
 //! system.
 //!
 //! The protocol that *runs* on these timeouts is
-//! [`crate::protocol::HtlcProtocol`], an implementation of the
-//! [`crate::protocol::SwapProtocol`] axis executed by the shared
+//! [`crate::protocol::ProtocolKind::Htlc`], executed by the shared
 //! event-driven [`crate::engine::Engine`] — there is no separate
 //! single-leader runner.
 

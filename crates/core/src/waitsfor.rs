@@ -8,9 +8,10 @@
 //! permanent deadlock — which is exactly why the leaders must form a
 //! feedback vertex set.
 //!
-//! The runner demonstrates the deadlock dynamically (experiment E13); this
-//! module provides the static analysis: build `W` from a publication
-//! state, find who is blocked, and detect deadlocked follower cycles.
+//! The engine demonstrates the deadlock dynamically, and experiment E13
+//! checks the parties it leaves unpublished against this module's static
+//! analysis: build `W` from a publication state, find who is blocked, and
+//! detect deadlocked follower cycles.
 
 use std::collections::BTreeSet;
 

@@ -93,11 +93,6 @@ impl<E> EventQueue<E> {
         self.heap.pop()
     }
 
-    /// The timestamp of the earliest pending event, if any.
-    pub fn next_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -209,7 +204,6 @@ mod tests {
         q.schedule(SimTime::from_ticks(9), 'c');
         q.schedule(SimTime::from_ticks(1), 'a');
         q.schedule(SimTime::from_ticks(5), 'b');
-        assert_eq!(q.next_time(), Some(SimTime::from_ticks(1)));
         assert_eq!(q.len(), 3);
         assert!(!q.is_empty());
         let drained: Vec<char> = std::iter::from_fn(|| q.pop()).map(|e| e.payload).collect();

@@ -9,9 +9,10 @@
 //!
 //! Run with: `cargo run --example adversaries`
 
-use atomic_swaps::core::runner::{RunConfig, SwapRunner};
+use atomic_swaps::core::runner::RunConfig;
 use atomic_swaps::core::setup::{SetupConfig, SwapSetup};
 use atomic_swaps::core::Behavior;
+use atomic_swaps::core::{Engine, ProtocolKind};
 use atomic_swaps::digraph::{generators, VertexId};
 use atomic_swaps::sim::SimRng;
 
@@ -23,7 +24,7 @@ fn run_with(label: &str, configure: impl FnOnce(&mut RunConfig)) {
     let mut config = RunConfig::default();
     configure(&mut config);
     let deviators: Vec<VertexId> = config.behaviors.keys().copied().collect();
-    let report = SwapRunner::new(setup, config).run();
+    let report = Engine::lockstep(setup, config, ProtocolKind::Hashkey).run();
     print!("{label:<34}");
     for (i, outcome) in report.outcomes.iter().enumerate() {
         let v = VertexId::new(i as u32);

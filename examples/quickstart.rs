@@ -8,9 +8,10 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use atomic_swaps::core::runner::{RunConfig, SwapRunner};
+use atomic_swaps::core::runner::RunConfig;
 use atomic_swaps::core::setup::{SetupConfig, SwapSetup};
 use atomic_swaps::core::What;
+use atomic_swaps::core::{Engine, ProtocolKind};
 use atomic_swaps::digraph::generators;
 use atomic_swaps::sim::SimRng;
 
@@ -33,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let worst_case = setup.spec.worst_case_duration();
     let start = setup.spec.start;
 
-    let report = SwapRunner::new(setup, RunConfig::default()).run();
+    let report = Engine::lockstep(setup, RunConfig::default(), ProtocolKind::Hashkey).run();
 
     println!("\nExecution trace (compare Figures 1 and 2):");
     for event in report.trace.events() {

@@ -3,9 +3,9 @@
 //!
 //! On single-leader digraphs the protocol can drop hashkeys entirely and
 //! use classic HTLCs with the Lemma 4.13 timeout ladder — "reducing message
-//! sizes and eliminating the need for digital signatures". Since the
-//! protocol became a pluggable axis (`SwapProtocol`), both variants run on
-//! the *same* event-driven engine: this example executes each digraph
+//! sizes and eliminating the need for digital signatures". Both variants
+//! run on the *same* event-driven engine, named by a `ProtocolKind` passed
+//! to `Engine::lockstep`: this example executes each digraph
 //! family under both `ProtocolKind`s and compares bytes on-chain, message
 //! bytes, and completion times, then lets the `Exchange` pick per cleared
 //! cycle and prints its choices.
@@ -15,7 +15,7 @@
 use atomic_swaps::core::exchange::{Exchange, ExchangeConfig, ExchangeParty, ProtocolPolicy};
 use atomic_swaps::core::runner::{RunConfig, RunReport};
 use atomic_swaps::core::setup::{SetupConfig, SwapSetup};
-use atomic_swaps::core::{single_leader_of, ProtocolKind, SwapInstance};
+use atomic_swaps::core::{single_leader_of, Engine, ProtocolKind};
 use atomic_swaps::digraph::{generators, Digraph};
 use atomic_swaps::market::AssetKind;
 use atomic_swaps::sim::SimRng;
@@ -23,7 +23,7 @@ use atomic_swaps::sim::SimRng;
 fn run(digraph: Digraph, protocol: ProtocolKind) -> Result<RunReport, Box<dyn std::error::Error>> {
     let mut rng = SimRng::from_seed(11);
     let setup = SwapSetup::generate(digraph, &SetupConfig::default(), &mut rng)?;
-    Ok(SwapInstance::new(0, setup, RunConfig::default()).with_protocol(protocol).run_lockstep())
+    Ok(Engine::lockstep(setup, RunConfig::default(), protocol).run())
 }
 
 fn compare(name: &str, digraph: Digraph) -> Result<(), Box<dyn std::error::Error>> {

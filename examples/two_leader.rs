@@ -14,9 +14,10 @@
 use std::collections::BTreeSet;
 
 use atomic_swaps::core::hashkey::HashkeyTable;
-use atomic_swaps::core::runner::{RunConfig, SwapRunner};
+use atomic_swaps::core::runner::RunConfig;
 use atomic_swaps::core::setup::{SetupConfig, SwapSetup};
 use atomic_swaps::core::timeout_assignment_feasible;
+use atomic_swaps::core::{Engine, ProtocolKind};
 use atomic_swaps::digraph::{generators, VertexId};
 use atomic_swaps::pebble::LazyPebbleGame;
 use atomic_swaps::sim::SimRng;
@@ -69,7 +70,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let start = setup.spec.start;
     let bound = setup.spec.worst_case_duration();
-    let report = SwapRunner::new(setup, RunConfig::default()).run();
+    let report = Engine::lockstep(setup, RunConfig::default(), ProtocolKind::Hashkey).run();
     for (i, outcome) in report.outcomes.iter().enumerate() {
         println!("  party {i}: {outcome}");
     }

@@ -35,6 +35,13 @@ Then, for each enum in `CONFIG_ENUMS`, prints its number of variants: each
 is a value a config field can select, which the field count cannot show.
 For information only; no bound applies.
 
+Last, per crate, lists the `pub fn`s (in those lines) whose name no other
+Rust file of the repository (`USER_FILES`) mentions: candidates for
+deletion or a narrower visibility. A name is matched as a whole word, so
+a function called elsewhere under a common name (`new`, `len`) is never
+listed, and one called only by its own file or that file's unit tests is.
+For information only; no bound applies.
+
 Relies on the tree being rustfmt-formatted: a `#[cfg(test)]` module ends at
 the first `}` indented like its attribute, and a struct or enum at the first
 `}` in column 0.
@@ -51,6 +58,10 @@ PUB_ITEM = re.compile(
     r"(?:fn|struct|enum|trait|type|const|static|mod|union)\b"
 )
 PUB_USE = re.compile(r"^\s*pub\s+use\b")
+PUB_FN = re.compile(
+    r"^\s*pub\s+(?:(?:const|async|unsafe|extern\s+\"[^\"]*\")\s+)*fn\s+(\w+)"
+)
+WORD = re.compile(r"\b[A-Za-z_]\w*\b")
 PUB_FIELD = re.compile(r"^    pub\s+\w+\s*:")
 VARIANT = re.compile(r"^    [A-Z]\w*\s*[,({]")
 UNSAFE = re.compile(r"\bunsafe\b")
@@ -64,6 +75,16 @@ SCAFFOLDING = (
     ("tests", ("crates/*/tests/**/*.rs", "tests/**/*.rs")),
     ("scripts", ("scripts/**/*.py",)),
     ("workflows", (".github/workflows/*.yml",)),
+)
+USER_FILES = (
+    "crates/*/src/**/*.rs",
+    "crates/*/tests/**/*.rs",
+    "crates/*/benches/**/*.rs",
+    "src/**/*.rs",
+    "tests/**/*.rs",
+    "benches/**/*.rs",
+    "examples/**/*.rs",
+    "benchmark/src/**/*.rs",
 )
 
 
@@ -119,6 +140,24 @@ def members(lines, opener, pattern):
     return sum(1 for line in body[: body.index("}")] if pattern.match(line))
 
 
+def unnamed_pub_fns(root):
+    """Per crate, `(file, fn)` for each `pub fn` no other Rust file names."""
+    words = {}
+    for pattern in USER_FILES:
+        for path in root.glob(pattern):
+            words[path] = set(WORD.findall(path.read_text()))
+    found = {}
+    for crate in sorted((root / "crates").iterdir()):
+        for path in sorted((crate / "src").rglob("*.rs")):
+            for line in non_test_lines(path.read_text()):
+                name = PUB_FN.match(line)
+                if name and not any(
+                    name[1] in names for other, names in words.items() if other != path
+                ):
+                    found.setdefault(crate.name, []).append((path.name, name[1]))
+    return found
+
+
 def main():
     root = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).resolve().parent.parent)
     rows, everything, stray, singled_out = [], [], [], None
@@ -160,6 +199,13 @@ def main():
     for enum in CONFIG_ENUMS:
         variants = members(everything, f"pub enum {enum} {{", VARIANT)
         print(f"{enum:<16} {'absent' if variants is None else variants:>10}")
+    print("\npub fns no other file names")
+    unnamed = unnamed_pub_fns(root)
+    for crate, fns in unnamed.items():
+        for file, name in fns:
+            print(f"{crate:<10} {file}: {name}")
+    if not unnamed:
+        print("(none)")
     for path, found in stray:
         print(f"error: {found} `unsafe` in {path}; only {UNSAFE_HOME} may hold any", file=sys.stderr)
     if stray:

@@ -23,7 +23,8 @@
 //! # Quick start
 //!
 //! ```
-//! use atomic_swaps::core::runner::{RunConfig, SwapRunner};
+//! use atomic_swaps::core::runner::RunConfig;
+//! use atomic_swaps::core::{Engine, ProtocolKind};
 //! use atomic_swaps::core::setup::{SetupConfig, SwapSetup};
 //! use atomic_swaps::digraph::generators;
 //! use atomic_swaps::sim::SimRng;
@@ -36,7 +37,7 @@
 //!     &SetupConfig::default(),
 //!     &mut SimRng::from_seed(2018),
 //! )?;
-//! let report = SwapRunner::new(setup, RunConfig::default()).run();
+//! let report = Engine::lockstep(setup, RunConfig::default(), ProtocolKind::Hashkey).run();
 //! assert!(report.all_deal());
 //! # Ok::<(), atomic_swaps::core::setup::SetupError>(())
 //! ```

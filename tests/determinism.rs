@@ -10,10 +10,10 @@
 //! model really moves the timeline is checked there, in
 //! `per_chain_latency_differs_from_lockstep_but_agrees_on_outcomes`.
 
-use atomic_swaps::core::runner::{RunConfig, RunReport, SwapRunner};
+use atomic_swaps::core::runner::{RunConfig, RunReport};
 use atomic_swaps::core::setup::{SetupConfig, SwapSetup};
 use atomic_swaps::core::timing::PerChainLatency;
-use atomic_swaps::core::{Behavior, Engine};
+use atomic_swaps::core::{Behavior, Engine, ProtocolKind};
 use atomic_swaps::digraph::{generators, Digraph, VertexId};
 use atomic_swaps::sim::SimRng;
 
@@ -24,7 +24,7 @@ fn fast_config() -> SetupConfig {
 fn run_once(digraph: Digraph, seed: u64, config: &RunConfig) -> RunReport {
     let setup = SwapSetup::generate(digraph, &fast_config(), &mut SimRng::from_seed(seed))
         .expect("strongly connected digraphs are valid swaps");
-    SwapRunner::new(setup, config.clone()).run()
+    Engine::lockstep(setup, config.clone(), ProtocolKind::Hashkey).run()
 }
 
 /// Renders every field of the report; two reports are "byte-identical"
@@ -72,7 +72,7 @@ fn run_once_per_chain_latency(digraph: Digraph, seed: u64, config: &RunConfig) -
     let setup = SwapSetup::generate(digraph, &fast_config(), &mut rng.clone())
         .expect("strongly connected digraphs are valid swaps");
     let timing = PerChainLatency::sample(&setup, &rng);
-    Engine::new(setup, config.clone(), timing).run()
+    Engine::new(setup, config.clone(), ProtocolKind::Hashkey, timing).run()
 }
 
 fn assert_per_chain_latency_deterministic(

@@ -16,9 +16,9 @@
 //! part of the fingerprint; the seed combos assert it zero and the
 //! coalition golden reads it off the trace.)
 
-use atomic_swaps::core::runner::{RunConfig, RunReport, SwapRunner};
+use atomic_swaps::core::runner::{RunConfig, RunReport};
 use atomic_swaps::core::setup::{SetupConfig, SwapSetup};
-use atomic_swaps::core::{Action, Behavior, ProtocolKind, SwapInstance, What};
+use atomic_swaps::core::{Action, Behavior, Engine, ProtocolKind, What};
 use atomic_swaps::crypto::SigChain;
 use atomic_swaps::digraph::{generators, Digraph, VertexId, VertexPath};
 use atomic_swaps::sim::SimRng;
@@ -135,7 +135,7 @@ fn combos() -> Vec<(&'static str, Digraph, u64, RunConfig, &'static str)> {
 fn run_combo(digraph: Digraph, seed: u64, config: RunConfig) -> RunReport {
     let setup = SwapSetup::generate(digraph, &fast_config(), &mut SimRng::from_seed(seed))
         .expect("strongly connected digraphs are valid swaps");
-    SwapRunner::new(setup, config).run()
+    Engine::lockstep(setup, config, ProtocolKind::Hashkey).run()
 }
 
 #[test]
@@ -184,7 +184,7 @@ fn scenarios_once_pinned_by_mode_comparisons_match_their_goldens() {
     for (name, digraph, seed, config, protocol, golden) in cases {
         let setup = SwapSetup::generate(digraph, &fast_config(), &mut SimRng::from_seed(seed))
             .expect("strongly connected digraphs are valid swaps");
-        let report = SwapInstance::new(0, setup, config).with_protocol(protocol).run_lockstep();
+        let report = Engine::lockstep(setup, config, protocol).run();
         assert_matches_golden(name, &report, golden);
         assert!(report.no_conforming_underwater(), "scenario `{name}`");
     }
@@ -256,7 +256,7 @@ fn rejections_direct_transfers_and_announcements_match_their_goldens() {
         ),
     ];
     for (name, (setup, run), golden) in cases {
-        let report = SwapRunner::new(setup, run).run();
+        let report = Engine::lockstep(setup, run, ProtocolKind::Hashkey).run();
         assert_matches_golden(name, &report, golden);
         // The fingerprint predates this counter; the trace holds it.
         let events = report.trace.events().iter();

@@ -23,9 +23,8 @@
 use atomic_swaps::core::exchange::{
     Exchange, ExchangeConfig, ExchangeParty, ProtocolPolicy, StepEvent,
 };
-use atomic_swaps::core::instance::SwapInstance;
 use atomic_swaps::core::runner::RunConfig;
-use atomic_swaps::core::{Engine, Lockstep, ProtocolKind};
+use atomic_swaps::core::{Engine, ProtocolKind, SwapSetup};
 use atomic_swaps::market::{AssetKind, ClearingService, OfferStatus};
 use atomic_swaps::sim::{Delta, SimRng, SimTime};
 
@@ -73,14 +72,9 @@ fn single_cleared_swap_via_exchange_equals_engine_direct() {
         cleared.offer_of_vertex.iter().map(|o| parties[o.raw() as usize].keypair.clone()).collect();
     let secrets =
         cleared.offer_of_vertex.iter().map(|o| parties[o.raw() as usize].secret).collect();
-    let instance = SwapInstance::from_cleared(
-        &cleared,
-        keypairs,
-        secrets,
-        SimTime::ZERO,
-        RunConfig::default(),
-    );
-    let direct = Engine::from_instance(instance, Lockstep::new(delta)).run();
+    let protocol = ProtocolKind::select(&cleared.spec, &RunConfig::default());
+    let setup = SwapSetup::from_parts(cleared.spec, keypairs, secrets, SimTime::ZERO);
+    let direct = Engine::lockstep(setup, RunConfig::default(), protocol).run();
 
     // Byte-identical reports: outcomes, trigger times, traces, metrics,
     // storage — everything.

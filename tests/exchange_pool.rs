@@ -2,8 +2,8 @@
 //!
 //! 1. **Determinism** — `ExchangeReport` is byte-invariant (via `Debug`)
 //!    across 1/2/8/16 pool workers, on a skewed multi-wave book whose
-//!    mixed cycle lengths force uneven per-swap costs (and therefore work
-//!    stealing), under both protocol policies. Host workers change
+//!    mixed cycle lengths force uneven per-swap costs (so workers finish
+//!    out of order), under both protocol policies. Host workers change
 //!    wall-clock only; the simulated trace — wall ticks, stage
 //!    attribution, occupancy, per-swap reports — is identical. The bytes
 //!    are also held to a fingerprint recorded before admission and
@@ -103,7 +103,7 @@ fn drive_waves(config: ExchangeConfig, waves: &[Vec<ExchangeParty>]) -> (Exchang
 }
 
 /// Three waves of mixed cycle lengths: per-swap runs differ by several Δ
-/// rounds, so worker queues are skewed and idle workers must steal.
+/// rounds, so the load is skewed and workers finish out of order.
 fn skewed_waves(seed: u64) -> Vec<Vec<ExchangeParty>> {
     let mut rng = SimRng::from_seed(seed);
     vec![

@@ -1,8 +1,9 @@
 //! End-to-end: offers in, atomic settlement out — the cleared spec itself
 //! (with the parties' real keys and hashlocks) drives the protocol.
 
-use atomic_swaps::core::runner::{RunConfig, SwapRunner};
+use atomic_swaps::core::runner::RunConfig;
 use atomic_swaps::core::setup::SwapSetup;
+use atomic_swaps::core::{Engine, ProtocolKind};
 use atomic_swaps::crypto::{MssKeypair, Secret};
 use atomic_swaps::market::{verify_cleared_swap, AssetKind, ClearingService, Offer};
 use atomic_swaps::sim::{Delta, SimRng, SimTime};
@@ -66,7 +67,7 @@ fn offers_to_settlement_with_cleared_spec() {
     let secrets: Vec<Secret> =
         cleared.offer_of_vertex.iter().map(|oid| parties[oid.raw() as usize].secret).collect();
     let setup = SwapSetup::from_parts(cleared.spec.clone(), keypairs, secrets, SimTime::ZERO);
-    let report = SwapRunner::new(setup, RunConfig::default()).run();
+    let report = Engine::lockstep(setup, RunConfig::default(), ProtocolKind::Hashkey).run();
     assert!(report.all_deal(), "outcomes: {:?}", report.outcomes);
     assert!(report.settled);
     // |A|·|L| hashkey unlocks, one secret around the 4-cycle.
@@ -130,7 +131,7 @@ fn epoch_clearing_is_deterministic_and_consumes_the_book() {
             &mut SimRng::from_seed(900 + i as u64),
         )
         .expect("valid");
-        let report = SwapRunner::new(setup, RunConfig::default()).run();
+        let report = Engine::lockstep(setup, RunConfig::default(), ProtocolKind::Hashkey).run();
         assert!(report.all_deal());
     }
 }

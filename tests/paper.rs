@@ -15,13 +15,12 @@ use std::fmt::Display;
 
 use atomic_swaps::contract::SwapSpec;
 use atomic_swaps::core::hashkey::HashkeyTable;
-use atomic_swaps::core::runner::{RunConfig, RunReport, SwapRunner};
+use atomic_swaps::core::runner::{RunConfig, RunReport};
 use atomic_swaps::core::setup::{SetupConfig, SwapSetup};
 use atomic_swaps::core::single_leader::timeout_assignment_feasible;
 use atomic_swaps::core::timing::PerChainLatency;
-use atomic_swaps::core::{
-    assign_timeouts, Behavior, Engine, Lockstep, Outcome, ProtocolKind, SwapInstance, What,
-};
+use atomic_swaps::core::waitsfor::{deadlock_witness, deadlocked_vertices};
+use atomic_swaps::core::{assign_timeouts, Actor, Behavior, Engine, Outcome, ProtocolKind, What};
 use atomic_swaps::crypto::{MssKeypair, Secret};
 use atomic_swaps::digraph::{generators, Digraph, FeedbackVertexSet, VertexId};
 use atomic_swaps::pebble::{EagerPebbleGame, LazyPebbleGame};
@@ -42,7 +41,7 @@ fn setup(digraph: Digraph, seed: u64) -> SwapSetup {
 
 /// Provisions and runs one all-conforming swap over `digraph`.
 fn run_conforming(digraph: Digraph, seed: u64) -> RunReport {
-    SwapRunner::new(setup(digraph, seed), RunConfig::default()).run()
+    Engine::lockstep(setup(digraph, seed), RunConfig::default(), ProtocolKind::Hashkey).run()
 }
 
 /// The untabled checks' setup: height-4 keys and the default exact minimum
@@ -174,7 +173,8 @@ fn theorem_3_5_atomicity_under_adversaries() {
                 generators::random_strongly_connected(n, 0.3, &mut SimRng::from_seed(seed));
             let mut config = RunConfig::default();
             config.behaviors.insert(VertexId::new((seed % n as u64) as u32), make(seed));
-            let report = SwapRunner::new(setup(digraph, seed ^ 0xE3), config).run();
+            let report =
+                Engine::lockstep(setup(digraph, seed ^ 0xE3), config, ProtocolKind::Hashkey).run();
             if !report.no_conforming_underwater() {
                 violations.push(format!("{name}, seed {seed}: {:?}", report.outcomes));
             }
@@ -213,7 +213,7 @@ fn lemma_3_4_freeride_on_non_strongly_connected() {
         let v = digraph.vertex_by_name(name).unwrap();
         config.behaviors.insert(v, Behavior::Direct { skip_arcs: vec![bridge] });
     }
-    let report = SwapRunner::new(setup, config).run();
+    let report = Engine::lockstep(setup, config, ProtocolKind::Hashkey).run();
     println!("\n    party   outcome      (X = deviating coalition)");
     for v in digraph.vertices() {
         let (name, o) = (digraph.name(v), report.outcomes[v.index()]);
@@ -317,7 +317,7 @@ fn theorem_4_7_completion_bound_across_families() {
         let setup = setup(digraph, 0xE6);
         let (diam, start, bound) =
             (setup.spec.diam, setup.spec.start, setup.spec.worst_case_duration());
-        let report = SwapRunner::new(setup, RunConfig::default()).run();
+        let report = Engine::lockstep(setup, RunConfig::default(), ProtocolKind::Hashkey).run();
         let completion = report.completion.unwrap_or_else(|| panic!("{name} incomplete")) - start;
         let row_ok = report.all_deal() && completion <= bound;
         let ratio = format!("{:.2}", completion.ticks() as f64 / bound.ticks() as f64);
@@ -350,7 +350,8 @@ fn theorem_4_9_exhaustive_halt_sweep() {
             for round in 0..rounds {
                 let mut config = RunConfig::default();
                 config.behaviors.insert(VertexId::new(party), Behavior::Halt { at_round: round });
-                let report = SwapRunner::new(provisioned.clone(), config).run();
+                let report =
+                    Engine::lockstep(provisioned.clone(), config, ProtocolKind::Hashkey).run();
                 total += 1;
                 if !report.no_conforming_underwater() {
                     violations.push(format!(
@@ -393,7 +394,7 @@ fn theorem_4_9_two_deviator_combinations() {
                     let mut config = RunConfig::default();
                     config.behaviors.insert(VertexId::new(a), da.clone());
                     config.behaviors.insert(VertexId::new(b), db.clone());
-                    let report = SwapRunner::new(setup, config).run();
+                    let report = Engine::lockstep(setup, config, ProtocolKind::Hashkey).run();
                     assert!(
                         report.no_conforming_underwater(),
                         "deviators {a}:{da:?} {b}:{db:?} → {:?}",
@@ -463,7 +464,7 @@ fn communication_is_arcs_times_leaders() {
         let arcs = digraph.arc_count() as u64;
         let setup = setup(digraph, 0xE9);
         let leaders = setup.spec.leaders.len() as u64;
-        let report = SwapRunner::new(setup, RunConfig::default()).run();
+        let report = Engine::lockstep(setup, RunConfig::default(), ProtocolKind::Hashkey).run();
         let metrics = &report.metrics;
         let cols: [&dyn Display; 6] = [
             &name,
@@ -498,9 +499,8 @@ fn figure_6_timeout_feasibility() {
         assign_timeouts(&tri, alice, SimTime::ZERO, Delta::from_ticks(10)).expect("single leader");
     let ladder: Vec<u64> = timeouts.iter().map(|t| t.ticks() / 10).collect();
     println!("    Lemma 4.13 ladder on C₃ (in Δ): {ladder:?}  (paper: [6, 5, 4])");
-    let report = SwapInstance::new(0, setup(tri, 0xE10), RunConfig::default())
-        .with_protocol(ProtocolKind::Htlc)
-        .run_lockstep();
+    let report =
+        Engine::lockstep(setup(tri, 0xE10), RunConfig::default(), ProtocolKind::Htlc).run();
     println!("    §4.6 protocol outcome: all Deal = {}", report.all_deal());
     assert!(feasible_single);
     assert!(!feasible_two);
@@ -577,7 +577,7 @@ fn theorem_4_12_non_fvs_leaders_deadlock() {
     let rejected = setup.spec.validate().is_err();
     println!("    honest validation rejects the spec: {rejected}");
     assert!(rejected);
-    let report = SwapRunner::new(setup, RunConfig::default()).run();
+    let report = Engine::lockstep(setup, RunConfig::default(), ProtocolKind::Hashkey).run();
     let unpublished: Vec<String> = digraph
         .arcs()
         .filter(|a| !report.arc_triggered[a.id.index()])
@@ -588,9 +588,33 @@ fn theorem_4_12_non_fvs_leaders_deadlock() {
     let deadlocked = !report.arc_triggered.iter().all(|&t| t);
     let safe = report.no_conforming_underwater();
     println!("    deadlock observed: {deadlocked}; conforming safe: {safe}");
+    // The engine against the static analysis: the parties that never
+    // published are exactly the followers the waits-for digraph of the
+    // initial state (nothing published, only alice leading) deadlocks.
+    let alice: BTreeSet<VertexId> = [VertexId::new(0)].into();
+    let none_published = vec![false; digraph.arc_count()];
+    let publishers: BTreeSet<VertexId> = report
+        .trace
+        .events()
+        .iter()
+        .filter(|e| matches!(e.what, What::Published { .. }))
+        .filter_map(|e| match e.actor {
+            Actor::Party(v) => Some(v),
+            Actor::Sim => None,
+        })
+        .collect();
+    let silent: Vec<VertexId> = digraph.vertices().filter(|v| !publishers.contains(v)).collect();
+    let predicted = deadlocked_vertices(&digraph, &alice, &none_published);
+    let names = |vs: &[VertexId]| vs.iter().map(|&v| digraph.name(v)).collect::<Vec<_>>();
+    let witness = deadlock_witness(&digraph, &alice, &none_published).expect("a follower cycle");
+    println!("    never published (engine): {:?}", names(&silent));
+    println!("    deadlocked (waits-for analysis): {:?}", names(&predicted));
+    println!("    witness cycle: {:?}", names(&witness));
     // The bob↔carol 2-cycle deadlocks: each waits for the other's contract.
     let bob = VertexId::new(1);
     let carol = VertexId::new(2);
+    assert_eq!(silent, predicted);
+    assert_eq!(predicted, vec![bob, carol]);
     for arc in digraph.arcs() {
         let within_cycle =
             (arc.head == bob && arc.tail == carol) || (arc.head == carol && arc.tail == bob);
@@ -634,7 +658,7 @@ fn section_5_extensions() {
     let dead = setup.spec.all_hashkeys_dead();
     let mut config = RunConfig::default();
     config.behaviors.insert(leader, Behavior::WithholdSecret);
-    let report = SwapRunner::new(setup, config).run();
+    let report = Engine::lockstep(setup, config, ProtocolKind::Hashkey).run();
     let events = report.trace.events().iter();
     let refund_time =
         events.rev().find(|e| matches!(e.what, What::Refunded { .. })).map(|e| e.time);
@@ -659,7 +683,7 @@ fn broadcast_optimization_shortens_phase_two() {
         {
             let mut setup = setup(generators::cycle(n), 0xE14);
             setup.spec.broadcast_arcs = enabled;
-            let report = SwapRunner::new(setup, RunConfig::default()).run();
+            let report = Engine::lockstep(setup, RunConfig::default(), ProtocolKind::Hashkey).run();
             assert!(report.all_deal(), "{label} cycle({n})");
             let first = report.triggered_at.iter().flatten().min().expect("triggers");
             let last = report.completion.expect("completes");
@@ -702,8 +726,9 @@ fn per_chain_latency_differs_from_lockstep_but_agrees_on_outcomes() {
         let (start, delta, bound) =
             (setup.spec.start, setup.spec.delta, setup.spec.worst_case_duration());
         let timing = PerChainLatency::sample(&setup, &SimRng::from_seed(0xE15));
-        let lockstep = SwapRunner::new(setup.clone(), RunConfig::default()).run();
-        let latency = Engine::new(setup, RunConfig::default(), timing).run();
+        let lockstep =
+            Engine::lockstep(setup.clone(), RunConfig::default(), ProtocolKind::Hashkey).run();
+        let latency = Engine::new(setup, RunConfig::default(), ProtocolKind::Hashkey, timing).run();
         let lockstep_done = lockstep.completion.expect("conforming completes") - start;
         let latency_done = latency.completion.expect("conforming completes") - start;
         // Same protocol, different transaction instants: trigger times must
@@ -761,7 +786,7 @@ fn per_chain_latency_differs_from_lockstep_but_agrees_on_outcomes() {
         };
         let mut config = RunConfig::default();
         config.behaviors.insert(VertexId::new((seed % n) as u32), behavior);
-        let report = Engine::new(setup, config, timing).run();
+        let report = Engine::new(setup, config, ProtocolKind::Hashkey, timing).run();
         if !report.no_conforming_underwater() {
             violations.push(format!("seed {seed}: {:?}", report.outcomes));
         }
@@ -794,8 +819,7 @@ fn ledgers_remain_tamper_evident() {
         if let Some(round) = halt {
             config.behaviors.insert(VertexId::new(1), Behavior::Halt { at_round: round });
         }
-        let delta = setup.spec.delta;
-        let (report, after) = Engine::new(setup, config, Lockstep::new(delta)).run_full();
+        let (report, after) = Engine::lockstep(setup, config, ProtocolKind::Hashkey).run_full();
         assert!(report.metrics.rounds > 0, "halt {halt:?}");
         assert!(height(&after) > genesis, "halt {halt:?}: the run sealed no block");
         assert!(after.chains.verify_integrity(), "halt {halt:?}");

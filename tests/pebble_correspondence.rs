@@ -5,9 +5,10 @@
 
 use std::collections::BTreeSet;
 
-use atomic_swaps::core::runner::{RunConfig, SwapRunner};
+use atomic_swaps::core::runner::RunConfig;
 use atomic_swaps::core::setup::{SetupConfig, SwapSetup};
 use atomic_swaps::core::What;
+use atomic_swaps::core::{Engine, ProtocolKind};
 use atomic_swaps::digraph::{generators, Digraph};
 use atomic_swaps::pebble::{EagerPebbleGame, LazyPebbleGame};
 use atomic_swaps::sim::SimRng;
@@ -24,7 +25,7 @@ fn publication_rounds(digraph: Digraph, seed: u64) -> (Vec<u64>, Vec<u64>, u64) 
     let delta = setup.spec.delta.ticks();
     let t0 = setup.spec.start.ticks() - delta;
     let arc_count = setup.spec.digraph.arc_count();
-    let report = SwapRunner::new(setup, RunConfig::default()).run();
+    let report = Engine::lockstep(setup, RunConfig::default(), ProtocolKind::Hashkey).run();
     assert!(report.all_deal());
     let mut publish = vec![u64::MAX; arc_count];
     for event in report.trace.events() {

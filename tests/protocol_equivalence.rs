@@ -14,7 +14,7 @@ use proptest::prelude::*;
 use atomic_swaps::chain::Owner;
 use atomic_swaps::core::runner::{RunConfig, RunReport};
 use atomic_swaps::core::setup::{SetupConfig, SwapSetup};
-use atomic_swaps::core::{Behavior, Lockstep, Outcome, ProtocolKind, SwapInstance};
+use atomic_swaps::core::{Behavior, Engine, Outcome, ProtocolKind};
 use atomic_swaps::digraph::{generators, Digraph, VertexId};
 use atomic_swaps::sim::SimRng;
 
@@ -37,9 +37,7 @@ fn provision(digraph: Digraph, seed: u64) -> SwapSetup {
 /// Runs one protocol to completion, returning the report plus the final
 /// owner-check: whether every arc's asset ended with the arc's tail.
 fn run(setup: SwapSetup, config: RunConfig, protocol: ProtocolKind) -> (RunReport, Vec<bool>) {
-    let delta = setup.spec.delta;
-    let instance = SwapInstance::new(0, setup, config).with_protocol(protocol);
-    let (report, setup) = instance.engine(Lockstep::new(delta)).run_full();
+    let (report, setup) = Engine::lockstep(setup, config, protocol).run_full();
     let moved: Vec<bool> = setup
         .spec
         .digraph

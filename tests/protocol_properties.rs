@@ -6,9 +6,9 @@ use proptest::prelude::*;
 use std::sync::Arc;
 
 use atomic_swaps::contract::UnlockRecord;
-use atomic_swaps::core::runner::{RunConfig, RunReport, SwapRunner};
+use atomic_swaps::core::runner::{RunConfig, RunReport};
 use atomic_swaps::core::setup::{SetupConfig, SwapSetup};
-use atomic_swaps::core::{Action, Behavior, Lockstep, Outcome, ProtocolKind, SwapInstance, What};
+use atomic_swaps::core::{Action, Behavior, Engine, Outcome, ProtocolKind, What};
 use atomic_swaps::digraph::{generators, ArcId, Digraph, DigraphBuilder, VertexId, VertexPath};
 use atomic_swaps::sim::SimRng;
 
@@ -40,7 +40,7 @@ proptest! {
         ).expect("strongly connected inputs are valid swaps");
         let start = setup.spec.start;
         let bound = setup.spec.worst_case_duration();
-        let report = SwapRunner::new(setup, RunConfig::default()).run();
+        let report = Engine::lockstep(setup, RunConfig::default(), ProtocolKind::Hashkey).run();
         prop_assert!(report.all_deal(), "outcomes: {:?}", report.outcomes);
         let completion = report.completion.expect("conforming runs complete");
         prop_assert!(completion - start <= bound);
@@ -66,7 +66,7 @@ proptest! {
         ).expect("valid");
         let mut config = RunConfig::default();
         config.behaviors.insert(victim, Behavior::Halt { at_round: round });
-        let report = SwapRunner::new(setup, config).run();
+        let report = Engine::lockstep(setup, config, ProtocolKind::Hashkey).run();
         prop_assert!(
             report.no_conforming_underwater(),
             "halt {victim} at {round}: {:?}",
@@ -103,7 +103,7 @@ proptest! {
         }
         // At least one party must remain conforming for the assertion to
         // say anything; if all deviate the check is vacuous but harmless.
-        let report = SwapRunner::new(setup, config).run();
+        let report = Engine::lockstep(setup, config, ProtocolKind::Hashkey).run();
         prop_assert!(
             report.no_conforming_underwater(),
             "mask {mask:#b} kind {kind}: {:?}",
@@ -129,7 +129,7 @@ proptest! {
         ).expect("valid");
         let mut config = RunConfig::default();
         config.behaviors.insert(victim, Behavior::Halt { at_round: round });
-        let report = SwapRunner::new(setup, config).run();
+        let report = Engine::lockstep(setup, config, ProtocolKind::Hashkey).run();
         for v in digraph.vertices() {
             let entering = (
                 digraph.in_arcs(v).filter(|a| report.arc_triggered[a.id.index()]).count(),
@@ -158,11 +158,7 @@ fn hashkey_setup(digraph: Digraph, leader: &str) -> SwapSetup {
 }
 
 fn run_hashkey(setup: SwapSetup, config: RunConfig) -> (RunReport, SwapSetup) {
-    let delta = setup.spec.delta;
-    SwapInstance::new(0, setup, config)
-        .with_protocol(ProtocolKind::Hashkey)
-        .engine(Lockstep::new(delta))
-        .run_full()
+    Engine::lockstep(setup, config, ProtocolKind::Hashkey).run_full()
 }
 
 /// The hashkey stored on `arc`'s contract for the single leader, if any.

@@ -4,9 +4,10 @@
 //! (CI executes it via `cargo run --example quickstart`); this test keeps
 //! the scenario exercised by plain `cargo test` too.
 
-use atomic_swaps::core::runner::{RunConfig, SwapRunner};
+use atomic_swaps::core::runner::RunConfig;
 use atomic_swaps::core::setup::{SetupConfig, SwapSetup};
 use atomic_swaps::core::What;
+use atomic_swaps::core::{Engine, ProtocolKind};
 use atomic_swaps::digraph::generators;
 use atomic_swaps::sim::SimRng;
 
@@ -19,7 +20,7 @@ fn quickstart_scenario_runs_to_completion() {
     let start = setup.spec.start;
     let worst_case = setup.spec.worst_case_duration();
 
-    let report = SwapRunner::new(setup, RunConfig::default()).run();
+    let report = Engine::lockstep(setup, RunConfig::default(), ProtocolKind::Hashkey).run();
 
     assert!(report.all_deal(), "every conforming run must end in Deal");
     assert!(report.settled, "every contract must reach a terminal state");
