@@ -1,7 +1,9 @@
 //! HMAC-SHA256 (RFC 2104), used for deterministic key derivation in the
 //! Winternitz/Merkle signature machinery and for seeding per-party randomness.
 
-use crate::sha256::{finish_block, Digest32, Sha256, MAX_FINAL_TAIL};
+use crate::sha256::{
+    compress_pair, digest_words, finish_block, padded_words, Digest32, Sha256, MAX_FINAL_TAIL,
+};
 
 const BLOCK: usize = 64;
 const IPAD: u8 = 0x36;
@@ -67,7 +69,7 @@ impl HmacEngine {
     }
 
     /// `HMAC(key, parts[0] || parts[1] || …)` from the captured midstates.
-    pub fn mac_parts(&self, parts: &[&[u8]]) -> Digest32 {
+    pub(crate) fn mac_parts(&self, parts: &[&[u8]]) -> Digest32 {
         let mut inner = Sha256::from_midstate(self.inner, BLOCK as u64);
         for p in parts {
             inner.update(p);
@@ -79,18 +81,57 @@ impl HmacEngine {
     /// [`derive_key`] without re-absorbing the key pads. A label of up to
     /// 47 bytes (every label in the workspace) leaves the inner message in
     /// one block with its padding, so the MAC is exactly two compressions
-    /// with no hasher state in between; longer labels take
-    /// [`mac_parts`](Self::mac_parts).
+    /// with no hasher state in between; longer labels take the streaming
+    /// hasher.
     pub fn derive(&self, label: &str, index: u64) -> Digest32 {
+        let Some((block, len)) = Self::inner_tail(label, index) else {
+            return self.mac_parts(&[label.as_bytes(), &index.to_be_bytes()]);
+        };
+        self.outer_hash(&finish_block(self.inner, block, len, (BLOCK + len) as u64))
+    }
+
+    /// [`derive`](Self::derive) at two indices at once, as the two
+    /// subkeys' digest words: both inner and then both outer compressions
+    /// go through [`compress_pair`], two MACs for about the time of one.
+    pub(crate) fn derive_pair(&self, label: &str, indices: [u64; 2]) -> [[u32; 8]; 2] {
+        let [Some((block_a, len)), Some((block_b, _))] =
+            indices.map(|index| Self::inner_tail(label, index))
+        else {
+            return indices.map(|index| digest_words(&self.derive(label, index)));
+        };
+        let total = (BLOCK + len) as u64;
+        let mut inner = [self.inner; 2];
+        compress_pair(
+            &mut inner,
+            &[padded_words(block_a, len, total), padded_words(block_b, len, total)],
+        );
+        // The outer message is the inner digest — its state words as they
+        // stand — then the marker and the bit length of key block + 32.
+        let outer_words = inner.map(|digest| {
+            let mut words = [0u32; 16];
+            words[..8].copy_from_slice(&digest);
+            words[8] = 0x8000_0000;
+            words[15] = 8 * (BLOCK + 32) as u32;
+            words
+        });
+        let mut outer = [self.outer; 2];
+        compress_pair(&mut outer, &outer_words);
+        outer
+    }
+
+    /// The inner message `label || be64(index)` at the front of an
+    /// otherwise zero block, with its length — or `None` if it does not
+    /// share one block with its padding.
+    fn inner_tail(label: &str, index: u64) -> Option<([u8; BLOCK], usize)> {
         let label = label.as_bytes();
         let len = label.len() + 8;
         if len > MAX_FINAL_TAIL {
-            return self.mac_parts(&[label, &index.to_be_bytes()]);
+            return None;
         }
         let mut block = [0u8; BLOCK];
         block[..label.len()].copy_from_slice(label);
         block[label.len()..len].copy_from_slice(&index.to_be_bytes());
-        self.outer_hash(&finish_block(self.inner, block, len, (BLOCK + len) as u64))
+        Some((block, len))
     }
 
     /// The outer hash `H((key ⊕ opad) || inner_digest)`: always one block
@@ -113,6 +154,7 @@ pub fn derive_key(key: &[u8], label: &str, index: u64) -> Digest32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sha256::state_to_digest;
 
     // RFC 4231 test vectors.
     #[test]
@@ -203,6 +245,22 @@ mod tests {
             for index in [0u64, 1, 0x0123_4567_89ab_cdef, u64::MAX] {
                 let expected = engine.mac_parts(&[label.as_bytes(), &index.to_be_bytes()]);
                 assert_eq!(engine.derive(label, index), expected, "label len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn derive_pair_equals_two_derives() {
+        // Either side of the single-block boundary (the pair kernel, and
+        // the fallback to two `derive`s), equal and unequal indices.
+        let engine = HmacEngine::new(&[0xa5u8; 32]);
+        for label in ["wots/sk", "", &"x".repeat(47), &"y".repeat(48)] {
+            for indices in [[0u64, 1], [7, 7], [u64::MAX, 0x0123_4567_89ab_cdef]] {
+                let pair = engine.derive_pair(label, indices);
+                for (words, index) in pair.iter().zip(indices) {
+                    let expected = engine.derive(label, index);
+                    assert_eq!(state_to_digest(words), expected, "{label:?} {index}");
+                }
             }
         }
     }

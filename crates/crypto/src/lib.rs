@@ -34,8 +34,9 @@
 //! ```
 
 // `deny`, not `forbid` like every other crate: exactly one private module,
-// `sha256::x86` (the SHA-NI compression kernel), carries an `#[allow]`,
-// because the instructions are reachable only through `unsafe` intrinsics.
+// `sha256::x86` (the SHA-NI compression kernels, one block and two
+// interleaved), carries an `#[allow]`, because the instructions are
+// reachable only through `unsafe` intrinsics.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

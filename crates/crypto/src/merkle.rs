@@ -18,7 +18,7 @@ pub fn leaf_hash(data: &[u8]) -> Digest32 {
 }
 
 /// Hashes two child nodes into a parent.
-pub fn node_hash(left: &Digest32, right: &Digest32) -> Digest32 {
+pub(crate) fn node_hash(left: &Digest32, right: &Digest32) -> Digest32 {
     let tag = NODE_TAG.as_bytes();
     let len = [tag.len() as u8];
     sha256_concat(&[&len, tag, left.as_bytes(), right.as_bytes()])

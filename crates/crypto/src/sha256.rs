@@ -3,15 +3,21 @@
 //! The sanctioned dependency list has no hashing crate, and the whole swap
 //! protocol rests on hashlocks, so the primitive lives here with the NIST
 //! example vectors as tests. Every hash in the workspace goes through one
-//! function, `compress_block`, which has two kernels: the x86-64 SHA
+//! of two compression entry points, each with two kernels: the x86-64 SHA
 //! extensions where the running CPU reports them (asked at run time — no
 //! Cargo feature, environment variable or config field chooses), and
 //! everywhere else the scalar rounds, unrolled with rotating register
 //! roles, which are also the reference the tests compare the first against.
-//! Fixed input shapes skip buffering: a message that shares one block with
-//! its padding (an HMAC derive, a Winternitz chain step) is finished in
-//! place by the crate-private `finish_block`, and two digests side by side
-//! get the double-compression entry point [`sha256_pair`].
+//! `compress_block` takes one block; the crate-private `compress_pair`
+//! takes two independent ones, given as native words from any two states,
+//! and on the SHA extensions interleaves their rounds so that neither
+//! waits out the other's instruction latency (its scalar fallback is two
+//! compressions in a row). Winternitz chain walks and their HMAC-derived
+//! heads run on the pair. Fixed input shapes skip buffering: a message
+//! that shares one block with its padding (an HMAC derive, a Winternitz
+//! chain step) is finished in place by the crate-private `finish_block`,
+//! and two digests side by side get the double-compression entry point
+//! [`sha256_pair`].
 
 use std::fmt;
 
@@ -143,11 +149,10 @@ macro_rules! round {
     }};
 }
 
-/// `block`'s message schedule: its sixteen big-endian words expanded into
-/// the full 64. `const` so a fixed block (the padding block of every
-/// 64-byte message) has its schedule computed at compile time.
-const fn schedule_of(block: &[u8; 64]) -> [u32; 64] {
-    let mut w = [0u32; 64];
+/// `block`'s sixteen big-endian words in native order — the form
+/// [`compress_pair`] takes a block in.
+const fn block_words(block: &[u8; 64]) -> [u32; 16] {
+    let mut w = [0u32; 16];
     let mut i = 0;
     while i < 16 {
         w[i] = u32::from_be_bytes([
@@ -158,6 +163,18 @@ const fn schedule_of(block: &[u8; 64]) -> [u32; 64] {
         ]);
         i += 1;
     }
+    w
+}
+
+/// The message schedule of a block given as its sixteen native words:
+/// expanded into the full 64.
+const fn expand(words: &[u32; 16]) -> [u32; 64] {
+    let mut w = [0u32; 64];
+    let mut i = 0;
+    while i < 16 {
+        w[i] = words[i];
+        i += 1;
+    }
     while i < 64 {
         let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
         let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
@@ -165,6 +182,12 @@ const fn schedule_of(block: &[u8; 64]) -> [u32; 64] {
         i += 1;
     }
     w
+}
+
+/// `block`'s message schedule. `const` so a fixed block (the padding block
+/// of every 64-byte message) has its schedule computed at compile time.
+const fn schedule_of(block: &[u8; 64]) -> [u32; 64] {
+    expand(&block_words(block))
 }
 
 /// The padding block every exactly-64-byte message ends with: `0x80`,
@@ -224,6 +247,27 @@ pub(crate) fn compress_block(state: &mut [u32; 8], block: &[u8; 64]) {
     compress_block_scalar(state, block);
 }
 
+/// Two independent compressions: `words[i]` (a block as its sixteen
+/// native words, see [`block_words`]) into `states[i]`. On the SHA
+/// extensions the two run interleaved, for little more than the time of
+/// one; a caller with a single block to compress passes it twice.
+#[inline]
+pub(crate) fn compress_pair(states: &mut [[u32; 8]; 2], words: &[[u32; 16]; 2]) {
+    #[cfg(target_arch = "x86_64")]
+    if x86::compress_pair(states, words) {
+        return;
+    }
+    compress_pair_scalar(states, words);
+}
+
+/// [`compress_pair`] on a CPU without SHA extensions: the two scalar
+/// compressions one after the other.
+fn compress_pair_scalar(states: &mut [[u32; 8]; 2], words: &[[u32; 16]; 2]) {
+    for (state, words) in states.iter_mut().zip(words) {
+        compress_words(state, &expand(words));
+    }
+}
+
 /// [`compress_block`] of [`PAD64_BLOCK`].
 #[inline]
 fn compress_pad64(state: &mut [u32; 8]) {
@@ -234,13 +278,24 @@ fn compress_pad64(state: &mut [u32; 8]) {
     compress_words(state, &PAD64_SCHEDULE);
 }
 
+/// A final state's digest: its eight words, big-endian.
 #[inline]
-fn state_to_digest(state: &[u32; 8]) -> Digest32 {
+pub(crate) fn state_to_digest(state: &[u32; 8]) -> Digest32 {
     let mut out = [0u8; 32];
     for (i, word) in state.iter().enumerate() {
         out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
     }
     Digest32(out)
+}
+
+/// The inverse of [`state_to_digest`]: a digest's eight big-endian words,
+/// the form a chain value takes as the next block's first half.
+#[inline]
+pub(crate) fn digest_words(digest: &Digest32) -> [u32; 8] {
+    core::array::from_fn(|i| {
+        let b = &digest.0[4 * i..4 * i + 4];
+        u32::from_be_bytes([b[0], b[1], b[2], b[3]])
+    })
 }
 
 /// The longest message tail that still shares a block with its padding:
@@ -258,11 +313,26 @@ pub(crate) fn finish_block(
     tail_len: usize,
     total_len: u64,
 ) -> Digest32 {
+    pad_in_place(&mut block, tail_len, total_len);
+    compress_block(&mut state, &block);
+    state_to_digest(&state)
+}
+
+/// [`finish_block`]'s padding alone: `block` with the marker and the bit
+/// length written in, as the native words [`compress_pair`] takes.
+#[inline]
+pub(crate) fn padded_words(mut block: [u8; 64], tail_len: usize, total_len: u64) -> [u32; 16] {
+    pad_in_place(&mut block, tail_len, total_len);
+    block_words(&block)
+}
+
+/// Writes the `0x80` marker after the `tail_len`-byte tail and the bit
+/// length of a `total_len`-byte message at the end of `block`.
+#[inline]
+fn pad_in_place(block: &mut [u8; 64], tail_len: usize, total_len: u64) {
     debug_assert!(tail_len <= MAX_FINAL_TAIL && block[tail_len..].iter().all(|&b| b == 0));
     block[tail_len] = 0x80;
     block[56..].copy_from_slice(&(8 * total_len).to_be_bytes());
-    compress_block(&mut state, &block);
-    state_to_digest(&state)
 }
 
 /// `SHA-256(left || right)` for two 32-byte digests in exactly two
@@ -417,6 +487,7 @@ mod tests {
     ];
 
     type Kernel = fn(&mut [u32; 8], &[u8; 64]);
+    type PairKernel = fn(&mut [[u32; 8]; 2], &[[u32; 16]; 2]);
 
     /// The scalar kernel, and the dispatched one if it is a different
     /// kernel on this CPU. When it is not, says so where the test runner
@@ -508,6 +579,50 @@ mod tests {
             compress_block(&mut dispatched, &block);
             compress_block_scalar(&mut scalar, &block);
             proptest::prop_assert_eq!(dispatched, scalar);
+        }
+
+        /// Two compressions on the pair entry point — the dispatched one
+        /// (interleaved on SHA-NI) and the scalar fallback — each equal two
+        /// [`compress_block_scalar`] calls, lane for lane. Each lane starts
+        /// from an arbitrary state, `H0`, or the midstate after one
+        /// arbitrary block (an HMAC key pad's shape), independently.
+        #[test]
+        fn pair_kernel_equals_two_scalar_compressions(
+            random in proptest::prelude::any::<[[u32; 8]; 2]>(),
+            pads in proptest::prelude::any::<[[u8; 64]; 2]>(),
+            kinds in proptest::prelude::any::<[u8; 2]>(),
+            words in proptest::prelude::any::<[[u32; 16]; 2]>(),
+        ) {
+            static REPORT_SKIP: std::sync::Once = std::sync::Once::new();
+            REPORT_SKIP.call_once(|| drop(kernels("pair_kernel_equals_two_scalar_compressions")));
+            let states: [[u32; 8]; 2] = core::array::from_fn(|lane| match kinds[lane] % 3 {
+                0 => random[lane],
+                1 => H0,
+                _ => {
+                    let mut midstate = H0;
+                    compress_block_scalar(&mut midstate, &pads[lane]);
+                    midstate
+                }
+            });
+            // Lanes that differ in both halves: a kernel that mixed one lane's
+            // state with the other's words, or swapped the lanes, cannot pass.
+            proptest::prop_assume!(states[0] != states[1] && words[0] != words[1]);
+            let mut expected = states;
+            for (state, words) in expected.iter_mut().zip(&words) {
+                let mut block = [0u8; 64];
+                for (bytes, word) in block.chunks_exact_mut(4).zip(words) {
+                    bytes.copy_from_slice(&word.to_be_bytes());
+                }
+                proptest::prop_assert_eq!(block_words(&block), *words);
+                compress_block_scalar(state, &block);
+            }
+            let kernels: [(&str, PairKernel); 2] =
+                [("dispatched", compress_pair), ("scalar", compress_pair_scalar)];
+            for (name, kernel) in kernels {
+                let mut got = states;
+                kernel(&mut got, &words);
+                proptest::prop_assert_eq!(got, expected, "{}", name);
+            }
         }
     }
 

@@ -16,13 +16,24 @@
 //! equal values at different chains or positions never share a
 //! computation. A signature is `67 × 32 = 2 144` bytes.
 //!
+//! The steps of one chain are serial, but the 67 chains are independent:
+//! keygen, signing and verification all hand their chains to one lane
+//! scheduler, which keeps the two lanes of the crate-private
+//! `sha256::compress_pair` busy — each lane walks a chain to its end
+//! position and then takes the next unfinished one. A chain value stays
+//! as the eight state words one step leaves and the next takes as its
+//! message, and becomes a [`Digest32`] only when its chain ends. The
+//! heads are derived two at a time through the same pair kernel.
+//!
 //! A key pair must sign **at most one** message; the [`mss`](crate::mss)
 //! module lifts these one-time keys into a many-time identity.
 
 use serde::{Deserialize, Serialize};
 
 use crate::hmac::HmacEngine;
-use crate::sha256::{finish_block, Digest32, Sha256, H0};
+use crate::sha256::{
+    compress_pair, digest_words, padded_words, state_to_digest, Digest32, Sha256, H0,
+};
 
 /// Hash chains per key: 64 message digits plus 3 checksum digits.
 pub const CHAINS: usize = 67;
@@ -39,6 +50,10 @@ const STEP_TAG: &[u8] = b"swap/wots16/v1";
 /// Bytes of a chain-step message: value, chain, position, tag — one block
 /// together with its padding.
 const STEP_LEN: usize = 32 + 2 + STEP_TAG.len();
+
+/// Chain values as the state words of their last step (a head as its
+/// HMAC's): what the lane scheduler walks.
+type ChainStates = [[u32; 8]; CHAINS];
 
 /// A W-OTS one-time secret key.
 ///
@@ -90,8 +105,9 @@ impl WotsSignature {
         if self.values.len() != CHAINS {
             return None;
         }
-        let digits = digits(message);
-        Some(fold((0..CHAINS).map(|j| walk(self.values[j], j, digits[j], TOP))))
+        let mut values: ChainStates = core::array::from_fn(|j| digest_words(&self.values[j]));
+        walk_chains(&mut values, &digits(message), &[TOP; CHAINS]);
+        Some(fold(values.iter().map(state_to_digest)))
     }
 }
 
@@ -119,7 +135,9 @@ pub fn secret_key(engine: &HmacEngine, index: u64) -> WotsSecretKey {
 /// Merkle-leaf content: SHA-256 of the 67 chain tops, each head derived and
 /// walked without materializing the secret side.
 pub fn public_key(engine: &HmacEngine, index: u64) -> Digest32 {
-    fold((0..CHAINS).map(|j| walk(head(engine, index, j), j, 0, TOP)))
+    let mut values = heads(engine, index);
+    walk_chains(&mut values, &[0; CHAINS], &[TOP; CHAINS]);
+    fold(values.iter().map(state_to_digest))
 }
 
 /// Signs a 256-bit message digest, consuming the one-time key.
@@ -130,10 +148,9 @@ pub fn public_key(engine: &HmacEngine, index: u64) -> Digest32 {
 /// are derived here, on demand — signing is the first (and only) time they
 /// exist in memory.
 pub fn sign(key: WotsSecretKey, message: &Digest32) -> WotsSignature {
-    let digits = digits(message);
-    let values =
-        (0..CHAINS).map(|j| walk(head(&key.engine, key.index, j), j, 0, digits[j])).collect();
-    WotsSignature { values }
+    let mut values = heads(&key.engine, key.index);
+    walk_chains(&mut values, &[0; CHAINS], &digits(message));
+    WotsSignature { values: values.iter().map(state_to_digest).collect() }
 }
 
 /// Verifies `sig` on `message` against a compressed public key digest.
@@ -141,22 +158,67 @@ pub fn verify(sig: &WotsSignature, message: &Digest32, pk_digest: &Digest32) -> 
     sig.reconstruct_pk_digest(message) == Some(*pk_digest)
 }
 
-/// Head (position 0) of chain `j` of key `index` — derived on demand.
-fn head(engine: &HmacEngine, index: u64, j: usize) -> Digest32 {
-    engine.derive("wots/sk", index * CHAINS as u64 + j as u64)
+/// The heads (position 0) of key `index`'s chains, chain `j` being
+/// `HMAC(seed, "wots/sk" || be64(index·67 + j))` — derived on demand, two
+/// at a time. The 67th head's partner is the next key's first, dropped.
+fn heads(engine: &HmacEngine, index: u64) -> ChainStates {
+    let mut heads = [[0u32; 8]; CHAINS];
+    let first = index * CHAINS as u64;
+    for (pair, j) in heads.chunks_mut(2).zip((first..).step_by(2)) {
+        let derived = engine.derive_pair("wots/sk", [j, j + 1]);
+        pair.copy_from_slice(&derived[..pair.len()]);
+    }
+    heads
 }
 
-/// Walks chain `j` from `value` at position `from` up to position `to`.
-fn walk(mut value: Digest32, j: usize, from: u8, to: u8) -> Digest32 {
-    for position in from..to {
-        let mut block = [0u8; 64];
-        block[..32].copy_from_slice(value.as_bytes());
-        block[32] = j as u8;
-        block[33] = position;
-        block[34..STEP_LEN].copy_from_slice(STEP_TAG);
-        value = finish_block(H0, block, STEP_LEN, STEP_LEN as u64);
+/// Walks every chain `j` from `values[j]` at position `from[j]` up to
+/// position `to[j]` (a chain with `from[j] >= to[j]` stays as it is), two
+/// chains at a time: each lane steps its chain until it reaches `to`, then
+/// takes the next unstarted chain in index order. Between steps a lane's
+/// chain value lives in the first half of its next step's block. Once
+/// fewer than two chains are left, a lane idles for the rest of the walk.
+fn walk_chains(values: &mut ChainStates, from: &[u8; CHAINS], to: &[u8; CHAINS]) {
+    // A step's padded block with the value (words 0..8), the chain and the
+    // position (the top half of word 8) still zero.
+    let mut template = [0u8; 64];
+    template[34..STEP_LEN].copy_from_slice(STEP_TAG);
+    let template = padded_words(template, STEP_LEN, STEP_LEN as u64);
+    let mut unstarted = (0..CHAINS).filter(|&j| from[j] < to[j]);
+    // Per lane, its chain and the steps the chain has left; and the block
+    // of the lane's next step.
+    let mut lanes: [Option<(usize, u8)>; 2] = [None; 2];
+    let mut words = [[0u32; 16]; 2];
+    loop {
+        for (lane, words) in lanes.iter_mut().zip(&mut words) {
+            if lane.is_none() {
+                if let Some(j) = unstarted.next() {
+                    *lane = Some((j, to[j] - from[j]));
+                    *words = template;
+                    words[..8].copy_from_slice(&values[j]);
+                    words[8] |= u32::from_be_bytes([j as u8, from[j], 0, 0]);
+                }
+            }
+        }
+        if lanes == [None, None] {
+            return;
+        }
+        // An idle lane still computes (its last block again, or zeros);
+        // the result is dropped.
+        let mut states = [H0; 2];
+        compress_pair(&mut states, &words);
+        for ((lane, words), state) in lanes.iter_mut().zip(&mut words).zip(states) {
+            let Some((j, left)) = lane else { continue };
+            *left -= 1;
+            if *left == 0 {
+                values[*j] = state;
+                *lane = None;
+            } else {
+                // The next position of the same chain.
+                words[..8].copy_from_slice(&state);
+                words[8] += 1 << 16;
+            }
+        }
     }
-    value
 }
 
 /// SHA-256 of chain values laid end to end — the public-key fold (over the
@@ -188,7 +250,22 @@ fn digits(message: &Digest32) -> [u8; CHAINS] {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sha256::sha256;
+    use crate::sha256::{finish_block, sha256};
+
+    /// The reference the lane scheduler is held to: chain `j` walked alone
+    /// from `value` at position `from` up to position `to`, one byte block
+    /// and one single-block compression a step.
+    fn walk(mut value: Digest32, j: usize, from: u8, to: u8) -> Digest32 {
+        for position in from..to {
+            let mut block = [0u8; 64];
+            block[..32].copy_from_slice(value.as_bytes());
+            block[32] = j as u8;
+            block[33] = position;
+            block[34..STEP_LEN].copy_from_slice(STEP_TAG);
+            value = finish_block(H0, block, STEP_LEN, STEP_LEN as u64);
+        }
+        value
+    }
 
     fn msg(text: &[u8]) -> Digest32 {
         sha256(text)
@@ -326,6 +403,105 @@ mod tests {
             proptest::prop_assert!(verify(&sig, &m, &pk));
             proptest::prop_assert!(!verify(&forged, &other, &pk));
             proptest::prop_assert!(!verify(&sig, &other, &pk));
+        }
+    }
+
+    /// One `(from, to)` shape per case the lane scheduler must get right,
+    /// built from random nibbles: chain `j` is live when `from[j] < to[j]`.
+    fn scheduler_shapes(
+        lo: &[u8; CHAINS],
+        hi: &[u8; CHAINS],
+        live: &[bool; CHAINS],
+        pick: usize,
+    ) -> Vec<(&'static str, [u8; CHAINS], [u8; CHAINS])> {
+        let nibble = |x: u8| x & TOP;
+        let from_lo = lo.map(nibble);
+        // A live chain from `lo` (below the top) up at least one step.
+        let up = |j: usize| {
+            let from = lo[j] % TOP;
+            (from, from + 1 + hi[j] % (TOP - from))
+        };
+        let random = (
+            "random",
+            core::array::from_fn(|j| nibble(lo[j]).min(nibble(hi[j]))),
+            core::array::from_fn(|j| nibble(lo[j]).max(nibble(hi[j]))),
+        );
+        let one = pick % CHAINS;
+        let mut one_live = ("exactly one live chain", from_lo, from_lo);
+        (one_live.1[one], one_live.2[one]) = up(one);
+        let mut odd_live = *live;
+        if odd_live.iter().filter(|&&l| l).count() % 2 == 0 {
+            odd_live[one] = !odd_live[one];
+        }
+        let mut odd = ("an odd number of live chains", from_lo, from_lo);
+        for j in (0..CHAINS).filter(|&j| odd_live[j]) {
+            (odd.1[j], odd.2[j]) = up(j);
+        }
+        // Every chain `len` steps long: the two lanes always finish on the
+        // same step and refill together.
+        let len = 1 + hi[0] % TOP;
+        let together = lo.map(|x| x % (TOP + 1 - len));
+        vec![
+            random,
+            ("every chain empty", from_lo, from_lo),
+            one_live,
+            odd,
+            ("both lanes finish together", together, together.map(|x| x + len)),
+            ("sign, all-0 digits", [0; CHAINS], [0; CHAINS]),
+            ("verify, all-0 digits", [0; CHAINS], [TOP; CHAINS]),
+            ("sign, all-15 digits", [0; CHAINS], [TOP; CHAINS]),
+            ("verify, all-15 digits", [TOP; CHAINS], [TOP; CHAINS]),
+        ]
+    }
+
+    proptest::proptest! {
+        /// The lane scheduler walks every chain exactly as `walk` does one
+        /// chain at a time, whatever mix of chain lengths the lanes are
+        /// refilled from.
+        #[test]
+        fn lane_scheduler_equals_walking_one_chain_at_a_time(
+            seed in proptest::prelude::any::<[u8; 32]>(),
+            lo in proptest::prelude::any::<[u8; CHAINS]>(),
+            hi in proptest::prelude::any::<[u8; CHAINS]>(),
+            live in proptest::prelude::any::<[bool; CHAINS]>(),
+            pick in proptest::prelude::any::<usize>(),
+        ) {
+            let start = heads(&HmacEngine::new(&seed), 0);
+            for (shape, from, to) in scheduler_shapes(&lo, &hi, &live, pick) {
+                let mut values = start;
+                walk_chains(&mut values, &from, &to);
+                for j in 0..CHAINS {
+                    let expected = walk(state_to_digest(&start[j]), j, from[j], to[j]);
+                    proptest::prop_assert_eq!(
+                        state_to_digest(&values[j]), expected, "{}, chain {}", shape, j
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn scheduler_shapes_are_what_they_say() {
+        let (lo, hi) = (core::array::from_fn(|j| (j * 37) as u8), [200; CHAINS]);
+        let live_chains = |from: &[u8; CHAINS], to: &[u8; CHAINS]| {
+            (0..CHAINS).filter(|&j| from[j] < to[j]).count()
+        };
+        for pick in [0, 66, 1000] {
+            for live in [[false; CHAINS], [true; CHAINS]] {
+                let shapes = scheduler_shapes(&lo, &hi, &live, pick);
+                let count = |name: &str| {
+                    let (_, from, to) = shapes.iter().find(|(shape, ..)| *shape == name).unwrap();
+                    assert!((0..CHAINS).all(|j| from[j] <= to[j] && to[j] <= TOP), "{name}");
+                    live_chains(from, to)
+                };
+                assert_eq!(count("every chain empty"), 0);
+                assert_eq!(count("exactly one live chain"), 1);
+                assert_eq!(count("an odd number of live chains") % 2, 1);
+                assert_eq!(count("both lanes finish together"), CHAINS);
+                assert_eq!(count("sign, all-0 digits"), 0);
+                assert_eq!(count("verify, all-15 digits"), 0);
+                assert_eq!(count("verify, all-0 digits"), CHAINS);
+            }
         }
     }
 
