@@ -56,7 +56,9 @@ fn bench_wots(c: &mut Criterion) {
 fn bench_mss(c: &mut Criterion) {
     let mut group = c.benchmark_group("mss");
     group.sample_size(10);
-    for height in [2u32, 4, 6] {
+    // Height 5 is what `benchmark/` mints per identity: two full groups of
+    // sixteen keys for the batched keygen, every kernel call sixteen lanes.
+    for height in [2u32, 4, 5, 6] {
         group.bench_with_input(BenchmarkId::new("keygen", height), &height, |b, &h| {
             b.iter(|| MssKeypair::from_seed_with_height([1u8; 32], h))
         });

@@ -1288,10 +1288,10 @@ impl Exchange {
                 }
                 let entry = self.entry_time(i);
                 if matches!(epoch.work, EpochWork::Queued { .. }) {
-                    if unresolved.map_or(true, |(_, t)| entry < t) {
+                    if unresolved.is_none_or(|(_, t)| entry < t) {
                         unresolved = Some((i, entry));
                     }
-                } else if best.map_or(true, |(_, t)| entry < t) {
+                } else if best.is_none_or(|(_, t)| entry < t) {
                     best = Some((i, entry));
                 }
             }
@@ -2094,7 +2094,7 @@ impl Exchange {
         // rotate, so the log can start with them); replay starts after
         // them.
         let tail: Vec<&swap_store::Framed> =
-            scan.frames.iter().filter(|f| snapshot_seq.map_or(true, |s| f.seq > s)).collect();
+            scan.frames.iter().filter(|f| snapshot_seq.is_none_or(|s| f.seq > s)).collect();
         exchange.journal = Some(Journal::new(JournalSink::Capture(Vec::new()), &journal));
         let mut stats = RecoveryStats {
             snapshot_seq,

@@ -2,7 +2,8 @@
 //! Winternitz/Merkle signature machinery and for seeding per-party randomness.
 
 use crate::sha256::{
-    compress_pair, digest_words, finish_block, padded_words, Digest32, Sha256, MAX_FINAL_TAIL,
+    compress_pair, compress_x16, digest_words, finish_block, padded_words, Digest32, Sha256,
+    MAX_FINAL_TAIL,
 };
 
 const BLOCK: usize = 64;
@@ -116,6 +117,39 @@ impl HmacEngine {
         });
         let mut outer = [self.outer; 2];
         compress_pair(&mut outer, &outer_words);
+        outer
+    }
+
+    /// [`derive`](Self::derive) at the sixteen indices `first..first + 16`,
+    /// as the subkeys' digest words in [`compress_x16`]'s word-major layout
+    /// (lane `i` is index `first + i`): the sixteen inner compressions from
+    /// the captured ipad midstate in one [`compress_x16`] call, then the
+    /// sixteen outer ones in another.
+    pub(crate) fn derive_x16(&self, label: &str, first: u64) -> [[u32; 16]; 8] {
+        let mut inner_words = [[0u32; 16]; 16];
+        for lane in 0..16 {
+            let index = first + lane as u64;
+            let Some((block, len)) = Self::inner_tail(label, index) else {
+                let derived: [_; 16] = core::array::from_fn(|lane| {
+                    digest_words(&self.derive(label, first + lane as u64))
+                });
+                return core::array::from_fn(|k| derived.map(|words| words[k]));
+            };
+            let words = padded_words(block, len, (BLOCK + len) as u64);
+            for (inner_word, word) in inner_words.iter_mut().zip(words) {
+                inner_word[lane] = word;
+            }
+        }
+        let mut inner = self.inner.map(|word| [word; 16]);
+        compress_x16(&mut inner, &inner_words);
+        // As in `derive_pair`: the inner digests' state words, then the
+        // marker and the bit length, the same in every lane.
+        let mut outer_words = [[0u32; 16]; 16];
+        outer_words[..8].copy_from_slice(&inner);
+        outer_words[8] = [0x8000_0000; 16];
+        outer_words[15] = [8 * (BLOCK + 32) as u32; 16];
+        let mut outer = self.outer.map(|word| [word; 16]);
+        compress_x16(&mut outer, &outer_words);
         outer
     }
 
@@ -260,6 +294,24 @@ mod tests {
                 for (words, index) in pair.iter().zip(indices) {
                     let expected = engine.derive(label, index);
                     assert_eq!(state_to_digest(words), expected, "{label:?} {index}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn derive_x16_equals_sixteen_derives() {
+        // As `derive_pair_equals_two_derives`: both sides of the
+        // single-block boundary, and indices whose big-endian bytes carry
+        // across every word of the inner block.
+        let engine = HmacEngine::new(&[0x3cu8; 32]);
+        for label in ["wots/sk", "", &"x".repeat(47), &"y".repeat(48)] {
+            for first in [0u64, 0xff_fff8, 0x0123_4567_89ab_cdef, u64::MAX - 15] {
+                let x16 = engine.derive_x16(label, first);
+                for (lane, index) in (first..=first + 15).enumerate() {
+                    let words: [u32; 8] = core::array::from_fn(|k| x16[k][lane]);
+                    let expected = engine.derive(label, index);
+                    assert_eq!(state_to_digest(&words), expected, "{label:?} {index}");
                 }
             }
         }

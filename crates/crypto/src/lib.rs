@@ -34,9 +34,10 @@
 //! ```
 
 // `deny`, not `forbid` like every other crate: exactly one private module,
-// `sha256::x86` (the SHA-NI compression kernels, one block and two
-// interleaved), carries an `#[allow]`, because the instructions are
-// reachable only through `unsafe` intrinsics.
+// `sha256::x86` (the compression kernels on x86-64 vector extensions: one
+// block and two interleaved on SHA-NI, sixteen at once on AVX-512F),
+// carries an `#[allow]`, because the instructions are reachable only
+// through `unsafe` intrinsics.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -147,7 +147,11 @@ impl MerkleProof {
         let mut acc = *leaf;
         let mut i = self.index;
         for sibling in &self.siblings {
-            acc = if i % 2 == 0 { node_hash(&acc, sibling) } else { node_hash(sibling, &acc) };
+            acc = if i.is_multiple_of(2) {
+                node_hash(&acc, sibling)
+            } else {
+                node_hash(sibling, &acc)
+            };
             i /= 2;
         }
         acc == *root

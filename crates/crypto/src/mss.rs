@@ -8,6 +8,13 @@
 //! `sig(x, v)` primitive of the paper (§2.2) — hash-based end to end,
 //! matching the hashlock trust assumptions.
 //!
+//! Minting an identity is the one cost paid for all `2^h` leaves at once,
+//! so [`MssKeypair::from_seed_with_height`] asks the one-time scheme for
+//! the whole range of leaf keys in one call: the crate-private
+//! `wots::public_keys` walks their `67 · 2^h` chains sixteen at a time and
+//! folds the keys sixteen at a time, on the crate-private
+//! `sha256::compress_x16` kernel. Signing derives one leaf's key on demand.
+//!
 //! # The per-signature proof memo
 //!
 //! A hashkey's links travel along a path and every contract on it checks
@@ -149,7 +156,8 @@ impl MssKeypair {
         Self::from_seed_with_height(seed, DEFAULT_HEIGHT)
     }
 
-    /// Derives a key pair with `2^height` one-time keys.
+    /// Derives a key pair with `2^height` one-time keys, minted in one
+    /// batched call (see the [module docs](self)).
     ///
     /// # Panics
     ///
@@ -160,8 +168,10 @@ impl MssKeypair {
         assert!(height <= MAX_HEIGHT, "MSS height {height} too large");
         let leaf_count = 1u64 << height;
         let engine = HmacEngine::new(&seed);
-        let leaves: Vec<Digest32> =
-            (0..leaf_count).map(|i| leaf_hash(wots::public_key(&engine, i).as_bytes())).collect();
+        let leaves: Vec<Digest32> = wots::public_keys(&engine, 0, leaf_count)
+            .iter()
+            .map(|key| leaf_hash(key.as_bytes()))
+            .collect();
         let tree = Arc::new(MerkleTree::from_leaves(leaves).expect("leaf_count >= 1"));
         MssKeypair { seed, engine, tree, next_leaf: 0, limit: leaf_count, height }
     }

@@ -3,21 +3,24 @@
 //! The sanctioned dependency list has no hashing crate, and the whole swap
 //! protocol rests on hashlocks, so the primitive lives here with the NIST
 //! example vectors as tests. Every hash in the workspace goes through one
-//! of two compression entry points, each with two kernels: the x86-64 SHA
-//! extensions where the running CPU reports them (asked at run time — no
-//! Cargo feature, environment variable or config field chooses), and
-//! everywhere else the scalar rounds, unrolled with rotating register
-//! roles, which are also the reference the tests compare the first against.
-//! `compress_block` takes one block; the crate-private `compress_pair`
-//! takes two independent ones, given as native words from any two states,
-//! and on the SHA extensions interleaves their rounds so that neither
-//! waits out the other's instruction latency (its scalar fallback is two
-//! compressions in a row). Winternitz chain walks and their HMAC-derived
-//! heads run on the pair. Fixed input shapes skip buffering: a message
-//! that shares one block with its padding (an HMAC derive, a Winternitz
-//! chain step) is finished in place by the crate-private `finish_block`,
-//! and two digests side by side get the double-compression entry point
-//! [`sha256_pair`].
+//! of three compression entry points, each picking its kernel at run time
+//! from what the CPU reports (no Cargo feature, environment variable or
+//! config field chooses). `compress_block` takes one block: on the x86-64
+//! SHA extensions where present, and everywhere else the scalar rounds,
+//! unrolled with rotating register roles, which are also the reference
+//! the tests compare every other kernel against. The crate-private
+//! `compress_pair` takes two independent blocks, given as native words
+//! from any two states, and on the SHA extensions interleaves their rounds
+//! so that neither waits out the other's instruction latency (its scalar
+//! fallback is two compressions in a row); Winternitz signing and
+//! verification run on it. The crate-private `compress_x16` takes sixteen,
+//! word-major (one array per word, one lane per block): on AVX-512F the
+//! scalar rounds over sixteen 32-bit lanes at once, and without it eight
+//! `compress_pair` calls; Winternitz keygen runs on it. Fixed input shapes
+//! skip buffering: a message that shares one block with its padding (an
+//! HMAC derive, a Winternitz chain step) is finished in place by the
+//! crate-private `finish_block`, and two digests side by side get the
+//! double-compression entry point [`sha256_pair`].
 
 use std::fmt;
 
@@ -268,6 +271,39 @@ fn compress_pair_scalar(states: &mut [[u32; 8]; 2], words: &[[u32; 16]; 2]) {
     }
 }
 
+/// Sixteen independent compressions, word-major: lane `i` compresses the
+/// block `words[0][i], …, words[15][i]` (native words, see
+/// [`block_words`]) into the state `states[0][i], …, states[7][i]`. On
+/// AVX-512F the lanes are the 32-bit lanes of one vector per word, for
+/// about twice the throughput of the SHA-NI pair; without it they go two
+/// at a time through [`compress_pair`]. A lane a caller has no block for
+/// still computes; its result is the caller's to drop.
+#[inline]
+pub(crate) fn compress_x16(states: &mut [[u32; 16]; 8], words: &[[u32; 16]; 16]) {
+    #[cfg(target_arch = "x86_64")]
+    if x86::compress_x16(states, words) {
+        return;
+    }
+    compress_x16_pairs(states, words);
+}
+
+/// [`compress_x16`] on a CPU without AVX-512F: lanes `2p` and `2p + 1`
+/// gathered out of the word-major layout, compressed by one
+/// [`compress_pair`] (SHA-NI or scalar), and scattered back.
+fn compress_x16_pairs(states: &mut [[u32; 16]; 8], words: &[[u32; 16]; 16]) {
+    for lane in (0..16).step_by(2) {
+        let mut pair: [[u32; 8]; 2] =
+            core::array::from_fn(|l| core::array::from_fn(|k| states[k][lane + l]));
+        let pair_words = core::array::from_fn(|l| core::array::from_fn(|k| words[k][lane + l]));
+        compress_pair(&mut pair, &pair_words);
+        for (l, state) in pair.iter().enumerate() {
+            for (k, &word) in state.iter().enumerate() {
+                states[k][lane + l] = word;
+            }
+        }
+    }
+}
+
 /// [`compress_block`] of [`PAD64_BLOCK`].
 #[inline]
 fn compress_pad64(state: &mut [u32; 8]) {
@@ -488,6 +524,7 @@ mod tests {
 
     type Kernel = fn(&mut [u32; 8], &[u8; 64]);
     type PairKernel = fn(&mut [[u32; 8]; 2], &[[u32; 16]; 2]);
+    type X16Kernel = fn(&mut [[u32; 16]; 8], &[[u32; 16]; 16]);
 
     /// The scalar kernel, and the dispatched one if it is a different
     /// kernel on this CPU. When it is not, says so where the test runner
@@ -502,6 +539,17 @@ mod tests {
             "{test}: hardware arm SKIPPED — no SHA extensions on this CPU, scalar kernel only"
         );
         vec![("scalar", compress_block_scalar)]
+    }
+
+    /// The pair fallback of [`compress_x16`], and the AVX-512 kernel if
+    /// this CPU has it; when it does not, says so as [`kernels`] does.
+    fn x16_kernels(test: &str) -> Vec<(&'static str, X16Kernel)> {
+        #[cfg(target_arch = "x86_64")]
+        if x86::compress_x16(&mut [[0; 16]; 8], &[[0; 16]; 16]) {
+            return vec![("pairs", compress_x16_pairs), ("avx-512", compress_x16)];
+        }
+        eprintln!("{test}: hardware arm SKIPPED — no AVX-512F on this CPU, pair fallback only");
+        vec![("pairs", compress_x16_pairs)]
     }
 
     /// FIPS 180-4 padding written out independently of [`Sha256`], over a
@@ -622,6 +670,60 @@ mod tests {
                 let mut got = states;
                 kernel(&mut got, &words);
                 proptest::prop_assert_eq!(got, expected, "{}", name);
+            }
+        }
+    }
+
+    fn all_distinct<T: PartialEq>(items: &[T]) -> bool {
+        items.iter().enumerate().all(|(i, x)| items[..i].iter().all(|y| y != x))
+    }
+
+    proptest::proptest! {
+        /// Sixteen compressions on the word-major entry point — the
+        /// AVX-512 kernel where the CPU has it, and the pair fallback
+        /// everywhere — equal sixteen [`compress_block_scalar`] calls, lane
+        /// for lane. One lane starts from `H0`, each other one from an
+        /// arbitrary state or the midstate after an arbitrary block; no two
+        /// lanes share a state or a block, so a kernel that mixed lanes,
+        /// or transposed the layout, cannot pass.
+        #[test]
+        fn x16_kernel_equals_sixteen_scalar_compressions(
+            random in proptest::prelude::any::<[[u32; 8]; 16]>(),
+            pads in proptest::prelude::any::<[[u8; 64]; 16]>(),
+            midstate in proptest::prelude::any::<[bool; 16]>(),
+            h0_lane in 0usize..16,
+            blocks in proptest::prelude::any::<[[u8; 64]; 16]>(),
+        ) {
+            static REPORT_SKIP: std::sync::Once = std::sync::Once::new();
+            REPORT_SKIP.call_once(|| drop(x16_kernels("x16_kernel_equals_sixteen_scalar_compressions")));
+            let lane_states: [[u32; 8]; 16] = core::array::from_fn(|lane| {
+                if lane == h0_lane {
+                    H0
+                } else if midstate[lane] {
+                    let mut state = H0;
+                    compress_block_scalar(&mut state, &pads[lane]);
+                    state
+                } else {
+                    random[lane]
+                }
+            });
+            proptest::prop_assume!(all_distinct(&lane_states) && all_distinct(&blocks));
+            let mut expected = lane_states;
+            for (state, block) in expected.iter_mut().zip(&blocks) {
+                compress_block_scalar(state, block);
+            }
+            let states: [[u32; 16]; 8] =
+                core::array::from_fn(|k| core::array::from_fn(|lane| lane_states[lane][k]));
+            let words: [[u32; 16]; 16] = core::array::from_fn(|k| {
+                core::array::from_fn(|lane| block_words(&blocks[lane])[k])
+            });
+            for (name, kernel) in x16_kernels("x16_kernel_equals_sixteen_scalar_compressions") {
+                let mut got = states;
+                kernel(&mut got, &words);
+                for (lane, expected) in expected.iter().enumerate() {
+                    let lane_got: [u32; 8] = core::array::from_fn(|k| got[k][lane]);
+                    proptest::prop_assert_eq!(lane_got, *expected, "{}, lane {}", name, lane);
+                }
             }
         }
     }

@@ -1,13 +1,14 @@
-//! The SHA-256 compression function on the x86-64 SHA extensions, one
-//! block at a time or two independent blocks interleaved.
+//! The SHA-256 compression function on x86-64 vector extensions: one
+//! block or two interleaved blocks on the SHA extensions, and sixteen
+//! independent blocks at once on AVX-512F.
 //!
 //! This is the only module in the workspace that contains `unsafe`: the
-//! SHA-NI instructions are reachable only through `core::arch` intrinsics
-//! inside a `#[target_feature]` function, and calling one is undefined
-//! behaviour on a CPU without the feature. The two safe entry points,
-//! [`compress_block`] and [`compress_pair`], ask the CPU first and report
-//! whether they ran, so the caller falls back to the scalar rounds
-//! everywhere else.
+//! instructions are reachable only through `core::arch` intrinsics inside
+//! a `#[target_feature]` function, and calling one is undefined behaviour
+//! on a CPU without the feature. The three safe entry points,
+//! [`compress_block`], [`compress_pair`] and [`compress_x16`], ask the CPU
+//! first and report whether they ran, so the caller falls back to another
+//! kernel everywhere else.
 //!
 //! `sha256rnds2` performs two rounds on a state held as two vectors in the
 //! odd `ABEF` / `CDGH` lane order and takes the two `W + K` words from the
@@ -16,19 +17,30 @@
 //! compression every `sha256rnds2` waits on the one before it, so a lone
 //! block runs at that instruction's latency. [`compress_pair`] issues two
 //! unrelated compressions' rounds alternately, and each fills the other's
-//! wait: this is what a Winternitz chain walk (many independent chains,
-//! each serial) runs on.
+//! wait: this is what a Winternitz signature or verification (67
+//! independent chains of uneven length, each serial) runs on.
+//!
+//! [`compress_x16`] takes another route: no SHA instruction, but the
+//! scalar rounds written once over 512-bit vectors, each 32-bit lane a
+//! different block. The state and the message are word-major, one vector
+//! per word, so one sequence of vector operations runs a round of all
+//! sixteen lanes; `vprord` rotates in one instruction, and `vpternlogd`
+//! computes each three-input function (Ch, Maj, the three-way XORs of Σ
+//! and σ) in one. Keygen, whose chains all run from position 0 to the top,
+//! fills the sixteen lanes on every call.
 
 use core::arch::x86_64::{
-    __m128i, _mm_add_epi32, _mm_alignr_epi8, _mm_blend_epi16, _mm_loadu_si128, _mm_set_epi64x,
-    _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32, _mm_shuffle_epi32,
-    _mm_shuffle_epi8, _mm_storeu_si128,
+    __m128i, __m512i, _mm512_add_epi32, _mm512_loadu_si512, _mm512_ror_epi32, _mm512_set1_epi32,
+    _mm512_srli_epi32, _mm512_storeu_si512, _mm512_ternarylogic_epi32, _mm_add_epi32,
+    _mm_alignr_epi8, _mm_blend_epi16, _mm_loadu_si128, _mm_set_epi64x, _mm_sha256msg1_epu32,
+    _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32, _mm_shuffle_epi32, _mm_shuffle_epi8,
+    _mm_storeu_si128,
 };
 
 use super::K;
 
-/// Whether this CPU has every extension the kernels use. std caches CPUID,
-/// so each check is one relaxed load and a bit test.
+/// Whether this CPU has every extension the SHA-NI kernels use. std
+/// caches CPUID, so each check is one relaxed load and a bit test.
 #[inline]
 fn detected() -> bool {
     is_x86_feature_detected!("sha")
@@ -62,6 +74,22 @@ pub(super) fn compress_pair(states: &mut [[u32; 8]; 2], words: &[[u32; 16]; 2]) 
     // SAFETY: as in `compress_block`, `detected` checked every feature
     // `compress_pair_sha_ni` asks of its caller.
     unsafe { compress_pair_sha_ni(states, words) };
+    true
+}
+
+/// Runs sixteen independent compressions on AVX-512F if this CPU has it
+/// and returns whether it did; on `false`, `states` is untouched. The
+/// layout is word-major: lane `i` compresses the block
+/// `words[0][i], …, words[15][i]` into the state
+/// `states[0][i], …, states[7][i]`.
+#[inline]
+pub(super) fn compress_x16(states: &mut [[u32; 16]; 8], words: &[[u32; 16]; 16]) -> bool {
+    if !is_x86_feature_detected!("avx512f") {
+        return false;
+    }
+    // SAFETY: avx512f, checked directly above, is all `compress_x16_avx512`
+    // asks of its caller.
+    unsafe { compress_x16_avx512(states, words) };
     true
 }
 
@@ -229,4 +257,117 @@ unsafe fn compress_pair_sha_ni(states: &mut [[u32; 8]; 2], words: &[[u32; 16]; 2
 
     store_state(state_a, _mm_add_epi32(abef_a, abef_a_in), _mm_add_epi32(cdgh_a, cdgh_a_in));
     store_state(state_b, _mm_add_epi32(abef_b, abef_b_in), _mm_add_epi32(cdgh_b, cdgh_b_in));
+}
+
+/// `vpternlogd` truth tables over `(x, y, z)`: `x ^ y ^ z`, `x ? y : z`
+/// (SHA-256's Ch) and the majority of the three (its Maj).
+const XOR3: i32 = 0x96;
+const CHOOSE: i32 = 0xCA;
+const MAJORITY: i32 = 0xE8;
+
+/// One round on sixteen lanes, register roles as in the scalar kernel's
+/// `round!`: `d` gains `T1` and `h` becomes `T1 + T2`.
+///
+/// # Safety
+///
+/// The CPU must support `avx512f`.
+#[inline]
+#[target_feature(enable = "avx512f")]
+unsafe fn round_x16(
+    [a, b, c]: [__m512i; 3],
+    d: &mut __m512i,
+    [e, f, g]: [__m512i; 3],
+    h: &mut __m512i,
+    w: __m512i,
+    k: u32,
+) {
+    let big_sigma1 = _mm512_ternarylogic_epi32(
+        _mm512_ror_epi32(e, 6),
+        _mm512_ror_epi32(e, 11),
+        _mm512_ror_epi32(e, 25),
+        XOR3,
+    );
+    let ch = _mm512_ternarylogic_epi32(e, f, g, CHOOSE);
+    let kw = _mm512_add_epi32(w, _mm512_set1_epi32(k as i32));
+    let t1 = _mm512_add_epi32(_mm512_add_epi32(*h, big_sigma1), _mm512_add_epi32(ch, kw));
+    let big_sigma0 = _mm512_ternarylogic_epi32(
+        _mm512_ror_epi32(a, 2),
+        _mm512_ror_epi32(a, 13),
+        _mm512_ror_epi32(a, 22),
+        XOR3,
+    );
+    let t2 = _mm512_add_epi32(big_sigma0, _mm512_ternarylogic_epi32(a, b, c, MAJORITY));
+    *d = _mm512_add_epi32(*d, t1);
+    *h = _mm512_add_epi32(t1, t2);
+}
+
+/// Advances the sixteen-word schedule window by a whole turn: on entry
+/// `w[i]` is `W[t - 16 + i]`, on return `W[t + i]`. Updated in index
+/// order, each word finds `W[t + i - 15]`, `W[t + i - 7]` and
+/// `W[t + i - 2]` in the window already, old or new.
+///
+/// # Safety
+///
+/// The CPU must support `avx512f`.
+#[inline]
+#[target_feature(enable = "avx512f")]
+unsafe fn schedule_x16(w: &mut [__m512i; 16]) {
+    for i in 0..16 {
+        let (w15, w7, w2) = (w[(i + 1) % 16], w[(i + 9) % 16], w[(i + 14) % 16]);
+        let sigma0 = _mm512_ternarylogic_epi32(
+            _mm512_ror_epi32(w15, 7),
+            _mm512_ror_epi32(w15, 18),
+            _mm512_srli_epi32(w15, 3),
+            XOR3,
+        );
+        let sigma1 = _mm512_ternarylogic_epi32(
+            _mm512_ror_epi32(w2, 17),
+            _mm512_ror_epi32(w2, 19),
+            _mm512_srli_epi32(w2, 10),
+            XOR3,
+        );
+        w[i] = _mm512_add_epi32(_mm512_add_epi32(w[i], sigma0), _mm512_add_epi32(w7, sigma1));
+    }
+}
+
+/// Sixteen compressions at once, one per 32-bit lane, in [`compress_x16`]'s
+/// word-major layout: the 64 rounds over eight state vectors and a
+/// sixteen-vector schedule window, unrolled eight rounds at a time with
+/// rotating register roles.
+///
+/// # Safety
+///
+/// The CPU must support `avx512f`. Memory safety needs nothing from the
+/// caller: every load and store goes through one of the two references,
+/// unaligned, one vector per inner array of 16 words.
+#[target_feature(enable = "avx512f")]
+unsafe fn compress_x16_avx512(states: &mut [[u32; 16]; 8], words: &[[u32; 16]; 16]) {
+    let mut w = [_mm512_set1_epi32(0); 16];
+    for (w, words) in w.iter_mut().zip(words) {
+        *w = _mm512_loadu_si512(words.as_ptr().cast());
+    }
+    let mut input = [_mm512_set1_epi32(0); 8];
+    for (input, state) in input.iter_mut().zip(states.iter()) {
+        *input = _mm512_loadu_si512(state.as_ptr().cast());
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = input;
+    for t in (0..64).step_by(16) {
+        if t > 0 {
+            schedule_x16(&mut w);
+        }
+        for i in (0..16).step_by(8) {
+            let k = &K[t + i..t + i + 8];
+            round_x16([a, b, c], &mut d, [e, f, g], &mut h, w[i], k[0]);
+            round_x16([h, a, b], &mut c, [d, e, f], &mut g, w[i + 1], k[1]);
+            round_x16([g, h, a], &mut b, [c, d, e], &mut f, w[i + 2], k[2]);
+            round_x16([f, g, h], &mut a, [b, c, d], &mut e, w[i + 3], k[3]);
+            round_x16([e, f, g], &mut h, [a, b, c], &mut d, w[i + 4], k[4]);
+            round_x16([d, e, f], &mut g, [h, a, b], &mut c, w[i + 5], k[5]);
+            round_x16([c, d, e], &mut f, [g, h, a], &mut b, w[i + 6], k[6]);
+            round_x16([b, c, d], &mut e, [f, g, h], &mut a, w[i + 7], k[7]);
+        }
+    }
+    for ((state, input), out) in states.iter_mut().zip(input).zip([a, b, c, d, e, f, g, h]) {
+        _mm512_storeu_si512(state.as_mut_ptr().cast(), _mm512_add_epi32(input, out));
+    }
 }

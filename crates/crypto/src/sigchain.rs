@@ -588,7 +588,7 @@ mod tests {
                 4 => {
                     // One key too many, or — when there is one to drop —
                     // one too few.
-                    if at % 2 == 0 || len == 1 {
+                    if at.is_multiple_of(2) || len == 1 {
                         keys.push(outsider.public_key());
                     } else {
                         keys.pop();

@@ -16,14 +16,28 @@
 //! equal values at different chains or positions never share a
 //! computation. A signature is `67 × 32 = 2 144` bytes.
 //!
-//! The steps of one chain are serial, but the 67 chains are independent:
-//! keygen, signing and verification all hand their chains to one lane
-//! scheduler, which keeps the two lanes of the crate-private
-//! `sha256::compress_pair` busy — each lane walks a chain to its end
-//! position and then takes the next unfinished one. A chain value stays
-//! as the eight state words one step leaves and the next takes as its
-//! message, and becomes a [`Digest32`] only when its chain ends. The
-//! heads are derived two at a time through the same pair kernel.
+//! The steps of one chain are serial, but the chains are independent, and
+//! two kernels walk many of them at once.
+//!
+//! * **Keygen** walks every chain from its head to its top. The
+//!   crate-private `public_keys` covers a whole range of keys, the
+//!   `67 × count` chains in order, sixteen at a time on the crate-private
+//!   `sha256::compress_x16`: the sixteen heads are HMAC derives in two
+//!   kernel calls (inner, then outer), then all sixteen chains take their
+//!   fifteen steps together. Each step's output state is, word for word, the next
+//!   step's chain value, so the values stay in the kernel's word-major
+//!   layout until they reach the top. The tops of sixteen keys at a time
+//!   go into a buffer laid out as those keys' fold blocks, one key per
+//!   lane, and the sixteen folds run on the same kernel. [`public_key`]
+//!   is the range of one key.
+//! * **Signing and verification** walk each chain from a digit to another
+//!   and so unevenly. They hand their chains to one lane scheduler, which
+//!   keeps the two lanes of the crate-private `sha256::compress_pair`
+//!   busy: each lane walks a chain to its end position and then takes the
+//!   next unfinished one. A chain value stays as the eight state words
+//!   one step leaves and the next takes as its message, and becomes a
+//!   [`Digest32`] only when its chain ends. A signature's heads are
+//!   derived two at a time through the same pair kernel.
 //!
 //! A key pair must sign **at most one** message; the [`mss`](crate::mss)
 //! module lifts these one-time keys into a many-time identity.
@@ -32,7 +46,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::hmac::HmacEngine;
 use crate::sha256::{
-    compress_pair, digest_words, padded_words, state_to_digest, Digest32, Sha256, H0,
+    compress_pair, compress_x16, digest_words, padded_words, state_to_digest, Digest32, Sha256, H0,
 };
 
 /// Hash chains per key: 64 message digits plus 3 checksum digits.
@@ -51,9 +65,19 @@ const STEP_TAG: &[u8] = b"swap/wots16/v1";
 /// together with its padding.
 const STEP_LEN: usize = 32 + 2 + STEP_TAG.len();
 
+/// Label of the chain-head derivation.
+const HEAD_LABEL: &str = "wots/sk";
+
 /// Chain values as the state words of their last step (a head as its
 /// HMAC's): what the lane scheduler walks.
 type ChainStates = [[u32; 8]; CHAINS];
+
+/// Lanes of `compress_x16`: chains walked, or keys folded, at once.
+const LANES: usize = 16;
+
+/// Blocks of a key's fold: its 67 tops two to a block, the last top
+/// sharing the final block with the padding.
+const FOLD_BLOCKS: usize = CHAINS.div_ceil(2);
 
 /// A W-OTS one-time secret key.
 ///
@@ -135,9 +159,59 @@ pub fn secret_key(engine: &HmacEngine, index: u64) -> WotsSecretKey {
 /// Merkle-leaf content: SHA-256 of the 67 chain tops, each head derived and
 /// walked without materializing the secret side.
 pub fn public_key(engine: &HmacEngine, index: u64) -> Digest32 {
-    let mut values = heads(engine, index);
-    walk_chains(&mut values, &[0; CHAINS], &[TOP; CHAINS]);
-    fold(values.iter().map(state_to_digest))
+    public_keys(engine, index, 1)[0]
+}
+
+/// [`public_key`] of each key `first..first + count`, in order. The range's
+/// chains are walked in order, sixteen to a `compress_x16` call (a batch
+/// can straddle two keys); the last batch's spare lanes walk chains past
+/// the range and are dropped. Keys are folded sixteen at a time: a group's
+/// tops are written into its fold blocks as they come, one key per lane,
+/// so the buffer holds sixteen keys, whatever `count` is.
+pub(crate) fn public_keys(engine: &HmacEngine, first: u64, count: u64) -> Vec<Digest32> {
+    let mut keys = Vec::with_capacity(count as usize);
+    // Word-major fold blocks of up to sixteen keys: block `b` holds tops
+    // `2b` and `2b + 1`, and the last block holds top 66, the marker and
+    // the bit length of 67 tops.
+    let mut folds = vec![[[0u32; LANES]; 16]; FOLD_BLOCKS];
+    folds[FOLD_BLOCKS - 1][8] = [0x8000_0000; LANES];
+    folds[FOLD_BLOCKS - 1][15] = [(8 * 32 * CHAINS) as u32; LANES];
+    for group in (first..first + count).step_by(LANES) {
+        let chains = (first + count - group).min(LANES as u64) as usize * CHAINS;
+        for batch in (0..chains).step_by(LANES) {
+            let tops = walk_x16(engine, group * CHAINS as u64 + batch as u64, batch % CHAINS);
+            for lane in 0..LANES.min(chains - batch) {
+                let (key, j) = ((batch + lane) / CHAINS, (batch + lane) % CHAINS);
+                let half = &mut folds[j / 2][8 * (j % 2)..];
+                for (word, top) in half.iter_mut().zip(&tops) {
+                    word[key] = top[lane];
+                }
+            }
+        }
+        let mut states = H0.map(|word| [word; LANES]);
+        for block in &folds {
+            compress_x16(&mut states, block);
+        }
+        keys.extend((0..chains / CHAINS).map(|key| state_to_digest(&states.map(|word| word[key]))));
+    }
+    keys
+}
+
+/// Sixteen chains walked from head to top, lane `i` being the chain whose
+/// head index (see [`heads`]) is `head + i` and which sits at position
+/// `(j + i) mod 67` in its key: the tops, word-major.
+fn walk_x16(engine: &HmacEngine, head: u64, j: usize) -> [[u32; LANES]; 8] {
+    let mut values = engine.derive_x16(HEAD_LABEL, head);
+    let mut words = step_template().map(|word| [word; LANES]);
+    let chain_words: [u32; LANES] =
+        core::array::from_fn(|lane| words[8][lane] | (((j + lane) % CHAINS) as u32) << 24);
+    for position in 0..TOP {
+        words[..8].copy_from_slice(&values);
+        words[8] = chain_words.map(|word| word | u32::from(position) << 16);
+        values = H0.map(|word| [word; LANES]);
+        compress_x16(&mut values, &words);
+    }
+    values
 }
 
 /// Signs a 256-bit message digest, consuming the one-time key.
@@ -165,7 +239,7 @@ fn heads(engine: &HmacEngine, index: u64) -> ChainStates {
     let mut heads = [[0u32; 8]; CHAINS];
     let first = index * CHAINS as u64;
     for (pair, j) in heads.chunks_mut(2).zip((first..).step_by(2)) {
-        let derived = engine.derive_pair("wots/sk", [j, j + 1]);
+        let derived = engine.derive_pair(HEAD_LABEL, [j, j + 1]);
         pair.copy_from_slice(&derived[..pair.len()]);
     }
     heads
@@ -178,11 +252,7 @@ fn heads(engine: &HmacEngine, index: u64) -> ChainStates {
 /// chain value lives in the first half of its next step's block. Once
 /// fewer than two chains are left, a lane idles for the rest of the walk.
 fn walk_chains(values: &mut ChainStates, from: &[u8; CHAINS], to: &[u8; CHAINS]) {
-    // A step's padded block with the value (words 0..8), the chain and the
-    // position (the top half of word 8) still zero.
-    let mut template = [0u8; 64];
-    template[34..STEP_LEN].copy_from_slice(STEP_TAG);
-    let template = padded_words(template, STEP_LEN, STEP_LEN as u64);
+    let template = step_template();
     let mut unstarted = (0..CHAINS).filter(|&j| from[j] < to[j]);
     // Per lane, its chain and the steps the chain has left; and the block
     // of the lane's next step.
@@ -219,6 +289,14 @@ fn walk_chains(values: &mut ChainStates, from: &[u8; CHAINS], to: &[u8; CHAINS])
             }
         }
     }
+}
+
+/// A step's padded block with the value (words 0..8), the chain and the
+/// position (the top half of word 8) still zero.
+fn step_template() -> [u32; 16] {
+    let mut template = [0u8; 64];
+    template[34..STEP_LEN].copy_from_slice(STEP_TAG);
+    padded_words(template, STEP_LEN, STEP_LEN as u64)
 }
 
 /// SHA-256 of chain values laid end to end — the public-key fold (over the
@@ -265,6 +343,16 @@ mod tests {
             value = finish_block(H0, block, STEP_LEN, STEP_LEN as u64);
         }
         value
+    }
+
+    /// The reference [`public_keys`] is held to: key `index`'s public
+    /// digest with every head derived alone by [`HmacEngine::derive`],
+    /// every chain walked alone by [`walk`], and the tops folded.
+    fn public_key_one_chain_at_a_time(engine: &HmacEngine, index: u64) -> Digest32 {
+        fold((0..CHAINS).map(|j| {
+            let head = engine.derive(HEAD_LABEL, index * CHAINS as u64 + j as u64);
+            walk(head, j, 0, TOP)
+        }))
     }
 
     fn msg(text: &[u8]) -> Digest32 {
@@ -403,6 +491,48 @@ mod tests {
             proptest::prop_assert!(verify(&sig, &m, &pk));
             proptest::prop_assert!(!verify(&forged, &other, &pk));
             proptest::prop_assert!(!verify(&sig, &other, &pk));
+        }
+    }
+
+    proptest::proptest! {
+        /// Batched keygen equals minting each key alone, one chain at a
+        /// time. Every count but 16 leaves the last batch of sixteen chains
+        /// partial (`67 · count mod 16 ≠ 0`), batches straddle keys, and 17
+        /// puts a one-key group after a full one, whose tops still sit in
+        /// the other fifteen lanes of the fold buffer.
+        #[test]
+        fn batched_keygen_equals_walking_one_chain_at_a_time(
+            seed in proptest::prelude::any::<[u8; 32]>(),
+            first in 0u64..1 << 16,
+            pick in 0usize..6,
+        ) {
+            let count = [1u64, 2, 3, 5, 16, 17][pick];
+            let engine = HmacEngine::new(&seed);
+            let keys = public_keys(&engine, first, count);
+            proptest::prop_assert_eq!(keys.len() as u64, count);
+            for (key, index) in keys.iter().zip(first..) {
+                let expected = public_key_one_chain_at_a_time(&engine, index);
+                proptest::prop_assert_eq!(*key, expected, "key {}", index);
+            }
+        }
+    }
+
+    /// Every height a test or a workload mints, from one leaf (a lone,
+    /// partial group of sixteen keys) through 64 (four full groups): each
+    /// leaf of an MSS keypair, minted by one batched call, is the leaf of
+    /// its key minted alone, one chain at a time.
+    #[test]
+    fn mss_leaf_digests_equal_the_per_leaf_reference() {
+        use crate::merkle::leaf_hash;
+        use crate::MssKeypair;
+        let seed = [0x5eu8; 32];
+        let engine = HmacEngine::new(&seed);
+        for height in 0..=6 {
+            let expected: Vec<Digest32> = (0..1u64 << height)
+                .map(|i| leaf_hash(public_key_one_chain_at_a_time(&engine, i).as_bytes()))
+                .collect();
+            let leaves = MssKeypair::from_seed_with_height(seed, height).leaf_digests();
+            assert_eq!(leaves, expected, "height {height}");
         }
     }
 

@@ -278,7 +278,7 @@ pub fn longest_path_to(d: &Digraph, from: VertexId, target: VertexId) -> Option<
             for arc in d.out_arcs(v).filter(|a| a.tail != target) {
                 let w = arc.tail.index();
                 let cand = dv + 1;
-                if dist[w].map_or(true, |old| cand > old) {
+                if dist[w].is_none_or(|old| cand > old) {
                     dist[w] = Some(cand);
                 }
             }
@@ -300,7 +300,7 @@ pub fn longest_path_to(d: &Digraph, from: VertexId, target: VertexId) -> Option<
             for arc in d.out_arcs(v) {
                 let w = arc.tail;
                 if w == target {
-                    if best.map_or(true, |b| len + 1 > b) {
+                    if best.is_none_or(|b| len + 1 > b) {
                         *best = Some(len + 1);
                     }
                 } else if !visited[w.index()] {

@@ -453,7 +453,7 @@ mod oracle {
                             cycle.push(cur);
                         }
                         cycle.reverse();
-                        if best.as_ref().map_or(true, |b| cycle.len() < b.len()) {
+                        if best.as_ref().is_none_or(|b| cycle.len() < b.len()) {
                             best = Some(cycle);
                         }
                         break 'bfs;

@@ -279,7 +279,7 @@ pub fn load_latest_snapshot(dir: &Path) -> io::Result<Option<(u64, Vec<u8>)>> {
         let name = name.to_string_lossy().into_owned();
         if name.starts_with("snap-") && name.ends_with(".snap") {
             // Zero-padded names sort by sequence number.
-            if newest.as_ref().map_or(true, |n| {
+            if newest.as_ref().is_none_or(|n| {
                 name.as_str() > n.file_name().unwrap_or_default().to_string_lossy().as_ref()
             }) {
                 newest = Some(entry.path());
