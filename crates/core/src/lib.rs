@@ -50,14 +50,8 @@
 //!   [`RunReport`] with outcomes, per-arc trigger times, the typed
 //!   [`Trace`], and storage/communication metrics.
 //! * [`outcome`] — the Figure 3 outcome lattice ([`Outcome`]).
-//! * [`single_leader`] — the §4.6 Lemma 4.13 timeout assignment and the
-//!   Figure 6 feasibility analysis (the protocol itself runs as
-//!   [`ProtocolKind::Htlc`]).
-//! * [`hashkey`] — Figure 7 hashkey-path enumeration.
-//! * [`recurrent`] — the §5 recurrent-swap extension (next-round hashlocks
-//!   distributed during Phase Two).
-//! * [`waitsfor`] — the Theorem 4.12 waits-for digraph analysis (who is
-//!   blocked on whom in Phase One, and when that is a deadlock).
+//! * [`single_leader`] — the §4.6 Lemma 4.13 timeout assignment (the
+//!   protocol itself runs as [`ProtocolKind::Htlc`]).
 //!
 //! # Quick start
 //!
@@ -88,19 +82,16 @@ mod durability;
 pub mod engine;
 pub mod event;
 pub mod exchange;
-pub mod hashkey;
 pub mod identity;
 pub mod instance;
 pub mod outcome;
 pub mod party;
 pub mod pool;
 pub mod protocol;
-pub mod recurrent;
 pub mod runner;
 pub mod setup;
 pub mod single_leader;
 pub mod timing;
-pub mod waitsfor;
 
 pub use engine::Engine;
 pub use event::{Actor, SwapEvent, Trace, What};
@@ -117,9 +108,7 @@ pub use pool::{Completed, JobPanic, WorkerPool};
 pub use protocol::ProtocolKind;
 pub use runner::{RunConfig, RunMetrics, RunReport};
 pub use setup::{SetupConfig, SwapSetup};
-pub use single_leader::{
-    assign_timeouts, single_leader_of, timeout_assignment_feasible, TimeoutError,
-};
+pub use single_leader::{assign_timeouts, single_leader_of, TimeoutError};
 pub use timing::{Lockstep, PerChainLatency, TimingModel};
 
 // Re-exported so downstream users need only this crate for common flows.

@@ -52,7 +52,7 @@ use swap_sim::SimTime;
 use crate::party::{Action, ArcSnapshot, Behavior, ContractSnapshot, HtlcSnapshot, Party, View};
 use crate::runner::RunConfig;
 use crate::setup::SwapSetup;
-use crate::single_leader::{assign_timeouts, timeout_assignment_feasible, TimeoutError};
+use crate::single_leader::{assign_timeouts, TimeoutError};
 
 /// Which of the paper's protocols executes a swap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -67,21 +67,27 @@ pub enum ProtocolKind {
 
 impl ProtocolKind {
     /// Picks the cheapest protocol the swap admits: [`ProtocolKind::Htlc`]
-    /// when the swap has exactly one leader, the §4.6 timeout assignment is
-    /// feasible (the follower subdigraph is acyclic — Figure 6), and every
-    /// configured behavior is one the HTLC strategy implements;
-    /// [`ProtocolKind::Hashkey`] otherwise.
+    /// when the swap has exactly one leader and every configured behavior
+    /// is one the HTLC strategy implements; [`ProtocolKind::Hashkey`]
+    /// otherwise.
+    ///
+    /// The spec is assumed to have passed [`SwapSpec::validate`], as every
+    /// cleared spec has by the time it is provisioned. Its one leader is
+    /// then a feedback vertex set on its own, so the follower subdigraph is
+    /// acyclic and the Lemma 4.13 timeout ladder exists (the Figure 6
+    /// condition needs no second check). A hand-built spec whose single
+    /// leader is not a feedback vertex set is still selected for the HTLC
+    /// protocol; building that protocol then fails with the typed
+    /// [`TimeoutError::FollowerCycle`], as it does for a forced HTLC run.
     ///
     /// This is the one selection predicate in the workspace —
     /// [`crate::instance::ProvisionedSwap::new`] and the exchange's
-    /// auto-policy route through it. Every cleared market *cycle* is
-    /// single-leader feasible, which is why auto-selection makes HTLCs the
-    /// common case.
+    /// auto-policy route through it. Every cleared market *cycle* has a
+    /// single leader, which is why auto-selection makes HTLCs the common
+    /// case.
     pub fn select(spec: &SwapSpec, config: &RunConfig) -> ProtocolKind {
-        let leaders: BTreeSet<VertexId> = spec.leaders.iter().copied().collect();
-        let feasible = leaders.len() == 1 && timeout_assignment_feasible(&spec.digraph, &leaders);
         let behaviors_supported = config.behaviors.values().all(HtlcProtocol::supports);
-        if feasible && behaviors_supported {
+        if spec.leaders.len() == 1 && behaviors_supported {
             ProtocolKind::Htlc
         } else {
             ProtocolKind::Hashkey

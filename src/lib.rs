@@ -16,7 +16,6 @@
 //! | SHA-256, Merkle trees, Winternitz/Merkle signatures, hashkey chains | [`crypto`] |
 //! | simulated blockchains, assets, escrow, storage metering | [`chain`] |
 //! | the Figures 4–5 swap contract and classic HTLCs | [`contract`] |
-//! | the §4.4 pebble games | [`pebble`] |
 //! | the untrusted market-clearing service (§4.2) | [`market`] |
 //! | the protocol itself: runners, adversaries, outcomes | [`core`] |
 //!
@@ -43,8 +42,12 @@
 //! ```
 //!
 //! See `examples/` for runnable scenarios and `tests/paper.rs` for the
-//! per-theorem/per-figure validation harness (E1–E15; `cargo test --release
-//! --test paper -- --nocapture` prints its paper-vs-measured tables).
+//! per-theorem/per-figure validation harness (E1–E16; `cargo test --release
+//! --test paper -- --nocapture` prints its paper-vs-measured tables). The
+//! paper's analyses that the harness checks the engine against — the §4.4
+//! pebble games, the Theorem 4.12 waits-for digraph, the Figure 6
+//! feasibility check, the Figure 7 hashkey paths and the §5 recurrent
+//! session — live beside it in `tests/paper/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -55,5 +58,4 @@ pub use swap_core as core;
 pub use swap_crypto as crypto;
 pub use swap_digraph as digraph;
 pub use swap_market as market;
-pub use swap_pebble as pebble;
 pub use swap_sim as sim;

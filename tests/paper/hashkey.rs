@@ -75,7 +75,6 @@ impl HashkeyTable {
     }
 }
 
-#[cfg(test)]
 mod tests {
     use super::*;
     use swap_digraph::generators;

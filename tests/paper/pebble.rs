@@ -13,26 +13,10 @@
 //!   connected, every arc is eventually pebbled.
 //!
 //! Rounds model the Δ-bounded reaction delay, so Lemma 4.3's bound reads:
-//! both games cover every arc within `diam(D)` rounds. The experiment
-//! harness sweeps graph families to check this empirically.
-//!
-//! # Example
-//!
-//! ```
-//! use std::collections::BTreeSet;
-//! use swap_digraph::generators;
-//! use swap_pebble::LazyPebbleGame;
-//!
-//! let d = generators::herlihy_three_party();
-//! let leaders: BTreeSet<_> = [d.vertex_by_name("alice").unwrap()].into();
-//! let mut game = LazyPebbleGame::new(&d, &leaders);
-//! let rounds = game.run_to_completion().expect("leaders form an FVS");
-//! assert!(game.all_pebbled());
-//! assert!(rounds as usize <= d.diameter());
-//! ```
-
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+//! both games cover every arc within `diam(D)` rounds. E5 sweeps graph
+//! families to check this, E12 replays Figure 8 round by round, and
+//! [`super::pebble_correspondence`] checks the engine's phases against both
+//! games.
 
 use std::collections::BTreeSet;
 
@@ -176,11 +160,6 @@ impl LazyPebbleGame {
     pub fn pebbled_count(&self) -> usize {
         self.state.pebbled_count()
     }
-
-    /// Rounds in which at least one pebble was placed.
-    pub fn rounds(&self) -> u64 {
-        self.state.rounds
-    }
 }
 
 /// The eager pebble game (Phase Two / secret dissemination).
@@ -244,24 +223,8 @@ impl EagerPebbleGame {
     pub fn all_pebbled(&self) -> bool {
         self.state.all_pebbled()
     }
-
-    /// Whether the given arc has a pebble.
-    pub fn is_pebbled(&self, arc: ArcId) -> bool {
-        self.state.pebbled[arc.index()]
-    }
-
-    /// Number of pebbled arcs.
-    pub fn pebbled_count(&self) -> usize {
-        self.state.pebbled_count()
-    }
-
-    /// Rounds in which at least one pebble was placed.
-    pub fn rounds(&self) -> u64 {
-        self.state.rounds
-    }
 }
 
-#[cfg(test)]
 mod tests {
     use super::*;
     use swap_digraph::{generators, FeedbackVertexSet};

@@ -6,20 +6,18 @@
 use std::collections::BTreeSet;
 
 use atomic_swaps::core::runner::RunConfig;
-use atomic_swaps::core::setup::{SetupConfig, SwapSetup};
+use atomic_swaps::core::setup::SwapSetup;
 use atomic_swaps::core::What;
 use atomic_swaps::core::{Engine, ProtocolKind};
-use atomic_swaps::digraph::{generators, Digraph};
-use atomic_swaps::pebble::{EagerPebbleGame, LazyPebbleGame};
+use atomic_swaps::digraph::{generators, Digraph, VertexId};
 use atomic_swaps::sim::SimRng;
 
-fn fast_config() -> SetupConfig {
-    SetupConfig { key_height: 4, ..SetupConfig::default() }
-}
+use super::fast_config;
+use super::pebble::{EagerPebbleGame, LazyPebbleGame};
 
 /// Runs the protocol and returns, per arc, the round (multiple of Δ from
 /// T₀) at which its contract was published.
-fn publication_rounds(digraph: Digraph, seed: u64) -> (Vec<u64>, Vec<u64>, u64) {
+fn publication_rounds(digraph: Digraph, seed: u64) -> (Vec<u64>, Vec<u64>) {
     let setup =
         SwapSetup::generate(digraph, &fast_config(), &mut SimRng::from_seed(seed)).expect("valid");
     let delta = setup.spec.delta.ticks();
@@ -38,13 +36,13 @@ fn publication_rounds(digraph: Digraph, seed: u64) -> (Vec<u64>, Vec<u64>, u64) 
         .iter()
         .map(|t| (t.expect("all triggered").ticks() - t0) / delta)
         .collect();
-    (publish, trigger, delta)
+    (publish, trigger)
 }
 
 /// Runs the lazy pebble game, returning per-arc pebbling rounds (round 1 =
 /// initial leader placement, matching protocol round 0 publications being
 /// *visible* at round 1).
-fn lazy_rounds(digraph: &Digraph, leaders: &BTreeSet<atomic_swaps::digraph::VertexId>) -> Vec<u64> {
+fn lazy_rounds(digraph: &Digraph, leaders: &BTreeSet<VertexId>) -> Vec<u64> {
     let mut game = LazyPebbleGame::new(digraph, leaders);
     let mut rounds = vec![u64::MAX; digraph.arc_count()];
     let mut r = 0;
@@ -78,7 +76,7 @@ fn phase_one_is_the_lazy_pebble_game() {
                 .expect("valid");
         let leaders: BTreeSet<_> = setup.spec.leaders.iter().copied().collect();
         drop(setup);
-        let (publish, _, _) = publication_rounds(digraph.clone(), seed);
+        let (publish, _) = publication_rounds(digraph.clone(), seed);
         let pebbles = lazy_rounds(&digraph, &leaders);
         // Publication at protocol round k ⇒ visible at k+1 ⇔ pebble at
         // round k+1.
@@ -104,7 +102,7 @@ fn phase_one_within_diam_rounds() {
         (generators::complete(4), 14),
     ] {
         let diam = digraph.diameter() as u64;
-        let (publish, _, _) = publication_rounds(digraph, seed);
+        let (publish, _) = publication_rounds(digraph, seed);
         for (i, &round) in publish.iter().enumerate() {
             assert!(round <= diam, "arc {i} published at round {round} > diam {diam}");
         }
@@ -121,7 +119,7 @@ fn phase_two_within_two_diam_rounds() {
         (generators::complete(4), 24),
     ] {
         let diam = digraph.diameter() as u64;
-        let (_, trigger, _) = publication_rounds(digraph, seed);
+        let (_, trigger) = publication_rounds(digraph, seed);
         for (i, &round) in trigger.iter().enumerate() {
             assert!(
                 round <= 2 * diam + 1,
@@ -146,7 +144,7 @@ fn eager_game_on_transpose_bounds_secret_spread() {
         let transpose = digraph.transpose();
         let mut game = EagerPebbleGame::new(&transpose, leader);
         let eager_rounds = game.run_to_completion().expect("strongly connected");
-        let (publish, trigger, _) = publication_rounds(digraph.clone(), seed);
+        let (publish, trigger) = publication_rounds(digraph.clone(), seed);
         let phase_one_end = publish.iter().max().copied().unwrap();
         let last_trigger = trigger.iter().max().copied().unwrap();
         // Secrets spread in at most eager_rounds rounds after Phase One.

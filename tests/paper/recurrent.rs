@@ -5,30 +5,40 @@
 //! round." This module implements that pipeline: a session runs the same
 //! swap digraph repeatedly; in every round the leaders draw the *next*
 //! round's secrets and publish the corresponding hashlocks alongside their
-//! Phase Two hashkeys, so round `k+1` can begin as soon as round `k`
-//! settles, without a fresh market-clearing exchange.
+//! first Phase Two hashkeys, so round `k+1` can begin as soon as round `k`
+//! settles, without a fresh market-clearing exchange. The hashlocks ride on
+//! messages the round sends anyway; their bytes are not metered.
 //!
 //! The recurring parties keep one signing identity across rounds (which is
-//! exactly what the Merkle many-time signature scheme is for — each round
-//! consumes a few one-time leaves).
+//! exactly what the Merkle many-time signature scheme is for). Each round
+//! signs with a lease of `|L| + 1` one-time leaves split off the identity —
+//! the budget the exchange's provisioning leases per swap — so consecutive
+//! rounds sign under disjoint leaf windows and no leaf ever signs twice.
 
+use std::collections::BTreeSet;
 use std::fmt;
+use std::ops::Range;
 
-use swap_crypto::{Hashlock, MssKeypair, Secret};
-use swap_digraph::Digraph;
+use swap_core::{Engine, ProtocolKind, RunConfig, RunReport, SwapSetup, What};
+use swap_crypto::{Hashlock, KeysExhaustedError, MssKeypair, Secret};
+use swap_digraph::{Digraph, VertexId};
 use swap_market::{BuildError, SpecBuilder};
 use swap_sim::{Delta, SimRng, SimTime};
-
-use crate::engine::Engine;
-use crate::protocol::ProtocolKind;
-use crate::runner::{RunConfig, RunReport};
-use crate::setup::SwapSetup;
 
 /// Errors from a recurrent session.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RecurrentError {
-    /// Spec assembly failed (invalid digraph, exhausted keys, …).
+    /// Spec assembly failed (invalid digraph, …).
     Build(BuildError),
+    /// A party's identity has fewer unused leaves than one round leases.
+    KeysExhausted {
+        /// Zero-based index of the round that could not be funded.
+        round: usize,
+        /// The party whose identity ran out.
+        vertex: VertexId,
+        /// The identity's error.
+        error: KeysExhaustedError,
+    },
     /// A round failed to reach all-Deal, so the pipeline stops (recurrence
     /// assumes the previous round settled).
     RoundFailed {
@@ -41,6 +51,9 @@ impl fmt::Display for RecurrentError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             RecurrentError::Build(e) => write!(f, "{e}"),
+            RecurrentError::KeysExhausted { round, vertex, error } => {
+                write!(f, "recurrent round {round}: {vertex}: {error}")
+            }
             RecurrentError::RoundFailed { round } => {
                 write!(f, "recurrent round {round} did not settle in Deal")
             }
@@ -61,31 +74,24 @@ impl From<BuildError> for RecurrentError {
 pub struct RoundSummary {
     /// The full run report.
     pub report: RunReport,
-    /// The hashlocks that were pre-distributed for the *next* round.
+    /// The hashlocks this round's spec carried (one per leader).
+    pub hashlocks: Vec<Hashlock>,
+    /// The hashlocks that were pre-distributed for the *next* round (one
+    /// per vertex; the next round's leaders' are the ones that matter).
     pub next_hashlocks: Vec<Hashlock>,
+    /// When the next round's hashlocks were published: with this round's
+    /// first Phase Two hashkey.
+    pub next_published_at: SimTime,
     /// When this round's spec started.
     pub started_at: SimTime,
+    /// Per vertex, the one-time leaves this round's lease could sign with.
+    pub leaf_windows: Vec<Range<u64>>,
+    /// Per vertex, the leaves its signatures in the round's on-chain
+    /// hashkeys were made with.
+    pub leaves_used: Vec<BTreeSet<u64>>,
 }
 
 /// A recurring swap session over a fixed digraph and fixed identities.
-///
-/// # Example
-///
-/// ```
-/// use swap_core::recurrent::RecurrentSession;
-/// use swap_digraph::generators;
-/// use swap_sim::{Delta, SimRng};
-///
-/// let digraph = generators::herlihy_three_party();
-/// let mut session = RecurrentSession::new(
-///     digraph,
-///     Delta::from_ticks(10),
-///     &mut SimRng::from_seed(5),
-/// );
-/// let rounds = session.run_rounds(3, &mut SimRng::from_seed(6)).unwrap();
-/// assert_eq!(rounds.len(), 3);
-/// assert!(rounds.iter().all(|r| r.report.all_deal()));
-/// ```
 #[derive(Debug)]
 pub struct RecurrentSession {
     digraph: Digraph,
@@ -134,10 +140,11 @@ impl RecurrentSession {
     ///
     /// # Errors
     ///
-    /// Fails if the spec cannot be built or the round does not settle with
-    /// Deal for every party (a recurrence cannot continue over a broken
-    /// round).
+    /// Fails if the spec cannot be built, an identity cannot fund the
+    /// round's lease, or the round does not settle with Deal for every
+    /// party (a recurrence cannot continue over a broken round).
     pub fn run_round(&mut self, rng: &mut SimRng) -> Result<RoundSummary, RecurrentError> {
+        let round = self.rounds_completed;
         // Build this round's spec from the committed secrets.
         let mut builder = SpecBuilder::new(self.digraph.clone());
         builder.delta(self.delta).start(self.now + self.delta.times(1));
@@ -150,42 +157,69 @@ impl RecurrentSession {
         }
         let spec = builder.build()?;
         let started_at = spec.start;
-        let spec_leader_count = spec.leaders.len();
+        let hashlocks = spec.hashlocks.clone();
+
+        // Lease each identity the budget the exchange's provisioning leases
+        // per swap: one leaf per leader secret the party signs a hashkey
+        // for, plus one for a leader that also signs an early announcement.
+        // The next round's lease starts past every leaf this one may spend.
+        let budget = spec.leaders.len() as u64 + 1;
+        let mut leases = Vec::with_capacity(self.keypairs.len());
+        for (i, kp) in self.keypairs.iter_mut().enumerate() {
+            let vertex = VertexId::new(i as u32);
+            let lease = kp.lease(budget);
+            leases.push(lease.map_err(|error| RecurrentError::KeysExhausted {
+                round,
+                vertex,
+                error,
+            })?);
+        }
+        let leaf_windows = leases.iter().map(|l| l.next_leaf()..l.limit()).collect();
 
         // Draw the next round's secrets now — their hashlocks ride along
-        // with this round's Phase Two messages (we account for their bytes
-        // as announcements).
-        let mut next_rng =
-            rng.stream_indexed("recurrent/secrets", self.rounds_completed as u64 + 1);
+        // with this round's Phase Two messages.
+        let mut next_rng = rng.stream_indexed("recurrent/secrets", round as u64 + 1);
         let next_secrets: Vec<Secret> =
             (0..self.digraph.vertex_count()).map(|_| Secret::random(&mut next_rng)).collect();
         let next_hashlocks: Vec<Hashlock> = next_secrets.iter().map(Secret::hashlock).collect();
 
-        let setup = SwapSetup::from_parts(
-            spec,
-            self.keypairs.clone(),
-            self.committed_secrets.clone(),
-            self.now,
-        );
-        let report = Engine::lockstep(setup, RunConfig::default(), ProtocolKind::Hashkey).run();
+        let setup = SwapSetup::from_parts(spec, leases, self.committed_secrets.clone(), self.now);
+        let (report, after) =
+            Engine::lockstep(setup, RunConfig::default(), ProtocolKind::Hashkey).run_full();
         if !report.all_deal() {
-            return Err(RecurrentError::RoundFailed { round: self.rounds_completed });
+            return Err(RecurrentError::RoundFailed { round });
         }
-        // The runner signed with *clones* of the session keypairs, so the
-        // master copies still point at the leaves the round just spent.
-        // Reusing a one-time leaf forfeits its security, so burn the worst
-        // case per party — one leaf per leader secret propagated — before
-        // the next round signs anything.
-        let leaves_spent = spec_leader_count as u64;
-        for kp in &mut self.keypairs {
-            for _ in 0..leaves_spent.min(kp.remaining()) {
-                let _ = kp.sign(&swap_crypto::sha256::sha256(b"leaf-retired"));
+        // A hashkey's path runs from its presenter to the leader, and its
+        // chain's links from the leader's signature to the presenter's.
+        let mut leaves_used = vec![BTreeSet::new(); self.digraph.vertex_count()];
+        for (_, chain) in after.chains.iter() {
+            for swap in chain.contracts().filter_map(|(_, c)| c.as_swap()) {
+                for record in (0..hashlocks.len()).filter_map(|i| swap.unlock_record(i)) {
+                    for (v, link) in record.path.vertices().iter().rev().zip(record.sig.links()) {
+                        leaves_used[v.index()].insert(link.leaf_index());
+                    }
+                }
             }
         }
+        let next_published_at = report
+            .trace
+            .events()
+            .iter()
+            .find(|e| matches!(e.what, What::Unlocked { .. }))
+            .expect("an all-deal round unlocks")
+            .time;
         self.now = report.completion.expect("all-deal run completes") + self.delta.times(2);
         self.committed_secrets = next_secrets;
         self.rounds_completed += 1;
-        Ok(RoundSummary { report, next_hashlocks, started_at })
+        Ok(RoundSummary {
+            report,
+            hashlocks,
+            next_hashlocks,
+            next_published_at,
+            started_at,
+            leaf_windows,
+            leaves_used,
+        })
     }
 
     /// Runs `count` consecutive rounds.
@@ -202,7 +236,6 @@ impl RecurrentSession {
     }
 }
 
-#[cfg(test)]
 mod tests {
     use super::*;
     use swap_digraph::generators;
@@ -254,13 +287,22 @@ mod tests {
     }
 
     #[test]
-    fn works_on_two_leader_digraph() {
+    fn an_exhausted_identity_stops_the_session_with_a_typed_error() {
+        // Height 7 mints 128 leaves and a one-leader round leases two from
+        // every party, so round 64 finds every identity spent.
         let mut session = RecurrentSession::new(
-            generators::two_leader_triangle(),
+            generators::herlihy_three_party(),
             Delta::from_ticks(10),
-            &mut SimRng::from_seed(7),
+            &mut SimRng::from_seed(9),
         );
-        let rounds = session.run_rounds(2, &mut SimRng::from_seed(8)).unwrap();
-        assert!(rounds.iter().all(|r| r.report.all_deal()));
+        let mut rng = SimRng::from_seed(10);
+        let rounds = session.run_rounds(64, &mut rng).unwrap();
+        assert_eq!(rounds[63].leaf_windows, vec![126..128; 3]);
+        let err = session.run_round(&mut rng).unwrap_err();
+        assert!(
+            matches!(err, RecurrentError::KeysExhausted { round: 64, vertex, .. } if vertex.index() == 0),
+            "{err}"
+        );
+        assert_eq!(session.rounds_completed(), 64);
     }
 }

@@ -73,16 +73,6 @@ pub fn deadlocked_vertices(
     digraph.vertices().filter(|v| !discharged[v.index()]).collect()
 }
 
-/// Whether the publication state can still complete Phase One (no follower
-/// is permanently deadlocked).
-pub fn phase_one_can_complete(
-    digraph: &Digraph,
-    leaders: &BTreeSet<VertexId>,
-    published: &[bool],
-) -> bool {
-    deadlocked_vertices(digraph, leaders, published).is_empty()
-}
-
 /// A witness cycle of followers in the waits-for digraph, if one exists —
 /// the exact object Theorem 4.12's proof exhibits.
 pub fn deadlock_witness(
@@ -95,7 +85,6 @@ pub fn deadlock_witness(
     find_cycle(&followers_only)
 }
 
-#[cfg(test)]
 mod tests {
     use super::*;
     use swap_digraph::generators;
@@ -108,7 +97,7 @@ mod tests {
     fn initial_state_with_fvs_leaders_completes() {
         let d = generators::two_leader_triangle();
         let leaders: BTreeSet<_> = [VertexId::new(0), VertexId::new(1)].into();
-        assert!(phase_one_can_complete(&d, &leaders, &none_published(&d)));
+        assert!(deadlocked_vertices(&d, &leaders, &none_published(&d)).is_empty());
         assert!(deadlock_witness(&d, &leaders, &none_published(&d)).is_none());
     }
 
@@ -120,7 +109,6 @@ mod tests {
         let leaders: BTreeSet<_> = [VertexId::new(0)].into();
         let blocked = deadlocked_vertices(&d, &leaders, &none_published(&d));
         assert_eq!(blocked, vec![VertexId::new(1), VertexId::new(2)]);
-        assert!(!phase_one_can_complete(&d, &leaders, &none_published(&d)));
         let witness = deadlock_witness(&d, &leaders, &none_published(&d)).expect("cycle");
         assert_eq!(witness.len(), 2);
         assert!(!witness.contains(&VertexId::new(0)));
@@ -137,7 +125,7 @@ mod tests {
         published[0] = true;
         let w1 = waits_for_digraph(&d, &published);
         assert_eq!(w1.arc_count(), 2);
-        assert!(phase_one_can_complete(&d, &leaders, &published));
+        assert!(deadlocked_vertices(&d, &leaders, &published).is_empty());
     }
 
     #[test]
@@ -147,7 +135,7 @@ mod tests {
         let w = waits_for_digraph(&d, &published);
         assert_eq!(w.arc_count(), 0);
         let leaders: BTreeSet<_> = BTreeSet::new();
-        assert!(phase_one_can_complete(&d, &leaders, &published));
+        assert!(deadlocked_vertices(&d, &leaders, &published).is_empty());
     }
 
     #[test]

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use atomic_swaps::contract::UnlockRecord;
 use atomic_swaps::core::runner::{RunConfig, RunReport};
 use atomic_swaps::core::setup::{SetupConfig, SwapSetup};
-use atomic_swaps::core::{Action, Behavior, Engine, Outcome, ProtocolKind, What};
+use atomic_swaps::core::{assign_timeouts, Action, Behavior, Engine, Outcome, ProtocolKind, What};
 use atomic_swaps::digraph::{generators, ArcId, Digraph, DigraphBuilder, VertexId, VertexPath};
 use atomic_swaps::sim::SimRng;
 
@@ -140,6 +140,52 @@ proptest! {
                 digraph.out_degree(v),
             );
             prop_assert_eq!(report.outcomes[v.index()], Outcome::classify(entering, leaving));
+        }
+    }
+}
+
+proptest! {
+    /// The invariant `ProtocolKind::select` relies on: a spec that passed
+    /// validation with exactly one leader has that leader as a feedback
+    /// vertex set on its own, so the Lemma 4.13 ladder exists (Figure 6's
+    /// condition holds) and selection picks the HTLC protocol. Cycles,
+    /// stars and flowers always elect one leader; random digraphs do when
+    /// their minimum feedback vertex set is a single vertex.
+    #[test]
+    fn validated_single_leader_specs_admit_the_timeout_ladder(
+        seed in 0u64..1_000,
+        family in 0u32..4,
+        n in 3usize..8,
+        extra in 0.0f64..0.5,
+    ) {
+        let digraph = match family {
+            0 => random_digraph(seed, n, extra),
+            1 => generators::cycle(n),
+            2 => generators::star(n - 2),
+            _ => generators::flower(n / 3 + 1, n % 3 + 2),
+        };
+        let spec = SwapSetup::generate(
+            digraph,
+            &fast_config(),
+            &mut SimRng::from_seed(seed ^ 0xEEEE),
+        ).expect("strongly connected inputs are valid swaps").spec;
+        if let &[leader] = spec.leaders.as_slice() {
+            let delta = spec.delta;
+            let t0 = spec.start - delta.times(1);
+            let timeouts = assign_timeouts(&spec.digraph, leader, t0, delta);
+            prop_assert!(timeouts.is_ok(), "no ladder: {:?}", timeouts);
+            let timeouts = timeouts.expect("checked");
+            for v in spec.digraph.vertices().filter(|&v| v != leader) {
+                for entering in spec.digraph.in_arcs(v) {
+                    for leaving in spec.digraph.out_arcs(v) {
+                        let (te, tl) = (timeouts[entering.id.index()], timeouts[leaving.id.index()]);
+                        prop_assert!(te >= tl + delta.times(1), "follower {}: {} vs {}", v, te, tl);
+                    }
+                }
+            }
+            prop_assert_eq!(ProtocolKind::select(&spec, &RunConfig::default()), ProtocolKind::Htlc);
+        } else {
+            prop_assert!(family == 0, "family {} elected {} leaders", family, spec.leaders.len());
         }
     }
 }
