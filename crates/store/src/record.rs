@@ -697,6 +697,119 @@ mod tests {
         ]
     }
 
+    /// Every record kind of [`sample_records`], then one `StepFailed` per
+    /// [`FailTag`] variant and one `StageEntered` per [`StageTag`] variant.
+    fn known_answer_records() -> Vec<WalRecord> {
+        let mut records = sample_records();
+        records.extend(
+            [
+                FailTag::Clear,
+                FailTag::Verify { swap: 21 },
+                FailTag::WorkerPanicked { swap: 22 },
+                FailTag::KeysExhausted { swap: 23, address: [13; 32] },
+            ]
+            .map(|error| WalRecord::StepFailed { error }),
+        );
+        records.extend(
+            [StageTag::Clearing, StageTag::Provisioning, StageTag::Executing, StageTag::Settling]
+                .map(|stage| WalRecord::StageEntered { epoch: 1, stage, at: 2 }),
+        );
+        records
+    }
+
+    /// `(kind, payload hex)` of each of [`known_answer_records`], as the
+    /// hand-written codec wrote them: the WAL format any store on disk holds.
+    const KNOWN_ANSWERS: [(u16, &str); 21] = [
+        (
+            1,
+            concat!(
+                "0101010101010101010101010101010101010101010101010101010101010101",
+                "0403000000000000000202020202020202020202020202020202020202020202",
+                "0202020202020202020400000000000000676f6c64060000000000000073696c",
+                "766572",
+            ),
+        ),
+        (
+            2,
+            concat!(
+                "0200000000000000030303030303030303030303030303030303030303030303",
+                "0303030303030303020404040404040404040404040404040404040404040404",
+                "0404040404040404040100000000000000610100000000000000620505050505",
+                "0505050505050505050505050505050505050505050505050505050506060606",
+                "0606060606060606060606060606060606060606060606060606060601000000",
+                "0000000062010000000000000061",
+            ),
+        ),
+        (
+            3,
+            concat!(
+                "0707070707070707070707070707070707070707070707070707070707070707",
+                "0808080808080808080808080808080808080808080808080808080808080808",
+                "010000000000000078010000000000000079",
+            ),
+        ),
+        (4, "2a00000000000000"),
+        (5, "0300000000000000011100000000000000"),
+        (
+            6,
+            concat!(
+                "03000000000000001d0000000000000003000000000000000500000000000000",
+                "06000000000000000700000000000000",
+            ),
+        ),
+        (
+            7,
+            concat!(
+                "0309000000000000000909090909090909090909090909090909090909090909",
+                "090909090909090909",
+            ),
+        ),
+        (8, "040000000000000002000000000000000a000000000000000500000000000000"),
+        (9, "0b00000000000000"),
+        (10, "0c0000000000000001"),
+        (11, "0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a"),
+        (
+            12,
+            concat!(
+                "06000000000000000b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b",
+                "0b0b0b0b0b0b0b0b",
+            ),
+        ),
+        (
+            13,
+            concat!(
+                "0d000000000000000c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c",
+                "0c0c0c0c0c0c0c0c0400000000000000",
+            ),
+        ),
+        (7, "00"),
+        (7, "011500000000000000"),
+        (7, "021600000000000000"),
+        (
+            7,
+            concat!(
+                "0317000000000000000d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d",
+                "0d0d0d0d0d0d0d0d0d",
+            ),
+        ),
+        (5, "0100000000000000000200000000000000"),
+        (5, "0100000000000000010200000000000000"),
+        (5, "0100000000000000020200000000000000"),
+        (5, "0100000000000000030200000000000000"),
+    ];
+
+    #[test]
+    fn payload_bytes_match_the_known_answers() {
+        let records = known_answer_records();
+        assert_eq!(records.len(), KNOWN_ANSWERS.len());
+        for (rec, &(kind, hex)) in records.iter().zip(&KNOWN_ANSWERS) {
+            let mut e = Encoder::new();
+            rec.put_payload(&mut e);
+            let got: String = e.as_bytes().iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!((rec.kind(), got.as_str()), (kind, hex), "{rec:?}");
+        }
+    }
+
     #[test]
     fn every_record_kind_round_trips() {
         for (i, rec) in sample_records().into_iter().enumerate() {
