@@ -14,7 +14,7 @@ use swap_sim::SimRng;
 /// here) and the greedy feedback vertex set as leaders.
 fn provision(digraph: Digraph, seed: u64) -> SwapSetup {
     let leaders = FeedbackVertexSet::greedy(&digraph).into_vertices().into_iter().collect();
-    let config = SetupConfig { key_height: 5, leaders: Some(leaders), ..SetupConfig::default() };
+    let config = SetupConfig { key_height: 5, leaders: Some(leaders) };
     SwapSetup::generate(digraph, &config, &mut SimRng::from_seed(seed)).expect("valid")
 }
 

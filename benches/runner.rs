@@ -16,7 +16,7 @@ use swap_sim::SimRng;
 /// the exact search is branch-and-bound, for small digraphs).
 fn provision(digraph: Digraph) -> SwapSetup {
     let leaders = FeedbackVertexSet::greedy(&digraph).into_vertices().into_iter().collect();
-    let config = SetupConfig { key_height: 5, leaders: Some(leaders), ..SetupConfig::default() };
+    let config = SetupConfig { key_height: 5, leaders: Some(leaders) };
     SwapSetup::generate(digraph, &config, &mut SimRng::from_seed(0xB0B))
         .expect("valid swap digraph")
 }

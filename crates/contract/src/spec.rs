@@ -14,7 +14,6 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 use swap_crypto::{Address, Hashlock, MssPublicKey};
-use swap_digraph::algo::EXACT_DIAMETER_LIMIT;
 use swap_digraph::{encode, Digraph, FeedbackVertexSet, VertexId};
 use swap_sim::{Delta, SimDuration, SimTime};
 
@@ -158,14 +157,10 @@ impl SwapSpec {
                 keys: self.keys.len(),
             });
         }
-        // Timeout soundness requires diam ≥ |p| for every path p. For small
-        // digraphs we check against the exact longest path; beyond the
-        // exact-computation limit, the safe |V| bound is required.
-        let required = if n <= EXACT_DIAMETER_LIMIT {
-            swap_digraph::algo::diameter_exact(&self.digraph).expect("within limit") as u64
-        } else {
-            n as u64
-        };
+        // Timeout soundness requires diam ≥ |p| for every path p: at least
+        // the digraph's `diameter()`, exact for small digraphs and the safe
+        // |V| bound beyond the exact-computation limit.
+        let required = self.digraph.diameter() as u64;
         if self.diam < required {
             return Err(SpecError::DiameterTooSmall { declared: self.diam, required });
         }

@@ -51,17 +51,20 @@ use crate::runner::RunMetrics;
 /// signature scheme's name is included because a snapshot stores each
 /// identity's leaf digests: under another one-time scheme the recovered
 /// keypair would sign with chains its own tree does not commit to.
-/// `leader_strategy=MinimumExact` is a literal: cleared swaps always elect
+/// `max_rounds: None` and `leader_strategy=MinimumExact` are literals:
+/// a run always waits `2·diam + 6` rounds and cleared swaps always elect
 /// exact minimum leaders, and the text keeps the digest of every store
-/// written while the strategy was a config field.
+/// written while those were config fields.
 pub(crate) fn config_digest(config: &ExchangeConfig) -> [u8; 32] {
     let semantic = format!(
-        "scheme={};delta={:?};executing_slots={};run={:?};leader_strategy=MinimumExact;\
-         protocol={:?};stage_costs={:?}",
+        "scheme={};delta={:?};executing_slots={};\
+         run=RunConfig {{ behaviors: {:?}, max_rounds: None, corrupt_arcs: {:?} }};\
+         leader_strategy=MinimumExact;protocol={:?};stage_costs={:?}",
         swap_crypto::mss::SCHEME,
         config.delta,
         config.executing_slots.max(1),
-        config.run,
+        config.run.behaviors,
+        config.run.corrupt_arcs,
         config.protocol,
         config.stage_costs,
     );

@@ -151,7 +151,8 @@ impl<T: TimingModel> Engine<T> {
             .collect();
         let arc_count = spec.digraph.arc_count();
         let t0 = spec.start - spec.delta.times(1);
-        let max_rounds = config.max_rounds.unwrap_or(2 * spec.diam + 6);
+        // Enough for the worst-case protocol plus the refund round.
+        let max_rounds = 2 * spec.diam + 6;
         // A conforming run publishes, claims and triggers every arc once and
         // unlocks it once per leader.
         let trace = Trace::new(&spec.digraph, arc_count * (3 + spec.leaders.len()));

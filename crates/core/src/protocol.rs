@@ -331,13 +331,9 @@ impl HtlcProtocol {
                  run it under ProtocolKind::Hashkey (ProtocolKind::select does this)"
             );
         }
-        let &[leader] = spec.leaders.as_slice() else {
-            return Err(TimeoutError::NotSingleLeader { leaders: spec.leaders.len() });
-        };
-        // Round 0 opens one Δ before the protocol start `T`, the instant
-        // the cleared spec reaches the parties; the ladder hangs off it.
-        let t0 = spec.start - spec.delta.times(1);
-        let timeouts = assign_timeouts(&spec.digraph, leader, t0, spec.delta)?;
+        let timeouts = assign_timeouts(&spec)?;
+        // The ladder exists, so the spec has exactly one leader.
+        let leader = spec.leaders[0];
         let secret = setup.secrets[leader.index()];
         let hashlock = spec.hashlocks[0];
         debug_assert!(hashlock.matches(&secret), "leader hashlock must match its secret");

@@ -48,14 +48,13 @@ use crate::event::Trace;
 use crate::outcome::Outcome;
 use crate::party::Behavior;
 
-/// Per-run configuration: who deviates and for how long the runner waits.
+/// Per-run configuration: who deviates, and how. The engine waits at most
+/// `2·diam + 6` rounds, enough for the worst-case protocol plus the refund
+/// round.
 #[derive(Debug, Clone, Default)]
 pub struct RunConfig {
     /// Behavior per vertex; unlisted vertexes conform.
     pub behaviors: BTreeMap<VertexId, Behavior>,
-    /// Maximum number of rounds (default: `2·diam + 6`, enough for the
-    /// worst-case protocol plus the refund round).
-    pub max_rounds: Option<u64>,
     /// Arcs whose published contract is *corrupted* (wrong hashlocks),
     /// modeling a malicious publisher; observers detect and abandon.
     pub corrupt_arcs: BTreeSet<ArcId>,

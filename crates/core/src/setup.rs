@@ -12,7 +12,7 @@ use swap_contract::{AnyContract, SwapSpec};
 use swap_crypto::{MssKeypair, Secret};
 use swap_digraph::{Digraph, VertexId};
 use swap_market::{BuildError, SpecBuilder};
-use swap_sim::{Delta, SimRng, SimTime};
+use swap_sim::{SimRng, SimTime};
 
 /// Default MSS key-tree height for generated parties: `2^6 = 64` one-time
 /// signatures, enough for any leader count the experiments use.
@@ -67,14 +67,11 @@ pub struct SwapSetup {
     pub asset_of_arc: Vec<AssetId>,
 }
 
-/// Configuration for [`SwapSetup::generate`].
+/// Configuration for [`SwapSetup::generate`]. Every generated swap has
+/// Δ = 10 ticks and is published at tick 0, so the protocol starts at
+/// `T = Δ`, the earliest §4.2 allows.
 #[derive(Debug, Clone)]
 pub struct SetupConfig {
-    /// The synchrony parameter Δ.
-    pub delta: Delta,
-    /// "Now": when the clearing service publishes. The protocol start is
-    /// `now + delta` (the minimum §4.2 allows).
-    pub now: SimTime,
     /// Explicit leaders; `None` elects the exact minimum feedback vertex
     /// set.
     pub leaders: Option<Vec<VertexId>>,
@@ -84,12 +81,7 @@ pub struct SetupConfig {
 
 impl Default for SetupConfig {
     fn default() -> Self {
-        SetupConfig {
-            delta: Delta::from_ticks(10),
-            now: SimTime::ZERO,
-            leaders: None,
-            key_height: DEFAULT_KEY_HEIGHT,
-        }
+        SetupConfig { leaders: None, key_height: DEFAULT_KEY_HEIGHT }
     }
 }
 
@@ -114,8 +106,8 @@ impl SwapSetup {
             .collect();
         let secrets: Vec<Secret> = (0..n).map(|_| Secret::random(&mut secret_rng)).collect();
 
+        // The builder's defaults: Δ = 10 ticks, start = Δ.
         let mut builder = SpecBuilder::new(digraph.clone());
-        builder.delta(config.delta).start(config.now + config.delta.times(1));
         if let Some(ls) = &config.leaders {
             builder.leaders(ls.clone());
         }
@@ -123,7 +115,7 @@ impl SwapSetup {
             builder.identity(v, keypairs[v.index()].public_key(), secrets[v.index()].hashlock());
         }
         let spec = builder.build()?;
-        Ok(SwapSetup::from_parts(spec, keypairs, secrets, config.now))
+        Ok(SwapSetup::from_parts(spec, keypairs, secrets, SimTime::ZERO))
     }
 
     /// Provisions one chain and one asset per arc for `spec`, created at
@@ -169,6 +161,7 @@ mod tests {
     use super::*;
     use swap_chain::Owner;
     use swap_digraph::generators;
+    use swap_sim::Delta;
 
     fn rng() -> SimRng {
         SimRng::from_seed(42)
@@ -209,11 +202,11 @@ mod tests {
     }
 
     #[test]
-    fn start_is_delta_after_now() {
+    fn start_is_one_delta_after_publication() {
         let d = generators::herlihy_three_party();
-        let config = SetupConfig { now: SimTime::from_ticks(100), ..SetupConfig::default() };
-        let setup = SwapSetup::generate(d, &config, &mut rng()).unwrap();
-        assert_eq!(setup.spec.start, SimTime::from_ticks(110));
+        let setup = SwapSetup::generate(d, &SetupConfig::default(), &mut rng()).unwrap();
+        assert_eq!(setup.spec.delta, Delta::from_ticks(10));
+        assert_eq!(setup.spec.start, SimTime::from_ticks(10));
     }
 
     #[test]

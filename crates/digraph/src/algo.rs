@@ -7,8 +7,8 @@ use crate::digraph::Digraph;
 use crate::ids::VertexId;
 
 /// Largest vertex count for which [`diameter_exact`] runs the exponential
-/// longest-path dynamic program. Beyond this, callers fall back to the safe
-/// `|V|` upper bound.
+/// longest-path dynamic program. Beyond this, [`Digraph::diameter`] falls
+/// back to the safe `|V|` upper bound.
 pub const EXACT_DIAMETER_LIMIT: usize = 15;
 
 /// Vertexes reachable from `start` (including `start`), as a dense mask.
@@ -244,80 +244,6 @@ pub fn diameter_exact(d: &Digraph) -> Option<usize> {
     Some(best)
 }
 
-/// `D(v, target)`: the length of the longest path from `from` to `target`
-/// in which `target` appears only as the final vertex, or `None` if no such
-/// path exists.
-///
-/// This is the quantity in the paper's single-leader timeout formula
-/// `(diam(D) + D(v, v̂) + 1)·Δ` (Lemma 4.13). `D(v̂, v̂) = 0` by the trivial
-/// path. The computation deletes `target`, requiring the rest of the walk to
-/// be a simple path:
-///
-/// * if `D \ {target}` is acyclic (always true when `target` is the unique
-///   leader, i.e. a feedback vertex), longest path is computed on the DAG in
-///   linear time;
-/// * otherwise an exponential search is used for graphs within
-///   [`EXACT_DIAMETER_LIMIT`], and `None` is returned beyond that.
-pub fn longest_path_to(d: &Digraph, from: VertexId, target: VertexId) -> Option<usize> {
-    if from == target {
-        return Some(0);
-    }
-    if d.in_degree(target) == 0 {
-        return None;
-    }
-    let n = d.vertex_count();
-    let mut removed = vec![false; n];
-    removed[target.index()] = true;
-    if let Some(order) = topological_order_avoiding(d, &removed) {
-        // Longest simple path in the DAG from `from`, then +1 hop to target
-        // from one of its predecessors in the full digraph.
-        let mut dist = vec![None::<usize>; n];
-        dist[from.index()] = Some(0);
-        for &v in &order {
-            let Some(dv) = dist[v.index()] else { continue };
-            for arc in d.out_arcs(v).filter(|a| a.tail != target) {
-                let w = arc.tail.index();
-                let cand = dv + 1;
-                if dist[w].is_none_or(|old| cand > old) {
-                    dist[w] = Some(cand);
-                }
-            }
-        }
-        d.in_arcs(target).filter_map(|a| dist[a.head.index()]).max().map(|len| len + 1)
-    } else {
-        if d.vertex_count() > EXACT_DIAMETER_LIMIT {
-            return None;
-        }
-        // Exponential DFS over simple paths avoiding target as interior.
-        fn dfs(
-            d: &Digraph,
-            v: VertexId,
-            target: VertexId,
-            visited: &mut Vec<bool>,
-            best: &mut Option<usize>,
-            len: usize,
-        ) {
-            for arc in d.out_arcs(v) {
-                let w = arc.tail;
-                if w == target {
-                    if best.is_none_or(|b| len + 1 > b) {
-                        *best = Some(len + 1);
-                    }
-                } else if !visited[w.index()] {
-                    visited[w.index()] = true;
-                    dfs(d, w, target, visited, best, len + 1);
-                    visited[w.index()] = false;
-                }
-            }
-        }
-        let mut visited = vec![false; d.vertex_count()];
-        visited[from.index()] = true;
-        let mut best = None;
-        dfs(d, from, target, &mut visited, &mut best, 0);
-        best
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -330,53 +256,13 @@ mod tests {
         generators::herlihy_three_party()
     }
 
-    /// `D(from, target)` by trying every simple path.
-    fn longest_path_by_search(d: &Digraph, from: VertexId, target: VertexId) -> Option<usize> {
-        fn extend(
-            d: &Digraph,
-            v: VertexId,
-            target: VertexId,
-            on_path: &mut [bool],
-        ) -> Option<usize> {
-            let mut best = None;
-            for w in d.successors(v) {
-                let via = if w == target {
-                    Some(1)
-                } else if on_path[w.index()] {
-                    None
-                } else {
-                    on_path[w.index()] = true;
-                    let rest = extend(d, w, target, on_path);
-                    on_path[w.index()] = false;
-                    rest.map(|len| len + 1)
-                };
-                best = best.max(via);
-            }
-            best
-        }
-        if from == target {
-            return Some(0);
-        }
-        let mut on_path = vec![false; d.vertex_count()];
-        on_path[from.index()] = true;
-        extend(d, from, target, &mut on_path)
-    }
-
     proptest! {
-        /// The masked walks (no deleted or transposed copy) agree with the
-        /// definitions on every vertex pair of small random digraphs.
+        /// The strong-connectivity walk (along entering arcs, with no
+        /// transposed copy) agrees with the definition on small random
+        /// digraphs.
         #[test]
-        fn masked_walks_match_the_definitions(n in 1usize..7, p in 0.0f64..0.7, seed in any::<u64>()) {
+        fn strong_connectivity_matches_mutual_reachability(n in 1usize..7, p in 0.0f64..0.7, seed in any::<u64>()) {
             let d = generators::random_digraph(n, p, &mut SimRng::from_seed(seed));
-            for from in d.vertices() {
-                for target in d.vertices() {
-                    prop_assert_eq!(
-                        longest_path_to(&d, from, target),
-                        longest_path_by_search(&d, from, target),
-                        "{} -> {} in\n{}", from, target, d.render()
-                    );
-                }
-            }
             let all_reach_all = d.vertices().all(|v| reachable_from(&d, v).iter().all(|&r| r));
             prop_assert_eq!(is_strongly_connected(&d), all_reach_all);
         }
@@ -490,39 +376,6 @@ mod tests {
     fn diameter_of_two_cycle() {
         let d = DigraphBuilder::new().vertices(["a", "b"]).arc("a", "b").arc("b", "a").build();
         assert_eq!(diameter_exact(&d), Some(2));
-    }
-
-    #[test]
-    fn longest_path_to_leader_in_triangle() {
-        let d = triangle();
-        let a = d.vertex_by_name("alice").unwrap();
-        let b = d.vertex_by_name("bob").unwrap();
-        let c = d.vertex_by_name("carol").unwrap();
-        // Leader v̂ = alice: D(B,A)=2 (B→C→A), D(C,A)=1, D(A,A)=0, matching
-        // the 6Δ/5Δ/4Δ timelocks of Figure 1.
-        assert_eq!(longest_path_to(&d, b, a), Some(2));
-        assert_eq!(longest_path_to(&d, c, a), Some(1));
-        assert_eq!(longest_path_to(&d, a, a), Some(0));
-    }
-
-    #[test]
-    fn longest_path_to_unreachable_is_none() {
-        let d = DigraphBuilder::new().vertices(["a", "b"]).arc("a", "b").build();
-        let a = d.vertex_by_name("a").unwrap();
-        let b = d.vertex_by_name("b").unwrap();
-        assert_eq!(longest_path_to(&d, b, a), None);
-        assert_eq!(longest_path_to(&d, a, b), Some(1));
-    }
-
-    #[test]
-    fn longest_path_with_cyclic_remainder_uses_search() {
-        // Complete digraph on 4 vertexes: removing the target leaves a
-        // 3-vertex cyclic digraph, forcing the exponential fallback.
-        let k4 = generators::complete(4);
-        let v0 = VertexId::new(0);
-        let v1 = VertexId::new(1);
-        // Longest: v1 -> x -> y -> v0 visiting the other two first.
-        assert_eq!(longest_path_to(&k4, v1, v0), Some(3));
     }
 
     #[test]

@@ -295,14 +295,10 @@ impl Digraph {
     /// otherwise falls back to the safe upper bound `|V|` (no path can be
     /// longer, since at most `|V|` arcs can be traversed before repeating an
     /// interior vertex). Timelocks derived from an upper bound remain sound —
-    /// they are merely looser.
+    /// they are merely looser. This is the one `diam(D)` policy: a built
+    /// spec publishes it, and `SwapSpec::validate` requires at least it.
     pub fn diameter(&self) -> usize {
-        algo::diameter_exact(self).unwrap_or_else(|| self.diameter_upper_bound())
-    }
-
-    /// The trivially safe diameter upper bound `|V|`.
-    pub fn diameter_upper_bound(&self) -> usize {
-        self.vertex_count()
+        algo::diameter_exact(self).unwrap_or_else(|| self.vertex_count())
     }
 
     /// Renders the digraph as `name(head) -> name(tail)` lines, stable across

@@ -5,7 +5,6 @@ use std::fmt;
 use swap_contract::spec::SpecError;
 use swap_contract::SwapSpec;
 use swap_crypto::{Address, Hashlock, MssPublicKey};
-use swap_digraph::algo::EXACT_DIAMETER_LIMIT;
 use swap_digraph::{Digraph, FeedbackVertexSet, VertexId};
 use swap_sim::{Delta, SimTime};
 
@@ -80,8 +79,6 @@ pub struct SpecBuilder {
     delta: Delta,
     start: SimTime,
     leaders: Option<Vec<VertexId>>,
-    diam_override: Option<u64>,
-    broadcast_arcs: bool,
 }
 
 impl SpecBuilder {
@@ -97,8 +94,6 @@ impl SpecBuilder {
             delta,
             start: SimTime::ZERO + delta.times(1),
             leaders: None,
-            diam_override: None,
-            broadcast_arcs: false,
         }
     }
 
@@ -133,27 +128,14 @@ impl SpecBuilder {
         self
     }
 
-    /// Enables the §4.5 broadcast optimization: contracts will accept
-    /// length-one hashkey paths from any vertex to any leader.
-    pub fn broadcast_arcs(&mut self, enabled: bool) -> &mut Self {
-        self.broadcast_arcs = enabled;
-        self
-    }
-
-    /// Overrides the published diameter value (it is still validated to be
-    /// large enough). Useful for testing looser timelocks.
-    pub fn diameter(&mut self, diam: u64) -> &mut Self {
-        self.diam_override = Some(diam);
-        self
-    }
-
     /// Assembles and validates the spec.
     ///
     /// # Errors
     ///
     /// See [`BuildError`]; notably, every vertex needs an identity, every
     /// identity a vertex, and the final spec must pass
-    /// [`SwapSpec::validate`].
+    /// [`SwapSpec::validate`]. The spec publishes [`Digraph::diameter`] as
+    /// its `diam`, with the §4.5 broadcast optimization off.
     pub fn build(&self) -> Result<SwapSpec, BuildError> {
         if let Some(v) = self.unknown_vertex {
             return Err(BuildError::UnknownVertex(v));
@@ -191,13 +173,6 @@ impl SpecBuilder {
                     .ok_or(BuildError::Spec(SpecError::UnknownLeaderVertex(l)))
             })
             .collect::<Result<Vec<_>, _>>()?;
-        let diam = self.diam_override.unwrap_or_else(|| {
-            if n <= EXACT_DIAMETER_LIMIT {
-                self.digraph.diameter() as u64
-            } else {
-                self.digraph.diameter_upper_bound() as u64
-            }
-        });
         let spec = SwapSpec {
             digraph: self.digraph.clone(),
             leaders,
@@ -206,8 +181,8 @@ impl SpecBuilder {
             keys,
             start: self.start,
             delta: self.delta,
-            diam,
-            broadcast_arcs: self.broadcast_arcs,
+            diam: self.digraph.diameter() as u64,
+            broadcast_arcs: false,
         };
         spec.validate()?;
         Ok(spec)
@@ -287,19 +262,6 @@ mod tests {
         let err = b.build().unwrap_err();
         assert_eq!(err, BuildError::MissingIdentity(VertexId::new(1)));
         assert!(err.to_string().contains("identity"));
-    }
-
-    #[test]
-    fn diameter_override_respected_and_validated() {
-        let mut b = builder_for(generators::herlihy_three_party());
-        b.diameter(50);
-        assert_eq!(b.build().unwrap().diam, 50);
-        let mut b2 = builder_for(generators::herlihy_three_party());
-        b2.diameter(1); // below true diameter 3
-        assert!(matches!(
-            b2.build().unwrap_err(),
-            BuildError::Spec(SpecError::DiameterTooSmall { .. })
-        ));
     }
 
     #[test]

@@ -403,8 +403,9 @@ pub struct ClearingService {
     /// refund); a [`ClearPlan`] is only committable at the generation it
     /// was drawn at.
     generation: u64,
-    /// Raw id of the first offer this service issues; entry `i` holds
-    /// offer `first_id + i`.
+    /// Raw id of the first offer this service issues (0 unless restored
+    /// from a snapshot that says otherwise); entry `i` holds offer
+    /// `first_id + i`.
     first_id: u64,
     /// The next epoch number `clear` will run as.
     epoch: u64,
@@ -446,19 +447,6 @@ impl ClearingService {
     /// Creates an empty service.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Offsets the id space: the first submitted offer gets raw id `base`
-    /// instead of `0`. Lets several services (shards) issue disjoint offer
-    /// ids, and decouples offer ids from entry positions.
-    ///
-    /// # Panics
-    ///
-    /// If offers were already submitted.
-    pub fn with_first_offer_id(mut self, base: u64) -> Self {
-        assert!(self.entries.is_empty(), "id base must be set before the first submit");
-        self.first_id = base;
-        self
     }
 
     /// Accepts an offer, returning its id. The offer starts `Open`.
@@ -1137,7 +1125,7 @@ mod tests {
         // Build a book with every lifecycle state live at once: settled,
         // refunded, cancelled, matched (in-flight, so its party is
         // reserved), open-and-parked, open-and-indexed, and deferred.
-        let mut svc = ClearingService::new().with_first_offer_id(7);
+        let mut svc = ClearingService { first_id: 7, ..ClearingService::default() };
         svc.submit(offer(1, "a", "b"));
         svc.submit(offer(2, "b", "a"));
         let settled = clear(&mut svc)[0].id;
@@ -1280,7 +1268,7 @@ mod tests {
         // base, every id the service reports must be a real issued id —
         // the historical `OfferId(entry_index as u64)` in the clear path
         // would fabricate unissued low ids for skipped/deferred cycles.
-        let mut svc = ClearingService::new().with_first_offer_id(1_000);
+        let mut svc = ClearingService { first_id: 1_000, ..ClearingService::default() };
         let a1 = svc.submit(offer(1, "x", "y"));
         assert_eq!(a1.raw(), 1_000);
         let a2 = svc.submit(offer(1, "p", "q")); // same party as a1

@@ -31,7 +31,9 @@
 //! domain values with [`Decoder`]. The only typed records are the WAL's —
 //! [`record::WalRecord`] with [`SeedRecord`], [`FailTag`], [`StageTag`],
 //! holding raw 32-byte arrays, strings and `u8` tags — because a logged
-//! command has no domain type to reuse.
+//! command has no domain type to reuse. Their wire format is one table
+//! row per kind in [`record`]: a new WAL field is an edit to the type and
+//! to its row, and a field missing from the row does not compile.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

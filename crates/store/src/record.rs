@@ -19,6 +19,12 @@
 //! and reports how many bytes were valid. A crash can only ever tear the
 //! *final* frame (appends are sequential), so everything before the stop
 //! point is trustworthy.
+//!
+//! Each payload's format is stated once, in a table: `wal_kinds!` maps
+//! every kind to its variant and that variant's fields in wire order, and
+//! `tagged!` and `fields!` do the same for [`StageTag`], [`FailTag`] and
+//! [`SeedRecord`]. A new WAL field is one edit to the type and one to its
+//! row; a field missing from the row does not compile.
 
 use crate::codec::{crc32, crc32_update, DecodeError, Decoder, Encoder};
 
@@ -44,29 +50,6 @@ pub enum StageTag {
     Settling,
 }
 
-impl StageTag {
-    /// Stable wire tag.
-    pub fn tag(self) -> u8 {
-        match self {
-            StageTag::Clearing => 0,
-            StageTag::Provisioning => 1,
-            StageTag::Executing => 2,
-            StageTag::Settling => 3,
-        }
-    }
-
-    /// Inverse of [`StageTag::tag`].
-    pub fn from_tag(tag: u8) -> Result<Self, DecodeError> {
-        match tag {
-            0 => Ok(StageTag::Clearing),
-            1 => Ok(StageTag::Provisioning),
-            2 => Ok(StageTag::Executing),
-            3 => Ok(StageTag::Settling),
-            t => Err(DecodeError::BadTag(t)),
-        }
-    }
-}
-
 /// One party of a seeded batch submit (mirrors `swap_core`'s `PartySeed`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SeedRecord {
@@ -80,26 +63,6 @@ pub struct SeedRecord {
     pub gives: String,
     /// Asset kind the party wants.
     pub wants: String,
-}
-
-impl SeedRecord {
-    fn encode(&self, e: &mut Encoder) {
-        e.put_bytes32(&self.seed);
-        e.put_u8(self.height);
-        e.put_bytes32(&self.secret);
-        e.put_str(&self.gives);
-        e.put_str(&self.wants);
-    }
-
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(Self {
-            seed: d.bytes32()?,
-            height: d.u8()?,
-            secret: d.bytes32()?,
-            gives: d.str()?,
-            wants: d.str()?,
-        })
-    }
 }
 
 /// Why a `step()` failed, as a stable wire tag (mirrors `ExchangeError`
@@ -125,37 +88,6 @@ pub enum FailTag {
         /// The exhausted identity.
         address: [u8; 32],
     },
-}
-
-impl FailTag {
-    fn encode(&self, e: &mut Encoder) {
-        match self {
-            FailTag::Clear => e.put_u8(0),
-            FailTag::Verify { swap } => {
-                e.put_u8(1);
-                e.put_u64(*swap);
-            }
-            FailTag::WorkerPanicked { swap } => {
-                e.put_u8(2);
-                e.put_u64(*swap);
-            }
-            FailTag::KeysExhausted { swap, address } => {
-                e.put_u8(3);
-                e.put_u64(*swap);
-                e.put_bytes32(address);
-            }
-        }
-    }
-
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        match d.u8()? {
-            0 => Ok(FailTag::Clear),
-            1 => Ok(FailTag::Verify { swap: d.u64()? }),
-            2 => Ok(FailTag::WorkerPanicked { swap: d.u64()? }),
-            3 => Ok(FailTag::KeysExhausted { swap: d.u64()?, address: d.bytes32()? }),
-            t => Err(DecodeError::BadTag(t)),
-        }
-    }
 }
 
 /// One logged exchange transition.
@@ -274,170 +206,163 @@ pub enum WalRecord {
     },
 }
 
-impl WalRecord {
-    /// Stable wire kind of this record (goes in the frame header).
-    pub fn kind(&self) -> u16 {
-        match self {
-            WalRecord::SubmitOffer { .. } => 1,
-            WalRecord::SubmitSeeded { .. } => 2,
-            WalRecord::Resubmit { .. } => 3,
-            WalRecord::Cancel { .. } => 4,
-            WalRecord::StageEntered { .. } => 5,
-            WalRecord::EpochSettled { .. } => 6,
-            WalRecord::StepFailed { .. } => 7,
-            WalRecord::PlanCommitted { .. } => 8,
-            WalRecord::SwapSettled { .. } => 9,
-            WalRecord::SwapRefunded { .. } => 10,
-            WalRecord::IdentityRegistered { .. } => 11,
-            WalRecord::IdentityMinted { .. } => 12,
-            WalRecord::LeavesLeased { .. } => 13,
-        }
-    }
+/// A value with a place in a WAL payload: how it is written and read back.
+trait Field: Sized {
+    fn put(&self, e: &mut Encoder);
+    fn get(d: &mut Decoder<'_>) -> Result<Self, DecodeError>;
+}
 
-    /// True for records recovery re-runs (as opposed to audits it checks).
-    pub fn is_command(&self) -> bool {
-        self.kind() <= 7
-    }
-
-    /// Encodes the payload (frame body, without the header or CRC) into a
-    /// buffer of its own.
-    pub fn encode_payload(&self) -> Vec<u8> {
-        let mut e = Encoder::new();
-        self.put_payload(&mut e);
-        e.into_bytes()
-    }
-
-    /// Appends the payload to `e`: what [`Wal::append_group`] writes
-    /// between [`begin_frame`] and [`seal_frame`].
-    ///
-    /// [`Wal::append_group`]: crate::Wal::append_group
-    pub fn put_payload(&self, e: &mut Encoder) {
-        match self {
-            WalRecord::SubmitOffer { seed, height, next_leaf, secret, gives, wants } => {
-                e.put_bytes32(seed);
-                e.put_u8(*height);
-                e.put_u64(*next_leaf);
-                e.put_bytes32(secret);
-                e.put_str(gives);
-                e.put_str(wants);
+/// Implements [`Field`] for a type the codec writes and reads in one call.
+macro_rules! primitive {
+    ($($ty:ty: |$e:ident, $v:ident| $put:expr, $get:ident;)+) => {$(
+        impl Field for $ty {
+            fn put(&self, $e: &mut Encoder) {
+                let $v = self;
+                $put;
             }
-            WalRecord::SubmitSeeded { seeds } => {
-                e.put_len(seeds.len());
-                for s in seeds {
-                    s.encode(e);
-                }
-            }
-            WalRecord::Resubmit { address, secret, gives, wants } => {
-                e.put_bytes32(address);
-                e.put_bytes32(secret);
-                e.put_str(gives);
-                e.put_str(wants);
-            }
-            WalRecord::Cancel { offer } => e.put_u64(*offer),
-            WalRecord::StageEntered { epoch, stage, at } => {
-                e.put_u64(*epoch);
-                e.put_u8(stage.tag());
-                e.put_u64(*at);
-            }
-            WalRecord::EpochSettled { epoch, at, swaps } => {
-                e.put_u64(*epoch);
-                e.put_u64(*at);
-                e.put_len(swaps.len());
-                for s in swaps {
-                    e.put_u64(*s);
-                }
-            }
-            WalRecord::StepFailed { error } => error.encode(e),
-            WalRecord::PlanCommitted { epoch, cycles, offers_examined, offers_matched } => {
-                e.put_u64(*epoch);
-                e.put_u64(*cycles);
-                e.put_u64(*offers_examined);
-                e.put_u64(*offers_matched);
-            }
-            WalRecord::SwapSettled { swap } => e.put_u64(*swap),
-            WalRecord::SwapRefunded { swap, exhausted } => {
-                e.put_u64(*swap);
-                e.put_bool(*exhausted);
-            }
-            WalRecord::IdentityRegistered { address } => e.put_bytes32(address),
-            WalRecord::IdentityMinted { ticket, address } => {
-                e.put_u64(*ticket);
-                e.put_bytes32(address);
-            }
-            WalRecord::LeavesLeased { swap, address, count } => {
-                e.put_u64(*swap);
-                e.put_bytes32(address);
-                e.put_u64(*count);
+            fn get(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+                d.$get()
             }
         }
-    }
+    )+};
+}
 
-    /// Decodes a payload of the given `kind`; inverse of
-    /// [`WalRecord::encode_payload`].
-    ///
-    /// # Errors
-    ///
-    /// Any [`DecodeError`] for a malformed or trailing-byte payload.
-    pub fn decode_payload(kind: u16, payload: &[u8]) -> Result<Self, DecodeError> {
-        let mut d = Decoder::new(payload);
-        let rec = match kind {
-            1 => WalRecord::SubmitOffer {
-                seed: d.bytes32()?,
-                height: d.u8()?,
-                next_leaf: d.u64()?,
-                secret: d.bytes32()?,
-                gives: d.str()?,
-                wants: d.str()?,
-            },
-            2 => {
-                let n = d.len_prefix()?;
-                let mut seeds = Vec::with_capacity(n);
-                for _ in 0..n {
-                    seeds.push(SeedRecord::decode(&mut d)?);
-                }
-                WalRecord::SubmitSeeded { seeds }
-            }
-            3 => WalRecord::Resubmit {
-                address: d.bytes32()?,
-                secret: d.bytes32()?,
-                gives: d.str()?,
-                wants: d.str()?,
-            },
-            4 => WalRecord::Cancel { offer: d.u64()? },
-            5 => WalRecord::StageEntered {
-                epoch: d.u64()?,
-                stage: StageTag::from_tag(d.u8()?)?,
-                at: d.u64()?,
-            },
-            6 => {
-                let epoch = d.u64()?;
-                let at = d.u64()?;
-                let n = d.len_prefix()?;
-                let mut swaps = Vec::with_capacity(n);
-                for _ in 0..n {
-                    swaps.push(d.u64()?);
-                }
-                WalRecord::EpochSettled { epoch, at, swaps }
-            }
-            7 => WalRecord::StepFailed { error: FailTag::decode(&mut d)? },
-            8 => WalRecord::PlanCommitted {
-                epoch: d.u64()?,
-                cycles: d.u64()?,
-                offers_examined: d.u64()?,
-                offers_matched: d.u64()?,
-            },
-            9 => WalRecord::SwapSettled { swap: d.u64()? },
-            10 => WalRecord::SwapRefunded { swap: d.u64()?, exhausted: d.bool()? },
-            11 => WalRecord::IdentityRegistered { address: d.bytes32()? },
-            12 => WalRecord::IdentityMinted { ticket: d.u64()?, address: d.bytes32()? },
-            13 => {
-                WalRecord::LeavesLeased { swap: d.u64()?, address: d.bytes32()?, count: d.u64()? }
-            }
-            k => return Err(DecodeError::BadKind(k)),
-        };
-        d.finish()?;
-        Ok(rec)
+primitive! {
+    u8: |e, v| e.put_u8(*v), u8;
+    bool: |e, v| e.put_bool(*v), bool;
+    u64: |e, v| e.put_u64(*v), u64;
+    [u8; 32]: |e, v| e.put_bytes32(v), bytes32;
+    String: |e, v| e.put_str(v), str;
+}
+
+/// A vector travels as its length, then its items.
+impl<T: Field> Field for Vec<T> {
+    fn put(&self, e: &mut Encoder) {
+        e.put_len(self.len());
+        self.iter().for_each(|item| item.put(e));
     }
+    fn get(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        (0..d.len_prefix()?).map(|_| T::get(d)).collect()
+    }
+}
+
+/// Implements [`Field`] for a struct from its one field list, in wire
+/// order. `put` destructures without `..`, so a field the struct gains and
+/// the list lacks does not compile.
+macro_rules! fields {
+    ($ty:ident { $($field:ident),+ $(,)? }) => {
+        impl Field for $ty {
+            fn put(&self, e: &mut Encoder) {
+                let $ty { $($field),+ } = self;
+                $(Field::put($field, e);)+
+            }
+            fn get(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+                Ok($ty { $($field: Field::get(d)?),+ })
+            }
+        }
+    };
+}
+
+fields!(SeedRecord { seed, height, secret, gives, wants });
+
+/// Implements [`Field`] for an enum from its one `tag => Variant { fields }`
+/// table: a `u8` tag, then the fields in list order. A variant or field
+/// missing from the table does not compile; `get` refuses other tags.
+macro_rules! tagged {
+    ($ty:ident { $($tag:literal => $variant:ident $({ $($field:ident),+ })?),+ $(,)? }) => {
+        impl Field for $ty {
+            fn put(&self, e: &mut Encoder) {
+                match self {
+                    $($ty::$variant $({ $($field),+ })? => {
+                        e.put_u8($tag);
+                        $($(Field::put($field, e);)+)?
+                    })+
+                }
+            }
+            fn get(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+                match d.u8()? {
+                    $($tag => Ok($ty::$variant $({ $($field: Field::get(d)?),+ })?),)+
+                    tag => Err(DecodeError::BadTag(tag)),
+                }
+            }
+        }
+    };
+}
+
+tagged!(StageTag { 0 => Clearing, 1 => Provisioning, 2 => Executing, 3 => Settling });
+
+tagged!(FailTag {
+    0 => Clear,
+    1 => Verify { swap },
+    2 => WorkerPanicked { swap },
+    3 => KeysExhausted { swap, address },
+});
+
+/// Implements the WAL codec of [`WalRecord`] from its one
+/// `kind => Variant { fields }` table: the kind goes in the frame header,
+/// the fields in list order make the payload. As with `tagged!`, a variant
+/// or field missing from the table does not compile.
+macro_rules! wal_kinds {
+    ($($kind:literal => $variant:ident { $($field:ident),+ }),+ $(,)?) => {
+        impl WalRecord {
+            /// Stable wire kind of this record (goes in the frame header).
+            pub fn kind(&self) -> u16 {
+                match self {
+                    $(WalRecord::$variant { .. } => $kind,)+
+                }
+            }
+
+            /// True for records recovery re-runs (as opposed to audits it checks).
+            pub fn is_command(&self) -> bool {
+                self.kind() <= 7
+            }
+
+            /// Appends the payload to `e`: what [`Wal::append_group`] writes
+            /// between [`begin_frame`] and [`seal_frame`].
+            ///
+            /// [`Wal::append_group`]: crate::Wal::append_group
+            pub fn put_payload(&self, e: &mut Encoder) {
+                match self {
+                    $(WalRecord::$variant { $($field),+ } => {
+                        $(Field::put($field, e);)+
+                    })+
+                }
+            }
+
+            /// Decodes a payload of the given `kind`; inverse of
+            /// [`WalRecord::put_payload`].
+            ///
+            /// # Errors
+            ///
+            /// Any [`DecodeError`] for an unknown kind or a malformed or
+            /// trailing-byte payload.
+            pub fn decode_payload(kind: u16, payload: &[u8]) -> Result<Self, DecodeError> {
+                let mut d = Decoder::new(payload);
+                let record = match kind {
+                    $($kind => WalRecord::$variant { $($field: Field::get(&mut d)?),+ },)+
+                    unknown => return Err(DecodeError::BadKind(unknown)),
+                };
+                d.finish()?;
+                Ok(record)
+            }
+        }
+    };
+}
+
+wal_kinds! {
+    1 => SubmitOffer { seed, height, next_leaf, secret, gives, wants },
+    2 => SubmitSeeded { seeds },
+    3 => Resubmit { address, secret, gives, wants },
+    4 => Cancel { offer },
+    5 => StageEntered { epoch, stage, at },
+    6 => EpochSettled { epoch, at, swaps },
+    7 => StepFailed { error },
+    8 => PlanCommitted { epoch, cycles, offers_examined, offers_matched },
+    9 => SwapSettled { swap },
+    10 => SwapRefunded { swap, exhausted },
+    11 => IdentityRegistered { address },
+    12 => IdentityMinted { ticket, address },
+    13 => LeavesLeased { swap, address, count },
 }
 
 /// Opens a frame at the end of `e`: writes its header with the payload
@@ -484,17 +409,16 @@ pub(crate) fn seal_frame_in_slices(
 }
 
 /// One decoded frame before payload interpretation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RawFrame {
+struct RawFrame {
     /// Record kind from the header.
-    pub kind: u16,
+    kind: u16,
     /// Sequence number from the header.
-    pub seq: u64,
+    seq: u64,
     /// Checksummed payload bytes.
-    pub payload: Vec<u8>,
+    payload: Vec<u8>,
     /// Byte offset one past this frame's CRC (= prefix length that
     /// includes this frame).
-    pub end: usize,
+    end: usize,
 }
 
 /// Reads one frame at `bytes[pos..]`. `Ok(None)` means the input ends
@@ -620,8 +544,14 @@ mod tests {
         bytes
     }
 
+    fn payload(record: &WalRecord) -> Vec<u8> {
+        let mut e = Encoder::new();
+        record.put_payload(&mut e);
+        e.into_bytes()
+    }
+
     fn encode_frame(seq: u64, record: &WalRecord) -> Vec<u8> {
-        reference_frame(record.kind(), seq, &record.encode_payload())
+        reference_frame(record.kind(), seq, &payload(record))
     }
 
     #[test]
@@ -813,12 +743,12 @@ mod tests {
     #[test]
     fn every_record_kind_round_trips() {
         for (i, rec) in sample_records().into_iter().enumerate() {
-            let payload = rec.encode_payload();
-            let back = WalRecord::decode_payload(rec.kind(), &payload)
+            let bytes = payload(&rec);
+            let back = WalRecord::decode_payload(rec.kind(), &bytes)
                 .unwrap_or_else(|e| panic!("record {i} failed to decode: {e}"));
             assert_eq!(back, rec, "record {i} changed across round trip");
             // Encode → decode → encode is byte-identical.
-            assert_eq!(back.encode_payload(), payload, "record {i} re-encode differs");
+            assert_eq!(payload(&back), bytes, "record {i} re-encode differs");
         }
     }
 
@@ -887,7 +817,7 @@ mod tests {
     #[test]
     fn future_version_is_a_hard_error() {
         let rec = WalRecord::Cancel { offer: 1 };
-        let payload = rec.encode_payload();
+        let payload = payload(&rec);
         let mut e = Encoder::new();
         e.put_u16(MAGIC);
         e.put_u16(VERSION + 1);

@@ -35,12 +35,19 @@ Then, for each enum in `CONFIG_ENUMS`, prints its number of variants: each
 is a value a config field can select, which the field count cannot show.
 For information only; no bound applies.
 
-Last, per crate, lists the `pub fn`s (in those lines) whose name no other
+Then, per crate, lists the `pub fn`s (in those lines) whose name no other
 Rust file of the repository (`USER_FILES`) mentions: candidates for
 deletion or a narrower visibility. A name is matched as a whole word, so
 a function called elsewhere under a common name (`new`, `len`) is never
 listed, and one called only by its own file or that file's unit tests is.
 For information only; no bound applies.
+
+Last, per crate, lists the `pub fn`s that only tests call: test code
+(`TEST_FILES`, or a `#[cfg(test)]` module) names them, and production code
+(`PRODUCTION_FILES` outside `#[cfg(test)]` modules and comments, the
+function's own definition line aside) does not. Each is an option or an
+entry point the program itself never uses. For information only; no bound
+applies.
 
 Relies on the tree being rustfmt-formatted: a `#[cfg(test)]` module ends at
 the first `}` indented like its attribute, and a struct or enum at the first
@@ -51,6 +58,7 @@ Usage: python3 scripts/count_lines.py [repo-root]
 
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 PUB_ITEM = re.compile(
@@ -87,10 +95,24 @@ USER_FILES = (
     "benchmark/src/**/*.rs",
 )
 
+PRODUCTION_FILES = (
+    "crates/*/src/**/*.rs",
+    "src/**/*.rs",
+    "examples/**/*.rs",
+    "benchmark/src/**/*.rs",
+)
+TEST_FILES = (
+    "crates/*/tests/**/*.rs",
+    "crates/*/benches/**/*.rs",
+    "tests/**/*.rs",
+    "benches/**/*.rs",
+)
 
-def non_test_lines(text):
-    """Non-blank lines of `text` outside `#[cfg(test)]` modules."""
-    kept, lines, i = [], text.splitlines(), 0
+
+def split_test_lines(text):
+    """`(kept, tests)`: the non-blank lines of `text` outside and inside
+    `#[cfg(test)]` modules."""
+    kept, tests, lines, i = [], [], text.splitlines(), 0
     while i < len(lines):
         line = lines[i]
         if line.strip() == "#[cfg(test)]" and i + 1 < len(lines):
@@ -99,13 +121,19 @@ def non_test_lines(text):
                 close = line[: len(line) - len(line.lstrip())] + "}"
                 i += 2
                 while i < len(lines) and lines[i] != close:
+                    tests.append(lines[i])
                     i += 1
                 i += 1
                 continue
         if line.strip():
             kept.append(line)
         i += 1
-    return kept
+    return kept, tests
+
+
+def non_test_lines(text):
+    """Non-blank lines of `text` outside `#[cfg(test)]` modules."""
+    return split_test_lines(text)[0]
 
 
 def pub_items(lines):
@@ -158,6 +186,31 @@ def unnamed_pub_fns(root):
     return found
 
 
+def test_only_pub_fns(root):
+    """Per crate, `(file, fn)` for each `pub fn` only test code names."""
+    production, named, tested = {}, Counter(), set()
+    for pattern in PRODUCTION_FILES:
+        for path in root.glob(pattern):
+            kept, tests = split_test_lines(path.read_text())
+            production[path] = [line.split("//", 1)[0] for line in kept]
+            named.update(word for line in production[path] for word in WORD.findall(line))
+            tested.update(WORD.findall("\n".join(tests)))
+    for pattern in TEST_FILES:
+        for path in root.glob(pattern):
+            tested.update(WORD.findall(path.read_text()))
+    found = {}
+    for crate in sorted((root / "crates").iterdir()):
+        for path in sorted((crate / "src").rglob("*.rs")):
+            for line in production[path]:
+                name = PUB_FN.match(line)
+                if not name or name[1] not in tested:
+                    continue
+                # Production names it nowhere but in its own definition.
+                if named[name[1]] == WORD.findall(line).count(name[1]):
+                    found.setdefault(crate.name, []).append((path.name, name[1]))
+    return found
+
+
 def main():
     root = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).resolve().parent.parent)
     rows, everything, stray, singled_out = [], [], [], None
@@ -205,6 +258,13 @@ def main():
         for file, name in fns:
             print(f"{crate:<10} {file}: {name}")
     if not unnamed:
+        print("(none)")
+    print("\npub fns only tests call")
+    test_only = test_only_pub_fns(root)
+    for crate, fns in test_only.items():
+        for file, name in fns:
+            print(f"{crate:<10} {file}: {name}")
+    if not test_only:
         print("(none)")
     for path, found in stray:
         print(f"error: {found} `unsafe` in {path}; only {UNSAFE_HOME} may hold any", file=sys.stderr)

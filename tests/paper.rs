@@ -20,6 +20,7 @@
 use std::collections::BTreeSet;
 use std::fmt::Display;
 
+use atomic_swaps::contract::testkit::spec_for;
 use atomic_swaps::contract::SwapSpec;
 use atomic_swaps::core::runner::{RunConfig, RunReport};
 use atomic_swaps::core::setup::{SetupConfig, SwapSetup};
@@ -58,8 +59,7 @@ const KEY_HEIGHT: u32 = 5;
 /// feedback vertex set as leaders.
 fn setup(digraph: Digraph, seed: u64) -> SwapSetup {
     let leaders = FeedbackVertexSet::greedy(&digraph).into_vertices().into_iter().collect();
-    let config =
-        SetupConfig { key_height: KEY_HEIGHT, leaders: Some(leaders), ..SetupConfig::default() };
+    let config = SetupConfig { key_height: KEY_HEIGHT, leaders: Some(leaders) };
     SwapSetup::generate(digraph, &config, &mut SimRng::from_seed(seed)).expect("valid swap")
 }
 
@@ -519,8 +519,8 @@ fn figure_6_timeout_feasibility() {
     let feasible_two = timeout_assignment_feasible(&two, &[VertexId::new(0)].into());
     println!("    single-leader triangle, leader {{A}}: feasible = {feasible_single}");
     println!("    two-leader triangle, claiming only {{A}}: feasible = {feasible_two}");
-    let timeouts =
-        assign_timeouts(&tri, alice, SimTime::ZERO, Delta::from_ticks(10)).expect("single leader");
+    // Alice leads, Δ = 10 and the protocol starts at Δ, so `T₀ = 0`.
+    let timeouts = assign_timeouts(&spec_for(tri.clone(), vec![alice])).expect("single leader");
     let ladder: Vec<u64> = timeouts.iter().map(|t| t.ticks() / 10).collect();
     println!("    Lemma 4.13 ladder on C₃ (in Δ): {ladder:?}  (paper: [6, 5, 4])");
     let report =

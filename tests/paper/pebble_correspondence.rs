@@ -15,11 +15,13 @@ use atomic_swaps::sim::SimRng;
 use super::fast_config;
 use super::pebble::{EagerPebbleGame, LazyPebbleGame};
 
-/// Runs the protocol and returns, per arc, the round (multiple of Δ from
-/// T₀) at which its contract was published.
-fn publication_rounds(digraph: Digraph, seed: u64) -> (Vec<u64>, Vec<u64>) {
+/// Provisions and runs the protocol once, and returns the leaders it
+/// elected and, per arc, the round (multiple of Δ from T₀) at which its
+/// contract was published and the one at which it triggered.
+fn publication_rounds(digraph: Digraph, seed: u64) -> (BTreeSet<VertexId>, Vec<u64>, Vec<u64>) {
     let setup =
         SwapSetup::generate(digraph, &fast_config(), &mut SimRng::from_seed(seed)).expect("valid");
+    let leaders = setup.spec.leaders.iter().copied().collect();
     let delta = setup.spec.delta.ticks();
     let t0 = setup.spec.start.ticks() - delta;
     let arc_count = setup.spec.digraph.arc_count();
@@ -36,7 +38,7 @@ fn publication_rounds(digraph: Digraph, seed: u64) -> (Vec<u64>, Vec<u64>) {
         .iter()
         .map(|t| (t.expect("all triggered").ticks() - t0) / delta)
         .collect();
-    (publish, trigger)
+    (leaders, publish, trigger)
 }
 
 /// Runs the lazy pebble game, returning per-arc pebbling rounds (round 1 =
@@ -71,12 +73,7 @@ fn phase_one_is_the_lazy_pebble_game() {
         (generators::star(4), 4),
         (generators::flower(2, 3), 5),
     ] {
-        let setup =
-            SwapSetup::generate(digraph.clone(), &fast_config(), &mut SimRng::from_seed(seed))
-                .expect("valid");
-        let leaders: BTreeSet<_> = setup.spec.leaders.iter().copied().collect();
-        drop(setup);
-        let (publish, _) = publication_rounds(digraph.clone(), seed);
+        let (leaders, publish, _) = publication_rounds(digraph.clone(), seed);
         let pebbles = lazy_rounds(&digraph, &leaders);
         // Publication at protocol round k ⇒ visible at k+1 ⇔ pebble at
         // round k+1.
@@ -102,7 +99,7 @@ fn phase_one_within_diam_rounds() {
         (generators::complete(4), 14),
     ] {
         let diam = digraph.diameter() as u64;
-        let (publish, _) = publication_rounds(digraph, seed);
+        let (_, publish, _) = publication_rounds(digraph, seed);
         for (i, &round) in publish.iter().enumerate() {
             assert!(round <= diam, "arc {i} published at round {round} > diam {diam}");
         }
@@ -119,7 +116,7 @@ fn phase_two_within_two_diam_rounds() {
         (generators::complete(4), 24),
     ] {
         let diam = digraph.diameter() as u64;
-        let (_, trigger) = publication_rounds(digraph, seed);
+        let (_, _, trigger) = publication_rounds(digraph, seed);
         for (i, &round) in trigger.iter().enumerate() {
             assert!(
                 round <= 2 * diam + 1,
@@ -136,15 +133,11 @@ fn eager_game_on_transpose_bounds_secret_spread() {
     // as its abstraction).
     for (digraph, seed) in [(generators::herlihy_three_party(), 31u64), (generators::cycle(5), 32)]
     {
-        let setup =
-            SwapSetup::generate(digraph.clone(), &fast_config(), &mut SimRng::from_seed(seed))
-                .expect("valid");
-        let leader = setup.spec.leaders[0];
-        drop(setup);
+        let (leaders, publish, trigger) = publication_rounds(digraph.clone(), seed);
+        let leader = leaders.first().copied().expect("a leader");
         let transpose = digraph.transpose();
         let mut game = EagerPebbleGame::new(&transpose, leader);
         let eager_rounds = game.run_to_completion().expect("strongly connected");
-        let (publish, trigger) = publication_rounds(digraph.clone(), seed);
         let phase_one_end = publish.iter().max().copied().unwrap();
         let last_trigger = trigger.iter().max().copied().unwrap();
         // Secrets spread in at most eager_rounds rounds after Phase One.

@@ -5,12 +5,17 @@ use proptest::prelude::*;
 
 use std::sync::Arc;
 
-use atomic_swaps::contract::UnlockRecord;
+use atomic_swaps::chain::{AssetDescriptor, AssetId, AssetRegistry, ContractId, ContractLogic};
+use atomic_swaps::chain::{ExecCtx, Owner};
+use atomic_swaps::contract::testkit::{keypair_for, leader_secret, spec_for};
+use atomic_swaps::contract::{HtlcCall, HtlcContract, HtlcError, SwapCall, SwapContract};
+use atomic_swaps::contract::{SwapError, UnlockRecord};
 use atomic_swaps::core::runner::{RunConfig, RunReport};
 use atomic_swaps::core::setup::{SetupConfig, SwapSetup};
 use atomic_swaps::core::{assign_timeouts, Action, Behavior, Engine, Outcome, ProtocolKind, What};
+use atomic_swaps::crypto::{Address, SigChain};
 use atomic_swaps::digraph::{generators, ArcId, Digraph, DigraphBuilder, VertexId, VertexPath};
-use atomic_swaps::sim::SimRng;
+use atomic_swaps::sim::{SimRng, SimTime};
 
 fn fast_config() -> SetupConfig {
     SetupConfig { key_height: 4, ..SetupConfig::default() }
@@ -144,13 +149,43 @@ proptest! {
     }
 }
 
+/// `D(from, target)` by trying every simple path: the longest path from
+/// `from` to `target` on which `target` appears only at the end.
+fn longest_path_by_search(d: &Digraph, from: VertexId, target: VertexId) -> Option<u64> {
+    fn extend(d: &Digraph, v: VertexId, target: VertexId, on_path: &mut [bool]) -> Option<u64> {
+        let mut best = None;
+        for w in d.successors(v) {
+            let via = if w == target {
+                Some(1)
+            } else if on_path[w.index()] {
+                None
+            } else {
+                on_path[w.index()] = true;
+                let rest = extend(d, w, target, on_path);
+                on_path[w.index()] = false;
+                rest.map(|len| len + 1)
+            };
+            best = best.max(via);
+        }
+        best
+    }
+    if from == target {
+        return Some(0);
+    }
+    let mut on_path = vec![false; d.vertex_count()];
+    on_path[from.index()] = true;
+    extend(d, from, target, &mut on_path)
+}
+
 proptest! {
     /// The invariant `ProtocolKind::select` relies on: a spec that passed
     /// validation with exactly one leader has that leader as a feedback
     /// vertex set on its own, so the Lemma 4.13 ladder exists (Figure 6's
     /// condition holds) and selection picks the HTLC protocol. Cycles,
     /// stars and flowers always elect one leader; random digraphs do when
-    /// their minimum feedback vertex set is a single vertex.
+    /// their minimum feedback vertex set is a single vertex. Each arc
+    /// `(u, v)` times out at `T₀ + (diam + D(v, v̂) + 1)·Δ`, with `D` found
+    /// by trying every simple path.
     #[test]
     fn validated_single_leader_specs_admit_the_timeout_ladder(
         seed in 0u64..1_000,
@@ -170,14 +205,20 @@ proptest! {
             &mut SimRng::from_seed(seed ^ 0xEEEE),
         ).expect("strongly connected inputs are valid swaps").spec;
         if let &[leader] = spec.leaders.as_slice() {
-            let delta = spec.delta;
-            let t0 = spec.start - delta.times(1);
-            let timeouts = assign_timeouts(&spec.digraph, leader, t0, delta);
+            let (d, delta) = (&spec.digraph, spec.delta);
+            let timeouts = assign_timeouts(&spec);
             prop_assert!(timeouts.is_ok(), "no ladder: {:?}", timeouts);
             let timeouts = timeouts.expect("checked");
-            for v in spec.digraph.vertices().filter(|&v| v != leader) {
-                for entering in spec.digraph.in_arcs(v) {
-                    for leaving in spec.digraph.out_arcs(v) {
+            let t0 = spec.start - delta.times(1);
+            for arc in d.arcs() {
+                let to_leader = longest_path_by_search(d, arc.tail, leader);
+                prop_assert!(to_leader.is_some(), "{} cannot reach the leader", arc.tail);
+                let expected = t0 + delta.times(spec.diam + to_leader.unwrap_or(0) + 1);
+                prop_assert_eq!(timeouts[arc.id.index()], expected, "arc {}", arc.id);
+            }
+            for v in d.vertices().filter(|&v| v != leader) {
+                for entering in d.in_arcs(v) {
+                    for leaving in d.out_arcs(v) {
                         let (te, tl) = (timeouts[entering.id.index()], timeouts[leaving.id.index()]);
                         prop_assert!(te >= tl + delta.times(1), "follower {}: {} vs {}", v, te, tl);
                     }
@@ -325,4 +366,92 @@ fn warmed_links_under_a_path_naming_another_vertex_are_rejected() {
     assert_eq!(report.metrics.unlock_calls, 1);
     let stored = unlock_record(&after, to_b).expect("the honest presentation unlocked");
     assert_eq!(stored.path.vertices(), &[b, c, a]);
+}
+
+// --- The deadline tick against the tick before it --------------------------
+//
+// Every contract deadline is exclusive for the call it ends and inclusive
+// for the refund it opens. Each check calls one tick before a deadline and
+// at it, on a freshly published contract.
+
+const CONTRACT: ContractId = ContractId::new(0);
+
+/// Publishes `contract` (escrowing a fresh asset of `party`) and returns a
+/// closure that applies one call to a clone of it at `now`.
+fn published<C: ContractLogic + Clone>(
+    mut contract: C,
+    party: Address,
+    asset_of: impl FnOnce(&mut AssetRegistry) -> AssetId,
+) -> impl Fn(Address, C::Call, SimTime) -> Result<(), C::Error> {
+    let mut assets = AssetRegistry::new();
+    let asset = asset_of(&mut assets);
+    assert_eq!(assets.owner(asset), Some(Owner::Party(party)));
+    let mut ctx =
+        ExecCtx { caller: party, now: SimTime::ZERO, this: CONTRACT, assets: &mut assets };
+    assert!(contract.on_publish(&mut ctx).is_ok(), "publication escrows the asset");
+    move |caller, call, now| {
+        let mut assets = assets.clone();
+        let ctx = &mut ExecCtx { caller, now, this: CONTRACT, assets: &mut assets };
+        contract.clone().apply(call, ctx)
+    }
+}
+
+#[test]
+fn an_htlc_reveal_is_accepted_before_the_timeout_and_expired_at_it() {
+    let (party, counterparty) = (keypair_for(VertexId::new(0)), keypair_for(VertexId::new(1)));
+    let (party, counterparty) = (party.public_key().address(), counterparty.public_key().address());
+    let secret = leader_secret(VertexId::new(0));
+    let timeout = SimTime::from_ticks(60);
+    let htlc = HtlcContract::new(AssetId::new(0), party, counterparty, secret.hashlock(), timeout);
+    let call = published(htlc, party, |assets| assets.mint(AssetDescriptor::new("btc", 1), party));
+    let before = SimTime::from_ticks(59);
+    assert_eq!(call(counterparty, HtlcCall::Reveal { secret }, before), Ok(()));
+    assert_eq!(
+        call(counterparty, HtlcCall::Reveal { secret }, timeout),
+        Err(HtlcError::Expired { timeout })
+    );
+    assert_eq!(call(party, HtlcCall::Refund, before), Err(HtlcError::NotYetExpired { timeout }));
+    assert_eq!(call(party, HtlcCall::Refund, timeout), Ok(()));
+}
+
+/// The alice → bob contract of Herlihy's three parties, alice leading, and
+/// bob's hashkey for it: path (bob, carol, alice), signed alice → carol →
+/// bob.
+fn alice_to_bob() -> (SwapContract, Address, Address, SwapCall) {
+    let d = generators::herlihy_three_party();
+    let [alice, bob, carol] = ["alice", "bob", "carol"].map(|n| d.vertex_by_name(n).unwrap());
+    let spec = spec_for(d, vec![alice]);
+    let arc = spec.digraph.arcs_between(alice, bob)[0];
+    let (party, counterparty) = (spec.address_of(alice), spec.address_of(bob));
+    let secret = leader_secret(alice);
+    let sig = SigChain::sign_secret(&mut keypair_for(alice), &secret)
+        .and_then(|sig| sig.extend(&mut keypair_for(carol)))
+        .and_then(|sig| sig.extend(&mut keypair_for(bob)))
+        .expect("fresh keys sign");
+    let path = VertexPath::from_vertices(vec![bob, carol, alice]).unwrap();
+    let unlock = SwapCall::Unlock { index: 0, secret, path, sig };
+    (SwapContract::new(spec, arc, AssetId::new(0)), party, counterparty, unlock)
+}
+
+#[test]
+fn a_hashkey_unlock_is_accepted_before_its_deadline_and_expired_at_it() {
+    let (contract, party, counterparty, unlock) = alice_to_bob();
+    let deadline = contract.spec().hashkey_deadline(2);
+    let call = published(contract, party, |a| a.mint(AssetDescriptor::new("alt", 1), party));
+    let before = SimTime::from_ticks(deadline.ticks() - 1);
+    assert_eq!(call(counterparty, unlock.clone(), before), Ok(()));
+    assert_eq!(
+        call(counterparty, unlock, deadline),
+        Err(SwapError::HashkeyExpired { deadline, now: deadline })
+    );
+}
+
+#[test]
+fn a_hashkey_refund_is_refused_before_every_hashkey_is_dead_and_accepted_at_it() {
+    let (contract, party, _, _) = alice_to_bob();
+    let dead = contract.spec().all_hashkeys_dead();
+    let call = published(contract, party, |a| a.mint(AssetDescriptor::new("alt", 1), party));
+    let before = SimTime::from_ticks(dead.ticks() - 1);
+    assert_eq!(call(party, SwapCall::Refund, before), Err(SwapError::NothingRefundable));
+    assert_eq!(call(party, SwapCall::Refund, dead), Ok(()));
 }
