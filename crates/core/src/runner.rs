@@ -48,9 +48,7 @@ use crate::event::Trace;
 use crate::outcome::Outcome;
 use crate::party::Behavior;
 
-/// Per-run configuration: who deviates, and how. The engine waits at most
-/// `2·diam + 6` rounds, enough for the worst-case protocol plus the refund
-/// round.
+/// Per-run configuration: who deviates, and how.
 #[derive(Debug, Clone, Default)]
 pub struct RunConfig {
     /// Behavior per vertex; unlisted vertexes conform.

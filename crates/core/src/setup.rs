@@ -23,15 +23,12 @@ pub const DEFAULT_KEY_HEIGHT: u32 = 6;
 pub enum SetupError {
     /// Spec assembly failed.
     Build(BuildError),
-    /// The start time must be at least Δ after `now` for Phase One to fit.
-    StartTooSoon,
 }
 
 impl fmt::Display for SetupError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SetupError::Build(e) => write!(f, "{e}"),
-            SetupError::StartTooSoon => write!(f, "start must be at least Δ in the future"),
         }
     }
 }

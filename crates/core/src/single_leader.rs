@@ -129,18 +129,12 @@ mod tests {
     use swap_contract::testkit::spec_for;
     use swap_digraph::generators;
 
-    /// A spec over `d` led by `leader` alone, starting at 10 with Δ = 10,
-    /// so `T₀ = 0`.
-    fn led_by(d: Digraph, leader: VertexId) -> SwapSpec {
-        spec_for(d, vec![leader])
-    }
-
     #[test]
     fn figure_1_timeout_values() {
-        // Leader alice, Δ = 10, T₀ = 0: the 6Δ/5Δ/4Δ of Figure 1.
+        // Leader alice, Δ = 10, start = Δ so T₀ = 0: the 6Δ/5Δ/4Δ of Figure 1.
         let d = generators::herlihy_three_party();
         let alice = d.vertex_by_name("alice").unwrap();
-        let timeouts = assign_timeouts(&led_by(d, alice)).unwrap();
+        let timeouts = assign_timeouts(&spec_for(d, vec![alice])).unwrap();
         let by_arc: Vec<u64> = timeouts.iter().map(|t| t.ticks()).collect();
         // Arcs in insertion order: a→b, b→c, c→a.
         assert_eq!(by_arc, vec![60, 50, 40]);
@@ -150,7 +144,7 @@ mod tests {
     fn the_ladder_hangs_off_the_published_diam_and_start() {
         let d = generators::herlihy_three_party();
         let alice = d.vertex_by_name("alice").unwrap();
-        let mut spec = led_by(d, alice);
+        let mut spec = spec_for(d, vec![alice]);
         spec.diam = 5;
         spec.start = SimTime::from_ticks(30);
         let by_arc: Vec<u64> = assign_timeouts(&spec).unwrap().iter().map(|t| t.ticks()).collect();
@@ -164,7 +158,7 @@ mod tests {
         // every follower, across several single-leader families.
         for d in [generators::cycle(5), generators::star(4), generators::flower(3, 3)] {
             let leader = single_leader_of(&d).expect("single-leader family");
-            let spec = led_by(d, leader);
+            let spec = spec_for(d, vec![leader]);
             let timeouts = assign_timeouts(&spec).unwrap();
             let d = &spec.digraph;
             for v in d.vertices().filter(|&v| v != leader) {
@@ -184,14 +178,14 @@ mod tests {
 
     #[test]
     fn two_leader_digraph_rejected() {
-        let spec = led_by(generators::two_leader_triangle(), VertexId::new(0));
+        let spec = spec_for(generators::two_leader_triangle(), vec![VertexId::new(0)]);
         let err = assign_timeouts(&spec).unwrap_err();
         assert!(matches!(err, TimeoutError::FollowerCycle { witness } if !witness.is_empty()));
     }
 
     #[test]
     fn not_strongly_connected_rejected() {
-        let spec = led_by(generators::one_way_pair(), VertexId::new(0));
+        let spec = spec_for(generators::one_way_pair(), vec![VertexId::new(0)]);
         assert_eq!(assign_timeouts(&spec).unwrap_err(), TimeoutError::NotStronglyConnected);
     }
 
