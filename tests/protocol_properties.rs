@@ -5,8 +5,8 @@ use proptest::prelude::*;
 
 use std::sync::Arc;
 
+use atomic_swaps::chain::ExecCtx;
 use atomic_swaps::chain::{AssetDescriptor, AssetId, AssetRegistry, ContractId, ContractLogic};
-use atomic_swaps::chain::{ExecCtx, Owner};
 use atomic_swaps::contract::testkit::{keypair_for, leader_secret, spec_for};
 use atomic_swaps::contract::{HtlcCall, HtlcContract, HtlcError, SwapCall, SwapContract};
 use atomic_swaps::contract::{SwapError, UnlockRecord};
@@ -376,16 +376,15 @@ fn warmed_links_under_a_path_naming_another_vertex_are_rejected() {
 
 const CONTRACT: ContractId = ContractId::new(0);
 
-/// Publishes `contract` (escrowing a fresh asset of `party`) and returns a
-/// closure that applies one call to a clone of it at `now`.
+/// Publishes `contract`, which escrows `AssetId(0)`: the first asset of a
+/// fresh registry, minted to `party`. Returns a closure that applies one
+/// call to a clone of the published contract at `now`.
 fn published<C: ContractLogic + Clone>(
     mut contract: C,
     party: Address,
-    asset_of: impl FnOnce(&mut AssetRegistry) -> AssetId,
 ) -> impl Fn(Address, C::Call, SimTime) -> Result<(), C::Error> {
     let mut assets = AssetRegistry::new();
-    let asset = asset_of(&mut assets);
-    assert_eq!(assets.owner(asset), Some(Owner::Party(party)));
+    assets.mint(AssetDescriptor::new("escrowed", 1), party);
     let mut ctx =
         ExecCtx { caller: party, now: SimTime::ZERO, this: CONTRACT, assets: &mut assets };
     assert!(contract.on_publish(&mut ctx).is_ok(), "publication escrows the asset");
@@ -403,7 +402,7 @@ fn an_htlc_reveal_is_accepted_before_the_timeout_and_expired_at_it() {
     let secret = leader_secret(VertexId::new(0));
     let timeout = SimTime::from_ticks(60);
     let htlc = HtlcContract::new(AssetId::new(0), party, counterparty, secret.hashlock(), timeout);
-    let call = published(htlc, party, |assets| assets.mint(AssetDescriptor::new("btc", 1), party));
+    let call = published(htlc, party);
     let before = SimTime::from_ticks(59);
     assert_eq!(call(counterparty, HtlcCall::Reveal { secret }, before), Ok(()));
     assert_eq!(
@@ -437,7 +436,7 @@ fn alice_to_bob() -> (SwapContract, Address, Address, SwapCall) {
 fn a_hashkey_unlock_is_accepted_before_its_deadline_and_expired_at_it() {
     let (contract, party, counterparty, unlock) = alice_to_bob();
     let deadline = contract.spec().hashkey_deadline(2);
-    let call = published(contract, party, |a| a.mint(AssetDescriptor::new("alt", 1), party));
+    let call = published(contract, party);
     let before = SimTime::from_ticks(deadline.ticks() - 1);
     assert_eq!(call(counterparty, unlock.clone(), before), Ok(()));
     assert_eq!(
@@ -450,7 +449,7 @@ fn a_hashkey_unlock_is_accepted_before_its_deadline_and_expired_at_it() {
 fn a_hashkey_refund_is_refused_before_every_hashkey_is_dead_and_accepted_at_it() {
     let (contract, party, _, _) = alice_to_bob();
     let dead = contract.spec().all_hashkeys_dead();
-    let call = published(contract, party, |a| a.mint(AssetDescriptor::new("alt", 1), party));
+    let call = published(contract, party);
     let before = SimTime::from_ticks(dead.ticks() - 1);
     assert_eq!(call(party, SwapCall::Refund, before), Err(SwapError::NothingRefundable));
     assert_eq!(call(party, SwapCall::Refund, dead), Ok(()));
