@@ -450,6 +450,20 @@ mod tests {
             "ae61cbddf3f1e519891f82e6dd6099e19a136cff3eee2486aeca9bf4069c2e7a"
         );
         assert!(pk.verify(&sha256(&[0]), &sig));
+        // Leaf 1 over the two extreme digests: all-zero digits (the signer
+        // walks the 2 nonzero checksum chains, the verifier 66 chains) and
+        // all-15 digits (the signer walks 64 chains of 15 steps, which all
+        // end on one step, and the verifier the 3 checksum chains).
+        for (message, expected) in [
+            ([0x00; 32], "e25c8af1ea3dd69065dc6497ef14811bb7ec199c580155f754f7633785aa1d81"),
+            ([0xff; 32], "5694763d8de3406cd51faa3a7097b81a77cad639495e8db3c667d9ec6f360627"),
+        ] {
+            let message = Digest32(message);
+            let sig = kp.clone().sign(&message).unwrap();
+            assert_eq!(sig.leaf_index(), 1);
+            assert_eq!(sig.digest().to_hex(), expected, "{message:?}");
+            assert!(pk.verify(&message, &sig), "{message:?}");
+        }
     }
 
     /// A key is caller-supplied (`from_root` takes any height): one

@@ -3,10 +3,12 @@
 
 Writes the signature scheme out from the module docs of `swap-crypto`'s
 `wots`, `merkle` and `mss` over Python's `hashlib`/`hmac` — no line shared
-with the Rust — and prints the Merkle root, the address and the digest of
-the first signature (over `SHA-256(0x00)`) of the height-6 identity seeded
-with `[9; 32]`. The test pins those three values; run this when the scheme
-changes on purpose, never to make the test pass.
+with the Rust — and prints the Merkle root, the address and signature digests of the
+height-6 identity seeded with `[9; 32]`: leaf 0's signature over
+`SHA-256(0x00)`, then leaf 1's over the all-zero digest (a signer walks 2
+chains, a verifier 66) and over the all-`0xff` digest (a signer walks 64
+chains of 15 steps, a verifier 3). The test pins those five values; run
+this when the scheme changes on purpose, never to make the test pass.
 
 Usage: python3 scripts/mss_known_answers.py
 """
@@ -44,7 +46,7 @@ def digits(message):
 
 
 def main():
-    seed, height, leaf = bytes([9]) * 32, 6, 0
+    seed, height = bytes([9]) * 32, 6
     levels = [
         [
             tagged(
@@ -63,13 +65,19 @@ def main():
             ]
         )
     root = levels[-1][0]
-    signed = digits(sha256(bytes([0])))
-    values = [walk(head(seed, leaf, j), j, 0, signed[j]) for j in range(CHAINS)]
-    siblings = [level[(leaf >> depth) ^ 1] for depth, level in enumerate(levels[:-1])]
-    index = struct.pack(">Q", leaf)
-    print("root     ", root.hex())
-    print("address  ", tagged(b"swap/address/v1", root).hex())
-    print("signature", sha256(index + sha256(b"".join(values)) + index + b"".join(siblings)).hex())
+
+    def signature(leaf, message):
+        signed = digits(message)
+        values = [walk(head(seed, leaf, j), j, 0, signed[j]) for j in range(CHAINS)]
+        siblings = [level[(leaf >> depth) ^ 1] for depth, level in enumerate(levels[:-1])]
+        index = struct.pack(">Q", leaf)
+        return sha256(index + sha256(b"".join(values)) + index + b"".join(siblings))
+
+    print("root        ", root.hex())
+    print("address     ", tagged(b"swap/address/v1", root).hex())
+    print("signature   ", signature(0, sha256(bytes([0]))).hex())
+    print("signature-00", signature(1, bytes(32)).hex())
+    print("signature-ff", signature(1, bytes([0xFF]) * 32).hex())
 
 
 if __name__ == "__main__":
