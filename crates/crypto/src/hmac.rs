@@ -2,8 +2,7 @@
 //! Winternitz/Merkle signature machinery and for seeding per-party randomness.
 
 use crate::sha256::{
-    compress_pair, compress_x16, digest_words, finish_block, padded_words, Digest32, Sha256,
-    MAX_FINAL_TAIL,
+    compress_x16, digest_words, finish_block, padded_words, Digest32, Sha256, MAX_FINAL_TAIL,
 };
 
 const BLOCK: usize = 64;
@@ -91,35 +90,6 @@ impl HmacEngine {
         self.outer_hash(&finish_block(self.inner, block, len, (BLOCK + len) as u64))
     }
 
-    /// [`derive`](Self::derive) at two indices at once, as the two
-    /// subkeys' digest words: both inner and then both outer compressions
-    /// go through [`compress_pair`], two MACs for about the time of one.
-    pub(crate) fn derive_pair(&self, label: &str, indices: [u64; 2]) -> [[u32; 8]; 2] {
-        let [Some((block_a, len)), Some((block_b, _))] =
-            indices.map(|index| Self::inner_tail(label, index))
-        else {
-            return indices.map(|index| digest_words(&self.derive(label, index)));
-        };
-        let total = (BLOCK + len) as u64;
-        let mut inner = [self.inner; 2];
-        compress_pair(
-            &mut inner,
-            &[padded_words(block_a, len, total), padded_words(block_b, len, total)],
-        );
-        // The outer message is the inner digest — its state words as they
-        // stand — then the marker and the bit length of key block + 32.
-        let outer_words = inner.map(|digest| {
-            let mut words = [0u32; 16];
-            words[..8].copy_from_slice(&digest);
-            words[8] = 0x8000_0000;
-            words[15] = 8 * (BLOCK + 32) as u32;
-            words
-        });
-        let mut outer = [self.outer; 2];
-        compress_pair(&mut outer, &outer_words);
-        outer
-    }
-
     /// [`derive`](Self::derive) at the sixteen indices `first..first + 16`,
     /// as the subkeys' digest words in [`compress_x16`]'s word-major layout
     /// (lane `i` is index `first + i`): the sixteen inner compressions from
@@ -142,8 +112,9 @@ impl HmacEngine {
         }
         let mut inner = self.inner.map(|word| [word; 16]);
         compress_x16(&mut inner, &inner_words);
-        // As in `derive_pair`: the inner digests' state words, then the
-        // marker and the bit length, the same in every lane.
+        // The outer message is the inner digest, its state words as they
+        // stand, then the marker and the bit length of key block + 32, the
+        // same in every lane.
         let mut outer_words = [[0u32; 16]; 16];
         outer_words[..8].copy_from_slice(&inner);
         outer_words[8] = [0x8000_0000; 16];
@@ -284,26 +255,10 @@ mod tests {
     }
 
     #[test]
-    fn derive_pair_equals_two_derives() {
-        // Either side of the single-block boundary (the pair kernel, and
-        // the fallback to two `derive`s), equal and unequal indices.
-        let engine = HmacEngine::new(&[0xa5u8; 32]);
-        for label in ["wots/sk", "", &"x".repeat(47), &"y".repeat(48)] {
-            for indices in [[0u64, 1], [7, 7], [u64::MAX, 0x0123_4567_89ab_cdef]] {
-                let pair = engine.derive_pair(label, indices);
-                for (words, index) in pair.iter().zip(indices) {
-                    let expected = engine.derive(label, index);
-                    assert_eq!(state_to_digest(words), expected, "{label:?} {index}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn derive_x16_equals_sixteen_derives() {
-        // As `derive_pair_equals_two_derives`: both sides of the
-        // single-block boundary, and indices whose big-endian bytes carry
-        // across every word of the inner block.
+        // Both sides of the single-block boundary (the kernel, and the
+        // fallback to sixteen `derive`s), and indices whose big-endian
+        // bytes carry across every word of the inner block.
         let engine = HmacEngine::new(&[0x3cu8; 32]);
         for label in ["wots/sk", "", &"x".repeat(47), &"y".repeat(48)] {
             for first in [0u64, 0xff_fff8, 0x0123_4567_89ab_cdef, u64::MAX - 15] {

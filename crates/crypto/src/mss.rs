@@ -451,7 +451,7 @@ mod tests {
         );
         assert!(pk.verify(&sha256(&[0]), &sig));
         // Leaf 1 over the two extreme digests: all-zero digits (the signer
-        // walks the 2 nonzero checksum chains, the verifier 66 chains) and
+        // walks the 2 nonzero checksum chains, the verifier all 67) and
         // all-15 digits (the signer walks 64 chains of 15 steps, which all
         // end on one step, and the verifier the 3 checksum chains).
         for (message, expected) in [

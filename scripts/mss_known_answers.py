@@ -3,12 +3,13 @@
 
 Writes the signature scheme out from the module docs of `swap-crypto`'s
 `wots`, `merkle` and `mss` over Python's `hashlib`/`hmac` — no line shared
-with the Rust — and prints the Merkle root, the address and signature digests of the
-height-6 identity seeded with `[9; 32]`: leaf 0's signature over
-`SHA-256(0x00)`, then leaf 1's over the all-zero digest (a signer walks 2
-chains, a verifier 66) and over the all-`0xff` digest (a signer walks 64
-chains of 15 steps, a verifier 3). The test pins those five values; run
-this when the scheme changes on purpose, never to make the test pass.
+with the Rust — and prints the Merkle root, the address and three
+signature digests of the height-6 identity seeded with `[9; 32]`: leaf 0's
+signature over `SHA-256(0x00)`, then leaf 1's over the all-zero digest (a
+signer walks 2 chains, a verifier all 67) and over the all-`0xff` digest
+(a signer walks 64 chains of 15 steps, a verifier 3). The test pins those
+five values; run this when the scheme changes on purpose, never to make
+the test pass.
 
 Usage: python3 scripts/mss_known_answers.py
 """
