@@ -5,8 +5,6 @@
 //! blockchain per arc, and one escrowable asset per arc minted to the arc's
 //! party. Both the general runner and the experiment harness start here.
 
-use std::fmt;
-
 use swap_chain::{AssetDescriptor, AssetId, ChainId, ChainSet};
 use swap_contract::{AnyContract, SwapSpec};
 use swap_crypto::{MssKeypair, Secret};
@@ -17,29 +15,6 @@ use swap_sim::{SimRng, SimTime};
 /// Default MSS key-tree height for generated parties: `2^6 = 64` one-time
 /// signatures, enough for any leader count the experiments use.
 pub const DEFAULT_KEY_HEIGHT: u32 = 6;
-
-/// Errors from [`SwapSetup::generate`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum SetupError {
-    /// Spec assembly failed.
-    Build(BuildError),
-}
-
-impl fmt::Display for SetupError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SetupError::Build(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for SetupError {}
-
-impl From<BuildError> for SetupError {
-    fn from(e: BuildError) -> Self {
-        SetupError::Build(e)
-    }
-}
 
 /// A fully provisioned swap instance, ready to run. `Clone` exists so
 /// harnesses can provision once (key generation dominates) and replay the
@@ -94,7 +69,7 @@ impl SwapSetup {
         digraph: Digraph,
         config: &SetupConfig,
         rng: &mut SimRng,
-    ) -> Result<SwapSetup, SetupError> {
+    ) -> Result<SwapSetup, BuildError> {
         let n = digraph.vertex_count();
         let mut key_rng = rng.stream("setup/keys");
         let mut secret_rng = rng.stream("setup/secrets");
@@ -227,7 +202,7 @@ mod tests {
     fn non_strongly_connected_rejected() {
         let d = generators::one_way_pair();
         let err = SwapSetup::generate(d, &SetupConfig::default(), &mut rng()).unwrap_err();
-        assert!(matches!(err, SetupError::Build(_)));
+        assert_eq!(err, BuildError::Spec(swap_contract::spec::SpecError::NotStronglyConnected));
     }
 
     #[test]

@@ -38,7 +38,7 @@
 //! )?;
 //! let report = Engine::lockstep(setup, RunConfig::default(), ProtocolKind::Hashkey).run();
 //! assert!(report.all_deal());
-//! # Ok::<(), atomic_swaps::core::setup::SetupError>(())
+//! # Ok::<(), atomic_swaps::market::BuildError>(())
 //! ```
 //!
 //! See `examples/` for runnable scenarios and `tests/paper.rs` for the
