@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use swap_crypto::sha256::sha256;
-use swap_crypto::{sha256_pair, wots, MssKeypair, Secret, SigChain};
+use swap_crypto::{sha256_pair, wots, HmacEngine, MssKeypair, Secret, SigChain};
 
 fn bench_sha256(c: &mut Criterion) {
     let mut group = c.benchmark_group("sha256");
@@ -35,18 +35,20 @@ fn bench_sha256(c: &mut Criterion) {
 
 fn bench_wots(c: &mut Criterion) {
     let mut group = c.benchmark_group("wots");
-    let seed = [7u8; 32];
-    group.bench_function("keygen", |b| b.iter(|| wots::keygen(std::hint::black_box(&seed), 0)));
+    let engine = HmacEngine::new(&[7u8; 32]);
+    group.bench_function("keygen", |b| {
+        b.iter(|| wots::public_key(std::hint::black_box(&engine), 0))
+    });
     let msg = sha256(b"message");
     group.bench_function("sign", |b| {
         b.iter_batched(
-            || wots::keygen(&seed, 0).0,
+            || wots::secret_key(&engine, 0),
             |sk| wots::sign(sk, &msg),
             criterion::BatchSize::SmallInput,
         )
     });
-    let (sk, pk) = wots::keygen(&seed, 0);
-    let sig = wots::sign(sk, &msg);
+    let pk = wots::public_key(&engine, 0);
+    let sig = wots::sign(wots::secret_key(&engine, 0), &msg);
     group.bench_function("verify", |b| {
         b.iter(|| wots::verify(std::hint::black_box(&sig), &msg, &pk))
     });

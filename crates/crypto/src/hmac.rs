@@ -9,26 +9,9 @@ const BLOCK: usize = 64;
 const IPAD: u8 = 0x36;
 const OPAD: u8 = 0x5c;
 
-/// Computes `HMAC-SHA256(key, message)`.
-///
-/// # Example
-///
-/// ```
-/// use swap_crypto::hmac::hmac_sha256;
-/// // RFC 4231 test case 2.
-/// let mac = hmac_sha256(b"Jefe", b"what do ya want for nothing?");
-/// assert_eq!(
-///     mac.to_hex(),
-///     "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
-/// );
-/// ```
-pub fn hmac_sha256(key: &[u8], message: &[u8]) -> Digest32 {
-    HmacEngine::new(key).mac_parts(&[message])
-}
-
 /// A keyed HMAC-SHA256 engine with the padded-key blocks pre-compressed.
 ///
-/// Plain [`hmac_sha256`] spends two of its four compressions (for short
+/// A one-shot HMAC spends two of its four compressions (for short
 /// messages) absorbing `key ⊕ ipad` and `key ⊕ opad` — the same two blocks
 /// every time the key repeats. MSS key generation computes hundreds of
 /// thousands of HMACs under *one* key (the tree seed), so the engine
@@ -77,8 +60,9 @@ impl HmacEngine {
         self.outer_hash(&inner.finalize())
     }
 
-    /// The labeled, indexed subkey `HMAC(key, label || be64(index))` —
-    /// [`derive_key`] without re-absorbing the key pads. A label of up to
+    /// The labeled, indexed subkey `HMAC(key, label || be64(index))`: the
+    /// single derivation primitive behind every deterministic key tree in
+    /// the workspace, without re-absorbing the key pads. A label of up to
     /// 47 bytes (every label in the workspace) leaves the inner message in
     /// one block with its padding, so the MAC is exactly two compressions
     /// with no hasher state in between; longer labels take the streaming
@@ -148,18 +132,20 @@ impl HmacEngine {
     }
 }
 
-/// Derives a labeled, indexed subkey: `HMAC(key, label || be64(index))`.
-/// This is the single derivation primitive behind every deterministic key
-/// tree in the workspace; hot paths that derive many subkeys from one key
-/// should hold an [`HmacEngine`] and call [`HmacEngine::derive`] instead.
-pub fn derive_key(key: &[u8], label: &str, index: u64) -> Digest32 {
-    HmacEngine::new(key).derive(label, index)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sha256::state_to_digest;
+
+    /// `HMAC-SHA256(key, message)` in one shot.
+    fn hmac_sha256(key: &[u8], message: &[u8]) -> Digest32 {
+        HmacEngine::new(key).mac_parts(&[message])
+    }
+
+    /// `HMAC(key, label || be64(index))` from a fresh engine.
+    fn derive_key(key: &[u8], label: &str, index: u64) -> Digest32 {
+        HmacEngine::new(key).derive(label, index)
+    }
 
     // RFC 4231 test vectors.
     #[test]

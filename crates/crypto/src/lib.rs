@@ -34,10 +34,12 @@
 //! ```
 
 // `deny`, not `forbid` like every other crate: exactly one private module,
-// `sha256::x86` (the compression kernels on x86-64 vector extensions: one
-// block and two interleaved on SHA-NI, sixteen at once on AVX-512F),
-// carries an `#[allow]`, because the instructions are reachable only
-// through `unsafe` intrinsics.
+// `sha256::x86`, carries an `#[allow]`, because the instructions are
+// reachable only through `unsafe` intrinsics. It holds the compression
+// kernels on x86-64 vector extensions: sixteen blocks at once on
+// AVX-512F, under every Winternitz walk; and on SHA-NI one block, under
+// every other hash, and two interleaved, the sixteen-lane entry point's
+// fallback without AVX-512F.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

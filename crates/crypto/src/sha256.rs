@@ -3,24 +3,29 @@
 //! The sanctioned dependency list has no hashing crate, and the whole swap
 //! protocol rests on hashlocks, so the primitive lives here with the NIST
 //! example vectors as tests. Every hash in the workspace goes through one
-//! of three compression entry points, each picking its kernel at run time
+//! of two compression entry points, each picking its kernel at run time
 //! from what the CPU reports (no Cargo feature, environment variable or
-//! config field chooses). `compress_block` takes one block: on the x86-64
-//! SHA extensions where present, and everywhere else the scalar rounds,
-//! unrolled with rotating register roles, which are also the reference
-//! the tests compare every other kernel against. The crate-private
-//! `compress_pair` takes two independent blocks, given as native words
-//! from any two states, and on the SHA extensions interleaves their rounds
-//! so that neither waits out the other's instruction latency (its scalar
-//! fallback is two compressions in a row); Winternitz signing and
-//! verification run on it. The crate-private `compress_x16` takes sixteen,
-//! word-major (one array per word, one lane per block): on AVX-512F the
-//! scalar rounds over sixteen 32-bit lanes at once, and without it eight
-//! `compress_pair` calls; Winternitz keygen runs on it. Fixed input shapes
-//! skip buffering: a message that shares one block with its padding (an
-//! HMAC derive, a Winternitz chain step) is finished in place by the
-//! crate-private `finish_block`, and two digests side by side get the
-//! double-compression entry point [`sha256_pair`].
+//! config field chooses).
+//!
+//! * `compress_block` takes one block: on the x86-64 SHA extensions where
+//!   present, and everywhere else the scalar rounds, unrolled with
+//!   rotating register roles, which are also the reference the tests
+//!   compare every other kernel against. Streaming hashes, Merkle nodes
+//!   and folds run on it.
+//! * The crate-private `compress_x16` takes sixteen independent blocks,
+//!   word-major (one array per word, one lane per block), each into its
+//!   own state. On AVX-512F it runs the scalar rounds over sixteen 32-bit
+//!   lanes at once. Without it, the sixteen lanes go through eight calls
+//!   of the crate-private `compress_pair`, which interleaves two blocks'
+//!   rounds on the SHA extensions (so neither waits out the other's
+//!   instruction latency) and runs them one after the other elsewhere.
+//!   Every Winternitz walk (keygen, signing, verification) and the HMAC
+//!   derives of its chain heads run on it.
+//!
+//! Fixed input shapes skip buffering: a message that shares one block with
+//! its padding (an HMAC derive, a Winternitz chain step) is finished in
+//! place by the crate-private `finish_block`, and two digests side by side
+//! get the double-compression entry point [`sha256_pair`].
 
 use std::fmt;
 
@@ -66,28 +71,6 @@ impl Digest32 {
             s.push(NIBBLES[usize::from(b & 0x0f)] as char);
         }
         s
-    }
-
-    /// Parses exactly 64 hex digits (`[0-9a-fA-F]`, nothing else — no
-    /// sign, no whitespace, no non-ASCII).
-    pub fn from_hex(hex: &str) -> Option<Digest32> {
-        fn nibble(c: u8) -> Option<u8> {
-            match c {
-                b'0'..=b'9' => Some(c - b'0'),
-                b'a'..=b'f' => Some(c - b'a' + 10),
-                b'A'..=b'F' => Some(c - b'A' + 10),
-                _ => None,
-            }
-        }
-        let hex = hex.as_bytes();
-        if hex.len() != 64 {
-            return None;
-        }
-        let mut out = [0u8; 32];
-        for (byte, pair) in out.iter_mut().zip(hex.chunks_exact(2)) {
-            *byte = nibble(pair[0])? << 4 | nibble(pair[1])?;
-        }
-        Some(Digest32(out))
     }
 
     /// A short 8-hex-character prefix for logs.
@@ -253,7 +236,7 @@ pub(crate) fn compress_block(state: &mut [u32; 8], block: &[u8; 64]) {
 /// Two independent compressions: `words[i]` (a block as its sixteen
 /// native words, see [`block_words`]) into `states[i]`. On the SHA
 /// extensions the two run interleaved, for little more than the time of
-/// one; a caller with a single block to compress passes it twice.
+/// one. [`compress_x16`]'s fallback.
 #[inline]
 pub(crate) fn compress_pair(states: &mut [[u32; 8]; 2], words: &[[u32; 16]; 2]) {
     #[cfg(target_arch = "x86_64")]
@@ -522,6 +505,28 @@ mod tests {
          "d7a8fbb307d7809469ca9abcb0082e4f8d5651e46d3cdb762d02d0bf37c9e592"),
     ];
 
+    /// Parses exactly 64 hex digits (`[0-9a-fA-F]`, nothing else — no
+    /// sign, no whitespace, no non-ASCII): [`Digest32::to_hex`]'s inverse.
+    fn from_hex(hex: &str) -> Option<Digest32> {
+        fn nibble(c: u8) -> Option<u8> {
+            match c {
+                b'0'..=b'9' => Some(c - b'0'),
+                b'a'..=b'f' => Some(c - b'a' + 10),
+                b'A'..=b'F' => Some(c - b'A' + 10),
+                _ => None,
+            }
+        }
+        let hex = hex.as_bytes();
+        if hex.len() != 64 {
+            return None;
+        }
+        let mut out = [0u8; 32];
+        for (byte, pair) in out.iter_mut().zip(hex.chunks_exact(2)) {
+            *byte = nibble(pair[0])? << 4 | nibble(pair[1])?;
+        }
+        Some(Digest32(out))
+    }
+
     type Kernel = fn(&mut [u32; 8], &[u8; 64]);
     type PairKernel = fn(&mut [[u32; 8]; 2], &[[u32; 16]; 2]);
     type X16Kernel = fn(&mut [[u32; 16]; 8], &[[u32; 16]; 16]);
@@ -772,10 +777,10 @@ mod tests {
     #[test]
     fn hex_roundtrip() {
         let d = sha256(b"roundtrip");
-        assert_eq!(Digest32::from_hex(&d.to_hex()), Some(d));
-        assert_eq!(Digest32::from_hex("xy"), None);
-        assert_eq!(Digest32::from_hex(&"g".repeat(64)), None);
-        assert_eq!(Digest32::from_hex(&d.to_hex().to_uppercase()), Some(d));
+        assert_eq!(from_hex(&d.to_hex()), Some(d));
+        assert_eq!(from_hex("xy"), None);
+        assert_eq!(from_hex(&"g".repeat(64)), None);
+        assert_eq!(from_hex(&d.to_hex().to_uppercase()), Some(d));
         assert_eq!(Digest32([0x0f; 32]).to_hex(), "0f".repeat(32));
     }
 
@@ -785,15 +790,15 @@ mod tests {
         // [2 * i..2 * i + 2] used to panic on the char boundary.
         let hex = format!("a\u{e9}{}", "a".repeat(61));
         assert_eq!(hex.len(), 64);
-        assert_eq!(Digest32::from_hex(&hex), None);
+        assert_eq!(from_hex(&hex), None);
     }
 
     #[test]
     fn from_hex_rejects_signs() {
         // `u8::from_str_radix("+1", 16)` is `Ok(1)`.
-        assert_eq!(Digest32::from_hex(&"+1".repeat(32)), None);
-        assert_eq!(Digest32::from_hex(&"-0".repeat(32)), None);
-        assert_eq!(Digest32::from_hex(&" 1".repeat(32)), None);
+        assert_eq!(from_hex(&"+1".repeat(32)), None);
+        assert_eq!(from_hex(&"-0".repeat(32)), None);
+        assert_eq!(from_hex(&" 1".repeat(32)), None);
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //! compression every `sha256rnds2` waits on the one before it, so a lone
 //! block runs at that instruction's latency. [`compress_pair`] issues two
 //! unrelated compressions' rounds alternately, and each fills the other's
-//! wait: this is what a Winternitz signature or verification (67
-//! independent chains of uneven length, each serial) runs on.
+//! wait: eight pairs are the sixteen-lane entry point's fallback on a
+//! CPU without AVX-512F.
 //!
 //! [`compress_x16`] takes another route: no SHA instruction, but the
 //! scalar rounds written once over 512-bit vectors, each 32-bit lane a
@@ -26,8 +26,10 @@
 //! per word, so one sequence of vector operations runs a round of all
 //! sixteen lanes; `vprord` rotates in one instruction, and `vpternlogd`
 //! computes each three-input function (Ch, Maj, the three-way XORs of Σ
-//! and σ) in one. Keygen, whose chains all run from position 0 to the top,
-//! fills the sixteen lanes on every call.
+//! and σ) in one. Every Winternitz walk runs on it: keygen, whose chains
+//! all run from position 0 to the top, fills the sixteen lanes on every
+//! call, and signing and verification keep them busy by walking their
+//! uneven chains longest first, refilling a lane as its chain ends.
 
 use core::arch::x86_64::{
     __m128i, __m512i, _mm512_add_epi32, _mm512_loadu_si512, _mm512_ror_epi32, _mm512_set1_epi32,

@@ -150,22 +150,11 @@ impl WotsSignature {
     }
 }
 
-/// Generates a key pair deterministically from `seed` and a key index: the
-/// secret key and the compressed public key digest.
-///
-/// Distinct `(seed, index)` pairs yield independent keys, which is how the
-/// Merkle scheme derives its leaf keys. Callers generating many keys from
-/// one seed should build the [`HmacEngine`] once and use [`secret_key`] and
-/// [`public_key`].
-pub fn keygen(seed: &[u8; 32], index: u64) -> (WotsSecretKey, Digest32) {
-    let engine = HmacEngine::new(seed);
-    let pk = public_key(&engine, index);
-    (secret_key(&engine, index), pk)
-}
-
-/// The secret half alone, with no hashing at all — used by the Merkle
-/// scheme at sign time, where the leaf's public digest already sits in the
-/// published tree.
+/// The secret half of key `index` of the seed behind `engine`, with no
+/// hashing at all — used by the Merkle scheme at sign time, where the
+/// leaf's public digest already sits in the published tree. Distinct
+/// `(seed, index)` pairs yield independent keys, which is how the Merkle
+/// scheme derives its leaf keys.
 pub fn secret_key(engine: &HmacEngine, index: u64) -> WotsSecretKey {
     WotsSecretKey { engine: engine.clone(), index }
 }
@@ -367,6 +356,13 @@ fn digits(message: &Digest32) -> [u8; CHAINS] {
 mod tests {
     use super::*;
     use crate::sha256::{finish_block, sha256};
+
+    /// Key `index` of `seed`: the secret key and the compressed public key
+    /// digest.
+    fn keygen(seed: &[u8; 32], index: u64) -> (WotsSecretKey, Digest32) {
+        let engine = HmacEngine::new(seed);
+        (secret_key(&engine, index), public_key(&engine, index))
+    }
 
     /// The reference the lane scheduler is held to: chain `j` walked alone
     /// from `value` at position `from` up to position `to`, one byte block
@@ -730,10 +726,11 @@ mod tests {
     #[test]
     fn lazy_derivation_matches_materialized_reference() {
         // Pin the lazy scheme against an eager one that materialises all
-        // 67 heads with `derive_key` and steps with the streaming hasher:
-        // the public key digest and a signature must be byte-identical.
-        use crate::hmac::derive_key;
+        // 67 heads with one-at-a-time derives and steps with the streaming
+        // hasher: the public key digest and a signature must be
+        // byte-identical.
         let seed = [3u8; 32];
+        let engine = HmacEngine::new(&seed);
         let index = 5u64;
         let step = |x: Digest32, j: usize, position: u8| {
             let mut h = Sha256::new();
@@ -743,7 +740,7 @@ mod tests {
             h.finalize()
         };
         let heads: Vec<Digest32> =
-            (0..CHAINS).map(|j| derive_key(&seed, "wots/sk", index * 67 + j as u64)).collect();
+            (0..CHAINS).map(|j| engine.derive("wots/sk", index * 67 + j as u64)).collect();
         let mut tops = Sha256::new();
         for (j, head) in heads.iter().enumerate() {
             tops.update((0..TOP).fold(*head, |x, k| step(x, j, k)).as_bytes());

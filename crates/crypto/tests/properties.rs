@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use swap_crypto::merkle::{leaf_hash, MerkleTree};
 use swap_crypto::sha256::{sha256, Sha256};
-use swap_crypto::{wots, MssKeypair, Secret, SigChain};
+use swap_crypto::{wots, HmacEngine, MssKeypair, Secret, SigChain};
 
 proptest! {
     /// Incremental hashing equals one-shot hashing for any chunking.
@@ -73,10 +73,11 @@ proptest! {
         msg_a in prop::collection::vec(any::<u8>(), 0..32),
         msg_b in prop::collection::vec(any::<u8>(), 0..32),
     ) {
-        let (sk, pk) = wots::keygen(&seed, 0);
+        let engine = HmacEngine::new(&seed);
+        let pk = wots::public_key(&engine, 0);
         let da = sha256(&msg_a);
         let db = sha256(&msg_b);
-        let sig = wots::sign(sk, &da);
+        let sig = wots::sign(wots::secret_key(&engine, 0), &da);
         prop_assert!(wots::verify(&sig, &da, &pk));
         prop_assert_eq!(wots::verify(&sig, &db, &pk), da == db);
     }
