@@ -21,9 +21,9 @@
 //! `sha256::compress_x16` kernel. Sixteen steps are one kernel call over
 //! the word-major blocks of the chains' next steps. A step's output state
 //! is, word for word, the next step's chain value, so a walk copies the
-//! eight state rows into the first half of the next blocks whole and adds
-//! one to every lane's position. A value becomes a [`Digest32`] only at
-//! its chain's end.
+//! eight state rows into the first half of the next blocks whole and
+//! moves every lane one position up. A value becomes a [`Digest32`] only
+//! at its chain's end.
 //!
 //! * **Keygen** walks every chain from its head to its top. The
 //!   crate-private `public_keys` covers a whole range of keys, the
@@ -85,10 +85,6 @@ type ChainStates = [[u32; 8]; CHAINS];
 
 /// Lanes of `compress_x16`: chains walked, or keys folded, at once.
 const LANES: usize = 16;
-
-/// Sixteen chain-step blocks, word-major: lane `i` is the block
-/// `words[0][i], …, words[15][i]`.
-type StepBlocks = [[u32; LANES]; 16];
 
 /// Blocks of a key's fold: its 67 tops two to a block, the last top
 /// sharing the final block with the padding.
@@ -205,30 +201,17 @@ pub(crate) fn public_keys(engine: &HmacEngine, first: u64, count: u64) -> Vec<Di
 /// head index (see [`heads`]) is `head + i` and which sits at position
 /// `(j + i) mod 67` in its key: the tops, word-major.
 fn walk_x16(engine: &HmacEngine, head: u64, j: usize) -> [[u32; LANES]; 8] {
-    let mut blocks = step_template().map(|word| [word; LANES]);
-    blocks[..8].copy_from_slice(&engine.derive_x16(HEAD_LABEL, head));
-    for (lane, word) in blocks[8].iter_mut().enumerate() {
-        *word |= (((j + lane) % CHAINS) as u32) << 24;
+    let mut values = engine.derive_x16(HEAD_LABEL, head);
+    let mut words = step_template().map(|word| [word; LANES]);
+    let chain_words: [u32; LANES] =
+        core::array::from_fn(|lane| words[8][lane] | (((j + lane) % CHAINS) as u32) << 24);
+    for position in 0..TOP {
+        words[..8].copy_from_slice(&values);
+        words[8] = chain_words.map(|word| word | u32::from(position) << 16);
+        values = H0.map(|word| [word; LANES]);
+        compress_x16(&mut values, &words);
     }
-    let mut tops = [[0; LANES]; 8];
-    for _ in 0..TOP {
-        tops = step_x16(&mut blocks);
-    }
-    tops
-}
-
-/// One step of sixteen chains: `blocks` compressed, each lane from `H0`.
-/// The output states become the first half of the lanes' next blocks and
-/// every lane's position goes up by one; the states are returned too, for
-/// the lanes whose chains end here.
-fn step_x16(blocks: &mut StepBlocks) -> [[u32; LANES]; 8] {
-    let mut states = H0.map(|word| [word; LANES]);
-    compress_x16(&mut states, blocks);
-    blocks[..8].copy_from_slice(&states);
-    for word in &mut blocks[8] {
-        *word += 1 << 16;
-    }
-    states
+    values
 }
 
 /// Signs a 256-bit message digest, consuming the one-time key.
@@ -269,8 +252,8 @@ fn heads(engine: &HmacEngine, index: u64) -> ChainStates {
 /// position `to[j]` (a chain with `from[j] >= to[j]` stays as it is),
 /// sixteen chains at a time. The chains start longest walk first; on the
 /// step a lane's chain ends, its value leaves the lane and the next chain
-/// enters. Once no chain waits, a finished lane idles: it keeps computing
-/// on its last block, and its results are dropped.
+/// enters. Once no chain waits, a finished lane idles: it keeps
+/// computing, and its results are dropped.
 fn walk_chains(values: &mut ChainStates, from: &[u8; CHAINS], to: &[u8; CHAINS]) {
     let steps = |j: usize| usize::from(to[j].saturating_sub(from[j]));
     // The live chains, longest walk first and in index order within one
@@ -295,7 +278,7 @@ fn walk_chains(values: &mut ChainStates, from: &[u8; CHAINS], to: &[u8; CHAINS])
     let mut blocks = template.map(|word| [word; LANES]);
     // Puts the next waiting chain, if any, into `lane`: its value, chain
     // and start position; returns the chain and its steps.
-    let mut enter = |blocks: &mut StepBlocks, values: &ChainStates, lane: usize| {
+    let mut enter = |blocks: &mut [[u32; LANES]; 16], values: &ChainStates, lane: usize| {
         let j = waiting.next()?;
         for (row, word) in blocks.iter_mut().zip(values[j]) {
             row[lane] = word;
@@ -306,7 +289,14 @@ fn walk_chains(values: &mut ChainStates, from: &[u8; CHAINS], to: &[u8; CHAINS])
     // Per lane, its chain and the steps the chain has left.
     let mut lanes: [_; LANES] = core::array::from_fn(|lane| enter(&mut blocks, values, lane));
     while lanes.iter().any(Option::is_some) {
-        let states = step_x16(&mut blocks);
+        let mut states = H0.map(|word| [word; LANES]);
+        compress_x16(&mut states, &blocks);
+        // Every lane's output state is its chain's next value: the first
+        // half of the lane's next block, one position up.
+        blocks[..8].copy_from_slice(&states);
+        for word in &mut blocks[8] {
+            *word += 1 << 16;
+        }
         for (lane, chain) in lanes.iter_mut().enumerate() {
             let Some((j, left)) = chain else { continue };
             *left -= 1;
