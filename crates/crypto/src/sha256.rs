@@ -10,8 +10,8 @@
 //! * `compress_block` takes one block: on the x86-64 SHA extensions where
 //!   present, and everywhere else the scalar rounds, unrolled with
 //!   rotating register roles, which are also the reference the tests
-//!   compare every other kernel against. Streaming hashes, Merkle nodes
-//!   and folds run on it.
+//!   compare every other kernel against. Streaming hashes and Merkle
+//!   nodes run on it.
 //! * The crate-private `compress_x16` takes sixteen independent blocks,
 //!   word-major (one array per word, one lane per block), each into its
 //!   own state. On AVX-512F it runs the scalar rounds over sixteen 32-bit
